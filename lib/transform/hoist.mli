@@ -16,7 +16,8 @@ val routine : Tctx.t -> Ddsm_ir.Decl.routine -> Ddsm_ir.Decl.routine
 
 val contains_expensive : Ddsm_ir.Expr.t -> bool
 (** True when the expression contains a descriptor load, an indirect
-    base-pointer load, or an integer div/mod (shared with the CSE pass). *)
+    base-pointer load, or an integer div/mod. The CSE pass computes the
+    same test bottom-up while it enumerates candidates. *)
 
 val redistributed_arrays : Ddsm_ir.Stmt.t -> string list
 (** Arrays whose layout the statement may change: targets of any

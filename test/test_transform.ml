@@ -10,6 +10,7 @@ open Ddsm_transform
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let check_string = Alcotest.(check string)
 
 let compile ?(flags = Flags.all_on) src =
   match Parser.parse_file ~fname:"t.pf" src with
@@ -349,6 +350,187 @@ c$distribute_reshape a(cyclic)
   let _, _, hw_without, _, _, _, _, _ = census without in
   check_bool "CSE reduced static div/mod count" true (hw_with < hw_without)
 
+(* --- CSE against the pre-rewrite reference (test/cse_ref.ml) --- *)
+
+(* Pipeline.run up to and including hoisting, on a fresh context *)
+let post_hoist flags (env : Sema.env) =
+  let ctx = Tctx.create env in
+  let r =
+    if flags.Flags.inspector then Inspector.routine ctx env.Sema.routine
+    else env.Sema.routine
+  in
+  let r = Lower.routine ctx flags r in
+  let r = if flags.Flags.interchange then Interchange.routine r else r in
+  (ctx, if flags.Flags.hoist then Hoist.routine ctx r else r)
+
+(* Runs the pass and the reference from identical contexts over the same
+   routine; fails unless both produce the same routine, with the same
+   sharing, and leave the fresh-name supply at the same point. Returns the
+   pass's routine. *)
+let check_same_as_ref what (ctx1, r1) (ctx2, r2) =
+  let got = Cse.routine ctx1 r1 and want = Cse_ref.routine ctx2 r2 in
+  (* [compare], not [=]: a NaN literal is equal to itself here *)
+  if compare got want <> 0 then Alcotest.failf "%s: CSE output differs from the reference" what;
+  (* images marshal the IR with its physical sharing, so that must match too *)
+  if Marshal.to_string got [] <> Marshal.to_string want [] then
+    Alcotest.failf "%s: CSE output shares nodes differently from the reference" what;
+  check_string (what ^ ": next fresh name") (Tctx.fresh ctx2 "next") (Tctx.fresh ctx1 "next");
+  got
+
+let envs_of_files what files =
+  List.concat_map
+    (fun (fname, src) ->
+      match Parser.parse_file ~fname src with
+      | Error e -> Alcotest.failf "%s: parse %s: %s" what fname e
+      | Ok f -> (
+          match Sema.analyse_file f with
+          | Error es -> Alcotest.failf "%s: sema %s: %s" what fname (String.concat "; " es)
+          | Ok envs -> envs))
+    files
+
+let same_on_envs what envs =
+  List.iter
+    (fun (env : Sema.env) ->
+      let what = what ^ "/" ^ env.Sema.routine.Decl.rname in
+      List.iter
+        (fun flags ->
+          ignore (check_same_as_ref what (post_hoist flags env) (post_hoist flags env)))
+        [ Flags.all_on; { Flags.all_on with Flags.hoist = false } ])
+    envs;
+  List.length envs
+
+let test_cse_matches_ref_examples () =
+  let dir = "../examples/programs" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".pf")
+    |> List.sort compare
+  in
+  check_bool "example programs found" true (List.length files >= 9);
+  let n =
+    List.fold_left
+      (fun n f ->
+        let src = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+        n + same_on_envs f (envs_of_files f [ (f, src) ]))
+      0 files
+  in
+  check_bool "every example routine compared" true (n >= List.length files)
+
+let test_cse_matches_ref_fuzz () =
+  let programs = 320 in
+  for seed = 1 to programs do
+    let level = 10 + (seed mod 31) in
+    let spec = Ddsm_fuzz.Gen.generate ~size:(Ddsm_fuzz.Gen.of_level level) ~seed () in
+    let what = Printf.sprintf "seed %d level %d" seed level in
+    ignore (same_on_envs what (envs_of_files what (Ddsm_fuzz.Spec.render spec)))
+  done
+
+(* Hand-built blocks for the behaviours the generated programs may miss.
+   [routine_with body] is a parsed routine whose body is replaced. *)
+let routine_with body =
+  let env =
+    List.hd
+      (envs_of_files "stub"
+         [ ("t.pf", "      program p\n      integer n, m\n      n = 1\n      end\n") ])
+  in
+  let r = { env.Sema.routine with Decl.rbody = body } in
+  ((Tctx.create env, r), (Tctx.create env, r))
+
+let mk s = Stmt.mk s
+let assign x e = mk (Stmt.Assign (Stmt.LVar x, e))
+let v x = Expr.Var x
+let idiv a b = Expr.Idiv (Expr.Hw, a, b)
+let imod a b = Expr.Imod (Expr.Hw, a, b)
+
+(* (position, name, value) of each CSE temp defined in [body] *)
+let cse_temps body =
+  List.concat
+    (List.mapi
+       (fun i t ->
+         match t.Stmt.s with
+         | Stmt.Assign (Stmt.LVar x, e) when String.starts_with ~prefix:"cse$" x -> [ (i, x, e) ]
+         | _ -> [])
+       body)
+
+let uses_var x t =
+  let found = ref false in
+  Stmt.iter_exprs (Expr.iter (function Expr.Var y when y = x -> found := true | _ -> ())) t;
+  !found
+
+let test_cse_nested_assign_splits () =
+  let c = Expr.Bin (Expr.Add, idiv (v "n") (Expr.Int 4), Expr.Int 1) in
+  let loop =
+    mk
+      (Stmt.Do
+         { Stmt.var = "i"; lo = Expr.Int 1; hi = Expr.Int 3; step = None;
+           body = [ assign "n" (v "i") ] })
+  in
+  let body = [ assign "x" c; assign "y" c; loop; assign "z" c; assign "w" c ] in
+  let a, b = routine_with body in
+  let out = (check_same_as_ref "nested assign" a b).Decl.rbody in
+  match cse_temps out with
+  | [ (i1, _, _); (i2, _, _) ] ->
+      let is_loop t = match t.Stmt.s with Stmt.Do _ -> true | _ -> false in
+      check_bool "the loop assigning n lies between the two temps" true
+        (List.exists is_loop (List.filteri (fun i _ -> i > i1 && i < i2) out))
+  | ts -> Alcotest.failf "expected one temp per kill-free segment, got %d" (List.length ts)
+
+let test_cse_redistribute_kills_meta () =
+  let c = Expr.Bin (Expr.Mul, Expr.Meta ("a", Expr.Block 0), Expr.Int 2) in
+  let redist =
+    mk (Stmt.Redistribute
+          { Stmt.rarray = "a"; rkinds = [ Ddsm_dist.Kind.Cyclic ]; ronto = None; rprocs = None })
+  in
+  let loop =
+    mk (Stmt.Do { Stmt.var = "i"; lo = Expr.Int 1; hi = Expr.Int 2; step = None; body = [ redist ] })
+  in
+  let body = [ assign "x" c; assign "y" c; loop; assign "z" c ] in
+  let a, b = routine_with body in
+  let out = (check_same_as_ref "redistribute" a b).Decl.rbody in
+  match cse_temps out with
+  | [ (_, t, _) ] ->
+      let last = List.nth out (List.length out - 1) in
+      check_bool "the read after c$redistribute reloads the descriptor" false (uses_var t last)
+  | ts -> Alcotest.failf "expected one temp, before the redistribution, got %d" (List.length ts)
+
+let test_cse_ties_follow_table_order () =
+  (* equal count (2) and equal size (3): the winner is the first in the
+     candidate table's order, whichever statement comes first *)
+  let p = idiv (v "n") (Expr.Int 2) and q = imod (v "m") (Expr.Int 3) in
+  List.iter
+    (fun (what, body) ->
+      let a, b = routine_with body in
+      let out = (check_same_as_ref what a b).Decl.rbody in
+      check_int (what ^ ": both shared") 2 (List.length (cse_temps out)))
+    [
+      ("p first", [ assign "x" p; assign "y" q; assign "z" p; assign "w" q ]);
+      ("q first", [ assign "x" q; assign "y" p; assign "z" q; assign "w" p ]);
+      ("interleaved", [ assign "x" (Expr.Bin (Expr.Add, p, q)); assign "y" q; assign "z" p;
+                        assign "w" (Expr.Bin (Expr.Sub, q, p)) ]);
+    ]
+
+let test_cse_nan_never_counts () =
+  (* Expr.equal is [=]: a candidate holding a NaN literal is not equal to
+     itself, so its repeats are never shared; its NaN-free part still is *)
+  let c = Expr.Bin (Expr.Add, idiv (v "n") (Expr.Int 2), Expr.Real Float.nan) in
+  let a, b = routine_with [ assign "x" c; assign "y" c ] in
+  let out = (check_same_as_ref "nan" a b).Decl.rbody in
+  match cse_temps out with
+  | [ (_, _, e) ] -> check_int "only the NaN-free subterm" 0 (compare e (idiv (v "n") (Expr.Int 2)))
+  | ts -> Alcotest.failf "expected one temp, got %d" (List.length ts)
+
+let test_cse_round_cap () =
+  (* 60 profitable candidates in one block: the pass stops after 51 rounds *)
+  let body =
+    List.concat
+      (List.init 60 (fun k ->
+           let c = idiv (v "n") (Expr.Int (k + 2)) in
+           [ assign (Printf.sprintf "x%d" k) c; assign (Printf.sprintf "y%d" k) c ]))
+  in
+  let a, b = routine_with body in
+  let out = (check_same_as_ref "round cap" a b).Decl.rbody in
+  check_int "51 temps" 51 (List.length (cse_temps out))
+
 let test_cyclic_figure2 () =
   let src =
     {|
@@ -463,5 +645,18 @@ let () =
           Alcotest.test_case "hoisting" `Quick test_hoist_moves_meta_out;
           Alcotest.test_case "CSE" `Quick test_cse_dedups;
           Alcotest.test_case "fp div/mod flag" `Quick test_fp_divmod_flag;
+        ] );
+      ( "cse vs reference",
+        [
+          Alcotest.test_case "example programs" `Quick test_cse_matches_ref_examples;
+          Alcotest.test_case "generated programs, levels 10-40" `Quick test_cse_matches_ref_fuzz;
+          Alcotest.test_case "nested assignment splits a segment" `Quick
+            test_cse_nested_assign_splits;
+          Alcotest.test_case "c$redistribute kills descriptor reads" `Quick
+            test_cse_redistribute_kills_meta;
+          Alcotest.test_case "equal count and size: table order" `Quick
+            test_cse_ties_follow_table_order;
+          Alcotest.test_case "NaN literal never counts" `Quick test_cse_nan_never_counts;
+          Alcotest.test_case "51-round cap" `Quick test_cse_round_cap;
         ] );
     ]
