@@ -24,7 +24,7 @@ let compile ?(flags = Flags.all_on) src =
       | Error es -> failwith (String.concat "\n" es)
       | Ok (prog, _) -> prog)
 
-let run_prog ?profile ?(shards = 1) ~setup ~version ~nprocs prog =
+let run_prog ?profile ~setup ~version ~nprocs prog =
   let policy = Workloads.policy_of version in
   let module Config = Ddsm_machine.Config in
   let cfg =
@@ -39,7 +39,7 @@ let run_prog ?profile ?(shards = 1) ~setup ~version ~nprocs prog =
     Ddsm_runtime.Rt.create cfg ~policy ~heap_words:setup.heap_words
       ~job_procs:nprocs ()
   in
-  match Ddsm.run prog ~rt ~checks:false ~shards ?profile () with
+  match Ddsm.run prog ~rt ~checks:false ?profile () with
   | Ok o -> o
   | Error m -> failwith ("bench run failed: " ^ Ddsm.Diag.to_string m)
 

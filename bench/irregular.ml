@@ -1,5 +1,5 @@
 (* Irregular-access benchmark: naive indirect references vs. the
-   inspector-executor transform (DESIGN.md §13).
+   inspector-executor transform (DESIGN.md §12).
 
    An ELL sparse matrix-vector multiply reads the dense vector through a
    column-index array, so every iteration's home node is run-time data.
@@ -9,8 +9,7 @@
    executor reads the scratch locally.  The sweep compares the two at
    8..128 simulated processors on the same machine model; a second leg
    differences per-sweep cycles to show the cached gather schedule makes
-   warm sweeps cheaper than the first; a third re-runs the simulation
-   sharded to check bit-identical output. *)
+   warm sweeps cheaper than the first. *)
 
 module Ddsm = Ddsm_core.Ddsm
 module Flags = Ddsm_core.Ddsm.Flags
@@ -153,14 +152,6 @@ let reuse_leg ~nprocs =
     nprocs cold warm;
   (cold, warm)
 
-(* sharded run must print byte-for-byte what the sequential one does *)
-let shards_leg src =
-  let prog = H.compile src in
-  let seq = H.run_prog ~setup ~version:W.Regular ~nprocs:32 prog in
-  let shr = H.run_prog ~shards:3 ~setup ~version:W.Regular ~nprocs:32 prog in
-  seq.Ddsm.Engine.prints = shr.Ddsm.Engine.prints
-  && seq.Ddsm.Engine.cycles = shr.Ddsm.Engine.cycles
-
 let () =
   section "Irregular access: naive vs. inspector-executor";
   let spmv_pts = run_variants ~label:"spmv (ELL, n=2048, k=4, 2 sweeps)"
@@ -168,7 +159,6 @@ let () =
   let graph_pts = run_variants ~label:"graph (n=512, m=2048, 2 sweeps)"
       (graph_src ~n:512 ~m:2048 ~sweeps:2) in
   let cold, warm = reuse_leg ~nprocs:32 in
-  let spmv_shards = shards_leg (spmv_src ~n:2048 ~k:4 ~sweeps:2) in
   Format.pp_print_newline ppf ();
   let big = List.filter (fun p -> p.nprocs >= 32) spmv_pts in
   let ok1 =
@@ -185,10 +175,7 @@ let () =
          (fun p -> p.naive.Ddsm.Engine.prints = p.insp.Ddsm.Engine.prints)
          (spmv_pts @ graph_pts))
   in
-  let ok4 =
-    H.check ppf "spmv: sharded (3) run byte-identical to sequential" spmv_shards
-  in
-  let ok = [ ok1; ok2; ok3; ok4 ] in
+  let ok = [ ok1; ok2; ok3 ] in
   let open H.Json in
   let json_point p =
     let side (o : Ddsm.Engine.outcome) =
@@ -211,6 +198,5 @@ let () =
          ("graph", List (List.map json_point graph_pts));
          ( "schedule_reuse",
            Obj [ ("cold_sweep_cycles", Int cold); ("warm_sweep_cycles", Int warm) ] );
-         ("sharded_identical", Str (if spmv_shards then "yes" else "no"));
        ]);
   if not (List.for_all Fun.id ok) then exit 1

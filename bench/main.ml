@@ -6,6 +6,7 @@
      fig5   — Figure 5: matrix transpose speedups
      fig6   — Figure 6: 2-D convolution (small input), 1- and 2-level
      fig7   — Figure 7: 2-D convolution (large input), 1- and 2-level
+     ablate — per-optimization contribution on the reshaped LU kernel
 
    Problem sizes are scaled down (DESIGN.md §2) with machine capacities
    scaled alongside, so each experiment runs in the same regime (data vs.
@@ -450,6 +451,15 @@ let bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
+(* bad command-line input is a user error: diagnose and exit 2, matching
+   the pflrun/pflc exit-code contract *)
+let user_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "runtime error: %s\n" m;
+      exit 2)
+    fmt
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
@@ -458,16 +468,12 @@ let () =
     | "--jobs" :: n :: _ -> (
         match int_of_string_opt n with
         | Some j when j >= 1 -> j
-        | _ -> failwith ("--jobs: expected a positive integer, got " ^ n))
+        | _ -> user_error "--jobs: expected a positive integer, got %S" n)
     | _ :: tl -> jobs_of tl
     | [] -> (
-        (* a malformed DDSM_JOBS is a user error: diagnose and exit 2,
-           matching the pflrun/pflc exit-code contract *)
         match Ddsm_util.Jobs.default_jobs () with
         | Ok j -> j
-        | Error e ->
-            Printf.eprintf "runtime error: %s\n" e;
-            exit 2)
+        | Error e -> user_error "%s" e)
   in
   let jobs = jobs_of args in
   let rec strip = function
@@ -476,23 +482,32 @@ let () =
     | a :: tl -> a :: strip tl
     | [] -> []
   in
-  let chosen = strip args in
+  let experiments =
+    [
+      ("table2", fun () -> table2 ~quick);
+      ("fig4", fun () -> fig4 ~quick ~jobs);
+      ("fig5", fun () -> fig5 ~quick ~jobs);
+      ("fig6", fun () -> fig6 ~quick ~jobs);
+      ("fig7", fun () -> fig7 ~quick ~jobs);
+      ("ablate", fun () -> ablate ~quick);
+      ("bechamel", bechamel);
+    ]
+  in
   let all = [ "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "ablate" ] in
-  let chosen = if chosen = [] || chosen = [ "all" ] then all else chosen in
+  let chosen = match strip args with [] | [ "all" ] -> all | l -> l in
+  (* resolve every name before running anything *)
+  let runs =
+    List.map
+      (fun exp ->
+        match List.assoc_opt exp experiments with
+        | Some run -> run
+        | None ->
+            user_error
+              "unknown experiment %s \
+               (table2|fig4|fig5|fig6|fig7|ablate|bechamel|all)"
+              exp)
+      chosen
+  in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun exp ->
-      match exp with
-      | "table2" -> table2 ~quick
-      | "fig4" -> fig4 ~quick ~jobs
-      | "fig5" -> fig5 ~quick ~jobs
-      | "fig6" -> fig6 ~quick ~jobs
-      | "fig7" -> fig7 ~quick ~jobs
-      | "ablate" -> ablate ~quick
-      | "bechamel" -> bechamel ()
-      | other ->
-          Format.fprintf ppf
-            "unknown experiment %s (table2|fig4|fig5|fig6|fig7|bechamel|all)@."
-            other)
-    chosen;
+  List.iter (fun run -> run ()) runs;
   Format.fprintf ppf "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)

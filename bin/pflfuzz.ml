@@ -1,8 +1,7 @@
 (* pflfuzz — end-to-end compiler fuzzing: a typed random program generator
-   feeding a four-way differential harness (reference interpreter,
+   feeding a three-way differential harness (reference interpreter,
    sequential engine, Jobs-parallel fast path over several machine
-   configurations, and the domain-sharded event loop, bit-identical at
-   every shard count).
+   configurations).
 
    A campaign generates [--count] programs from consecutive seeds, runs
    each through the differential driver, triages failures into root-cause
@@ -22,15 +21,13 @@ module Shrink = Ddsm_fuzz.Shrink
 module Triage = Ddsm_fuzz.Triage
 module Corpus = Ddsm_fuzz.Corpus
 
-let opts_for ~seed ~fault ~race ~jobs ~shards ~max_cycles =
+let opts_for ~seed ~fault ~race ~jobs ~max_cycles =
   let base = Differ.default ~seed in
   {
     base with
     Differ.fault;
     race;
     jobs = (match jobs with Some j -> j | None -> base.Differ.jobs);
-    shard_legs =
-      (match shards with Some l -> l | None -> base.Differ.shard_legs);
     max_cycles =
       (match max_cycles with Some c -> c | None -> base.Differ.max_cycles);
   }
@@ -40,14 +37,14 @@ let render_single spec =
   | [ (_, src) ] -> src
   | files -> String.concat "\n" (List.map snd files)
 
-let campaign ~seed ~count ~max_size ~fault ~race ~jobs ~shards ~max_cycles
-    ~out ~quiet =
+let campaign ~seed ~count ~max_size ~fault ~race ~jobs ~max_cycles ~out ~quiet
+    =
   let size = Gen.of_level max_size in
   let tri = Triage.create () in
   let passes = ref 0 and timeouts = ref 0 in
   for k = 0 to count - 1 do
     let s = seed + k in
-    let opts = opts_for ~seed:s ~fault ~race ~jobs ~shards ~max_cycles in
+    let opts = opts_for ~seed:s ~fault ~race ~jobs ~max_cycles in
     let spec = Gen.generate ~size ~seed:s () in
     match Differ.run opts (Spec.render spec) with
     | Differ.Pass -> incr passes
@@ -88,7 +85,7 @@ let campaign ~seed ~count ~max_size ~fault ~race ~jobs ~shards ~max_cycles
     roots;
   if roots = [] then 0 else 2
 
-let replay ~dir ~fault ~race ~jobs ~shards ~max_cycles ~quiet =
+let replay ~dir ~fault ~race ~jobs ~max_cycles ~quiet =
   let cases = Corpus.load ~dir in
   if cases = [] then begin
     Printf.printf "pflfuzz: empty corpus %s\n" dir;
@@ -99,7 +96,7 @@ let replay ~dir ~fault ~race ~jobs ~shards ~max_cycles ~quiet =
     List.iter
       (fun (c : Corpus.case) ->
         let opts =
-          opts_for ~seed:c.Corpus.seed ~fault ~race ~jobs ~shards ~max_cycles
+          opts_for ~seed:c.Corpus.seed ~fault ~race ~jobs ~max_cycles
         in
         match Corpus.replay opts c with
         | Ok () ->
@@ -161,33 +158,6 @@ let jobs_t =
     value & opt (some int) None
     & info [ "jobs" ] ~docv:"N" ~doc:"Domains for the Jobs fast-path leg.")
 
-let shards_t =
-  let shard_list =
-    let parse s =
-      let parts = String.split_on_char ',' s in
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | p :: rest -> (
-            match int_of_string_opt (String.trim p) with
-            | Some n when n >= 1 -> go (n :: acc) rest
-            | _ -> Error (`Msg ("bad shard count " ^ p)))
-      in
-      go [] parts
-    in
-    let print ppf l =
-      Format.pp_print_string ppf
-        (String.concat "," (List.map string_of_int l))
-    in
-    Arg.conv (parse, print)
-  in
-  Arg.(
-    value
-    & opt (some shard_list) None
-    & info [ "shards" ] ~docv:"N[,M...]"
-        ~doc:
-          "Shard counts for the domain-sharded engine legs (default 2,4); \
-           each must be bit-identical to the sequential base leg.")
-
 let max_cycles_t =
   Arg.(
     value & opt (some int) None
@@ -214,16 +184,15 @@ let emit_t =
 
 let quiet_t = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"Less output.")
 
-let main seed count max_size fault race jobs shards max_cycles out
-    replay_dir emit_seed quiet =
+let main seed count max_size fault race jobs max_cycles out replay_dir
+    emit_seed quiet =
   try
     match (emit_seed, replay_dir) with
     | Some s, _ -> emit ~seed:s ~max_size
-    | None, Some dir ->
-        replay ~dir ~fault ~race ~jobs ~shards ~max_cycles ~quiet
+    | None, Some dir -> replay ~dir ~fault ~race ~jobs ~max_cycles ~quiet
     | None, None ->
-        campaign ~seed ~count ~max_size ~fault ~race ~jobs ~shards ~max_cycles
-          ~out ~quiet
+        campaign ~seed ~count ~max_size ~fault ~race ~jobs ~max_cycles ~out
+          ~quiet
   with e ->
     Printf.eprintf "pflfuzz: internal error: %s\n%s%!" (Printexc.to_string e)
       (Printexc.get_backtrace ());
@@ -237,6 +206,6 @@ let cmd =
     (Cmd.info "pflfuzz" ~doc)
     Term.(
       const main $ seed_t $ count_t $ max_size_t $ fault_t $ race_t $ jobs_t
-      $ shards_t $ max_cycles_t $ out_t $ replay_t $ emit_t $ quiet_t)
+      $ max_cycles_t $ out_t $ replay_t $ emit_t $ quiet_t)
 
 let () = exit (Cmd.eval' cmd)

@@ -65,15 +65,15 @@ let config_of_machine ~machine ~nprocs =
    invariants) surface as a structured Diag located at the configuration
    phase, naming the offending parameter, not an uncaught exception. *)
 let run_once linked ~nprocs ~policy ~machine ~heap_words ~checks ~bounds
-    ~max_cycles ~audit ~fault ?(shards = 1) ?profile ?sanitize () =
+    ~max_cycles ~audit ~fault ?profile ?sanitize () =
   let module Config = Ddsm_machine.Config in
   match Config.validate (config_of_machine ~machine ~nprocs) with
   | Error e -> Error (Diag.user ~phase:"config" e)
   | Ok () ->
       let prog = Ddsm.prog_of_linked linked in
       let rt = Ddsm.make_rt ~machine ~policy ~heap_words ~fault ~nprocs () in
-      Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ~shards ?profile
-        ?sanitize ()
+      Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ?profile ?sanitize
+        ()
 
 (* the sanitizer classifies false sharing with the simulated machine's own
    L2-line/page geometry, so build it from the same config make_rt uses *)
@@ -173,102 +173,9 @@ let differential linked ~n ~seed ~jobs ~nprocs ~policy ~machine ~heap_words
   Printf.printf "differential: %d configuration(s), outputs identical\n" n;
   base
 
-(* --connect SOCK: client mode. The positional argument is a .pf SOURCE
-   (not an image): the file is read and shipped to a running pfld daemon
-   together with the machine configuration, and the reply — ok or a
-   structured Diag-coded error — is rendered exactly as a local run
-   renders it, so a service round trip is byte-identical to one-shot
-   output for the same program and configuration. *)
-let connect_run ~sock ~src_path ~nprocs ~policy ~machine ~heap_words
-    ~max_cycles =
-  let module Proto = Ddsm_service.Proto in
-  let module Client = Ddsm_service.Client in
-  let source =
-    let ic = open_in src_path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let req =
-    {
-      Proto.id = 0;
-      source;
-      fname = src_path;
-      nprocs;
-      policy =
-        (match policy with
-        | Pagetable.First_touch -> "first-touch"
-        | Pagetable.Round_robin -> "round-robin");
-      machine =
-        (match machine with
-        | Ddsm.Origin2000 -> "origin"
-        | Ddsm.Scaled f -> Printf.sprintf "scaled:%d" f);
-      heap_words;
-      max_cycles;
-      flags_off = [];
-    }
-  in
-  match Client.connect ~sock with
-  | Error e -> fail_diag (Diag.user ~phase:"connect" e)
-  | Ok c -> (
-      let r = Client.rpc c (Proto.run_to_json req) in
-      Client.close c;
-      match r with
-      | Error e -> fail_diag (Diag.user ~phase:"connect" e)
-      | Ok reply -> (
-          match Proto.str_field reply "status" with
-          | Some "ok" ->
-              let prints =
-                match Proto.field reply "prints" with
-                | Some (Ddsm.Json.List xs) ->
-                    List.filter_map
-                      (function Ddsm.Json.Str s -> Some s | _ -> None)
-                      xs
-                | _ -> []
-              in
-              let cycles =
-                Option.value (Proto.int_field reply "cycles") ~default:0
-              in
-              List.iter print_endline prints;
-              Printf.printf "cycles: %d  (procs: %d)\n" cycles nprocs
-          | Some "error" ->
-              let internal =
-                match Proto.field reply "internal" with
-                | Some (Ddsm.Json.Bool b) -> b
-                | _ -> false
-              in
-              let msg =
-                Option.value (Proto.str_field reply "error")
-                  ~default:"unknown service error"
-              in
-              Printf.eprintf "runtime error: %s\n" msg;
-              exit (if internal then 3 else 2)
-          | _ ->
-              fail_diag (Diag.internal ~phase:"connect" "malformed service reply")))
-
 let run image nprocs policy machine heap_words stats no_checks bounds
-    max_cycles fault audit differ seed jobs shards profile trace race
-    race_json connect =
+    max_cycles fault audit differ seed jobs profile trace race race_json =
   try
-    match connect with
-    | Some sock ->
-        if
-          differ <> None || profile || trace <> None || race
-          || race_json <> None || audit
-          || not (Fault.is_none fault)
-          || stats || shards <> 1 || no_checks || bounds
-        then
-          fail_diag
-            (Diag.user ~phase:"cli"
-               "--connect supports plain runs only (nprocs, policy, machine, \
-                heap-words, max-cycles); run locally for --differential, \
-                --profile, --trace, --race, --audit, --fault, --stats, \
-                --shards, --bounds or --no-checks")
-        else
-          connect_run ~sock ~src_path:image ~nprocs ~policy ~machine
-            ~heap_words ~max_cycles
-    | None -> (
     match Ddsm.load_image ~path:image with
     (* corrupt/truncated/stale images are located user errors (exit 2),
        matching the documented Diag exit-code contract *)
@@ -292,8 +199,8 @@ let run image nprocs policy machine heap_words stats no_checks bounds
             in
             match
               run_once linked ~nprocs ~policy ~machine ~heap_words ~checks
-                ~bounds ~max_cycles ~audit ~fault ~shards ?profile:prof
-                ?sanitize:san ()
+                ~bounds ~max_cycles ~audit ~fault ?profile:prof ?sanitize:san
+                ()
             with
             | Error d -> fail_diag d
             | Ok o ->
@@ -356,7 +263,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                       Printf.printf "trace: %s (%d event(s) dropped)\n" path
                         dropped
                     else Printf.printf "trace: %s\n" path
-                | _ -> ()))))
+                | _ -> ())))
   with
   (* CLI-level OS/argument failures (unwritable --trace path, bad
      processor count reaching Rt.create, truncated image file): a
@@ -366,23 +273,14 @@ let run image nprocs policy machine heap_words stats no_checks bounds
   | Invalid_argument m -> fail_diag (Diag.user ~phase:"cli" m)
 
 let () =
-  (* env-supplied defaults are user input: a malformed DDSM_JOBS/DDSM_SHARDS
-     is a located user error (exit 2), not an internal failure *)
-  let env_default = function
+  (* the env-supplied default is user input: a malformed DDSM_JOBS is a
+     located user error (exit 2), not an internal failure *)
+  let default_jobs =
+    match Ddsm_util.Jobs.default_jobs () with
     | Ok n -> n
     | Error e -> fail_diag (Diag.user ~phase:"env" e)
   in
-  let default_jobs = env_default (Ddsm_util.Jobs.default_jobs ()) in
-  let default_shards = env_default (Ddsm_util.Jobs.default_shards ()) in
-  let image =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"PROG.pfi"
-          ~doc:
-            "Linked image to run — or, with $(b,--connect), a $(b,.pf) \
-             source file to submit to the daemon.")
-  in
+  let image = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROG.pfi") in
   let nprocs =
     Arg.(value & opt int 8 & info [ "p"; "nprocs" ] ~docv:"N" ~doc:"Simulated processors.")
   in
@@ -455,18 +353,6 @@ let () =
              (default from $(b,DDSM_JOBS), else 1). Results are reported in \
              configuration order, so the output is identical for any N.")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int default_shards
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard the simulation itself across N domains (default from \
-             $(b,DDSM_SHARDS), else 1): parallel-region interpreter \
-             segments run on worker domains while one coordinator commits \
-             every memory-system event in exact simulated-time order, so \
-             output is byte-identical for any N.")
-  in
   let profile =
     Arg.(
       value & flag
@@ -506,17 +392,6 @@ let () =
             "Write the sanitizer report as JSON to FILE (implies \
              $(b,--race)).")
   in
-  let connect =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"SOCK"
-          ~doc:
-            "Client mode: submit the positional $(b,.pf) source to the pfld \
-             daemon listening on the Unix-domain socket SOCK and render its \
-             reply exactly as a local run would (cached replies are \
-             byte-identical to one-shot output).")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "pflrun" ~version:"1.0"
@@ -524,6 +399,6 @@ let () =
       Term.(
         const run $ image $ nprocs $ policy $ machine $ heap $ stats $ no_checks
         $ bounds $ max_cycles $ fault $ audit $ differential $ seed $ jobs
-        $ shards $ profile $ trace $ race $ race_json $ connect)
+        $ profile $ trace $ race $ race_json)
   in
   exit (Cmd.eval cmd)

@@ -51,14 +51,13 @@ let make_rt ?(machine = Scaled 64) ?(policy = Pagetable.First_touch)
   in
   Rt.create cfg ~policy ~heap_words ~job_procs:nprocs ?fault ()
 
-let run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?shards
-    ?profile ?sanitize () =
-  Engine.run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?shards
-    ?profile ?sanitize ()
+let run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?profile
+    ?sanitize () =
+  Engine.run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?profile
+    ?sanitize ()
 
 let run_source ?flags ?machine ?policy ?heap_words ?machine_procs ?fault
-    ?(nprocs = 8) ?checks ?bounds ?max_cycles ?audit ?shards ?profile
-    ?sanitize src =
+    ?(nprocs = 8) ?checks ?bounds ?max_cycles ?audit ?profile ?sanitize src =
   match compile_source ?flags ~fname:"<source>" src with
   | Error es -> Error (String.concat "\n" es)
   | Ok obj -> (
@@ -70,8 +69,8 @@ let run_source ?flags ?machine ?policy ?heap_words ?machine_procs ?fault
               ()
           in
           match
-            run prog ~rt ?checks ?bounds ?max_cycles ?audit ?shards ?profile
-              ?sanitize ()
+            run prog ~rt ?checks ?bounds ?max_cycles ?audit ?profile ?sanitize
+              ()
           with
           | Ok _ as ok -> ok
           | Error d -> Error (Diag.to_string d)))

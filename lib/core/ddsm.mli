@@ -71,13 +71,11 @@ val make_rt :
 
 val run :
   Ddsm_exec.Prog.t -> rt:Ddsm_runtime.Rt.t -> ?checks:bool -> ?bounds:bool ->
-  ?max_cycles:int -> ?audit:bool -> ?stall_limit:int -> ?shards:int ->
+  ?max_cycles:int -> ?audit:bool -> ?stall_limit:int ->
   ?profile:Profile.t -> ?sanitize:Sanitize.t -> unit ->
   (Engine.outcome, Diag.t) result
 (** See {!Ddsm_exec.Engine.run}: failures are structured diagnoses;
-    [audit] adds a post-run invariant audit; [shards] (> 1) runs the
-    simulation sharded across worker domains with byte-identical output;
-    [profile] attaches a cycle-attribution profiler for the duration of
+    [audit] adds a post-run invariant audit; [profile] attaches a cycle-attribution profiler for the duration of
     the run; [sanitize] attaches a happens-before sanitizer (inspect it
     after the run). *)
 
@@ -85,7 +83,7 @@ val run_source :
   ?flags:Flags.t -> ?machine:machine -> ?policy:Ddsm_machine.Pagetable.policy ->
   ?heap_words:int -> ?machine_procs:int -> ?fault:Fault.t -> ?nprocs:int ->
   ?checks:bool -> ?bounds:bool -> ?max_cycles:int -> ?audit:bool ->
-  ?shards:int -> ?profile:Profile.t -> ?sanitize:Sanitize.t -> string ->
+  ?profile:Profile.t -> ?sanitize:Sanitize.t -> string ->
   (Engine.outcome, string) result
 (** One-shot: parse, analyse, lower, link and execute a single source
     string (default 8 processors). Compile/link diagnostics are joined into

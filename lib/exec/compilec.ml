@@ -530,29 +530,6 @@ and compile_intrin_f renv nm args : (ctx -> float) * int =
 
 let charge c (ws : Eff.ws) = ws.Eff.clock <- ws.Eff.clock + c
 
-(* Shardability of a parallel-region body (see DESIGN.md §11): the sharded
-   engine may run a child coroutine's segments on a worker domain only when
-   every effect the body can raise is [Eff.Mem] or a print.  Calls mutate
-   the argument-check table (and the callee can do anything), barriers and
-   redistributions mutate [Rt] state in an order the coordinator must
-   control, and an unlowered doacross would fail anyway — all of those pin
-   the children to the coordinator.  Nested [Par] runs inline at depth > 0,
-   so only its body matters. *)
-let rec stmts_shardable stmts =
-  List.for_all
-    (fun (t : Stmt.t) ->
-      match t.Stmt.s with
-      | Stmt.Call _ | Stmt.Barrier | Stmt.Redistribute _ | Stmt.Doacross _
-      | Stmt.Gather _ ->
-          false
-      | Stmt.Do d -> stmts_shardable d.Stmt.body
-      | Stmt.If (_, th, el) -> stmts_shardable th && stmts_shardable el
-      | Stmt.Par p -> stmts_shardable p.Stmt.pbody
-      | Stmt.Assign _ | Stmt.AbsStore _ | Stmt.Continue | Stmt.Return
-      | Stmt.Print _ ->
-          true)
-    stmts
-
 let rec compile_body renv stmts : ctx -> unit =
   let fs = Array.of_list (List.map (compile_stmt renv) stmts) in
   fun ctx ->
@@ -757,7 +734,6 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
         | _ -> assert false
       in
       let body = compile_body renv p.Stmt.pbody in
-      let shardable = stmts_shardable p.Stmt.pbody in
       fun ctx ->
         if ctx.ws.Eff.depth > 0 then begin
           (* nested parallelism runs single-worker (documented) *)
@@ -777,8 +753,7 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
                    fr.Frame.ints.(np_slot) <- n;
                    body { ws = cws; frame = fr }),
                  n,
-                 region,
-                 shardable ))
+                 region ))
         end
 
 (* ------------------------------------------------------------------ *)

@@ -14,16 +14,12 @@ type _ Effect.t +=
   | Mem : ws * int * bool -> unit Effect.t
       (** [(ws, word_addr, is_write)]: one-word access; the handler charges
           the latency to [ws.clock] *)
-  | Fork : ws * (ws -> int -> unit) * int * string * bool -> unit Effect.t
-      (** [(ws, body, n, region, shardable)]: run [body child_ws p] for
+  | Fork : ws * (ws -> int -> unit) * int * string -> unit Effect.t
+      (** [(ws, body, n, region)]: run [body child_ws p] for
           [p = 0..n-1] as child coroutines; resume the parent at the
           children's max clock.  [region] is a human-readable
           parallel-region label (["routine:line"]) used by the
-          cycle-attribution profiler.  [shardable] is a compile-time
-          promise that the body's only effects are [Mem] plus prints —
-          no calls, barriers or redistributions — so the sharded engine
-          may run its segments on worker domains (see DESIGN.md §11);
-          [false] forces the children onto the coordinator. *)
+          cycle-attribution profiler. *)
 
 exception Runtime_error of string
 (** A user-program error (bad arguments, bounds, inconsistent commons…). *)

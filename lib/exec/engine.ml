@@ -145,44 +145,12 @@ type task = {
       (** label of the region this task is currently waiting on *)
   mutable lost_wakeup : bool;
   mutable wait_k : (unit, unit) Effect.Deep.continuation option;
-  (* --- sharded-engine fields (DESIGN.md §11) ------------------------
-     A shardable task runs its interpreter segments on a worker domain;
-     the worker records how each segment ended in [seg] and raises
-     [s_done]; the coordinator commits the recorded end (memory access,
-     finish, failure) strictly in dispatch order. *)
-  shardable : bool;
-      (** compile-time promise from {!Eff.Fork} that the body's only
-          effects are [Mem] + prints, so segments may leave the
-          coordinator *)
-  mutable seg : seg_end;
-  mutable next_word : int;
-      (** heap word the task's next segment opens with ([-1] = none): the
-          word of its last committed access, used for the one-word
-          conflict stall at dispatch *)
-  mutable next_write : bool;
-  s_done : bool Atomic.t;
-  s_prints : string list ref;  (** per-segment print buffer (reversed) *)
 }
 
 and tstate = Start of (unit -> unit) | Ready | Waiting | Done
 
-and seg_end =
-  | SNone
-  | SParked of int * bool  (** performed [Mem (word, write)]; continuation
-                               is in [wait_k]; access not yet committed *)
-  | SFinished
-  | SRaised of exn
-
 (* raised inside the scheduler loop when the watchdog trips *)
 exception Stalled of int
-
-(* Worker-domain print redirection: compiled code calls the one print
-   closure the engine passed to [Compilec.create]; during a sharded
-   segment it must buffer into the running task's [s_prints] so the
-   coordinator can flush transcripts in turn order.  The coordinator's own
-   sink stays [None], which appends directly. *)
-let print_sink : string list ref option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
 
 let rec view_of t =
   let st =
@@ -205,7 +173,7 @@ let rec view_of t =
 
 let serial_region = "(serial)"
 
-let mk_task ~tws ~region ~state ~parent ~shardable =
+let mk_task ~tws ~region ~state ~parent =
   {
     tws;
     region;
@@ -217,25 +185,17 @@ let mk_task ~tws ~region ~state ~parent ~shardable =
     forked_region = None;
     lost_wakeup = false;
     wait_k = None;
-    shardable;
-    seg = SNone;
-    next_word = -1;
-    next_write = false;
-    s_done = Atomic.make false;
-    s_prints = ref [];
   }
 
 let run prog ~rt ?(checks = true) ?(bounds = false)
     ?(max_cycles = max_int / 2) ?(audit = false) ?(stall_limit = 1_000_000)
-    ?(shards = 1) ?profile ?sanitize () =
-  let nshards = max 1 (min shards 64) in
+    ?profile ?sanitize () =
   let prints = ref [] in
   let phase = ref "elaborate" in
   let mem = rt.Rt.mem in
   let master_ws = { Eff.proc = 0; clock = 0; depth = 0 } in
   let master =
     mk_task ~tws:master_ws ~region:serial_region ~state:Done ~parent:None
-      ~shardable:false
   in
   (* ---- observability -------------------------------------------------
      When a profiler is attached: every Memsys access is classified by the
@@ -386,10 +346,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     let g =
       Compilec.create prog ~rt ~checks ~bounds
         ~static_abind:(fun ~routine ~array -> static_abind prog rt ~routine ~array)
-        ~print:(fun s ->
-          match !(Domain.DLS.get print_sink) with
-          | Some buf -> buf := s :: !buf
-          | None -> prints := s :: !prints)
+        ~print:(fun s -> prints := s :: !prints)
     in
     Compilec.set_cycle_limit g max_cycles;
     Compilec.compile_all g;
@@ -480,7 +437,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
                 m_write := write;
                 (mem_case
                   : ((a, unit) Effect.Deep.continuation -> unit) option)
-            | Eff.Fork (ws, body, n, region, shardable) ->
+            | Eff.Fork (ws, body, n, region) ->
                 Some
                   (fun (k : (a, unit) Effect.Deep.continuation) ->
                     t.state <- Waiting;
@@ -501,7 +458,6 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
                         mk_task ~tws:cws ~region
                           ~state:(Start (fun () -> body cws p))
                           ~parent:(Some t)
-                          ~shardable:(shardable && nshards > 1)
                       in
                       t.children <- child :: t.children;
                       push child
@@ -556,329 +512,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
               loop ()
             end
     in
-    (* ---- sharded scheduler (DESIGN.md §11) ---------------------------
-       One coordinator (this domain) owns the event heap, the memory
-       system and every observer; [nshards] worker domains run the
-       interpreter segments of shardable tasks (simulated processor [p]
-       lives on shard [p mod nshards]).  A segment is the code between
-       two scheduler events: it opens with the heap-data operation of the
-       task's last committed access and closes at its next [Mem] perform,
-       which the worker records instead of committing.  The coordinator
-       pops an event only inside the conservative time window
-       [key <= dispatch clock of the oldest in-flight segment] — every
-       in-flight segment can only re-enqueue at or after its dispatch
-       clock, and a same-key re-enqueue gets a fresh FIFO sequence
-       number, so the pop order (hence the commit order) is exactly the
-       sequential engine's.  Memory accesses commit at in-order drain:
-       probes fire, prints flush, forks/joins/failures apply there, so
-       every observer sees the sequential stream byte-for-byte. *)
-    let run_sharded () =
-      let nworkers = nshards in
-      let rcap = 1024 in
-      let rmask = rcap - 1 in
-      let rbuf = Array.init nworkers (fun _ -> Array.make rcap master) in
-      let rhead = Array.init nworkers (fun _ -> Atomic.make 0) in
-      let rtail = Array.init nworkers (fun _ -> Atomic.make 0) in
-      let stop = Atomic.make false in
-      (* Handoffs spin briefly (fast on an idle core), then block on a
-         condition variable — essential on machines with fewer cores than
-         domains, where a spinning domain both starves the one that owes
-         it work and stalls every stop-the-world minor collection.  The
-         [*sleep] flags are the eventcount: a signaller takes the mutex
-         only when the other side has declared itself asleep, and the
-         sleeper re-checks its predicate under the mutex, so no wakeup is
-         lost. *)
-      let spin_budget =
-        (* oversubscribed host (fewer cores than coordinator + workers):
-           spinning can only burn the timeslice of the domain that owes us
-           the result — block immediately instead *)
-        if Domain.recommended_domain_count () <= nworkers then 0 else 2000
-      in
-      let rmut = Array.init nworkers (fun _ -> Mutex.create ()) in
-      let rcond = Array.init nworkers (fun _ -> Condition.create ()) in
-      let rsleep = Array.init nworkers (fun _ -> Atomic.make false) in
-      let dmut = Mutex.create () in
-      let dcond = Condition.create () in
-      let dsleep = Atomic.make false in
-      (* worker side: run one segment, record how it ended, raise s_done *)
-      let worker_handler (t : task) =
-        let m_addr = ref 0 and m_write = ref false in
-        let mem_k (k : (unit, unit) Effect.Deep.continuation) =
-          t.state <- Ready;
-          t.wait_k <- Some k;
-          t.seg <- SParked (!m_addr, !m_write)
-        in
-        let mem_case = Some mem_k in
-        {
-          Effect.Deep.retc = (fun () -> t.seg <- SFinished);
-          exnc = (fun e -> t.seg <- SRaised e);
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Eff.Mem (_, waddr, write) ->
-                  m_addr := waddr;
-                  m_write := write;
-                  (mem_case
-                    : ((a, unit) Effect.Deep.continuation -> unit) option)
-              | Eff.Fork _ ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      Effect.Deep.discontinue k
-                        (Failure "internal: fork inside a shardable region"))
-              | _ -> None);
-        }
-      in
-      let worker w =
-        let sink = Domain.DLS.get print_sink in
-        let buf = rbuf.(w) and head = rhead.(w) and tail = rtail.(w) in
-        let m = rmut.(w) and c = rcond.(w) and slp = rsleep.(w) in
-        let rec go spins =
-          let h = Atomic.get head in
-          if Atomic.get tail <> h then begin
-            let t = buf.(h land rmask) in
-            Atomic.set head (h + 1);
-            sink := Some t.s_prints;
-            (match t.state with
-            | Start f ->
-                t.state <- Done;
-                Effect.Deep.match_with f () (worker_handler t)
-            | Ready -> (
-                match t.wait_k with
-                | Some k ->
-                    t.state <- Done;
-                    t.wait_k <- None;
-                    Effect.Deep.continue k ()
-                | None ->
-                    t.seg <-
-                      SRaised
-                        (Failure "internal: sharded resume without continuation"))
-            | Waiting | Done ->
-                t.seg <-
-                  SRaised
-                    (Failure "internal: sharded dispatch of a non-runnable task"));
-            sink := None;
-            Atomic.set t.s_done true;
-            if Atomic.get dsleep then begin
-              Mutex.lock dmut;
-              Condition.broadcast dcond;
-              Mutex.unlock dmut
-            end;
-            go 0
-          end
-          else if Atomic.get stop then ()
-          else if spins < spin_budget then begin
-            Domain.cpu_relax ();
-            go (spins + 1)
-          end
-          else begin
-            Mutex.lock m;
-            Atomic.set slp true;
-            while Atomic.get tail = Atomic.get head && not (Atomic.get stop) do
-              Condition.wait c m
-            done;
-            Atomic.set slp false;
-            Mutex.unlock m;
-            go 0
-          end
-        in
-        go 0
-      in
-      (* coordinator side: the in-flight window, a bounded circular buffer
-         in dispatch (= turn) order *)
-      let fcap = 4096 in
-      let fmask = fcap - 1 in
-      let fl_task = Array.make fcap master in
-      let fl_word = Array.make fcap (-1) in
-      let fl_write = Array.make fcap false in
-      let fl_lb = Array.make fcap 0 in
-      let fl_head = ref 0 and fl_tail = ref 0 in
-      let inflight () = !fl_tail - !fl_head in
-      (* commit the recorded end of a drained segment — the exact code the
-         sequential Mem handler runs at perform time, minus fast-continue
-         (eliding a park/pop round-trip is order-preserving, so not taking
-         the elision is too) *)
-      let commit (t : task) =
-        (match !(t.s_prints) with
-        | [] -> ()
-        | l ->
-            prints := l @ !prints;
-            t.s_prints := []);
-        match t.seg with
-        | SParked (waddr, write) ->
-            t.seg <- SNone;
-            t.next_word <- waddr;
-            t.next_write <- write;
-            let ws = t.tws in
-            cur_region := t.region;
-            let lat =
-              Memsys.access mem ~proc:ws.Eff.proc
-                ~addr:(Heap.byte_of_word waddr) ~write ~now:ws.Eff.clock
-            in
-            ws.Eff.clock <- ws.Eff.clock + lat;
-            if ws.Eff.clock > max_cycles then begin
-              trace "cycle-budget" Profile.Instant ~tid:ws.Eff.proc
-                ~ts:ws.Eff.clock;
-              failure := Some (Eff.Cycle_limit max_cycles)
-            end
-            else begin
-              incr wakeups;
-              let w = !wakeups in
-              if Fault.wakeup_lost fault ~wakeup:w then begin
-                t.lost_wakeup <- true;
-                trace "wakeup-lost" Profile.Instant ~tid:ws.Eff.proc
-                  ~ts:ws.Eff.clock
-              end
-              else push t
-            end
-        | SFinished ->
-            t.seg <- SNone;
-            finish t
-        | SRaised e ->
-            t.seg <- SNone;
-            failure := Some e
-        | SNone ->
-            failure := Some (Failure "internal: drained segment recorded no end")
-      in
-      (* drain the oldest in-flight segment; after a failure the remaining
-         segments are discarded uncommitted, exactly as the sequential
-         engine never runs turns past the failing one *)
-      let drain_one () =
-        let i = !fl_head land fmask in
-        let t = fl_task.(i) in
-        if not (Atomic.get t.s_done) then begin
-          let spins = ref 0 in
-          while (not (Atomic.get t.s_done)) && !spins < spin_budget do
-            Domain.cpu_relax ();
-            incr spins
-          done;
-          if not (Atomic.get t.s_done) then begin
-            Mutex.lock dmut;
-            Atomic.set dsleep true;
-            while not (Atomic.get t.s_done) do
-              Condition.wait dcond dmut
-            done;
-            Atomic.set dsleep false;
-            Mutex.unlock dmut
-          end
-        end;
-        fl_task.(i) <- master;
-        fl_word.(i) <- -1;
-        incr fl_head;
-        if !failure = None then commit t else t.s_prints := []
-      in
-      (* one-word conflict stall: the segment about to dispatch opens with
-         a heap-data op on [word]; a concurrent in-flight op on the same
-         word is only allowed read-read *)
-      let conflicts word write =
-        let c = ref false in
-        let i = ref !fl_head in
-        while (not !c) && !i < !fl_tail do
-          let j = !i land fmask in
-          if fl_word.(j) = word && (write || fl_write.(j)) then c := true;
-          incr i
-        done;
-        !c
-      in
-      let dispatch (t : task) ~key =
-        while inflight () >= fcap do
-          drain_one ()
-        done;
-        let i = !fl_tail land fmask in
-        fl_task.(i) <- t;
-        fl_word.(i) <- t.next_word;
-        fl_write.(i) <- t.next_write;
-        fl_lb.(i) <- key;
-        incr fl_tail;
-        Atomic.set t.s_done false;
-        let w = t.tws.Eff.proc mod nworkers in
-        let tail = Atomic.get rtail.(w) in
-        while tail - Atomic.get rhead.(w) >= rcap do
-          Domain.cpu_relax ()
-        done;
-        rbuf.(w).(tail land rmask) <- t;
-        Atomic.set rtail.(w) (tail + 1);
-        if Atomic.get rsleep.(w) then begin
-          Mutex.lock rmut.(w);
-          Condition.broadcast rcond.(w);
-          Mutex.unlock rmut.(w)
-        end
-      in
-      let rec ploop () =
-        (* opportunistic in-order drains keep the window fresh *)
-        while inflight () > 0 && Atomic.get fl_task.(!fl_head land fmask).s_done
-        do
-          drain_one ()
-        done;
-        if !failure <> None then
-          while inflight () > 0 do
-            drain_one ()
-          done
-        else
-          match Heapq.min_key heap with
-          | key when key = max_int ->
-              if inflight () > 0 then begin
-                drain_one ();
-                ploop ()
-              end
-          | key ->
-              if inflight () > 0 && key > fl_lb.(!fl_head land fmask) then begin
-                (* window closed: the oldest in-flight segment may still
-                   re-enqueue at its dispatch clock *)
-                drain_one ();
-                ploop ()
-              end
-              else begin
-                let t = Heapq.pop_value heap in
-                watchdog key t;
-                (if !failure = None then
-                   match t.state with
-                   | (Start _ | Ready) when t.shardable ->
-                       (if t.next_word >= 0 then
-                          while
-                            !failure = None
-                            && conflicts t.next_word t.next_write
-                          do
-                            drain_one ()
-                          done);
-                       if !failure = None then dispatch t ~key
-                   | Start f ->
-                       (* coordinator-run segment (master / unshardable
-                          body): serialize around it *)
-                       while !failure = None && inflight () > 0 do
-                         drain_one ()
-                       done;
-                       if !failure = None then begin
-                         t.state <- Done;
-                         Effect.Deep.match_with f () (handler t)
-                       end
-                   | Ready -> (
-                       while !failure = None && inflight () > 0 do
-                         drain_one ()
-                       done;
-                       if !failure = None then
-                         match t.wait_k with
-                         | Some k ->
-                             t.state <- Done;
-                             t.wait_k <- None;
-                             Effect.Deep.continue k ()
-                         | None -> ())
-                   | Waiting | Done -> ());
-                ploop ()
-              end
-      in
-      let doms = Array.init nworkers (fun w -> Domain.spawn (fun () -> worker w)) in
-      Fun.protect
-        ~finally:(fun () ->
-          Atomic.set stop true;
-          for w = 0 to nworkers - 1 do
-            Mutex.lock rmut.(w);
-            Condition.broadcast rcond.(w);
-            Mutex.unlock rmut.(w)
-          done;
-          Array.iter Domain.join doms)
-        ploop
-    in
-    if nshards > 1 then run_sharded () else loop ();
+    loop ();
     match !failure with
     | Some e -> Error (diagnose (classify e))
     | None ->

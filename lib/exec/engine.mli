@@ -25,7 +25,6 @@ val run :
   ?max_cycles:int ->
   ?audit:bool ->
   ?stall_limit:int ->
-  ?shards:int ->
   ?profile:Ddsm_report.Profile.t ->
   ?sanitize:Ddsm_sanitize.Sanitize.t ->
   unit ->
@@ -41,20 +40,6 @@ val run :
     [Invalid_argument]/[Failure] escaping a simulated task are reported as
     [Internal], never disguised as user errors; the same exceptions raised
     outside the scheduler propagate to the caller.
-
-    [shards] (default 1) runs the simulation sharded across that many
-    worker domains (clamped to \[1, 64\]): simulated processor [p]'s
-    interpreter segments execute on shard [p mod shards] while one
-    coordinator serializes every memory-system commit in exact event
-    order, so the outcome — memory image, prints, cycles, counters,
-    profile attribution, sanitizer reports — is byte-identical to the
-    sequential engine (DESIGN.md §11 gives the argument).  The only
-    sanctioned divergence is on *failing* runs: segments already
-    dispatched past the failing event have advanced private clocks and
-    heap words the sequential engine never would, so diagnostic clock
-    dumps and the (never-compared) memory image of an [Error] run may
-    differ; the [Diag] code and everything already committed do not.
-    [1] keeps the sequential scheduler, byte for byte.
 
     [audit] (default false) runs the full invariant audit ({!Rt.audit})
     after a successful run and fails with [Audit_failure] listing the

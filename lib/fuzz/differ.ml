@@ -16,7 +16,6 @@ type options = {
   fault : bool;
   race : bool;
   jobs : int;
-  shard_legs : int list;
   max_cycles : int;
   step_budget : int;
   case_seed : int;
@@ -27,7 +26,6 @@ let default ~seed =
     fault = false;
     race = false;
     jobs = 2;
-    shard_legs = [ 2; 4 ];
     max_cycles = 60_000_000;
     step_budget = 2_000_000;
     case_seed = seed;
@@ -109,7 +107,7 @@ let image_of_rt rt ~main =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> comparable_image ~main
 
-let run_leg prog (opts : options) (leg : leg) ?(shards = 1) ~sanitize () :
+let run_leg prog (opts : options) (leg : leg) ~sanitize :
     (engine_out, Diag.t) result =
   let rt =
     Ddsm.make_rt ~policy:leg.l_policy
@@ -118,7 +116,7 @@ let run_leg prog (opts : options) (leg : leg) ?(shards = 1) ~sanitize () :
   in
   match
     Ddsm.run prog ~rt ~checks:true ~bounds:true ~max_cycles:opts.max_cycles
-      ~stall_limit:2_000_000 ~shards ?sanitize ()
+      ~stall_limit:2_000_000 ?sanitize ()
   with
   | Ok o ->
       Ok
@@ -240,10 +238,10 @@ let analyse opts files =
            ~page_bytes:cfg.Config.page_bytes ())
     else None
   in
-  let direct = run_leg prog opts base ~sanitize:sanitizer () in
+  let direct = run_leg prog opts base ~sanitize:sanitizer in
   let jobs_out =
     Jobs.map ~jobs:opts.jobs
-      (fun leg -> run_leg prog opts leg ~sanitize:None ())
+      (fun leg -> run_leg prog opts leg ~sanitize:None)
       variants
   in
   let dup, v1, v2 =
@@ -277,35 +275,6 @@ let analyse opts files =
   | Ok _, Error d | Error d, Ok _ ->
       return
         (Diverged { kind = "fastpath"; detail = "ok vs " ^ Diag.code d }));
-  (* 3a'. sharded leg: the same base configuration run on the
-     domain-sharded event loop (2 then 4 shards) must be bit-identical —
-     memory image, prints, final cycle count and hardware counters.  Error
-     runs compare by structured Diag code, the established contract (the
-     engine documents that only post-failure dump detail may differ). *)
-  List.iter
-    (fun shards ->
-      let kind = Printf.sprintf "sharded:%d" shards in
-      match (direct, run_leg prog opts base ~shards ~sanitize:None ()) with
-      | Ok a, Ok b ->
-          check_images ~kind a.e_image b.e_image;
-          check_prints ~kind a.e_prints b.e_prints;
-          if a.e_cycles <> b.e_cycles then
-            return
-              (Diverged
-                 {
-                   kind;
-                   detail =
-                     Printf.sprintf "cycles %d vs %d" a.e_cycles b.e_cycles;
-                 });
-          if a.e_counters <> b.e_counters then
-            return (Diverged { kind; detail = "counters differ" })
-      | Error a, Error b ->
-          if Diag.code a <> Diag.code b then
-            return
-              (Diverged { kind; detail = Diag.code a ^ " vs " ^ Diag.code b })
-      | Ok _, Error d | Error d, Ok _ ->
-          return (Diverged { kind; detail = "ok vs " ^ Diag.code d }))
-    opts.shard_legs;
   (* 3b. sanitizer verdict on the base leg *)
   (match sanitizer with
   | Some s when not (Sanitize.is_clean s) ->
@@ -411,7 +380,7 @@ let analyse opts files =
           Some (Fault.make ~lose_wakeup:(1 + (opts.case_seed mod 5)) ());
       }
     in
-    match run_leg prog opts chaos ~sanitize:None () with
+    match run_leg prog opts chaos ~sanitize:None with
     | Ok _ | Error _ -> ()
   end;
   verdict_base

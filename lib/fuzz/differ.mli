@@ -1,16 +1,11 @@
-(** Four-way differential execution of one candidate program.
+(** Three-way differential execution of one candidate program.
 
     Every candidate is run as:
     + the machine-free reference interpreter ({!Interp});
     + the sequential simulator engine, directly in-process;
     + the same engine legs dispatched through {!Ddsm_util.Jobs.map} — the
       domain-parallel fast path — over several machine configurations
-      (processor counts, placement policies, optional fault plans);
-    + the domain-sharded event loop ({!Ddsm_exec.Engine.run} with [shards]
-      2 and then 4) on the base configuration, which must agree
-      bit-for-bit with the sequential base on the final memory image, the
-      print transcript, the cycle count and the machine counters (error
-      runs compare by structured [Diag] code).
+      (processor counts, placement policies, optional fault plans).
 
     The in-process base run and its [Jobs]-dispatched duplicate must agree
     bit-for-bit on the final memory image, the print transcript, the cycle
@@ -32,16 +27,13 @@ type options = {
   fault : bool;
   race : bool;
   jobs : int;  (** domains for the [Jobs] fast-path leg *)
-  shard_legs : int list;
-      (** shard counts for the domain-sharded legs ([[]] disables them) *)
   max_cycles : int;  (** per-leg simulated-cycle budget *)
   step_budget : int;  (** reference-interpreter statement budget *)
   case_seed : int;  (** seeds the fault plans; echo of the generator seed *)
 }
 
 val default : seed:int -> options
-(** [fault:false race:false jobs:2 shard_legs:[2;4] max_cycles:60M
-    steps:2M]. *)
+(** [fault:false race:false jobs:2 max_cycles:60M steps:2M]. *)
 
 type verdict =
   | Pass
@@ -55,9 +47,9 @@ type verdict =
       (** consistent user-level runtime failure in every way of running the
           program (the argument is the [Diag] code) — not a divergence *)
   | Diverged of { kind : string; detail : string }
-      (** [kind] is the triage bucket: ["fastpath"], ["sharded:<n>"],
-          ["variant"], ["values"], ["prints"], ["status"],
-          ["engine-internal"], ["race"], ["exn"] *)
+      (** [kind] is the triage bucket: ["fastpath"], ["variant"],
+          ["values"], ["prints"], ["status"], ["engine-internal"],
+          ["race"], ["exn"] *)
 
 val kind_of : verdict -> string
 (** Stable tag: ["ok" | "timeout" | "reject" | "fail" | "diverged:<kind>"]. *)

@@ -1,5 +1,5 @@
-(** Hardened container for Marshal-persisted artifacts (object files,
-    linked images, the daemon's compile cache).
+(** Hardened container for Marshal-persisted artifacts (object files and
+    linked images).
 
     A bare [Marshal.from_channel] on an untrusted path is a crash (or
     worse) waiting to happen: truncated files, files written by an older
@@ -11,9 +11,9 @@
     undefined behaviour.
 
     Writes are atomic: the payload goes to a fresh temp file in the target
-    directory which is then renamed into place, so a reader (or a
-    concurrent daemon worker) either sees the complete old file, the
-    complete new file, or no file — never a torn one. *)
+    directory which is then renamed into place, so a concurrent reader
+    either sees the complete old file, the complete new file, or no file
+    — never a torn one. *)
 
 val format_version : int
 (** Bumped whenever the marshalled representation of any persisted type

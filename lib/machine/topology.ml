@@ -37,9 +37,6 @@ let hop_latency t ~hops =
     invalid_arg "Topology.hop_latency: hop count out of range";
   t.hop_latency.(hops)
 
-let min_cross_hop_cycles t =
-  if t.dims = 0 then t.cfg.Config.local_mem_cycles else t.hop_latency.(1)
-
 let route_cycles t ~from_node ~to_node =
   let h = hops t from_node to_node in
   if h = 0 then 0

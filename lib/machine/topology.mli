@@ -25,12 +25,6 @@ val hop_latency : t -> hops:int -> int
     ~hops:0] is the local latency. Raises [Invalid_argument] outside the
     range. *)
 
-val min_cross_hop_cycles : t -> int
-(** Smallest latency of any cross-node interaction (= one-hop remote miss
-    latency): the safe conservative lookahead for coordination schemes that
-    must not miss a cross-node event, per classic null-message PDES. On a
-    single-node machine this degenerates to the local latency. *)
-
 val route_cycles : t -> from_node:int -> to_node:int -> int
 (** One-way network traversal cost; 0 for the local node. *)
 

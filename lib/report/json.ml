@@ -65,7 +65,7 @@ let to_string t =
 let to_channel oc t = output_string oc (to_string t)
 
 (* ------------------------------------------------------------------ *)
-(* Parser — added for the pfld line-framed request protocol. Accepts the
+(* Parser — reads BENCHMARK.json for the host-time benchmark. Accepts the
    full RFC 8259 value grammar; numbers without '.', 'e' or 'E' that fit
    an OCaml int become [Int], everything else numeric becomes [Float].
    \uXXXX escapes are decoded to UTF-8 (surrogate pairs included). *)

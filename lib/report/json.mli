@@ -1,6 +1,6 @@
 (** A minimal JSON value, emitter and parser — enough for the Chrome
-    trace-event writer, the bench snapshot files and the [pfld]
-    line-framed request protocol, with no external dependency.
+    trace-event writer, the bench snapshot files and the host-time
+    benchmark's reading of [BENCHMARK.json], with no external dependency.
 
     Emission notes: [Float nan] becomes [null] (JSON has no NaN literal);
     strings are escaped per RFC 8259. *)

@@ -21,7 +21,7 @@ type t = {
       (** inspector-executor transformation of irregular (indirect-
           subscript) loops: the index vector is walked once, referenced
           elements are bulk-gathered per home node into scratch, and the
-          loop reads the scratch (see DESIGN.md §13) *)
+          loop reads the scratch (see DESIGN.md §12) *)
 }
 
 val all_on : t

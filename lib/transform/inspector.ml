@@ -1,4 +1,4 @@
-(* Inspector-executor transformation of irregular loops (DESIGN.md §13).
+(* Inspector-executor transformation of irregular loops (DESIGN.md §12).
 
    A loop nest whose body reads a rank-1 array through an index array,
 

@@ -1,5 +1,5 @@
 (** Inspector-executor transformation of irregular (indirect-subscript)
-    loops, DESIGN.md §13.
+    loops, DESIGN.md §12.
 
     A qualifying nest reading [a(s*idx(f(vars))+c)] is split into a
     [Stmt.Gather] inspector emitted just before the nest -- it walks the

@@ -6,7 +6,7 @@
    results (and re-raising exceptions) in job-list order, so the observable
    output of a parallel sweep is byte-identical to the sequential one. *)
 
-(* Environment defaults ([DDSM_JOBS]/[DDSM_SHARDS]) are user input: a
+(* The environment default ([DDSM_JOBS]) is user input: a
    malformed value is a diagnosable user error, never an exception — the
    CLIs map [Error] to their documented exit-2 path. *)
 
@@ -19,11 +19,10 @@ let parse_count ~env s =
   | true, Some n when n >= 1 -> Ok n
   | _ -> Error (Printf.sprintf "%s=%S: expected a positive integer" env s)
 
-let count_from_env env =
-  match Sys.getenv_opt env with None -> Ok 1 | Some s -> parse_count ~env s
-
-let default_jobs () = count_from_env "DDSM_JOBS"
-let default_shards () = count_from_env "DDSM_SHARDS"
+let default_jobs () =
+  match Sys.getenv_opt "DDSM_JOBS" with
+  | None -> Ok 1
+  | Some s -> parse_count ~env:"DDSM_JOBS" s
 
 type 'b slot = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
 

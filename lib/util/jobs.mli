@@ -8,7 +8,7 @@
     one. *)
 
 val parse_count : env:string -> string -> (int, string) result
-(** Parse a positive job/shard count supplied through environment variable
+(** Parse a positive job count supplied through environment variable
     [env]; the error message names the variable and the offending value,
     so the CLIs can surface it as a located user error (exit 2). *)
 
@@ -16,11 +16,6 @@ val default_jobs : unit -> (int, string) result
 (** Job count from the [DDSM_JOBS] environment variable; [Ok 1] when
     unset. A malformed value is an [Error] naming the variable — user
     input is never an exception. *)
-
-val default_shards : unit -> (int, string) result
-(** Intra-run shard count from the [DDSM_SHARDS] environment variable;
-    [Ok 1] when unset (sequential event loop). Malformed values as in
-    {!default_jobs}. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs] domains

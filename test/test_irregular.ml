@@ -1,7 +1,7 @@
 (* Inspector-executor oracle: the transformed irregular loop must be
    bit-identical to the naive indirect loop over adversarial index
    vectors (duplicates, out-of-order, clustered, full-range), serial and
-   parallel nests, sequential and sharded engines; injected bulk-fetch
+   parallel nests; injected bulk-fetch
    failures (gather-fail=N) must retry, fall back per element, and leave
    the results untouched; the schedule cache must inspect once across
    repeated sweeps and re-inspect when the index array or the target's
@@ -44,13 +44,13 @@ let build ?(flags = Flags.all_on) src =
           in
           Prog.create routines ~main:main.Sema.routine.Decl.rname)
 
-let run ?flags ?fault ?(shards = 1) ?(nprocs = 4) src =
+let run ?flags ?fault ?(nprocs = 4) src =
   let prog = build ?flags src in
   let cfg = Config.scaled ~nprocs () in
   let rt =
     Rt.create cfg ~policy:Pagetable.First_touch ~heap_words:(1 lsl 20) ?fault ()
   in
-  match Engine.run prog ~rt ~checks:true ~bounds:true ~shards () with
+  match Engine.run prog ~rt ~checks:true ~bounds:true () with
   | Ok o -> (o, rt)
   | Error m -> Alcotest.failf "runtime error: %s" (Ddsm_check.Diag.to_string m)
 
@@ -149,16 +149,13 @@ let arb_case = QCheck.make ~print:print_case gen_case
 
 let prop_oracle =
   QCheck.Test.make ~count:60
-    ~name:"inspector = naive over adversarial index vectors (shards 1 and 3)"
+    ~name:"inspector = naive over adversarial index vectors"
     arb_case
     (fun c ->
       let src = src_of c in
       let naive, _ = run ~flags:naive_flags src in
       let insp, _ = run src in
-      let sharded, _ = run ~shards:3 src in
-      prints naive = prints insp
-      && prints insp = prints sharded
-      && insp.Engine.cycles = sharded.Engine.cycles)
+      prints naive = prints insp)
 
 (* ------------------------------------------------------------------ *)
 (* schedule-cache behaviour and fault injection on a 2-sweep kernel *)

@@ -476,9 +476,221 @@ let test_plain_common_mismatch_tolerated () =
   let m = "      program p\n      call user1\n      call user2\n      end\n" in
   ignore (link_ok [ obj "a.pf" a; obj "b.pf" b; obj "m.pf" m ])
 
+(* ------------------------------------------------------------------ *)
+(* Binfile: the hardened Marshal container *)
+
+module Ddsm = Ddsm_core.Ddsm
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_error_mentions what sub = function
+  | Ok _ -> Alcotest.failf "%s: expected an error mentioning %S" what sub
+  | Error e ->
+      check_bool
+        (Printf.sprintf "%s: %S mentions %S" what e sub)
+        true (contains e sub)
+
+let tmpfile =
+  let ctr = ref 0 in
+  fun () ->
+    incr ctr;
+    Printf.sprintf "tbin-%d-%d.bin" (Unix.getpid ()) !ctr
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let with_file path f =
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+let sample = ([ "alpha"; "beta" ], 42)
+
+let load_sample ~kind ~path : (string list * int, string) result =
+  Binfile.load ~kind ~path
+
+let test_binfile_roundtrip () =
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"test" ~path sample;
+      match load_sample ~kind:"test" ~path with
+      | Ok v -> check_bool "roundtrip" true (v = sample)
+      | Error e -> Alcotest.fail e)
+
+let test_binfile_kind_mismatch () =
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"object" ~path sample;
+      check_error_mentions "kind mismatch" "expected a image file"
+        (load_sample ~kind:"image" ~path))
+
+let test_binfile_foreign_and_empty () =
+  with_file (tmpfile ()) (fun path ->
+      write_file path "#!/bin/sh\necho not an image\n";
+      check_error_mentions "foreign file" "bad or missing magic"
+        (load_sample ~kind:"test" ~path);
+      write_file path "";
+      check_error_mentions "empty file" "empty file"
+        (load_sample ~kind:"test" ~path))
+
+let test_binfile_stale_version () =
+  with_file (tmpfile ()) (fun path ->
+      let payload = Marshal.to_string sample [] in
+      write_file path
+        (Printf.sprintf "DDSMBIN1 test 1 %d %s\n%s" (String.length payload)
+           (Digest.to_hex (Digest.string payload))
+           payload);
+      check_error_mentions "stale version" "stale format version 1"
+        (load_sample ~kind:"test" ~path))
+
+let test_binfile_truncated () =
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"test" ~path sample;
+      let all = read_file path in
+      write_file path (String.sub all 0 (String.length all - 5));
+      check_error_mentions "truncated" "truncated"
+        (load_sample ~kind:"test" ~path))
+
+let test_binfile_corrupt_payload () =
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"test" ~path sample;
+      let all = Bytes.of_string (read_file path) in
+      (* flip a byte in the payload, well past the header line *)
+      let i = Bytes.length all - 3 in
+      Bytes.set all i (Char.chr (Char.code (Bytes.get all i) lxor 0xff));
+      write_file path (Bytes.to_string all);
+      check_error_mentions "digest mismatch" "digest mismatch"
+        (load_sample ~kind:"test" ~path))
+
+let test_binfile_trailing_garbage () =
+  with_file (tmpfile ()) (fun path ->
+      Binfile.save ~kind:"test" ~path sample;
+      write_file path (read_file path ^ "extra");
+      check_error_mentions "trailing garbage" "trailing garbage"
+        (load_sample ~kind:"test" ~path))
+
+(* the atomicity proof: a writer killed mid-write leaves either the old
+   complete file or no file — a reader never observes a partial one *)
+let test_binfile_crash_atomicity () =
+  with_file (tmpfile ()) (fun path ->
+      let v1 = ([ "old" ], 1) and v2 = ([ "new"; "bigger" ], 2) in
+      Binfile.save ~kind:"test" ~path v1;
+      Binfile.inject_crash ~after_bytes:4;
+      (match Binfile.save ~kind:"test" ~path v2 with
+      | () -> Alcotest.fail "injected crash did not fire"
+      | exception Binfile.Crashed -> ());
+      (* the old file is byte-for-byte intact *)
+      (match load_sample ~kind:"test" ~path with
+      | Ok v -> check_bool "old value survives the torn write" true (v = v1)
+      | Error e -> Alcotest.failf "reader observed a partial file: %s" e);
+      (* the torn temp file is visible on disk but never under [path] *)
+      let dir = Filename.dirname path in
+      let torn =
+        Array.to_list (Sys.readdir dir)
+        |> List.filter (fun f ->
+               String.length f >= 6 && String.sub f 0 6 = ".ddsm-")
+      in
+      check_bool "torn temp file left behind" true (torn <> []);
+      List.iter (fun f -> Sys.remove (Filename.concat dir f)) torn;
+      Binfile.clear_crash ();
+      (* a crash with no pre-existing target leaves no target at all *)
+      let fresh = tmpfile () in
+      with_file fresh (fun fresh ->
+          Binfile.inject_crash ~after_bytes:0;
+          (try Binfile.save ~kind:"test" ~path:fresh v2
+           with Binfile.Crashed -> ());
+          check_bool "no partial target created" false (Sys.file_exists fresh);
+          Binfile.clear_crash ();
+          Array.iter
+            (fun f ->
+              if String.length f >= 6 && String.sub f 0 6 = ".ddsm-" then
+                Sys.remove (Filename.concat dir f))
+            (Sys.readdir dir));
+      (* after the dust settles, a clean save works again *)
+      Binfile.save ~kind:"test" ~path v2;
+      match load_sample ~kind:"test" ~path with
+      | Ok v -> check_bool "clean save after crash" true (v = v2)
+      | Error e -> Alcotest.fail e)
+
+let hello_src =
+  "      program hello\n\
+  \      integer n, i\n\
+  \      parameter (n = 64)\n\
+  \      real*8 a(n), s\n\
+   c$distribute a(block)\n\
+   c$doacross local(i) affinity(i) = data(a(i))\n\
+  \      do i = 1, n\n\
+  \        a(i) = i\n\
+  \      enddo\n\
+  \      s = 0.0\n\
+  \      do i = 1, n\n\
+  \        s = s + a(i)\n\
+  \      enddo\n\
+  \      print *, 'sum =', s\n\
+  \      end\n"
+
+let compile_hello () =
+  match Ddsm.compile_source ~fname:"hello.pf" hello_src with
+  | Ok o -> o
+  | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
+
+let link_hello () =
+  match Ddsm.link [ compile_hello () ] with
+  | Ok (_, linked) -> linked
+  | Error es -> Alcotest.failf "link: %s" (String.concat "; " es)
+
+(* the CLIs' loaders sit on Binfile: corrupt inputs are Errors, and kinds
+   do not cross (an object file is not an image) *)
+let test_loaders_are_total () =
+  with_file (tmpfile ()) (fun path ->
+      write_file path "garbage, not an object file";
+      (match Objfile.load ~path with
+      | Ok _ -> Alcotest.fail "Objfile.load accepted garbage"
+      | Error e ->
+          check_bool "objfile error is located" true (contains e path));
+      (match Ddsm.load_image ~path with
+      | Ok _ -> Alcotest.fail "load_image accepted garbage"
+      | Error e ->
+          check_bool "image error is located" true (contains e path));
+      Objfile.save (compile_hello ()) ~path;
+      (match Ddsm.load_image ~path with
+      | Ok _ -> Alcotest.fail "load_image accepted an object file"
+      | Error e ->
+          check_bool "kind confusion diagnosed" true
+            (contains e "expected a image file"));
+      Sys.remove (path ^ ".pfs");
+      let linked = link_hello () in
+      Ddsm.save_image linked ~path;
+      match Ddsm.load_image ~path with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "image roundtrip: %s" e)
+
 let () =
   Alcotest.run "linker"
     [
+      ( "binfile",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_binfile_roundtrip;
+          Alcotest.test_case "kind mismatch" `Quick test_binfile_kind_mismatch;
+          Alcotest.test_case "foreign/empty" `Quick test_binfile_foreign_and_empty;
+          Alcotest.test_case "stale version" `Quick test_binfile_stale_version;
+          Alcotest.test_case "truncated" `Quick test_binfile_truncated;
+          Alcotest.test_case "corrupt payload" `Quick test_binfile_corrupt_payload;
+          Alcotest.test_case "trailing garbage" `Quick test_binfile_trailing_garbage;
+          Alcotest.test_case "crash atomicity" `Quick test_binfile_crash_atomicity;
+          Alcotest.test_case "loaders are total" `Quick test_loaders_are_total;
+        ] );
       ( "signatures",
         [ Alcotest.test_case "roundtrip & mangling" `Quick test_sig_roundtrip ] );
       ( "shadow",

@@ -4,7 +4,9 @@
    implementations ([Pagetable_ref]/[Directory_ref]) on every observable.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
-   is re-raised. *)
+   is re-raised; and its [DDSM_JOBS] parsing: a malformed value is a
+   located user error, never a bare exception (the CLI half of that table
+   lives in the bin/dune and bench/dune smokes). *)
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
@@ -225,78 +227,6 @@ let test_directory_oracle () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* sharded-engine determinism: the probe-stream merge.
-
-   The domain-sharded event loop (Engine.run ~shards) commits every
-   memory-system event on the coordinator in exact sequential order, so
-   every observer downstream of the commit stream — the profile
-   attribution table, the sanitizer's race/false-sharing reports, and the
-   Stats view (including its internal counter-accounting audit) — must
-   come out identical for 1 vs N shards, program by program.  Programs
-   come from the fuzz generator for structural diversity. *)
-
-module Ddsm = Ddsm_core.Ddsm
-module Gen = Ddsm_fuzz.Gen
-module Spec = Ddsm_fuzz.Spec
-module Stats = Ddsm_report.Stats
-
-let shard_observables files ~shards =
-  let objs =
-    List.map
-      (fun (fname, src) ->
-        match Ddsm.compile_source ~fname src with
-        | Ok o -> o
-        | Error es ->
-            Alcotest.failf "compile %s: %s" fname (String.concat "; " es))
-      files
-  in
-  let prog =
-    match Ddsm.link objs with
-    | Ok (p, _) -> p
-    | Error es -> Alcotest.failf "link: %s" (String.concat "; " es)
-  in
-  let nprocs = 4 in
-  let cfg = Config.scaled ~nprocs () in
-  let sanitize =
-    Ddsm.Sanitize.create ~nprocs
-      ~line_bytes:cfg.Config.l2.Config.line_bytes
-      ~page_bytes:cfg.Config.page_bytes ()
-  in
-  let profile = Ddsm.Profile.create () in
-  let rt = Ddsm.make_rt ~heap_words:(1 lsl 18) ~nprocs () in
-  match
-    Ddsm.run prog ~rt ~checks:true ~bounds:true ~max_cycles:60_000_000
-      ~shards ~profile ~sanitize ()
-  with
-  | Error d -> "diag:" ^ Ddsm.Diag.code d
-  | Ok o ->
-      String.concat "\n--\n"
-        [
-          String.concat "|" o.Ddsm.Engine.prints;
-          string_of_int o.Ddsm.Engine.cycles;
-          Format.asprintf "%a" Stats.pp
-            (Stats.of_counters o.Ddsm.Engine.counters);
-          String.concat "|" (Stats.audit o.Ddsm.Engine.counters);
-          Format.asprintf "%a" (Ddsm.Profile.pp_report ~top:16) profile;
-          Format.asprintf "%a" Ddsm.Sanitize.pp_report sanitize;
-        ]
-
-let test_sharded_probe_stream () =
-  for seed = 0 to 11 do
-    let files = Spec.render (Gen.generate ~seed ()) in
-    let base = shard_observables files ~shards:1 in
-    List.iter
-      (fun shards ->
-        let got = shard_observables files ~shards in
-        if got <> base then
-          Alcotest.failf
-            "seed %d: observables diverge at %d shards\n-- 1 shard --\n%s\n\
-             -- %d shards --\n%s"
-            seed shards base shards got)
-      [ 2; 3; 4 ]
-  done
-
-(* ------------------------------------------------------------------ *)
 (* jobs determinism *)
 
 let test_jobs_order () =
@@ -363,6 +293,67 @@ let test_jobs_empty_and_single () =
   Alcotest.(check (list int)) "empty" [] (Jobs.map ~jobs:4 (fun x -> x) []);
   Alcotest.(check (list int)) "single" [ 9 ] (Jobs.map ~jobs:4 (fun x -> x * 9) [ 1 ])
 
+(* ------------------------------------------------------------------ *)
+(* Jobs: env-derived counts are parsed, never exception-raising *)
+
+let check_bool = Alcotest.(check bool)
+let check_int = Alcotest.(check int)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let check_error_mentions what sub = function
+  | Ok _ -> Alcotest.failf "%s: expected an error mentioning %S" what sub
+  | Error e ->
+      check_bool
+        (Printf.sprintf "%s: %S mentions %S" what e sub)
+        true (contains e sub)
+
+let test_jobs_parse_table () =
+  let cases =
+    [
+      ("4", Some 4);
+      (" 8 ", Some 8);
+      ("1", Some 1);
+      ("0", None);
+      ("-2", None);
+      ("", None);
+      ("abc", None);
+      ("4.5", None);
+      ("0x10", None);
+    ]
+  in
+  List.iter
+    (fun (s, expect) ->
+      match (Jobs.parse_count ~env:"DDSM_JOBS" s, expect) with
+      | Ok n, Some m -> check_int (Printf.sprintf "parse %S" s) m n
+      | Error e, None ->
+          check_bool
+            (Printf.sprintf "error for %S names the variable: %s" s e)
+            true
+            (contains e "DDSM_JOBS" && contains e s)
+      | Ok n, None ->
+          Alcotest.failf "parse %S: expected an error, got Ok %d" s n
+      | Error e, Some _ -> Alcotest.failf "parse %S: unexpected error %s" s e)
+    cases
+
+let with_env k v f =
+  let old = Sys.getenv_opt k in
+  Unix.putenv k v;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv k (Option.value old ~default:"1"))
+    f
+
+let test_jobs_env_defaults () =
+  with_env "DDSM_JOBS" "3" (fun () ->
+      check_bool "DDSM_JOBS=3" true (Jobs.default_jobs () = Ok 3));
+  with_env "DDSM_JOBS" "bogus" (fun () ->
+      check_error_mentions "DDSM_JOBS=bogus" "DDSM_JOBS" (Jobs.default_jobs ()))
+
 let () =
   Alcotest.run "machine-fastpath"
     [
@@ -384,9 +375,9 @@ let () =
           Alcotest.test_case "empty and single" `Quick
             test_jobs_empty_and_single;
         ] );
-      ( "shards",
+      ( "jobs env",
         [
-          Alcotest.test_case "probe stream identical 1 vs N shards" `Quick
-            test_sharded_probe_stream;
+          Alcotest.test_case "parse table" `Quick test_jobs_parse_table;
+          Alcotest.test_case "env defaults" `Quick test_jobs_env_defaults;
         ] );
     ]

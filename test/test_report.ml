@@ -530,9 +530,88 @@ let test_determinism () =
   in
   check_int "two identical runs, identical cycles" (cycles ()) (cycles ())
 
+(* ------------------------------------------------------------------ *)
+(* Json.of_string *)
+
+let check_str = Alcotest.(check string)
+
+let test_json_roundtrip () =
+  let values =
+    [
+      Json.Null;
+      Json.Bool true;
+      Json.Bool false;
+      Json.Int 0;
+      Json.Int (-42);
+      Json.Float 2.5;
+      Json.Str "";
+      Json.Str "plain";
+      Json.Str "esc \" \\ \n \t \x01 end";
+      Json.List [];
+      Json.List [ Json.Int 1; Json.Str "two"; Json.Null ];
+      Json.Obj [];
+      Json.Obj
+        [
+          ("a", Json.Int 1);
+          ("nested", Json.Obj [ ("l", Json.List [ Json.Bool false ]) ]);
+        ];
+    ]
+  in
+  List.iter
+    (fun v ->
+      let s = Json.to_string v in
+      match Json.of_string s with
+      | Ok v' -> check_str ("roundtrip " ^ s) s (Json.to_string v')
+      | Error e -> Alcotest.failf "roundtrip %s: %s" s e)
+    values
+
+let test_json_parse_forms () =
+  let ok s expect =
+    match Json.of_string s with
+    | Ok v -> check_str ("parse " ^ s) expect (Json.to_string v)
+    | Error e -> Alcotest.failf "parse %s: %s" s e
+  in
+  ok "  true " "true";
+  ok "3" "3";
+  ok "-7" "-7";
+  ok "3.5" "3.5";
+  ok "1e3" "1000";
+  ok {|"Aé"|} "\"A\xc3\xa9\"";
+  (* surrogate pair: U+1F600 *)
+  (match Json.of_string {|"😀"|} with
+  | Ok (Json.Str s) -> check_str "surrogate pair" "\xf0\x9f\x98\x80" s
+  | Ok _ | Error _ -> Alcotest.fail "surrogate pair did not parse to a string");
+  ok {| { "a" : [ 1 , 2 ] } |} {|{"a":[1,2]}|};
+  (* Int/Float discrimination survives a round trip *)
+  (match Json.of_string "9" with
+  | Ok (Json.Int 9) -> ()
+  | _ -> Alcotest.fail "9 should parse as Int");
+  match Json.of_string "9.0" with
+  | Ok (Json.Float _) -> ()
+  | _ -> Alcotest.fail "9.0 should parse as Float"
+
+let test_json_rejects () =
+  List.iter
+    (fun s ->
+      match Json.of_string s with
+      | Ok v ->
+          Alcotest.failf "parse %S: expected an error, got %s" s
+            (Json.to_string v)
+      | Error _ -> ())
+    [
+      ""; "   "; "tru"; "nul"; "{"; "["; "[1,"; "{\"a\":}"; "\"unterminated";
+      "1 2"; "{} x"; "{\"a\" 1}"; "'single'"; "+1"; "\"bad \\q escape\"";
+    ]
+
 let () =
   Alcotest.run "report+core"
     [
+      ( "json parse",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "forms" `Quick test_json_parse_forms;
+          Alcotest.test_case "rejects" `Quick test_json_rejects;
+        ] );
       ( "series",
         [
           Alcotest.test_case "speedup conversion" `Quick test_series_speedup;

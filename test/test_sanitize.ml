@@ -269,11 +269,11 @@ let relax_src =
   \      print *, 'sum:', s\n\
   \      end\n"
 
-let run_relax ?fault ?shards ~nprocs () =
+let run_relax ?fault ~nprocs () =
   let san =
     Sanitize.create ~nprocs ~line_bytes:128 ~page_bytes:1024 ()
   in
-  match Ddsm.run_source ?fault ?shards ~nprocs ~sanitize:san relax_src with
+  match Ddsm.run_source ?fault ~nprocs ~sanitize:san relax_src with
   | Error e -> Alcotest.failf "relax run failed: %s" e
   | Ok o -> (san, o)
 
@@ -310,44 +310,6 @@ let test_engine_disabled_is_free () =
   with
   | Ok a, Ok b -> check_int "deterministic" a.Ddsm.Engine.cycles b.Ddsm.Engine.cycles
   | _ -> Alcotest.fail "bare runs failed"
-
-(* The domain-sharded event loop commits every access in the exact
-   sequential order, so the sanitizer must see an identical probe stream:
-   same races in the same detection order, same false-sharing pairs, same
-   rendered report — whether the run was sharded or not, clean or seeded
-   with a dropped barrier. *)
-let render_san san =
-  Format.asprintf "%a|%s" Sanitize.pp_report san
-    (Ddsm.Json.to_string (Sanitize.report_json san))
-
-let test_engine_sharded_report_identical () =
-  let base_san, base_o = run_relax ~nprocs:8 () in
-  List.iter
-    (fun shards ->
-      let san, o = run_relax ~shards ~nprocs:8 () in
-      Alcotest.(check (list string))
-        (Printf.sprintf "prints at %d shards" shards)
-        base_o.Ddsm.Engine.prints o.Ddsm.Engine.prints;
-      check_int
-        (Printf.sprintf "cycles at %d shards" shards)
-        base_o.Ddsm.Engine.cycles o.Ddsm.Engine.cycles;
-      Alcotest.(check string)
-        (Printf.sprintf "sanitizer report at %d shards" shards)
-        (render_san base_san) (render_san san))
-    [ 2; 3 ]
-
-let test_engine_sharded_seeded_race_identical () =
-  let fault () = Ddsm.Fault.make ~drop_barrier:1 () in
-  let base_san, _ = run_relax ~fault:(fault ()) ~nprocs:8 () in
-  check_bool "seeded race fires in the baseline" true
-    (List.length (Sanitize.races base_san) >= 1);
-  List.iter
-    (fun shards ->
-      let san, _ = run_relax ~fault:(fault ()) ~shards ~nprocs:8 () in
-      Alcotest.(check string)
-        (Printf.sprintf "race report at %d shards" shards)
-        (render_san base_san) (render_san san))
-    [ 2; 3 ]
 
 let test_engine_timing_unchanged_by_sanitizer () =
   let san, o = run_relax ~nprocs:8 () in
@@ -405,12 +367,5 @@ let () =
           Alcotest.test_case "determinism" `Quick test_engine_disabled_is_free;
           Alcotest.test_case "timing unperturbed" `Quick
             test_engine_timing_unchanged_by_sanitizer;
-        ] );
-      ( "shards",
-        [
-          Alcotest.test_case "report identical 1 vs N shards" `Quick
-            test_engine_sharded_report_identical;
-          Alcotest.test_case "seeded race identical 1 vs N shards" `Quick
-            test_engine_sharded_seeded_race_identical;
         ] );
     ]
