@@ -15,6 +15,9 @@ type outcome = {
   prints : string list;
   counters : Counters.t;
   per_proc : Counters.t array;
+  parks : int;
+  direct_continues : int;
+  forks : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -353,9 +356,10 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     phase := "execute";
     let fault = Memsys.fault mem in
     let wakeups = ref 0 in
-    let heap = Heapq.create () in
+    let parks = ref 0 and direct_continues = ref 0 and forks = ref 0 in
+    let runq = Runq.create () in
     let failure : exn option ref = ref None in
-    let push t = Heapq.push heap ~key:t.tws.Eff.clock t in
+    let push t = Runq.push runq ~key:t.tws.Eff.clock t in
     let rec finish t =
       t.state <- Done;
       match t.parent with
@@ -409,15 +413,18 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
             trace "wakeup-lost" Profile.Instant ~tid:ws.Eff.proc
               ~ts:ws.Eff.clock
           end
-          else if lat > 0 && ws.Eff.clock < Heapq.min_key heap then
+          else if lat > 0 && ws.Eff.clock < Runq.min_key runq then begin
             (* fast continue: the task's new clock is strictly ahead of
                everything queued, so a push would pop right back (FIFO
                tie-breaking never applies to a strictly smaller key).
                Resume it directly and skip the park/push/pop round-trip.
-               [lat > 0] keeps frozen-clock livelocks on the heap path
-               where the watchdog can see them. *)
+               [lat > 0] keeps frozen-clock livelocks on the run-queue
+               path where the watchdog can see them. *)
+            incr direct_continues;
             Effect.Deep.continue k ()
+          end
           else begin
+            incr parks;
             t.state <- Ready;
             t.wait_k <- Some k;
             push t
@@ -440,6 +447,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
             | Eff.Fork (ws, body, n, region) ->
                 Some
                   (fun (k : (a, unit) Effect.Deep.continuation) ->
+                    incr forks;
                     t.state <- Waiting;
                     t.wait_k <- Some k;
                     t.pending <- n;
@@ -490,10 +498,10 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     let rec loop () =
       if !failure <> None then ()
       else
-        match Heapq.min_key heap with
+        match Runq.min_key runq with
         | key when key = max_int -> ()
         | key ->
-            let t = Heapq.pop_value heap in
+            let t = Runq.pop_value runq in
             watchdog key t;
             if !failure <> None then ()
             else begin
@@ -536,6 +544,9 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
                   prints = List.rev !prints;
                   counters = Memsys.total_counters mem;
                   per_proc;
+                  parks = !parks;
+                  direct_continues = !direct_continues;
+                  forks = !forks;
                 }
         end
   with

@@ -15,7 +15,16 @@ type outcome = {
   prints : string list;
   counters : Ddsm_machine.Counters.t;  (** machine-wide totals *)
   per_proc : Ddsm_machine.Counters.t array;
+  parks : int;
+      (** memory accesses after which the task went back on the run queue *)
+  direct_continues : int;
+      (** memory accesses after which the task resumed at once, its new
+          clock strictly below every queued key (DESIGN.md §8) *)
+  forks : int;  (** parallel regions entered *)
 }
+(** [parks], [direct_continues] and [forks] count scheduling decisions,
+    not simulated time: they pin the schedule itself, and no CLI prints
+    them. *)
 
 val run :
   Prog.t ->

@@ -9,8 +9,9 @@
    Packed state word: 0 = uncached, (owner lsl 1) lor 1 = exclusive,
    2 = shared (sharer bits live in the side array, [nwords] words per
    slot). Entries are never removed (an eviction just returns the line to
-   uncached), so the table only grows. [Directory_ref] keeps the original
-   map-based implementation as the differential-oracle reference. *)
+   uncached), so the table only grows. The test-only
+   [test/directory_ref.ml] keeps the original map-based implementation as
+   the differential-oracle reference. *)
 
 type state = Uncached | Shared of Bitset.t | Exclusive of int
 

@@ -9,8 +9,9 @@
 
     The table is flat (open addressing over packed int arrays): the hot
     path asks only {!exclusive_owner}/{!is_uncached}, which read one packed
-    state word without allocating. {!Directory_ref} keeps the original
-    map-based implementation as the differential-oracle reference. *)
+    state word without allocating. The test-only [test/directory_ref.ml]
+    keeps the original map-based implementation as the differential-oracle
+    reference. *)
 
 type state =
   | Uncached

@@ -7,8 +7,8 @@ type policy = First_touch | Round_robin
    page. The frame-allocation logic (coloring, spilling, overflow) is
    unchanged from the Hashtbl-based implementation — frames must stay
    bit-identical because they feed physical addresses and therefore cache
-   sets. [Pagetable_ref] preserves the map-based implementation as the
-   differential-oracle reference. *)
+   sets. The test-only [test/pagetable_ref.ml] preserves the map-based
+   implementation as the differential-oracle reference. *)
 
 let node_bits = 20
 let node_mask = (1 lsl node_bits) - 1

@@ -15,8 +15,8 @@
     The map itself is a growable flat int array indexed by virtual page
     (pages are dense: heap addresses start at 0), each entry a packed
     node|frame word — the access fast path pays one load, no hashing, no
-    allocation. {!Pagetable_ref} keeps the original map-based
-    implementation as the differential-oracle reference. *)
+    allocation. The test-only [test/pagetable_ref.ml] keeps the original
+    map-based implementation as the differential-oracle reference. *)
 
 type policy = First_touch | Round_robin
 

@@ -1,11 +1,10 @@
 (* Tests for the lib/check robustness layer: fault plans, structured
-   diagnostics, invariant audits, heap canaries, scheduler FIFO ordering,
-   and the induced-deadlock watchdog path. *)
+   diagnostics, invariant audits, heap canaries and the induced-deadlock
+   watchdog path. *)
 
 module Fault = Ddsm_check.Fault
 module Diag = Ddsm_check.Diag
 module Audit = Ddsm_check.Audit
-module Heapq = Ddsm_exec.Heapq
 module Ddsm = Ddsm_core.Ddsm
 module Rt = Ddsm_runtime.Rt
 module Darray = Ddsm_runtime.Darray
@@ -87,26 +86,6 @@ let test_fault_drop_barrier () =
   | Error e -> Alcotest.fail e);
   check_bool "negative rejected" true
     (Result.is_error (Fault.of_spec "drop-barrier=-1"))
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler heap ordering *)
-
-let test_heapq_fifo_ties () =
-  let h = Heapq.create () in
-  List.iter (fun v -> Heapq.push h ~key:5 v) [ "a"; "b"; "c"; "d" ];
-  Heapq.push h ~key:1 "first";
-  Heapq.push h ~key:9 "last";
-  let popped = ref [] in
-  let rec drain () =
-    match Heapq.pop h with
-    | None -> ()
-    | Some (_, v) ->
-        popped := v :: !popped;
-        drain ()
-  in
-  drain ();
-  check_string "sorted, FIFO within equal keys" "first,a,b,c,d,last"
-    (String.concat "," (List.rev !popped))
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics *)
@@ -219,8 +198,6 @@ let () =
           Alcotest.test_case "query semantics" `Quick test_fault_queries;
           Alcotest.test_case "drop-barrier" `Quick test_fault_drop_barrier;
         ] );
-      ( "sched",
-        [ Alcotest.test_case "heapq FIFO ties" `Quick test_heapq_fifo_ties ] );
       ( "diag",
         [ Alcotest.test_case "rendering" `Quick test_diag_rendering ] );
       ( "robustness",

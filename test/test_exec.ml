@@ -1012,6 +1012,37 @@ let test_counters_populated () =
   check_bool "l2 misses happen" true (c.Ddsm_machine.Counters.l2_misses > 0);
   check_int "per-proc array sized" 4 (Array.length o.Engine.per_proc)
 
+(* The scheduling decisions themselves, not just the cycles they produce:
+   how many accesses parked on the run queue, how many continued directly
+   (DESIGN.md §8) and how many regions forked. A run-queue change that
+   keeps every cycle but reorders a tie, or loses a fast continue, moves
+   these. Values taken with the binary-heap scheduler. *)
+let test_schedule_pinned () =
+  let example name =
+    In_channel.with_open_bin
+      (Filename.concat "../examples/programs" (name ^ ".pf"))
+      In_channel.input_all
+  in
+  List.iter
+    (fun (name, nprocs, machine, (parks, direct, forks)) ->
+      let label = Printf.sprintf "%s -p %d" name nprocs in
+      match Ddsm_core.Ddsm.run_source ~machine ~nprocs (example name) with
+      | Error e -> Alcotest.failf "%s: %s" label e
+      | Ok o ->
+          check_int (label ^ " parks") parks o.Engine.parks;
+          check_int (label ^ " direct continues") direct
+            o.Engine.direct_continues;
+          check_int (label ^ " forks") forks o.Engine.forks)
+    Ddsm_core.Ddsm.
+      [
+        ("transpose", 8, Scaled 64, (338194, 254357, 4));
+        ("lu", 8, Scaled 64, (238662, 105858, 5));
+        ("conv", 8, Scaled 64, (160244, 163135, 1));
+        ("transpose", 128, Origin2000, (655381, 100850, 4));
+        ("lu", 128, Origin2000, (354988, 924, 5));
+        ("conv", 128, Origin2000, (261729, 88578, 1));
+      ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -1054,6 +1085,7 @@ let () =
           Alcotest.test_case "parallel speedup" `Quick test_parallel_speedup_exists;
           Alcotest.test_case "optimizations reduce cycles" `Quick test_optimization_reduces_cycles;
           Alcotest.test_case "counters populated" `Quick test_counters_populated;
+          Alcotest.test_case "schedule pinned" `Quick test_schedule_pinned;
           Alcotest.test_case "doacross in serial loop (hoist regression)" `Quick
             test_doacross_in_serial_loop;
           Alcotest.test_case "skewed loop semantics" `Quick test_skewed_loop_correct;

@@ -1,7 +1,9 @@
 (* Differential oracle for the flat-table fast path (DESIGN.md "Simulator
    performance"): random operation sequences must make the flat [Pagetable]
    and [Directory] bit-identical to their Hashtbl-based reference
-   implementations ([Pagetable_ref]/[Directory_ref]) on every observable.
+   implementations ([Pagetable_ref]/[Directory_ref]) on every observable,
+   and the scheduler's calendar run queue [Runq] pop exactly what the
+   binary heap it replaced ([Heapq_ref]) pops.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
    is re-raised; and its [DDSM_JOBS] parsing: a malformed value is a
@@ -10,10 +12,9 @@
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
-module Pagetable_ref = Ddsm_machine.Pagetable_ref
 module Directory = Ddsm_machine.Directory
-module Directory_ref = Ddsm_machine.Directory_ref
 module Bitset = Ddsm_machine.Bitset
+module Runq = Ddsm_exec.Runq
 module Jobs = Ddsm_util.Jobs
 
 let rng seed = Random.State.make [| 0xDD5A; seed |]
@@ -227,6 +228,148 @@ let test_directory_oracle () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* run-queue oracle *)
+
+(* Push keys are the last popped key plus a delta: equal (FIFO ties),
+   small, around the 4096-cycle ring window (so entries start in the
+   overflow list and move into the ring as the floor advances) or far
+   beyond it. A push right after a pop may land below everything still
+   queued, as fork children and joins do in the engine. *)
+type rq_op =
+  | Push of int (* delta above the last popped key *)
+  | Peek
+  | Pop
+  | Drain
+  | Refill of int list (* one push per delta *)
+
+let gen_delta =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0);
+        (6, int_range 1 64);
+        (2, int_range 4000 4200);
+        (1, oneofl [ 4095; 4096; 4097 ]);
+        (1, map (fun d -> 8192 + d) (int_range (-2) 2));
+        (1, map (fun d -> (1 lsl 40) + d) (int_range 0 3));
+      ])
+
+let gen_rq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun d -> Push d) gen_delta);
+        (3, return Peek);
+        (6, return Pop);
+        (1, return Drain);
+        (1, map (fun ds -> Refill ds) (list_size (int_range 1 200) gen_delta));
+      ])
+
+let pp_rq_op = function
+  | Push d -> Printf.sprintf "push +%d" d
+  | Peek -> "peek"
+  | Pop -> "pop"
+  | Drain -> "drain"
+  | Refill ds -> Printf.sprintf "refill(%d)" (List.length ds)
+
+(* drive both queues with one op list; any disagreement in [min_key],
+   [size] or a popped payload (a unique push number) fails the case. Only
+   [Peek] asks the run queue for its minimum, so pushes and pops also run
+   while its cached minimum is stale. *)
+let runq_agrees ops =
+  let rq = Runq.create () and hq = Heapq_ref.create () in
+  let last_pop = ref 0 and stamp = ref 0 in
+  let same what a b =
+    if a <> b then
+      QCheck.Test.fail_reportf "%s: runq=%d heap=%d (last pop %d)" what a b
+        !last_pop
+  in
+  let peek () =
+    same "min_key" (Runq.min_key rq) (Heapq_ref.min_key hq);
+    same "size" (Runq.size rq) (Heapq_ref.size hq)
+  in
+  let push d =
+    let key = !last_pop + d in
+    incr stamp;
+    Runq.push rq ~key !stamp;
+    Heapq_ref.push hq ~key !stamp
+  in
+  let pop () =
+    if Heapq_ref.size hq > 0 then begin
+      last_pop := Heapq_ref.min_key hq;
+      same "popped" (Runq.pop_value rq) (Heapq_ref.pop_value hq)
+    end
+  in
+  List.iter
+    (function
+      | Push d -> push d
+      | Peek -> peek ()
+      | Pop -> pop ()
+      | Drain ->
+          while Heapq_ref.size hq > 0 do
+            pop ()
+          done;
+          peek ()
+      | Refill ds -> List.iter push ds)
+    ops;
+  true
+
+let prop_runq_oracle =
+  QCheck.Test.make ~count:300 ~name:"runq = heap reference"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_rq_op ops))
+       QCheck.Gen.(list_size (int_range 1 400) gen_rq_op))
+    runq_agrees
+
+let drain_runq rq =
+  let rec go acc =
+    if Runq.size rq = 0 then List.rev acc
+    else
+      let v = Runq.pop_value rq in
+      go (v :: acc)
+  in
+  go []
+
+let test_runq_fifo_ties () =
+  let q = Runq.create () in
+  List.iter (fun v -> Runq.push q ~key:5 v) [ "a"; "b"; "c"; "d" ];
+  Runq.push q ~key:1 "first";
+  Runq.push q ~key:9 "last";
+  Alcotest.(check string)
+    "sorted, FIFO within equal keys" "first,a,b,c,d,last"
+    (String.concat "," (drain_runq q))
+
+let test_runq_push_below_pop () =
+  let q = Runq.create () in
+  Runq.push q ~key:10 "a";
+  Runq.push q ~key:30 "b";
+  ignore (Runq.pop_value q);
+  Runq.push q ~key:10 "at the last pop";
+  Alcotest.check_raises "below the last pop"
+    (Invalid_argument "Runq.push: key below the last popped key") (fun () ->
+      Runq.push q ~key:9 "c");
+  Alcotest.(check (list string))
+    "queue unchanged by the rejected push" [ "at the last pop"; "b" ]
+    (drain_runq q)
+
+(* the engine's fast-continue check peeks, and fork children and joins then
+   push below the queued minimum: a peek must not raise the floor *)
+let test_runq_peek_keeps_floor () =
+  let q = Runq.create () in
+  Runq.push q ~key:100 "start";
+  ignore (Runq.pop_value q);
+  Runq.push q ~key:5000 "far";
+  Runq.push q ~key:400 "near";
+  Alcotest.(check int) "peek" 400 (Runq.min_key q);
+  Runq.push q ~key:200 "below the queued minimum";
+  Runq.push q ~key:100 "at the last pop";
+  Alcotest.(check int) "new minimum" 100 (Runq.min_key q);
+  Alcotest.(check (list string))
+    "pop order"
+    [ "at the last pop"; "below the queued minimum"; "near"; "far" ]
+    (drain_runq q)
+
+(* ------------------------------------------------------------------ *)
 (* jobs determinism *)
 
 let test_jobs_order () =
@@ -363,6 +506,15 @@ let () =
             test_pagetable_oracle;
           Alcotest.test_case "directory flat = reference" `Quick
             test_directory_oracle;
+        ] );
+      ( "runq",
+        [
+          Alcotest.test_case "FIFO ties" `Quick test_runq_fifo_ties;
+          Alcotest.test_case "push below last pop raises" `Quick
+            test_runq_push_below_pop;
+          Alcotest.test_case "peek keeps the floor" `Quick
+            test_runq_peek_keeps_floor;
+          QCheck_alcotest.to_alcotest ~verbose:false prop_runq_oracle;
         ] );
       ( "jobs",
         [
