@@ -54,19 +54,16 @@ val run :
     after a successful run and fails with [Audit_failure] listing the
     violations if the machine state is inconsistent.
 
-    [profile] attaches a cycle-attribution profiler
-    ({!Ddsm_report.Profile}): every memory access is attributed to the
-    executing parallel region and the owning array, and scheduler/runtime
-    events (region enter/exit, barriers, redistributions, fault injections,
-    watchdog trips) are appended to its bounded event trace. The machine
-    probe and runtime hook are detached again before [run] returns.
-
-    [sanitize] attaches a happens-before sanitizer
-    ({!Ddsm_sanitize.Sanitize}): the same access probe feeds its race
-    detector, and fork/join/barrier/redistribution events provide its
-    happens-before edges. Composes with [profile] (both observe every
-    access). With neither attached no probe is installed — the fast path
-    is untouched. *)
+    [profile] and [sanitize] subscribe a cycle-attribution profiler
+    ({!Ddsm_report.Profile}) and a happens-before sanitizer
+    ({!Ddsm_sanitize.Sanitize}) to the run's typed event stream
+    ({!Ddsm_runtime.Rt.event}): every memory access tagged with its
+    parallel region, storage allocation, region fork and join, barriers,
+    redistributions, gathers, and run marks (begin, end, cycle budget,
+    lost wakeup, watchdog stall). The engine installs the runtime's
+    observer and one machine probe, and removes both before [run]
+    returns, on success or failure. With neither attached no event is
+    built and the machine probe is not touched. *)
 
 val elaborate : Prog.t -> rt:Ddsm_runtime.Rt.t -> unit
 (** Allocate static storage only (exposed for tests). Raises

@@ -6,17 +6,17 @@ module Audit = Ddsm_check.Audit
    ev_tlb + ev_hit + ev_local + ev_remote + ev_contention + ev_coherence
    is exactly the returned latency (and the mem_stall_cycles increment). *)
 type access_event = {
-  ev_proc : int;
-  ev_addr : int;
-  ev_write : bool;
-  ev_now : int;
-  ev_tlb : int;
-  ev_hit : int;
-  ev_local : int;
-  ev_remote : int;
-  ev_contention : int;
-  ev_coherence : int;
-  ev_tlb_flushed : bool;
+  mutable ev_proc : int;
+  mutable ev_addr : int;
+  mutable ev_write : bool;
+  mutable ev_now : int;
+  mutable ev_tlb : int;
+  mutable ev_hit : int;
+  mutable ev_local : int;
+  mutable ev_remote : int;
+  mutable ev_contention : int;
+  mutable ev_coherence : int;
+  mutable ev_tlb_flushed : bool;
 }
 
 type t = {
@@ -48,6 +48,7 @@ type t = {
   accesses : int array; (* per-proc translation count, for TLB-flush faults *)
   mutable migrations : int; (* machine-wide count, for migrate-fail faults *)
   mutable probe : (access_event -> unit) option;
+  event : access_event; (* refilled in place for every probe call *)
 }
 
 let log2 x =
@@ -83,6 +84,10 @@ let create cfg ~policy ?(fault = Fault.none) () =
     accesses = Array.make n 0;
     migrations = 0;
     probe = None;
+    event =
+      { ev_proc = 0; ev_addr = 0; ev_write = false; ev_now = 0; ev_tlb = 0;
+        ev_hit = 0; ev_local = 0; ev_remote = 0; ev_contention = 0;
+        ev_coherence = 0; ev_tlb_flushed = false };
   }
 
 let invalidate_memos t = Array.fill t.memo_page 0 (Array.length t.memo_page) (-1)
@@ -95,6 +100,7 @@ let directory t = t.dir
 let page_of_addr t addr = addr lsr t.page_shift
 let home_of_addr t addr = Pagetable.home_opt t.pt ~page:(page_of_addr t addr)
 let set_probe t p = t.probe <- p
+let event t = t.event
 let counters t ~proc = t.ctrs.(proc)
 let total_counters t = Counters.sum t.ctrs
 let reset_counters t = Array.iter Counters.reset t.ctrs
@@ -201,22 +207,22 @@ let handle_l2_eviction t ~proc ~now (ev : Cache.evicted option) =
         enqueue_writeback t ~node:(node_of_phys_line t ~phys_line:line) ~now
       end
 
-(* one L1-hit access event; the fast-path exits share it *)
-let emit_hit_event probe ~proc ~addr ~write ~now ~tlb ~hit ~tlb_flushed =
-  probe
-    {
-      ev_proc = proc;
-      ev_addr = addr;
-      ev_write = write;
-      ev_now = now;
-      ev_tlb = tlb;
-      ev_hit = hit;
-      ev_local = 0;
-      ev_remote = 0;
-      ev_contention = 0;
-      ev_coherence = 0;
-      ev_tlb_flushed = tlb_flushed;
-    }
+(* fill the machine's one event record and hand it to the probe *)
+let emit t probe ~proc ~addr ~write ~now ~tlb ~hit ~local ~remote ~contention
+    ~coherence ~tlb_flushed =
+  let e = t.event in
+  e.ev_proc <- proc;
+  e.ev_addr <- addr;
+  e.ev_write <- write;
+  e.ev_now <- now;
+  e.ev_tlb <- tlb;
+  e.ev_hit <- hit;
+  e.ev_local <- local;
+  e.ev_remote <- remote;
+  e.ev_contention <- contention;
+  e.ev_coherence <- coherence;
+  e.ev_tlb_flushed <- tlb_flushed;
+  probe e
 
 let rec access t ~proc ~addr ~write ~now =
   (* [proc] indexes every per-processor array and is engine-supplied and
@@ -274,8 +280,8 @@ let rec access t ~proc ~addr ~write ~now =
     (match t.probe with
     | None -> ()
     | Some probe ->
-        emit_hit_event probe ~proc ~addr ~write ~now ~tlb:tlb_c
-          ~hit:t.l1_hit_cycles ~tlb_flushed);
+        emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:t.l1_hit_cycles
+          ~local:0 ~remote:0 ~contention:0 ~coherence:0 ~tlb_flushed);
     lat
   end
   else
@@ -290,8 +296,9 @@ let rec access t ~proc ~addr ~write ~now =
       (match t.probe with
       | None -> ()
       | Some probe ->
-          emit_hit_event probe ~proc ~addr ~write ~now ~tlb:tlb_c
-            ~hit:t.l1_hit_cycles ~tlb_flushed);
+          emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c
+            ~hit:t.l1_hit_cycles ~local:0 ~remote:0 ~contention:0
+            ~coherence:0 ~tlb_flushed);
       lat
     end
     else
@@ -445,20 +452,10 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
   | None -> ()
   | Some probe ->
       let local = home = my_node in
-      probe
-        {
-          ev_proc = proc;
-          ev_addr = addr;
-          ev_write = write;
-          ev_now = now;
-          ev_tlb = !tlb_c;
-          ev_hit = !hit_c;
-          ev_local = (if local then !fill_c else 0);
-          ev_remote = (if local then 0 else !fill_c);
-          ev_contention = !cont_c;
-          ev_coherence = !coh_c;
-          ev_tlb_flushed = tlb_flushed;
-        });
+      emit t probe ~proc ~addr ~write ~now ~tlb:!tlb_c ~hit:!hit_c
+        ~local:(if local then !fill_c else 0)
+        ~remote:(if local then 0 else !fill_c)
+        ~contention:!cont_c ~coherence:!coh_c ~tlb_flushed);
   !lat
 
 (* ------------------------------------------------------------------ *)

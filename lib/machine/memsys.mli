@@ -26,18 +26,18 @@ type t
     profiler summing events reconstructs [mem_stall_cycles] with no
     unaccounted remainder. *)
 type access_event = {
-  ev_proc : int;
-  ev_addr : int;  (** byte address in the shared virtual space *)
-  ev_write : bool;
-  ev_now : int;  (** the accessing processor's local clock *)
-  ev_tlb : int;  (** translation-miss refill cycles *)
-  ev_hit : int;  (** L1/L2 hit (pipeline) cycles *)
-  ev_local : int;  (** fill latency served by the local node's memory *)
-  ev_remote : int;  (** fill latency served by a remote home node *)
-  ev_contention : int;  (** queueing at a saturated memory module *)
-  ev_coherence : int;
+  mutable ev_proc : int;
+  mutable ev_addr : int;  (** byte address in the shared virtual space *)
+  mutable ev_write : bool;
+  mutable ev_now : int;  (** the accessing processor's local clock *)
+  mutable ev_tlb : int;  (** translation-miss refill cycles *)
+  mutable ev_hit : int;  (** L1/L2 hit (pipeline) cycles *)
+  mutable ev_local : int;  (** fill latency served by the local node's memory *)
+  mutable ev_remote : int;  (** fill latency served by a remote home node *)
+  mutable ev_contention : int;  (** queueing at a saturated memory module *)
+  mutable ev_coherence : int;
       (** invalidations, upgrades and dirty cache-to-cache transfers *)
-  ev_tlb_flushed : bool;
+  mutable ev_tlb_flushed : bool;
       (** an injected TLB-shootdown fault fired on this access *)
 }
 
@@ -85,8 +85,12 @@ val home_of_addr : t -> int -> int option
 
 val set_probe : t -> (access_event -> unit) option -> unit
 (** Install (or remove, with [None]) the per-access probe. Called once per
-    {!access} after all counters are charged; [None] (the default) costs
-    nothing on the access path. *)
+    {!access} after all counters are charged, with {!event} refilled in
+    place; [None] (the default) costs nothing on the access path. *)
+
+val event : t -> access_event
+(** The machine's one access record, the argument of every probe call: a
+    probe reads it during the call and never keeps it. *)
 
 val counters : t -> proc:int -> Counters.t
 val total_counters : t -> Counters.t

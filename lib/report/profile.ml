@@ -1,4 +1,5 @@
 open Ddsm_machine
+module Rt = Ddsm_runtime.Rt
 
 type cause = Tlb | Hit | Local_fill | Remote_fill | Contention | Coherence
 
@@ -65,10 +66,7 @@ type t = {
   regions : intern;
   arrays : intern;
   unattributed_id : int;
-  (* byte-address intervals, sorted by lo once built *)
-  mutable ranges : (int * int * int) list;  (* lo, hi (bytes, incl.), array *)
-  mutable index : (int * int * int) array;  (* sorted; rebuilt when dirty *)
-  mutable index_dirty : bool;
+  owners : int Addrmap.t;  (* byte address -> interned array id *)
   (* (region, array) -> per-cause stall cycles *)
   matrix : (int * int, int array) Hashtbl.t;
   mutable total : int;
@@ -86,9 +84,7 @@ let create ?(trace_cap = 65536) () =
     regions = intern_create ();
     arrays;
     unattributed_id;
-    ranges = [];
-    index = [||];
-    index_dirty = false;
+    owners = Addrmap.create ();
     matrix = Hashtbl.create 64;
     total = 0;
     unattributed = 0;
@@ -96,46 +92,6 @@ let create ?(trace_cap = 65536) () =
     ring_next = 0;
     ring_count = 0;
   }
-
-(* ---- allocation map --------------------------------------------------- *)
-
-let word_bytes = 8
-
-let register_array t ~name ~word_ranges =
-  let id = intern t.arrays name in
-  List.iter
-    (fun (lo, hi) ->
-      if hi >= lo then
-        t.ranges <-
-          (lo * word_bytes, (hi * word_bytes) + (word_bytes - 1), id)
-          :: t.ranges)
-    word_ranges;
-  t.index_dirty <- true
-
-let rebuild_index t =
-  let a = Array.of_list t.ranges in
-  Array.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) a;
-  t.index <- a;
-  t.index_dirty <- false
-
-let lookup t addr =
-  if t.index_dirty then rebuild_index t;
-  let a = t.index in
-  let n = Array.length a in
-  (* greatest lo <= addr, then check hi *)
-  let rec bsearch lo hi best =
-    if lo > hi then best
-    else
-      let mid = (lo + hi) / 2 in
-      let l, _, _ = a.(mid) in
-      if l <= addr then bsearch (mid + 1) hi (Some mid)
-      else bsearch lo (mid - 1) best
-  in
-  match bsearch 0 (n - 1) None with
-  | None -> t.unattributed_id
-  | Some i ->
-      let _, hi, id = a.(i) in
-      if addr <= hi then id else t.unattributed_id
 
 (* ---- attribution ------------------------------------------------------ *)
 
@@ -150,7 +106,9 @@ let cell t ~region ~array =
 
 let record_access t ~region (ev : Memsys.access_event) =
   let rid = intern t.regions region in
-  let aid = lookup t ev.Memsys.ev_addr in
+  let aid =
+    Addrmap.find t.owners ev.Memsys.ev_addr ~default:t.unattributed_id
+  in
   let c = cell t ~region:rid ~array:aid in
   c.(0) <- c.(0) + ev.Memsys.ev_tlb;
   c.(1) <- c.(1) + ev.Memsys.ev_hit;
@@ -170,13 +128,69 @@ let attributed_stall t = t.total - t.unattributed
 
 (* ---- trace ------------------------------------------------------------ *)
 
-let event t ~name ?(cat = "ddsm") ?(args = []) ~ph ~tid ~ts () =
+let event t ~name ~cat ?(args = []) ph ~tid ~ts =
   let cap = Array.length t.ring in
   t.ring.(t.ring_next) <-
     Some { te_name = name; te_cat = cat; te_ph = ph; te_tid = tid;
            te_ts = ts; te_args = args };
   t.ring_next <- (t.ring_next + 1) mod cap;
   t.ring_count <- t.ring_count + 1
+
+(* an instant from the runtime, with a human-readable [detail] *)
+let runtime t ~name ?detail ~proc ~now () =
+  let args = Option.map (fun d -> [ ("detail", Json.Str d) ]) detail in
+  event t ~name ~cat:"runtime" ?args Instant ~tid:proc ~ts:now
+
+(* ---- the subscriber --------------------------------------------------- *)
+
+(* The one place an event gets its Chrome-trace name, category and
+   detail. *)
+let observe t = function
+  | Rt.Access { region; ev } ->
+      record_access t ~region ev;
+      if ev.Memsys.ev_tlb_flushed then
+        event t ~name:"tlb-flush" ~cat:"fault" Instant ~tid:ev.Memsys.ev_proc
+          ~ts:ev.Memsys.ev_now
+  | Rt.Alloc { name; word_ranges } ->
+      Addrmap.add t.owners ~word_ranges (intern t.arrays name)
+  | Rt.Fork { region; proc; now; _ } ->
+      event t ~name:region ~cat:"ddsm" Begin ~tid:proc ~ts:now
+  | Rt.Join { region; proc; now } ->
+      event t ~name:region ~cat:"ddsm" End ~tid:proc ~ts:now
+  | Rt.Barrier { proc; now } -> runtime t ~name:"barrier" ~proc ~now ()
+  | Rt.Redistribute
+      { array; result = { moved; rounds; retries; fell_back; _ }; proc; now }
+    ->
+      runtime t
+        ~name:(if fell_back then "redistribute-fallback" else "redistribute")
+        ~detail:
+          (Printf.sprintf "%s moved=%d rounds=%d retries=%d" array moved
+             rounds retries)
+        ~proc ~now ()
+  | Rt.Gather { site; step; slots; rounds; retries; proc; now } ->
+      let name, detail =
+        match step with
+        | Rt.Inspect ->
+            ( "gather-inspect",
+              Printf.sprintf "%s slots=%d rounds=%d" site slots rounds )
+        | Rt.Fetch ->
+            ( "gather",
+              Printf.sprintf "%s slots=%d rounds=%d retries=%d" site slots
+                rounds retries )
+        | Rt.Fallback ->
+            ("gather-fallback", Printf.sprintf "%s slots=%d" site slots)
+      in
+      runtime t ~name ~detail ~proc ~now ()
+  | Rt.Mark { mark; proc; now } ->
+      let name, ph =
+        match mark with
+        | Rt.Run_begin -> ("run", Begin)
+        | Rt.Run_end -> ("run", End)
+        | Rt.Cycle_budget -> ("cycle-budget", Instant)
+        | Rt.Wakeup_lost -> ("wakeup-lost", Instant)
+        | Rt.Watchdog_stall -> ("watchdog-stall", Instant)
+      in
+      event t ~name ~cat:"ddsm" ph ~tid:proc ~ts:now
 
 let trace_dropped t = max 0 (t.ring_count - Array.length t.ring)
 

@@ -1,9 +1,10 @@
 (** Cycle-attribution profiler and bounded event trace.
 
-    The engine installs a {!Ddsm_machine.Memsys} access probe and feeds every
-    memory-system access here, tagged with the parallel region executing it.
-    Addresses are resolved against the allocation map built from
-    {!Ddsm_runtime.Darray.word_ranges}, and each access's latency breakdown
+    The profiler subscribes to the runtime's typed event stream
+    ({!Ddsm_runtime.Rt.event}) with {!observe}. Every memory-system access
+    arrives tagged with the parallel region executing it. Addresses are
+    resolved against the allocation map built from the stream's [Alloc]
+    events ({!Addrmap}), and each access's latency breakdown
     is accumulated into a region x array x cause matrix. Causes partition the
     machine's [mem_stall_cycles] counter exactly, so
     [total_stall = Counters.mem_stall_cycles] after a profiled run — any gap
@@ -11,7 +12,8 @@
 
     Alongside attribution the profiler keeps a bounded ring buffer of
     scheduling-level events (region enter/exit, barriers, redistributions,
-    fault injections, watchdog trips) exportable as Chrome trace-event JSON
+    gathers, fault injections, watchdog trips) exportable as Chrome
+    trace-event JSON
     ([chrome://tracing] / Perfetto). When the ring wraps, the oldest events
     are dropped and the drop count is reported in the JSON's [otherData]. *)
 
@@ -28,16 +30,12 @@ type t
 val create : ?trace_cap:int -> unit -> t
 (** [trace_cap] bounds the event ring buffer (default 65536 events). *)
 
-val register_array :
-  t -> name:string -> word_ranges:(int * int) list -> unit
-(** Add an array's owned word ranges (inclusive [(lo, hi)] word addresses,
-    see {!Ddsm_runtime.Darray.word_ranges}) to the allocation map under
-    [name]. Call once per array, after elaboration. *)
-
-val record_access : t -> region:string -> Ddsm_machine.Memsys.access_event -> unit
-(** Attribute one memory access's cycle breakdown to [region] and to
-    whichever registered array owns the byte address (or to
-    ["(unattributed)"]). *)
+val observe : t -> Ddsm_runtime.Rt.event -> unit
+(** The profiler's subscription to the runtime event stream. [Alloc]
+    extends the allocation map; [Access] attributes the access's cycle
+    breakdown to its region and to whichever array owns the byte address
+    (or to ["(unattributed)"]); every other event, and an [Access] that
+    fired an injected TLB flush, is appended to the trace. *)
 
 val total_stall : t -> int
 (** Sum of all recorded access cycles. *)
@@ -46,14 +44,6 @@ val attributed_stall : t -> int
 (** Cycles that landed on a named array (total minus unattributed). *)
 
 (** {2 Event trace} *)
-
-type phase = Begin | End | Instant
-
-val event :
-  t -> name:string -> ?cat:string -> ?args:(string * Json.t) list ->
-  ph:phase -> tid:int -> ts:int -> unit -> unit
-(** Append an event to the ring buffer. [tid] is the simulated processor,
-    [ts] its clock (cycles). *)
 
 val trace_dropped : t -> int
 (** Events lost to ring-buffer wrap-around. *)

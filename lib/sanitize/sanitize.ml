@@ -20,7 +20,9 @@
    observable as a race. *)
 
 module Memsys = Ddsm_machine.Memsys
+module Rt = Ddsm_runtime.Rt
 module Json = Ddsm_report.Json
+module Addrmap = Ddsm_report.Addrmap
 
 type kind = Race | Line_sharing | Page_sharing
 
@@ -91,9 +93,7 @@ type t = {
   mutable n_sharing : int;
   mutable dropped : int;
   seen : (string, unit) Hashtbl.t; (* report dedup *)
-  mutable ranges : (int * int * string) list; (* lo, hi bytes (incl.), array *)
-  mutable index : (int * int * string) array; (* sorted snapshot of ranges *)
-  mutable index_stale : bool;
+  owners : string Addrmap.t; (* byte address -> array, for reports *)
 }
 
 let reports_cap = 200
@@ -130,41 +130,8 @@ let create ~nprocs ~line_bytes ~page_bytes () =
     n_sharing = 0;
     dropped = 0;
     seen = Hashtbl.create 64;
-    ranges = [];
-    index = [||];
-    index_stale = false;
+    owners = Addrmap.create ();
   }
-
-(* ------------------------------------------------------------------ *)
-(* Array attribution (off the hot path: only consulted when reporting) *)
-
-let register_array t ~name ~word_ranges =
-  List.iter
-    (fun (lo, hi) -> t.ranges <- ((lo * 8, (hi * 8) + 7, name) : int * int * string) :: t.ranges)
-    word_ranges;
-  t.index_stale <- true
-
-let owner t addr =
-  if t.index_stale then begin
-    let a = Array.of_list t.ranges in
-    Array.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) a;
-    t.index <- a;
-    t.index_stale <- false
-  end;
-  let a = t.index in
-  let n = Array.length a in
-  let rec bsearch lo hi best =
-    if lo > hi then best
-    else
-      let mid = (lo + hi) / 2 in
-      let l, _, _ = a.(mid) in
-      if l <= addr then bsearch (mid + 1) hi (Some mid) else bsearch lo (mid - 1) best
-  in
-  match bsearch 0 (n - 1) None with
-  | Some i ->
-      let _, h, name = a.(i) in
-      if addr <= h then name else "(unattributed)"
-  | None -> "(unattributed)"
 
 (* ------------------------------------------------------------------ *)
 (* Epochs *)
@@ -178,7 +145,7 @@ let ep_leq t e myvc = ep_clock t e <= myvc.(ep_proc t e)
 (* Reports *)
 
 let record t kind ~addr ~fp ~fw ~freg ~sp ~sw ~sreg =
-  let arr = owner t addr in
+  let arr = Addrmap.find t.owners addr ~default:"(unattributed)" in
   let key =
     Printf.sprintf "%s|%s|%s|%b|%s|%b" (kind_name kind) arr freg fw sreg sw
   in
@@ -377,23 +344,7 @@ let try_complete t =
     complete_generation t (all_procs t)
   done
 
-let on_barrier t ~proc =
-  if t.in_par && proc < t.width then begin
-    if blocked t proc then push_buf t.bufs.(proc) (-1) "";
-    t.passed.(proc) <- t.passed.(proc) + 1;
-    try_complete t
-  end
-
-let on_access t ~region (ev : Memsys.access_event) =
-  let p = ev.Memsys.ev_proc in
-  if p < t.nprocs then
-    if blocked t p then
-      push_buf t.bufs.(p)
-        ((ev.Memsys.ev_addr lsl 1) lor if ev.Memsys.ev_write then 1 else 0)
-        region
-    else process t ~p ~addr:ev.Memsys.ev_addr ~write:ev.Memsys.ev_write ~region
-
-let on_fork t ~region:_ ~nprocs =
+let on_fork t ~nprocs =
   let n = min nprocs t.nprocs in
   let m = Array.copy t.vc.(0) in
   for p = 0 to n - 1 do
@@ -421,10 +372,6 @@ let on_join t =
   in
   if t.in_par then begin
     close ();
-    (* defensively flush anything left (buffers should be empty here) *)
-    for p = 0 to t.width - 1 do
-      t.bufs.(p).evs.(t.bufs.(p).len) <- t.bufs.(p).evs.(t.bufs.(p).len) (* no-op *)
-    done;
     for p = 0 to t.width - 1 do
       drain_segment t p
     done;
@@ -442,6 +389,26 @@ let on_join t =
     t.completed <- 0;
     Array.fill t.passed 0 t.nprocs 0
   end
+
+(* The sanitizer's subscription to the event stream. An in-region
+   redistribution synchronizes like a barrier: every processor's preceding
+   accesses are ordered before every processor's subsequent ones. *)
+let observe t = function
+  | Rt.Access { region; ev = { Memsys.ev_proc = p; ev_addr; ev_write; _ } } ->
+      if p < t.nprocs then
+        if blocked t p then
+          push_buf t.bufs.(p) ((ev_addr lsl 1) lor Bool.to_int ev_write) region
+        else process t ~p ~addr:ev_addr ~write:ev_write ~region
+  | Rt.Alloc { name; word_ranges } -> Addrmap.add t.owners ~word_ranges name
+  | Rt.Fork { nprocs; _ } -> on_fork t ~nprocs
+  | Rt.Join _ -> on_join t
+  | Rt.Barrier { proc; _ } | Rt.Redistribute { proc; _ } ->
+      if t.in_par && proc < t.width then begin
+        if blocked t proc then push_buf t.bufs.(proc) (-1) "";
+        t.passed.(proc) <- t.passed.(proc) + 1;
+        try_complete t
+      end
+  | Rt.Gather _ | Rt.Mark _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Results *)

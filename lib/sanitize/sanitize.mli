@@ -1,16 +1,16 @@
 (** Dynamic happens-before sanitizer: a deterministic FastTrack-style
     vector-clock race detector plus a cache-line/page false-sharing
-    classifier, driven by the machine's access probe
-    ({!Ddsm_machine.Memsys.set_probe}) and the runtime's event hook.
+    classifier, subscribed to the runtime's typed event stream
+    ({!Ddsm_runtime.Rt.event}) with {!observe}.
 
-    Happens-before edges come from the engine's structural events:
-    - fork of a parallel region orders the master's preceding accesses
-      before every worker ({!on_fork});
-    - join orders every worker's accesses before the master's subsequent
-      ones ({!on_join});
-    - a barrier (or an in-region redistribution) orders each arriving
-      processor's preceding accesses before every other arriver's
-      subsequent ones ({!on_barrier}).
+    Happens-before edges come from the stream's structural events:
+    - [Fork] of a parallel region orders the master's preceding accesses
+      before every worker;
+    - [Join] orders every worker's accesses before the master's subsequent
+      ones;
+    - [Barrier] (and [Redistribute], which an in-region redistribution
+      synchronizes like a barrier) orders each arriving processor's
+      preceding accesses before every other arriver's subsequent ones.
 
     Two conflicting accesses (same word, two processors, at least one
     write) with neither ordered before the other are a **data race**.
@@ -56,30 +56,14 @@ val create : nprocs:int -> line_bytes:int -> page_bytes:int -> unit -> t
     region); [line_bytes]/[page_bytes] give the L2-line and page geometry
     used to classify false sharing (both powers of two). *)
 
-val register_array : t -> name:string -> word_ranges:(int * int) list -> unit
-(** Add an array's owned word ranges (inclusive [(lo, hi)] word addresses)
-    so reports can name the array a conflict landed on. *)
-
-val on_access : t -> region:string -> Ddsm_machine.Memsys.access_event -> unit
-(** Feed one memory access, tagged with the parallel region executing it.
-    Accesses by a processor that has passed a not-yet-complete barrier are
-    buffered and replayed at the barrier's completion (or at region join,
-    with stale clocks, if the barrier never completes — which is exactly
-    how a dropped barrier is detected). *)
-
-val on_fork : t -> region:string -> nprocs:int -> unit
-(** A depth-0 parallel region forks [nprocs] workers. *)
-
-val on_join : t -> unit
-(** The current parallel region joined. Any barrier generation that never
-    completed machine-wide is closed over the processors that did arrive
-    (latecomers' accesses stay unordered), remaining buffered accesses are
-    replayed, and the master's clock absorbs every worker's. *)
-
-val on_barrier : t -> proc:int -> unit
-(** Processor [proc] passed a barrier (or an in-region redistribution).
-    Ignored outside a parallel region — serial code is ordered by program
-    order already. *)
+val observe : t -> Ddsm_runtime.Rt.event -> unit
+(** Feed one event. [Alloc] names the array reports land on. An [Access]
+    by a processor that has passed a not-yet-complete barrier is buffered
+    and replayed when the barrier completes, or at [Join], with stale
+    clocks, if it never does — which is how a dropped barrier is detected.
+    [Barrier] and [Redistribute] are ignored outside a parallel region,
+    where program order already orders accesses. [Gather] and [Mark]
+    carry no ordering. *)
 
 val races : t -> report list
 (** Data races observed so far, in detection order. *)

@@ -6,6 +6,7 @@
 
 open Ddsm_machine
 module Sanitize = Ddsm_sanitize.Sanitize
+module Rt = Ddsm_runtime.Rt
 module Ddsm = Ddsm_core.Ddsm
 
 let check_int = Alcotest.(check int)
@@ -38,8 +39,17 @@ let mk ?(nprocs = 4) () =
   Sanitize.create ~nprocs ~line_bytes:128 ~page_bytes:1024 ()
 
 let acc t ~proc ~addr ~write =
-  Sanitize.on_access t ~region:(Printf.sprintf "r:%d" proc)
-    (ev ~proc ~addr ~write)
+  Sanitize.observe t
+    (Rt.Access { region = Printf.sprintf "r:%d" proc; ev = ev ~proc ~addr ~write })
+
+let fork t ~nprocs =
+  Sanitize.observe t (Rt.Fork { region = "par"; nprocs; proc = 0; now = 0 })
+
+let join t = Sanitize.observe t (Rt.Join { region = "par"; proc = 0; now = 0 })
+let barrier t ~proc = Sanitize.observe t (Rt.Barrier { proc; now = 0 })
+
+let alloc t ~name ~word_ranges =
+  Sanitize.observe t (Rt.Alloc { name; word_ranges })
 
 let n_races t = List.length (Sanitize.races t)
 let n_fs t = List.length (Sanitize.false_sharing t)
@@ -57,12 +67,12 @@ let test_serial_no_race () =
 let test_fork_orders_master_writes () =
   let t = mk () in
   acc t ~proc:0 ~addr:0 ~write:true;
-  Sanitize.on_fork t ~region:"par" ~nprocs:4;
+  fork t ~nprocs:4;
   (* every worker reads what the master wrote before the fork *)
   for p = 0 to 3 do
     acc t ~proc:p ~addr:0 ~write:false
   done;
-  Sanitize.on_join t;
+  join t;
   (* and the master may write again after the join *)
   acc t ~proc:0 ~addr:0 ~write:true;
   check_int "fork/join edges order everything" 0 (n_races t)
@@ -70,10 +80,10 @@ let test_fork_orders_master_writes () =
 let test_unordered_write_read_races () =
   let t = mk () in
   let w = 8 * 11 in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:w ~write:true;
   acc t ~proc:1 ~addr:w ~write:false;
-  Sanitize.on_join t;
+  join t;
   check_int "concurrent write/read is a race" 1 (n_races t);
   let r = List.hd (Sanitize.races t) in
   check_bool "kind" true (r.Sanitize.rep_kind = Sanitize.Race);
@@ -83,20 +93,20 @@ let test_unordered_write_read_races () =
 
 let test_unordered_write_write_races () =
   let t = mk () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:16 ~write:true;
   acc t ~proc:1 ~addr:16 ~write:true;
-  Sanitize.on_join t;
+  join t;
   check_int "concurrent write/write is a race" 1 (n_races t)
 
 let test_concurrent_reads_fine () =
   let t = mk () in
   acc t ~proc:0 ~addr:24 ~write:true;
-  Sanitize.on_fork t ~region:"par" ~nprocs:4;
+  fork t ~nprocs:4;
   for p = 0 to 3 do
     acc t ~proc:p ~addr:24 ~write:false
   done;
-  Sanitize.on_join t;
+  join t;
   (* the join absorbs every read; a later master write is ordered *)
   acc t ~proc:0 ~addr:24 ~write:true;
   check_int "reads never race with reads" 0 (n_races t)
@@ -105,25 +115,25 @@ let test_read_vector_catches_all_readers () =
   (* FastTrack promotion: two concurrent readers force the read vector;
      an unordered write must race against a reader recorded only there *)
   let t = mk () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:3;
+  fork t ~nprocs:3;
   acc t ~proc:0 ~addr:32 ~write:false;
   acc t ~proc:1 ~addr:32 ~write:false;
   acc t ~proc:2 ~addr:32 ~write:true;
-  Sanitize.on_join t;
+  join t;
   (* both readers conflict with the write; reports dedup by region pair *)
   check_bool "read-vector write race detected" true (n_races t >= 1)
 
 let test_barrier_orders_phases () =
   let t = mk ~nprocs:2 () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  Sanitize.on_barrier t ~proc:0;
-  Sanitize.on_barrier t ~proc:1;
+  barrier t ~proc:0;
+  barrier t ~proc:1;
   (* cross reads of the other's phase-1 write *)
   acc t ~proc:0 ~addr:8 ~write:false;
   acc t ~proc:1 ~addr:0 ~write:false;
-  Sanitize.on_join t;
+  join t;
   check_int "barrier orders phase 1 before phase 2" 0 (n_races t)
 
 let test_buffered_replay_across_barrier () =
@@ -131,30 +141,30 @@ let test_buffered_replay_across_barrier () =
      before a sibling reaches the barrier; they must be buffered and
      replayed with post-barrier clocks, not checked early *)
   let t = mk ~nprocs:2 () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:0 ~write:true;
-  Sanitize.on_barrier t ~proc:0;
+  barrier t ~proc:0;
   (* proc 0 races ahead: this read is buffered (barrier incomplete) *)
   acc t ~proc:0 ~addr:8 ~write:false;
   (* proc 1 still in phase 1 *)
   acc t ~proc:1 ~addr:8 ~write:true;
-  Sanitize.on_barrier t ~proc:1;
+  barrier t ~proc:1;
   acc t ~proc:1 ~addr:0 ~write:false;
-  Sanitize.on_join t;
+  join t;
   check_int "buffered accesses replay ordered" 0 (n_races t)
 
 let test_dropped_barrier_detected () =
   (* proc 0's arrival is never seen: its phase-2 read keeps phase-1
      clocks and must race with proc 1's phase-1 write *)
   let t = mk ~nprocs:2 () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  (* proc 0's on_barrier is dropped *)
-  Sanitize.on_barrier t ~proc:1;
+  (* proc 0's barrier arrival is dropped *)
+  barrier t ~proc:1;
   acc t ~proc:0 ~addr:8 ~write:false;
   acc t ~proc:1 ~addr:0 ~write:false;
-  Sanitize.on_join t;
+  join t;
   check_bool "dropped barrier yields a race" true (n_races t >= 1)
 
 let test_partial_barrier_at_join () =
@@ -162,15 +172,15 @@ let test_partial_barrier_at_join () =
      generation closes over the arrivers at join and their phases stay
      ordered — no false positive *)
   let t = mk ~nprocs:4 () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:4;
+  fork t ~nprocs:4;
   (* only procs 0 and 1 have work; 2 and 3 are idle *)
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  Sanitize.on_barrier t ~proc:0;
-  Sanitize.on_barrier t ~proc:1;
+  barrier t ~proc:0;
+  barrier t ~proc:1;
   acc t ~proc:0 ~addr:8 ~write:false;
   acc t ~proc:1 ~addr:0 ~write:false;
-  Sanitize.on_join t;
+  join t;
   check_int "idle workers don't fake races" 0 (n_races t)
 
 (* ------------------------------------------------------------------ *)
@@ -178,11 +188,11 @@ let test_partial_barrier_at_join () =
 
 let test_line_false_sharing () =
   let t = mk () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   (* distinct words, same 128-byte line *)
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  Sanitize.on_join t;
+  join t;
   check_int "no data race" 0 (n_races t);
   check_bool "line false sharing reported" true
     (List.exists
@@ -191,11 +201,11 @@ let test_line_false_sharing () =
 
 let test_page_false_sharing () =
   let t = mk () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   (* distinct lines, same 1024-byte page *)
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:512 ~write:true;
-  Sanitize.on_join t;
+  join t;
   check_int "no data race" 0 (n_races t);
   check_bool "page false sharing reported" true
     (List.exists
@@ -208,10 +218,10 @@ let test_page_false_sharing () =
 
 let test_same_word_is_race_not_sharing () =
   let t = mk () in
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:64 ~write:true;
   acc t ~proc:1 ~addr:64 ~write:true;
-  Sanitize.on_join t;
+  join t;
   check_int "same word: a race" 1 (n_races t);
   check_int "same word: not false sharing" 0 (n_fs t)
 
@@ -220,22 +230,22 @@ let test_ordered_neighbours_no_sharing () =
   (* serial master touches the whole line: ordered, not false sharing *)
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:0 ~addr:8 ~write:true;
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:16 ~write:true;
-  Sanitize.on_barrier t ~proc:0;
-  Sanitize.on_barrier t ~proc:1;
+  barrier t ~proc:0;
+  barrier t ~proc:1;
   acc t ~proc:1 ~addr:24 ~write:true;
-  Sanitize.on_join t;
+  join t;
   check_int "ordered neighbour writes are clean" 0 (n_fs t)
 
 let test_array_attribution_and_json () =
   let t = mk () in
-  Sanitize.register_array t ~name:"a" ~word_ranges:[ (0, 7) ];
-  Sanitize.register_array t ~name:"b" ~word_ranges:[ (8, 15) ];
-  Sanitize.on_fork t ~region:"par" ~nprocs:2;
+  alloc t ~name:"a" ~word_ranges:[ (0, 7) ];
+  alloc t ~name:"b" ~word_ranges:[ (8, 15) ];
+  fork t ~nprocs:2;
   acc t ~proc:0 ~addr:(8 * 9) ~write:true;
   acc t ~proc:1 ~addr:(8 * 9) ~write:false;
-  Sanitize.on_join t;
+  join t;
   let r = List.hd (Sanitize.races t) in
   Alcotest.(check string) "owning array named" "b" r.Sanitize.rep_array;
   let js = Ddsm.Json.to_string (Sanitize.report_json t) in
