@@ -197,12 +197,33 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                 Some (make_sanitizer ~machine ~nprocs)
               else None
             in
+            (* written on every path, failed runs included: their last
+               events (cycle-budget, wakeup-lost, watchdog-stall) say
+               where the run stopped *)
+            let write_trace () =
+              match (prof, trace) with
+              | Some p, Some path ->
+                  Ddsm.Profile.write_trace p ~path;
+                  let dropped = Ddsm.Profile.trace_dropped p in
+                  if dropped > 0 then
+                    Printf.printf "trace: %s (%d event(s) dropped)\n" path
+                      dropped
+                  else Printf.printf "trace: %s\n" path
+              | _ -> ()
+            in
+            (* a failed run reports its own diagnosis even if the trace
+               cannot be written *)
+            let fail_run d =
+              (try write_trace ()
+               with Sys_error m -> Printf.eprintf "trace not written: %s\n" m);
+              fail_diag d
+            in
             match
               run_once linked ~nprocs ~policy ~machine ~heap_words ~checks
                 ~bounds ~max_cycles ~audit ~fault ?profile:prof ?sanitize:san
                 ()
             with
-            | Error d -> fail_diag d
+            | Error d -> fail_run d
             | Ok o ->
                 List.iter print_endline o.Ddsm.Engine.prints;
                 Printf.printf "cycles: %d  (procs: %d)\n" o.Ddsm.Engine.cycles
@@ -232,7 +253,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                                 accesses with no happens-before ordering)"
                                (List.length races))
                         in
-                        fail_diag
+                        fail_run
                           {
                             d with
                             Ddsm.Diag.violations =
@@ -255,15 +276,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                       (Ddsm.Profile.pp_report ~top:12)
                       p
                 | _ -> ());
-                (match (prof, trace) with
-                | Some p, Some path ->
-                    Ddsm.Profile.write_trace p ~path;
-                    let dropped = Ddsm.Profile.trace_dropped p in
-                    if dropped > 0 then
-                      Printf.printf "trace: %s (%d event(s) dropped)\n" path
-                        dropped
-                    else Printf.printf "trace: %s\n" path
-                | _ -> ())))
+                write_trace ()))
   with
   (* CLI-level OS/argument failures (unwritable --trace path, bad
      processor count reaching Rt.create, truncated image file): a
@@ -368,8 +381,10 @@ let () =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write the run's event trace (region enter/exit, barriers, \
-             redistributions, fault injections) as Chrome trace-event JSON \
-             loadable in chrome://tracing or Perfetto.")
+             redistributions, gathers, fault injections) as Chrome \
+             trace-event JSON loadable in chrome://tracing or Perfetto. A \
+             failed run writes its trace too, ending where the run stopped \
+             (cycle budget, lost wakeup, watchdog stall).")
   in
   let race =
     Arg.(
