@@ -91,7 +91,7 @@ let measure sweep nprocs =
       ~nprocs:(sweep.dst_procs nprocs) ()
   in
   let s = Redist.build ~src ~dst in
-  let rounds = Redist.nrounds s and round_words = Redist.round_words s in
+  let rounds = Redist.nrounds s and round_words = Redist.round_words s.Redist.rounds in
   let transfers = List.length s.Redist.moves in
   {
     nprocs;

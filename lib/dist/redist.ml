@@ -140,8 +140,8 @@ let nrounds t = List.length t.rounds
 
 (* Scheduled-time proxy: rounds run one after another, transfers within a
    round in parallel, so a round costs its largest transfer. *)
-let round_words t =
-  List.fold_left (fun acc r -> acc + r.max_words) 0 t.rounds
+let round_words rounds =
+  List.fold_left (fun acc r -> acc + r.max_words) 0 rounds
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>redist %d->%d procs: %d words (%d cross) in %d rounds@,"

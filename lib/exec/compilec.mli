@@ -19,6 +19,11 @@
 
 type g
 
+val qualified : Ddsm_sema.Sema.env -> string -> string
+(** [qualified env a] is the runtime name of array [a] as declared in the
+    routine of [env]: ["/blk/a"] for a member of common block [blk],
+    ["routine/a"] otherwise. *)
+
 val create :
   Prog.t ->
   rt:Ddsm_runtime.Rt.t ->

@@ -23,16 +23,11 @@ type outcome = {
 (* ------------------------------------------------------------------ *)
 (* Static storage elaboration *)
 
-let qualified (env : Sema.env) name =
-  match Sema.find_array env name with
-  | Some { Sema.ai_common = Some blk; _ } -> Printf.sprintf "/%s/%s" blk name
-  | _ -> Printf.sprintf "%s/%s" env.Sema.routine.Decl.rname name
-
 let elem_of_ty = function Types.Tint -> Darray.Int | Types.Treal -> Darray.Real
 
 let elaborate prog ~rt =
   let declare env name (ai : Sema.array_info) =
-    let qname = qualified env name in
+    let qname = Compilec.qualified env name in
     match Rt.find_array rt qname with
     | Some existing ->
         (* a common block member declared by several routines must agree *)
@@ -72,22 +67,17 @@ let elaborate prog ~rt =
   in
   Prog.iter prog (fun _ pr ->
       let env = pr.Prog.env in
-      (* declaration order: equivalence targets after their bases *)
-      let arrays =
-        Hashtbl.fold
-          (fun name sym acc ->
-            match sym with
-            | Sema.SArray ai when not ai.Sema.ai_formal -> (name, ai) :: acc
-            | _ -> acc)
-          env.Sema.syms []
-      in
-      let plain, equivs =
-        List.partition (fun (_, ai) -> ai.Sema.ai_equiv_base = None) arrays
-      in
-      List.iter (fun (n, ai) -> declare env n ai) plain;
       (* equivalenced arrays share their base's storage: nothing to
          allocate; binding happens in static_abind *)
-      ignore equivs)
+      Hashtbl.fold
+        (fun name sym acc ->
+          match sym with
+          | Sema.SArray ai
+            when (not ai.Sema.ai_formal) && ai.Sema.ai_equiv_base = None ->
+              (name, ai) :: acc
+          | _ -> acc)
+        env.Sema.syms []
+      |> List.iter (fun (n, ai) -> declare env n ai))
 
 (* static binding for a non-formal array of a routine *)
 let static_abind prog rt ~routine ~array =
@@ -101,7 +91,7 @@ let static_abind prog rt ~routine ~array =
           let target =
             match ai.Sema.ai_equiv_base with Some b -> b | None -> array
           in
-          let qname = qualified env target in
+          let qname = Compilec.qualified env target in
           match Rt.find_array rt qname with
           | None -> None
           | Some d ->
@@ -110,13 +100,7 @@ let static_abind prog rt ~routine ~array =
                 | Some s -> s
                 | None -> (d.Darray.lower, d.Darray.extents)
               in
-              let strides =
-                let st = Array.make (Array.length extents) 1 in
-                for i = 1 to Array.length extents - 1 do
-                  st.(i) <- st.(i - 1) * extents.(i - 1)
-                done;
-                st
-              in
+              let strides = Frame.column_strides extents in
               let base =
                 match d.Darray.storage with
                 | Darray.Normal { base } -> base

@@ -15,6 +15,13 @@ let create ~n_int ~n_float ~arrays =
 let copy_scalars t =
   { t with ints = Array.copy t.ints; floats = Array.copy t.floats }
 
+let column_strides extents =
+  let st = Array.make (Array.length extents) 1 in
+  for i = 1 to Array.length extents - 1 do
+    st.(i) <- st.(i - 1) * extents.(i - 1)
+  done;
+  st
+
 let dummy_abind =
   {
     ab_darr = None;

@@ -25,4 +25,8 @@ val create : n_int:int -> n_float:int -> arrays:abind array -> t
 val copy_scalars : t -> t
 (** Fresh scalar slots holding the same values; shared array bindings. *)
 
+val column_strides : int array -> int array
+(** Column-major (Fortran) strides, in elements, of an array with these
+    extents: [1; e1; e1*e2; ...]. *)
+
 val dummy_abind : abind

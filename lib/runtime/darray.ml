@@ -294,29 +294,23 @@ let redistribute_regular t heap mem ~base ~layout =
       Hashtbl.replace pairs (src, dst)
         (pg :: Option.value ~default:[] (Hashtbl.find_opt pairs (src, dst))))
     (List.sort compare moves);
-  let nnodes = Config.nnodes cfg in
-  let transfers =
-    Hashtbl.fold (fun (src, dst) pgs acc -> ((src, dst), pgs) :: acc) pairs []
-    |> List.map (fun ((src, dst), pgs) ->
-           (Redist.round_class ~r:nnodes ~src ~dst, (src, dst), List.rev pgs))
-    |> List.sort compare
+  let rounds =
+    Redist.rounds_of_moves ~r:(Config.nnodes cfg)
+      (Hashtbl.fold
+         (fun (src, dst) pgs acc ->
+           { Redist.src; dst; words = List.length pgs * page_words } :: acc)
+         pairs [])
   in
-  let rounds = ref 0 and round_words = ref 0 and last_class = ref (-1) in
-  let round_max = ref 0 in
+  (* plan order: round class, then (src, dst), then page, all ascending *)
   let plan =
     List.concat_map
-      (fun (cls, (_, dst), pgs) ->
-        if cls <> !last_class then begin
-          last_class := cls;
-          incr rounds;
-          round_words := !round_words + !round_max;
-          round_max := 0
-        end;
-        round_max := max !round_max (List.length pgs * page_words);
-        List.map (fun pg -> (pg, dst)) pgs)
-      transfers
+      (fun r ->
+        List.concat_map
+          (fun { Redist.src; dst; _ } ->
+            List.rev_map (fun pg -> (pg, dst)) (Hashtbl.find pairs (src, dst)))
+          r.Redist.transfers)
+      rounds
   in
-  round_words := !round_words + !round_max;
   match Memsys.migrate_pages mem plan with
   | Error _ -> Ok Busy
   | Ok moved ->
@@ -328,8 +322,8 @@ let redistribute_regular t heap mem ~base ~layout =
              pages_moved = moved;
              words_moved = moved * page_words;
              total_words = moved * page_words;
-             rounds = !rounds;
-             round_words = !round_words;
+             rounds = List.length rounds;
+             round_words = Redist.round_words rounds;
            })
 
 (* Reshaped distribution: the portions themselves are rebuilt. Build the
@@ -381,7 +375,7 @@ let redistribute_reshaped t heap pools ~old_layout ~old_bases ~layout =
          words_moved = sched.Redist.cross_words;
          total_words = sched.Redist.total_words;
          rounds = Redist.nrounds sched;
-         round_words = Redist.round_words sched;
+         round_words = Redist.round_words sched.Redist.rounds;
        })
 
 let redistribute t heap mem ?pools ~kinds ?onto ~nprocs () =
