@@ -12,6 +12,11 @@ module Pagetable = Ddsm_machine.Pagetable
 module Rt = Ddsm_runtime.Rt
 
 let check_bool = Alcotest.(check bool)
+
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
 let check_int = Alcotest.(check int)
 
 let build ?(flags = Flags.all_on) ?(allow_formal_dists = false) src =
@@ -367,13 +372,7 @@ c$distribute_reshape a(cyclic(5))
   (match fst (run ~nprocs:4 src) with
   | Error m ->
       check_bool "message mentions the portion" true
-        (String.length m > 0
-        && (let has_sub s sub =
-              let n = String.length sub in
-              let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-              go 0
-            in
-            has_sub m "portion"))
+        (String.length m > 0 && has_sub m "portion")
   | Ok _ -> Alcotest.fail "expected a runtime argument-check error");
   (* with checks disabled the (incorrect) program runs to completion *)
   match fst (run ~nprocs:4 ~checks:false src) with
@@ -470,13 +469,7 @@ c$distribute_reshape a(block, block)
   in
   match fst (run ~allow_formal_dists:true ~nprocs:4 src) with
   | Error m ->
-      check_bool "mentions exact match" true
-        (let has_sub s sub =
-           let n = String.length sub in
-           let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-           go 0
-         in
-         has_sub m "match")
+      check_bool "mentions exact match" true (has_sub m "match")
   | Ok _ -> Alcotest.fail "expected shape-mismatch runtime error"
 
 (* ------------------------------------------------------------------ *)
@@ -714,6 +707,38 @@ let test_bounds_check () =
   | Error m ->
       check_bool "bounds message" true (String.length m > 0)
   | Ok _ -> Alcotest.fail "expected bounds error"
+
+(* The out-of-bounds report names the subscript value already computed:
+   an indirect subscript is not loaded a second time for the message. *)
+let test_bounds_indirect_no_reload () =
+  let src =
+    {|
+      program p
+      integer i, idx(4)
+      real*8 a(10), s
+      do i = 1, 4
+        idx(i) = i
+      enddo
+      idx(4) = 12
+      s = 0.0
+      do i = 1, 4
+        s = s + a(idx(i))
+      enddo
+      end
+|}
+  in
+  match run ~flags:Flags.all_off ~nprocs:1 src with
+  | Ok _, _ -> Alcotest.fail "expected bounds error"
+  | Error m, rt ->
+      check_bool "reports subscript 12" true
+        (has_sub m "subscript 12 out of bounds");
+      (* idx(1..3) and a(idx(1..3)), then idx(4): seven loads *)
+      let loads =
+        List.assoc "loads"
+          (Ddsm_machine.Counters.to_assoc
+             (Ddsm_machine.Memsys.total_counters rt.Rt.mem))
+      in
+      Alcotest.(check int) "loads made" 7 loads
 
 let test_cycle_limit () =
   let prog =
@@ -1080,6 +1105,8 @@ let () =
         [
           Alcotest.test_case "dsm inquiry intrinsics" `Quick test_dsm_intrinsics;
           Alcotest.test_case "bounds checking" `Quick test_bounds_check;
+          Alcotest.test_case "bounds error loads nothing twice" `Quick
+            test_bounds_indirect_no_reload;
           Alcotest.test_case "cycle limit" `Quick test_cycle_limit;
           Alcotest.test_case "cycles scale with work" `Quick test_cycles_monotone_with_work;
           Alcotest.test_case "parallel speedup" `Quick test_parallel_speedup_exists;
