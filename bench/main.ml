@@ -11,9 +11,7 @@
    Problem sizes are scaled down (DESIGN.md §2) with machine capacities
    scaled alongside, so each experiment runs in the same regime (data vs.
    cache, portion vs. page) as the paper's full-size runs. Absolute numbers
-   differ; the harness checks the paper's qualitative claims explicitly.
-
-   `bechamel` runs host-side microbenchmarks of the simulator itself. *)
+   differ; the harness checks the paper's qualitative claims explicitly. *)
 
 module Ddsm = Ddsm_core.Ddsm
 module Flags = Ddsm_core.Ddsm.Flags
@@ -410,46 +408,6 @@ let ablate ~quick =
        ])
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the simulator itself *)
-
-let bechamel () =
-  section "Bechamel: host-side microbenchmarks of the toolchain";
-  let open Bechamel in
-  let open Toolkit in
-  let compile_test =
-    Test.make ~name:"compile+lower transpose(64)"
-      (Staged.stage (fun () ->
-           ignore (H.compile (W.transpose ~n:64 ~iters:1 W.Reshaped))))
-  in
-  let setup = H.mk_setup ~machine_procs:8 ~factor:64 ~heap_words:(1 lsl 20) () in
-  let prog = H.compile (W.transpose ~n:48 ~iters:1 W.Reshaped) in
-  let sim_test =
-    Test.make ~name:"simulate transpose(48) on 8 procs"
-      (Staged.stage (fun () ->
-           ignore (H.run_prog ~setup ~version:W.Reshaped ~nprocs:8 prog)))
-  in
-  let conv_prog = H.compile (W.convolution ~n:48 ~iters:1 ~two_level:true W.Reshaped) in
-  let conv_test =
-    Test.make ~name:"simulate conv2(48) on 8 procs"
-      (Staged.stage (fun () ->
-           ignore (H.run_prog ~setup ~version:W.Reshaped ~nprocs:8 conv_prog)))
-  in
-  let tests = Test.make_grouped ~name:"ddsm" [ compile_test; sim_test; conv_test ] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg [ instance ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols instance raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.fprintf ppf "  %-40s %12.0f ns/run@." name est
-      | _ -> ())
-    results
-
-(* ------------------------------------------------------------------ *)
 
 (* bad command-line input is a user error: diagnose and exit 2, matching
    the pflrun/pflc exit-code contract *)
@@ -490,7 +448,6 @@ let () =
       ("fig6", fun () -> fig6 ~quick ~jobs);
       ("fig7", fun () -> fig7 ~quick ~jobs);
       ("ablate", fun () -> ablate ~quick);
-      ("bechamel", bechamel);
     ]
   in
   let all = [ "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "ablate" ] in
@@ -504,7 +461,7 @@ let () =
         | None ->
             user_error
               "unknown experiment %s \
-               (table2|fig4|fig5|fig6|fig7|ablate|bechamel|all)"
+               (table2|fig4|fig5|fig6|fig7|ablate|all)"
               exp)
       chosen
   in
