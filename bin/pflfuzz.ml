@@ -122,12 +122,22 @@ let emit ~seed ~max_size =
 
 (* ------------------------------------------------------------------ *)
 
+(* counts are positive: a zero or negative value is a usage error (exit
+   124) at parse time *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let seed_t =
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"First seed.")
 
 let count_t =
   Arg.(
-    value & opt int 200
+    value & opt positive_int 200
     & info [ "count" ] ~docv:"N" ~doc:"Number of cases to generate.")
 
 let max_size_t =
@@ -155,7 +165,7 @@ let race_t =
 
 let jobs_t =
   Arg.(
-    value & opt (some int) None
+    value & opt (some positive_int) None
     & info [ "jobs" ] ~docv:"N" ~doc:"Domains for the Jobs fast-path leg.")
 
 let max_cycles_t =

@@ -50,6 +50,16 @@ let fault_conv =
   let print ppf f = Format.pp_print_string ppf (Fault.to_spec f) in
   Arg.conv (parse, print)
 
+(* counts are positive: a zero or negative value is a usage error (exit
+   124) at parse time *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let fail_diag d =
   Printf.eprintf "runtime error: %s\n" (Diag.to_string d);
   exit (if Diag.is_internal d then 3 else 2)
@@ -183,11 +193,11 @@ let run image nprocs policy machine heap_words stats no_checks bounds
     | Ok linked -> (
         let checks = not no_checks in
         match differ with
-        | Some n when n >= 1 ->
+        | Some n ->
             ignore
               (differential linked ~n ~seed ~jobs ~nprocs ~policy ~machine
                  ~heap_words ~checks ~bounds ~max_cycles ~audit)
-        | _ -> (
+        | None -> (
             let prof =
               if profile || trace <> None then Some (Ddsm.Profile.create ())
               else None
@@ -343,7 +353,7 @@ let () =
   let differential =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "differential" ] ~docv:"N"
           ~doc:
             "Transparency oracle: run the image under N extra randomized \
@@ -359,7 +369,7 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt int default_jobs
+      & opt positive_int default_jobs
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Run $(b,--differential) configurations on up to N domains \

@@ -19,8 +19,8 @@ val default_jobs : unit -> (int, string) result
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs] domains
-    (the calling domain included). [jobs <= 1] runs sequentially with no
-    domain spawned. [f] must not touch shared mutable state.
+    (the calling domain included). [jobs = 1] runs sequentially with no
+    domain spawned; [jobs < 1] raises [Invalid_argument]. [f] must not touch shared mutable state.
 
     Per-job outcomes (value or exception) are captured independently; after
     every domain joins, the lowest-index failure is re-raised with its
