@@ -62,8 +62,9 @@ let step g =
   if g.steps > g.budget then raise Timeout
 
 (* ------------------------------------------------------------------ *)
-(* Typing: mirrors Compilec.ety with the scalar table playing the role of
-   the slot table (a scalar's type is fixed by its first materialisation) *)
+(* Typing: the type Compilec.compile gives each node, recomputed top-down
+   here, with the scalar table playing the role of the slot table (a
+   scalar's type is fixed by its first materialisation) *)
 
 let promote a b =
   if a = Types.Treal || b = Types.Treal then Types.Treal else Types.Tint
@@ -140,7 +141,8 @@ let elem_offset a (v : view) subs_vals =
   !off
 
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation: mirrors Compilec.compile_i / compile_f *)
+(* Expression evaluation: mirrors Compilec.compile and its to_int/to_float
+   coercions *)
 
 let rec eval_i g fr (e : Expr.t) : int =
   if ety fr e = Types.Treal then int_of_float (eval_f g fr e)
