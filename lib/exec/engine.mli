@@ -36,6 +36,7 @@ val run :
   ?stall_limit:int ->
   ?profile:Ddsm_report.Profile.t ->
   ?sanitize:Ddsm_sanitize.Sanitize.t ->
+  ?observe:(Ddsm_runtime.Rt.event -> unit) ->
   unit ->
   (outcome, Ddsm_check.Diag.t) result
 (** [checks] enables the §6 runtime argument checks (default true);
@@ -60,9 +61,11 @@ val run :
     ({!Ddsm_runtime.Rt.event}): every memory access tagged with its
     parallel region, storage allocation, region fork and join, barriers,
     redistributions, gathers, and run marks (begin, end, cycle budget,
-    lost wakeup, watchdog stall). The engine installs the runtime's
+    lost wakeup, watchdog stall). [observe] subscribes one more function
+    after them; the differential tests feed a reference sanitizer with it.
+    The engine installs the runtime's
     observer and one machine probe, and removes both before [run]
-    returns, on success or failure. With neither attached no event is
+    returns, on success or failure. With no subscriber no event is
     built and the machine probe is not touched. *)
 
 val elaborate : Prog.t -> rt:Ddsm_runtime.Rt.t -> unit

@@ -2,8 +2,10 @@
    performance"): random operation sequences must make the flat [Pagetable]
    and [Directory] bit-identical to their Hashtbl-based reference
    implementations ([Pagetable_ref]/[Directory_ref]) on every observable,
-   and the scheduler's calendar run queue [Runq] pop exactly what the
-   binary heap it replaced ([Heapq_ref]) pops.
+   the scheduler's calendar run queue [Runq] pop exactly what the
+   binary heap it replaced ([Heapq_ref]) pops, and the sanitizer report
+   exactly what its Hashtbl-shadow predecessor ([Sanitize_ref]) reports on
+   random event streams and on every example program.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
    is re-raised; and its [DDSM_JOBS] parsing: a malformed value is a
@@ -16,6 +18,11 @@ module Directory = Ddsm_machine.Directory
 module Bitset = Ddsm_machine.Bitset
 module Runq = Ddsm_exec.Runq
 module Jobs = Ddsm_util.Jobs
+module Memsys = Ddsm_machine.Memsys
+module Rt = Ddsm_runtime.Rt
+module Sanitize = Ddsm_sanitize.Sanitize
+module Json = Ddsm_report.Json
+module Ddsm = Ddsm_core.Ddsm
 
 let rng seed = Random.State.make [| 0xDD5A; seed |]
 
@@ -370,6 +377,199 @@ let test_runq_peek_keeps_floor () =
     (drain_runq q)
 
 (* ------------------------------------------------------------------ *)
+(* sanitizer oracle *)
+
+(* everything a caller can read from a sanitizer, as one string *)
+let san_view ~races ~false_sharing ~dropped ~is_clean ~report_json ~pp s =
+  let reps l = String.concat "\n" (List.map (fun f -> f ()) l) in
+  Printf.sprintf "races:\n%s\nsharing:\n%s\ndropped=%d clean=%b\n%s\n%s"
+    (reps (races s)) (reps (false_sharing s)) (dropped s) (is_clean s)
+    (Json.to_string (report_json s))
+    (Format.asprintf "%a" pp s)
+
+let view_new =
+  let one (r : Sanitize.report) () =
+    Printf.sprintf "%s %d %s p%d %b %s p%d %b %s"
+      (Sanitize.kind_name r.rep_kind) r.rep_addr r.rep_array r.rep_first_proc
+      r.rep_first_write r.rep_first_region r.rep_second_proc
+      r.rep_second_write r.rep_second_region
+  in
+  san_view
+    ~races:(fun s -> List.map one (Sanitize.races s))
+    ~false_sharing:(fun s -> List.map one (Sanitize.false_sharing s))
+    ~dropped:Sanitize.dropped ~is_clean:Sanitize.is_clean
+    ~report_json:Sanitize.report_json ~pp:Sanitize.pp_report
+
+let view_ref =
+  let one (r : Sanitize_ref.report) () =
+    Printf.sprintf "%s %d %s p%d %b %s p%d %b %s"
+      (Sanitize_ref.kind_name r.rep_kind) r.rep_addr r.rep_array
+      r.rep_first_proc r.rep_first_write r.rep_first_region r.rep_second_proc
+      r.rep_second_write r.rep_second_region
+  in
+  san_view
+    ~races:(fun s -> List.map one (Sanitize_ref.races s))
+    ~false_sharing:(fun s -> List.map one (Sanitize_ref.false_sharing s))
+    ~dropped:Sanitize_ref.dropped ~is_clean:Sanitize_ref.is_clean
+    ~report_json:Sanitize_ref.report_json ~pp:Sanitize_ref.pp_report
+
+let access_ev ~proc ~addr ~write : Memsys.access_event =
+  {
+    Memsys.ev_proc = proc;
+    ev_addr = addr;
+    ev_write = write;
+    ev_now = 0;
+    ev_tlb = 0;
+    ev_hit = 1;
+    ev_local = 0;
+    ev_remote = 0;
+    ev_contention = 0;
+    ev_coherence = 0;
+    ev_tlb_flushed = false;
+  }
+
+(* An event stream shaped like the engine's: serial accesses by processor
+   0, forks of width 1..nprocs, accesses by the region's workers (rarely
+   one beyond the sanitizer's processors), barrier and redistribute
+   arrivals by random workers (so some generations complete, some close
+   partially at join, and post-barrier accesses get buffered), allocations
+   that leave gaps unattributed, and events that carry no ordering.
+   Addresses mix a handful of hot words (same-word races, read-vector
+   promotion) with a small window (line and page false sharing). Region
+   labels come from a pool of 2 to 120; a third of the time the label is a
+   fresh copy of its pooled string, so equal labels are not always the same
+   string. *)
+let gen_san_stream rand ~nprocs ~nevents =
+  let pick lo hi = QCheck.Gen.(generate1 ~rand (int_range lo hi)) in
+  let nlabels = QCheck.Gen.(generate1 ~rand (oneofl [ 2; 6; 120 ])) in
+  let labels = Array.init nlabels (fun i -> Printf.sprintf "sub%d:%d" (i mod 5) i) in
+  let label () =
+    let l = labels.(pick 0 (nlabels - 1)) in
+    if pick 0 2 = 0 then String.init (String.length l) (String.get l) else l
+  in
+  let hot = Array.init (pick 1 8) (fun _ -> pick 0 511) in
+  let window = pick 8 2048 in
+  let addr () =
+    let w = if pick 0 1 = 0 then hot.(pick 0 (Array.length hot - 1)) else pick 0 window in
+    (w * 8) + if pick 0 15 = 0 then pick 1 7 else 0
+  in
+  let alloc () =
+    let lo = pick 0 window in
+    Rt.Alloc
+      {
+        name = [| "a"; "b"; "c"; "d" |].(pick 0 3);
+        word_ranges = [ (lo, lo + pick (-1) 300); (lo + 400, lo + 400 + pick 0 50) ];
+      }
+  in
+  let in_par = ref false and width = ref 0 and now = ref 0 in
+  let worker () =
+    if not !in_par then 0
+    else if pick 0 49 = 0 then nprocs
+    else pick 0 (!width - 1)
+  in
+  let ev () =
+    incr now;
+    let now = !now in
+    match pick 0 99 with
+    | n when n < 3 ->
+        if !in_par then begin
+          in_par := false;
+          Rt.Join { region = label (); proc = 0; now }
+        end
+        else begin
+          in_par := true;
+          width := pick 1 nprocs;
+          Rt.Fork { region = label (); nprocs = !width; proc = 0; now }
+        end
+    | n when n < 9 -> Rt.Barrier { proc = worker (); now }
+    | n when n < 10 ->
+        let result =
+          { Rt.moved = 1; words = 8; rounds = 1; round_words = 8; retries = 0;
+            fell_back = false }
+        in
+        Rt.Redistribute { array = "a"; result; proc = worker (); now }
+    | n when n < 11 -> alloc ()
+    | n when n < 12 -> Rt.Mark { mark = Rt.Run_begin; proc = 0; now }
+    | _ ->
+        Rt.Access
+          { region = label ();
+            ev = access_ev ~proc:(worker ()) ~addr:(addr ()) ~write:(pick 0 2 = 0) }
+  in
+  List.init (pick 0 3) (fun _ -> alloc ()) @ List.init nevents (fun _ -> ev ())
+
+let test_sanitize_oracle_streams () =
+  let dropped = ref 0 and races = ref 0 and sharing = ref 0 in
+  for seed = 1 to 150 do
+    let rand = rng (2000 + seed) in
+    let nprocs = QCheck.Gen.(generate1 ~rand (oneofl [ 1; 2; 3; 4; 8; 32 ])) in
+    let line_bytes = QCheck.Gen.(generate1 ~rand (oneofl [ 16; 32; 128 ])) in
+    let page_bytes = line_bytes * QCheck.Gen.(generate1 ~rand (oneofl [ 1; 4; 16 ])) in
+    let nevents = QCheck.Gen.(generate1 ~rand (int_range 50 4000)) in
+    let flat = Sanitize.create ~nprocs ~line_bytes ~page_bytes ()
+    and ref_ = Sanitize_ref.create ~nprocs ~line_bytes ~page_bytes () in
+    List.iteri
+      (fun k e ->
+        Sanitize.observe flat e;
+        Sanitize_ref.observe ref_ e;
+        if k mod 250 = 0 then begin
+          let a = view_new flat and b = view_ref ref_ in
+          if a <> b then
+            Alcotest.failf "seed %d after event %d:\nflat:\n%s\nref:\n%s" seed k a b
+        end)
+      (gen_san_stream rand ~nprocs ~nevents);
+    let a = view_new flat and b = view_ref ref_ in
+    if a <> b then Alcotest.failf "seed %d at the end:\nflat:\n%s\nref:\n%s" seed a b;
+    if Sanitize.dropped flat > 0 then incr dropped;
+    if Sanitize.races flat <> [] then incr races;
+    if Sanitize.false_sharing flat <> [] then incr sharing
+  done;
+  (* the streams reach every report path, the cap included *)
+  Alcotest.(check bool)
+    (Printf.sprintf "coverage: %d capped, %d racy, %d sharing" !dropped !races
+       !sharing)
+    true
+    (!dropped > 0 && !races > 0 && !sharing > 0)
+
+let test_sanitize_oracle_examples () =
+  let dir = "../examples/programs" in
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".pf")
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "example programs found" true (List.length files >= 9);
+  List.iter
+    (fun f ->
+      let src = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
+      let prog =
+        match Ddsm.compile_source ~fname:f src with
+        | Error es -> Alcotest.failf "%s: %s" f (String.concat "\n" es)
+        | Ok obj -> (
+            match Ddsm.link [ obj ] with
+            | Error es -> Alcotest.failf "%s: %s" f (String.concat "\n" es)
+            | Ok (prog, _) -> prog)
+      in
+      List.iter
+        (fun nprocs ->
+          let cfg = Config.scaled ~nprocs ~factor:64 () in
+          let line_bytes = cfg.Config.l2.Config.line_bytes
+          and page_bytes = cfg.Config.page_bytes in
+          let flat = Sanitize.create ~nprocs ~line_bytes ~page_bytes ()
+          and ref_ = Sanitize_ref.create ~nprocs ~line_bytes ~page_bytes () in
+          let rt = Ddsm.make_rt ~nprocs () in
+          (match
+             Ddsm.Engine.run prog ~rt ~sanitize:flat
+               ~observe:(Sanitize_ref.observe ref_) ()
+           with
+          | Ok _ -> ()
+          | Error d -> Alcotest.failf "%s -p %d: %s" f nprocs (Ddsm.Diag.to_string d));
+          let a = view_new flat and b = view_ref ref_ in
+          if a <> b then
+            Alcotest.failf "%s -p %d:\nflat:\n%s\nref:\n%s" f nprocs a b)
+        [ 4; 32 ])
+    files
+
+(* ------------------------------------------------------------------ *)
 (* jobs determinism *)
 
 let test_jobs_order () =
@@ -506,6 +706,13 @@ let () =
             test_pagetable_oracle;
           Alcotest.test_case "directory flat = reference" `Quick
             test_directory_oracle;
+        ] );
+      ( "sanitize",
+        [
+          Alcotest.test_case "random streams flat = reference" `Quick
+            test_sanitize_oracle_streams;
+          Alcotest.test_case "examples flat = reference" `Quick
+            test_sanitize_oracle_examples;
         ] );
       ( "runq",
         [
