@@ -22,32 +22,7 @@ let cause_name = function
   | Contention -> "contention"
   | Coherence -> "coherence"
 
-(* ---- string interning ------------------------------------------------- *)
-
-type intern = {
-  ids : (string, int) Hashtbl.t;
-  mutable names : string array;
-  mutable count : int;
-}
-
-let intern_create () = { ids = Hashtbl.create 32; names = [||]; count = 0 }
-
-let intern i s =
-  match Hashtbl.find_opt i.ids s with
-  | Some id -> id
-  | None ->
-      let id = i.count in
-      if id >= Array.length i.names then (
-        let cap = max 8 (2 * Array.length i.names) in
-        let bigger = Array.make cap "" in
-        Array.blit i.names 0 bigger 0 (Array.length i.names);
-        i.names <- bigger);
-      i.names.(id) <- s;
-      i.count <- id + 1;
-      Hashtbl.replace i.ids s id;
-      id
-
-let intern_name i id = i.names.(id)
+module Names = Addrmap.Names
 
 (* ---- trace events ----------------------------------------------------- *)
 
@@ -63,12 +38,15 @@ type trace_event = {
 }
 
 type t = {
-  regions : intern;
-  arrays : intern;
+  regions : Names.t;
+  arrays : Names.t;
   unattributed_id : int;
   owners : int Addrmap.t;  (* byte address -> interned array id *)
-  (* (region, array) -> per-cause stall cycles *)
+  (* (region, array) -> per-cause stall cycles: the row set, whose fold
+     order [rows] keeps for ties *)
   matrix : (int * int, int array) Hashtbl.t;
+  (* the same cells by region id, then array id; [||] where none yet *)
+  mutable dense : int array array array;
   mutable total : int;
   mutable unattributed : int;
   (* bounded ring buffer of trace events *)
@@ -78,14 +56,15 @@ type t = {
 }
 
 let create ?(trace_cap = 65536) () =
-  let arrays = intern_create () in
-  let unattributed_id = intern arrays "(unattributed)" in
+  let arrays = Names.create () in
+  let unattributed_id = Names.id arrays "(unattributed)" in
   {
-    regions = intern_create ();
+    regions = Names.create ();
     arrays;
     unattributed_id;
     owners = Addrmap.create ();
     matrix = Hashtbl.create 64;
+    dense = [||];
     total = 0;
     unattributed = 0;
     ring = Array.make (max 1 trace_cap) None;
@@ -95,17 +74,30 @@ let create ?(trace_cap = 65536) () =
 
 (* ---- attribution ------------------------------------------------------ *)
 
+(* [a] with index [i] valid, new slots [x] *)
+let grown a i x =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (max (i + 1) (2 * Array.length a)) x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+let new_cell t ~region ~array =
+  let c = Array.make ncauses 0 in
+  Hashtbl.replace t.matrix (region, array) c;
+  t.dense <- grown t.dense region [||];
+  t.dense.(region) <- grown t.dense.(region) array [||];
+  t.dense.(region).(array) <- c;
+  c
+
 let cell t ~region ~array =
-  let key = (region, array) in
-  match Hashtbl.find_opt t.matrix key with
-  | Some c -> c
-  | None ->
-      let c = Array.make ncauses 0 in
-      Hashtbl.replace t.matrix key c;
-      c
+  let row = if region < Array.length t.dense then t.dense.(region) else [||] in
+  let c = if array < Array.length row then row.(array) else [||] in
+  if Array.length c > 0 then c else new_cell t ~region ~array
 
 let record_access t ~region (ev : Memsys.access_event) =
-  let rid = intern t.regions region in
+  let rid = Names.id t.regions region in
   let aid =
     Addrmap.find t.owners ev.Memsys.ev_addr ~default:t.unattributed_id
   in
@@ -152,7 +144,7 @@ let observe t = function
         event t ~name:"tlb-flush" ~cat:"fault" Instant ~tid:ev.Memsys.ev_proc
           ~ts:ev.Memsys.ev_now
   | Rt.Alloc { name; word_ranges } ->
-      Addrmap.add t.owners ~word_ranges (intern t.arrays name)
+      Addrmap.add t.owners ~word_ranges (Names.id t.arrays name)
   | Rt.Fork { region; proc; now; _ } ->
       event t ~name:region ~cat:"ddsm" Begin ~tid:proc ~ts:now
   | Rt.Join { region; proc; now } ->
@@ -265,8 +257,8 @@ let rows t =
   Hashtbl.fold
     (fun (rid, aid) c acc ->
       {
-        r_region = intern_name t.regions rid;
-        r_array = intern_name t.arrays aid;
+        r_region = Names.name t.regions rid;
+        r_array = Names.name t.arrays aid;
         r_cycles = Array.copy c;
         r_total = Array.fold_left ( + ) 0 c;
       }

@@ -63,7 +63,13 @@ val observe : t -> Ddsm_runtime.Rt.event -> unit
     clocks, if it never does — which is how a dropped barrier is detected.
     [Barrier] and [Redistribute] are ignored outside a parallel region,
     where program order already orders accesses. [Gather] and [Mark]
-    carry no ordering. *)
+    carry no ordering.
+
+    Shadow state is flat arrays indexed by word, line and page, grown to
+    the highest index touched, and labels are interned: an access
+    allocates nothing unless it grows an array or yields a new report.
+    Raises [Invalid_argument] past 2{^19} distinct region labels or
+    array names, the bound of the report dedup key. *)
 
 val races : t -> report list
 (** Data races observed so far, in detection order. *)

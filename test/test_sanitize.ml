@@ -253,6 +253,43 @@ let test_array_attribution_and_json () =
   check_bool "json names the array" true (str_contains js "\"array\":\"b\"")
 
 (* ------------------------------------------------------------------ *)
+(* Allocation *)
+
+(* The engine delivers every access as one preallocated [Access] event
+   whose fields it refills. Once the words, lines, pages, region, reports
+   and profile cells in play have been seen, observing an access must not
+   allocate: 10,000 events, four workers on sixteen words of one line, one
+   write in eight (so read vectors are promoted and freed), reports
+   deduplicated. *)
+let test_steady_state_allocates_nothing () =
+  let n = 10_000 in
+  let ev = ev ~proc:0 ~addr:0 ~write:false in
+  let event = Rt.Access { region = "loop:12"; ev } in
+  let feed observe =
+    for k = 0 to n - 1 do
+      ev.Memsys.ev_proc <- k land 3;
+      ev.Memsys.ev_addr <- 8 * ((k lsr 2) land 15);
+      ev.Memsys.ev_write <- (k * 5) land 7 = 0;
+      observe event
+    done
+  in
+  let words_per_event what observe =
+    feed observe;
+    let before = Gc.minor_words () in
+    feed observe;
+    let w = (Gc.minor_words () -. before) /. float_of_int n in
+    check_bool (Printf.sprintf "%s: %.3f words per access" what w) true (w < 1.0)
+  in
+  let san = mk () in
+  alloc san ~name:"a" ~word_ranges:[ (0, 7) ];
+  fork san ~nprocs:4;
+  words_per_event "sanitizer" (Sanitize.observe san);
+  check_bool "the stream races" true (n_races san > 0);
+  let prof = Ddsm_report.Profile.create () in
+  Ddsm_report.Profile.observe prof (Rt.Alloc { name = "a"; word_ranges = [ (0, 7) ] });
+  words_per_event "profiler" (Ddsm_report.Profile.observe prof)
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end through the engine *)
 
 let relax_src =
@@ -366,6 +403,11 @@ let () =
             test_ordered_neighbours_no_sharing;
           Alcotest.test_case "attribution & json" `Quick
             test_array_attribution_and_json;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_steady_state_allocates_nothing;
         ] );
       ( "engine",
         [
