@@ -192,7 +192,25 @@ let run image nprocs policy machine heap_words stats no_checks bounds
     | Error e -> fail_diag (Diag.user ~phase:"image" e)
     | Ok linked -> (
         let checks = not no_checks in
+        let observers =
+          List.filter_map
+            (fun (given, flag) -> if given then Some flag else None)
+            [
+              (profile, "--profile");
+              (trace <> None, "--trace");
+              (race, "--race");
+              (race_json <> None, "--race-json");
+              (stats, "--stats");
+            ]
+        in
         match differ with
+        | Some _ when observers <> [] ->
+            fail_diag
+              (Diag.user ~phase:"cli"
+                 (Printf.sprintf
+                    "--differential compares program output only; it cannot \
+                     be combined with %s"
+                    (String.concat ", " observers)))
         | Some n ->
             ignore
               (differential linked ~n ~seed ~jobs ~nprocs ~policy ~machine
@@ -358,7 +376,9 @@ let () =
           ~doc:
             "Transparency oracle: run the image under N extra randomized \
              {policy, nprocs, fault-plan} configurations and require \
-             byte-identical output from all of them.")
+             byte-identical output from all of them. Combining it with \
+             $(b,--profile), $(b,--trace), $(b,--race), $(b,--race-json) or \
+             $(b,--stats) is a user error (exit 2).")
   in
   let seed =
     Arg.(
