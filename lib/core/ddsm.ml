@@ -53,8 +53,12 @@ let make_rt ?(machine = Scaled 64) ?(policy = Pagetable.First_touch)
 
 let run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?profile
     ?sanitize () =
-  Engine.run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?profile
-    ?sanitize ()
+  let observers =
+    List.filter_map Fun.id
+      [ Option.map Profile.observe profile; Option.map Sanitize.observe sanitize ]
+  in
+  Engine.run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit
+    ~observers ()
 
 let run_source ?flags ?machine ?policy ?heap_words ?machine_procs ?fault
     ?(nprocs = 8) ?checks ?bounds ?max_cycles ?audit ?profile ?sanitize src =

@@ -6,15 +6,12 @@ module Memsys = Ddsm_machine.Memsys
 module Counters = Ddsm_machine.Counters
 module Diag = Ddsm_check.Diag
 module Fault = Ddsm_check.Fault
-module Profile = Ddsm_report.Profile
-module Sanitize = Ddsm_sanitize.Sanitize
 open Ddsm_ir
 
 type outcome = {
   cycles : int;
   prints : string list;
   counters : Counters.t;
-  per_proc : Counters.t array;
   parks : int;
   direct_continues : int;
   forks : int;
@@ -176,7 +173,7 @@ let mk_task ~tws ~region ~state ~parent =
 
 let run prog ~rt ?(checks = true) ?(bounds = false)
     ?(max_cycles = max_int / 2) ?(audit = false) ?(stall_limit = 1_000_000)
-    ?profile ?sanitize ?observe () =
+    ?(observers = []) () =
   let prints = ref [] in
   let phase = ref "elaborate" in
   let mem = rt.Rt.mem in
@@ -185,22 +182,14 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     mk_task ~tws:master_ws ~region:serial_region ~state:Done ~parent:None
   in
   (* ---- observability -------------------------------------------------
-     The profiler, the sanitizer and [observe] subscribe to one event
-     stream, in that order. One machine probe forwards every access as the
-     same [Access] value, whose region the Mem handler sets before each
-     access. With no subscriber no event is built and the machine probe is
-     left alone. *)
+     The subscribers share one event stream, delivered in list order. One
+     machine probe forwards every access as the same [Access] value, whose
+     region the Mem handler sets before each access. With no subscriber no
+     event is built and the machine probe is left alone. *)
   let access = { Rt.region = serial_region; ev = Memsys.event mem } in
   let access_event = Rt.Access access in
   let observer =
-    match
-      List.filter_map Fun.id
-        [
-          Option.map Profile.observe profile;
-          Option.map Sanitize.observe sanitize;
-          observe;
-        ]
-    with
+    match observers with
     | [] -> None
     | first :: rest ->
         (* chained once here, so delivering an event allocates nothing *)
@@ -472,16 +461,12 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
               Error
                 { (diagnose Diag.Audit_failure) with phase = "audit"; violations }
           | [] ->
-              let per_proc =
-                Array.init (Rt.nprocs rt) (fun p -> Memsys.counters mem ~proc:p)
-              in
               mark Rt.Run_end ~proc:0 ~now:master_ws.Eff.clock;
               Ok
                 {
                   cycles = master_ws.Eff.clock;
                   prints = List.rev !prints;
                   counters = Memsys.total_counters mem;
-                  per_proc;
                   parks = !parks;
                   direct_continues = !direct_continues;
                   forks = !forks;

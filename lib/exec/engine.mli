@@ -14,7 +14,6 @@ type outcome = {
   cycles : int;  (** program-unit completion time in simulated cycles *)
   prints : string list;
   counters : Ddsm_machine.Counters.t;  (** machine-wide totals *)
-  per_proc : Ddsm_machine.Counters.t array;
   parks : int;
       (** memory accesses after which the task went back on the run queue *)
   direct_continues : int;
@@ -34,9 +33,7 @@ val run :
   ?max_cycles:int ->
   ?audit:bool ->
   ?stall_limit:int ->
-  ?profile:Ddsm_report.Profile.t ->
-  ?sanitize:Ddsm_sanitize.Sanitize.t ->
-  ?observe:(Ddsm_runtime.Rt.event -> unit) ->
+  ?observers:(Ddsm_runtime.Rt.event -> unit) list ->
   unit ->
   (outcome, Ddsm_check.Diag.t) result
 (** [checks] enables the §6 runtime argument checks (default true);
@@ -48,25 +45,24 @@ val run :
     per-processor clocks), watchdog stalls ([stall_limit] scheduler steps
     without any clock advancing), and internal invariant violations —
     [Invalid_argument]/[Failure] escaping a simulated task are reported as
-    [Internal], never disguised as user errors; the same exceptions raised
-    outside the scheduler propagate to the caller.
+    [Internal], never disguised as user errors. The same exceptions raised
+    while elaborating storage or compiling routines, outside the scheduler,
+    are returned as [Internal] too, with [phase] ["elaborate"] or
+    ["compile"].
 
     [audit] (default false) runs the full invariant audit ({!Rt.audit})
     after a successful run and fails with [Audit_failure] listing the
     violations if the machine state is inconsistent.
 
-    [profile] and [sanitize] subscribe a cycle-attribution profiler
-    ({!Ddsm_report.Profile}) and a happens-before sanitizer
-    ({!Ddsm_sanitize.Sanitize}) to the run's typed event stream
+    [observers] (default none) subscribe to the run's typed event stream
     ({!Ddsm_runtime.Rt.event}): every memory access tagged with its
     parallel region, storage allocation, region fork and join, barriers,
     redistributions, gathers, and run marks (begin, end, cycle budget,
-    lost wakeup, watchdog stall). [observe] subscribes one more function
-    after them; the differential tests feed a reference sanitizer with it.
-    The engine installs the runtime's
-    observer and one machine probe, and removes both before [run]
-    returns, on success or failure. With no subscriber no event is
-    built and the machine probe is not touched. *)
+    lost wakeup, watchdog stall). Each event reaches every subscriber, in
+    list order. The engine installs the runtime's observer and one
+    machine probe, and removes both before [run] returns, on success or
+    failure. With no subscriber no event is built and the machine probe
+    is not touched. *)
 
 val elaborate : Prog.t -> rt:Ddsm_runtime.Rt.t -> unit
 (** Allocate static storage only (exposed for tests). Raises

@@ -1034,8 +1034,7 @@ let test_counters_populated () =
   let o = run_ok ~nprocs:4 transpose_src in
   let c = o.Engine.counters in
   check_bool "accesses recorded" true (Ddsm_machine.Counters.accesses c > 1000);
-  check_bool "l2 misses happen" true (c.Ddsm_machine.Counters.l2_misses > 0);
-  check_int "per-proc array sized" 4 (Array.length o.Engine.per_proc)
+  check_bool "l2 misses happen" true (c.Ddsm_machine.Counters.l2_misses > 0)
 
 (* The scheduling decisions themselves, not just the cycles they produce:
    how many accesses parked on the run queue, how many continued directly

@@ -558,8 +558,9 @@ let test_sanitize_oracle_examples () =
           and ref_ = Sanitize_ref.create ~nprocs ~line_bytes ~page_bytes () in
           let rt = Ddsm.make_rt ~nprocs () in
           (match
-             Ddsm.Engine.run prog ~rt ~sanitize:flat
-               ~observe:(Sanitize_ref.observe ref_) ()
+             Ddsm.Engine.run prog ~rt
+               ~observers:[ Sanitize.observe flat; Sanitize_ref.observe ref_ ]
+               ()
            with
           | Ok _ -> ()
           | Error d -> Alcotest.failf "%s -p %d: %s" f nprocs (Ddsm.Diag.to_string d));

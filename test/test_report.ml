@@ -305,7 +305,32 @@ let test_observers_detached () =
       (Profile.total_stall profile)
   in
   check_detached "ok run" ~max_cycles:max_int ~ok:true;
-  check_detached "cycle-budget run" ~max_cycles:2000 ~ok:false
+  check_detached "cycle-budget run" ~max_cycles:2000 ~ok:false;
+  (* two subscribers straight on the engine: each event reaches [a], then
+     [b], and both are gone once the run returns *)
+  let check_order what ~max_cycles ~ok =
+    let rt = Ddsm.make_rt ~nprocs:4 () in
+    let log = Buffer.create 4096 in
+    let a _ = Buffer.add_char log 'a' and b _ = Buffer.add_char log 'b' in
+    let r =
+      Ddsm.Engine.run (twoarr_prog ()) ~rt ~max_cycles ~observers:[ a; b ] ()
+    in
+    check_bool (what ^ ": run outcome") ok (Result.is_ok r);
+    let s = Buffer.contents log in
+    let n = String.length s in
+    check_bool (what ^ ": events delivered") true (n > 0);
+    let count c = String.fold_left (fun k x -> if x = c then k + 1 else k) 0 s in
+    check_int (what ^ ": both saw every event") (count 'a') (count 'b');
+    Alcotest.(check string) (what ^ ": a then b, event by event")
+      (String.concat "" (List.init (count 'a') (fun _ -> "ab")))
+      s;
+    check_bool (what ^ ": runtime observer cleared") true
+      (rt.Ddsm_runtime.Rt.observe = None);
+    touch rt;
+    check_int (what ^ ": machine probe removed") n (Buffer.length log)
+  in
+  check_order "ok run, ordered subscribers" ~max_cycles:max_int ~ok:true;
+  check_order "cycle-budget run, ordered subscribers" ~max_cycles:2000 ~ok:false
 
 (* ------------------------------------------------------------------ *)
 (* Trace export: a minimal test-local JSON reader (the library
