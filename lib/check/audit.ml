@@ -10,5 +10,3 @@ let pp_list ppf = function
   | vs ->
       Format.fprintf ppf "@[<v>%d invariant violation(s):@ %a@]" (List.length vs)
         (Format.pp_print_list pp) vs
-
-let report vs = Format.asprintf "%a" pp_list vs

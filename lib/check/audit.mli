@@ -13,8 +13,4 @@ type violation = { invariant : string; detail : string }
 val v : string -> ('a, unit, string, violation) format4 -> 'a
 (** [v invariant fmt ...] builds a violation with a formatted detail. *)
 
-val pp : Format.formatter -> violation -> unit
 val pp_list : Format.formatter -> violation list -> unit
-
-val report : violation list -> string
-(** Human-readable multi-line summary ("audit clean" for []). *)

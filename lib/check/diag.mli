@@ -65,10 +65,7 @@ val headline : t -> string
 (** One-line summary (the old string error, e.g.
     ["deadlock: program did not run to completion"]). *)
 
-val pp : Format.formatter -> t -> unit
-(** Full dump: headline, phase, per-proc clocks, blocked-task tree,
-    violations, and the non-zero counters. *)
-
 val to_string : t -> string
-(** [pp] into a string; equals {!headline} when there is no context to
-    show (so simple error paths read as before). *)
+(** Full dump: headline, phase, per-proc clocks, blocked-task tree,
+    violations, and the non-zero counters. Equals {!headline} when there
+    is no context to show (so simple error paths read as before). *)

@@ -167,8 +167,6 @@ let to_spec t =
     in
     String.concat "," parts
 
-let pp ppf t = Format.pp_print_string ppf (to_spec t)
-
 let of_spec s =
   let s = String.trim s in
   if s = "" || s = "none" then Ok none

@@ -142,5 +142,3 @@ val of_spec : string -> (t, string) result
 
 val to_spec : t -> string
 (** Inverse of {!of_spec} (modulo clause order). *)
-
-val pp : Format.formatter -> t -> unit

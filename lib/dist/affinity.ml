@@ -1,8 +1,6 @@
 type spec = { s : int; c : int }
 type piece = { lo : int; hi : int; step : int }
 
-let pp_piece ppf { lo; hi; step } = Format.fprintf ppf "[%d..%d by %d]" lo hi step
-
 (* Iteration range in which the affinity element s*i+c stays inside [0, N). *)
 let valid_range dm { s; c } =
   let n = dm.Dim_map.extent in

@@ -38,5 +38,3 @@ val pieces :
 
 val iters : Dim_map.t -> spec -> lb:int -> ub:int -> step:int -> proc:int -> int list
 (** Materialised iteration list (for tests and small loops). *)
-
-val pp_piece : Format.formatter -> piece -> unit

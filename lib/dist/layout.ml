@@ -43,7 +43,6 @@ let portion_extents t ~proc =
   Array.mapi (fun d p -> Dim_map.portion_size t.dims.(d) ~proc:p) ow
 
 let storage_extents t = Array.map Dim_map.storage_extent t.dims
-let elements_per_proc_max t = Array.fold_left ( * ) 1 (storage_extents t)
 
 let iter_portion t ~proc f =
   let ow = Grid.delinear t.grid proc in
@@ -115,12 +114,6 @@ let contiguous_ranges t ~proc ~elem_bytes =
        loop is the last dimension. *)
     outer (nd - 1);
     List.rev !runs
-
-let equal_shape a b =
-  a.extents = b.extents
-  && Array.length a.kinds = Array.length b.kinds
-  && Array.for_all2 Kind.equal a.kinds b.kinds
-  && a.grid.Grid.per_dim = b.grid.Grid.per_dim
 
 let pp ppf t =
   Format.fprintf ppf "@[<h>(%a) dist (%a) %a@]"

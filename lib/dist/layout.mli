@@ -24,9 +24,6 @@ val make :
 val ndims : t -> int
 val nprocs : t -> int
 
-val owner_tuple : t -> int array -> int array
-(** Per-dimension owner indices of an element (0-based indices). *)
-
 val owner : t -> int array -> int
 (** Linear processor owning an element. *)
 
@@ -44,10 +41,6 @@ val storage_extents : t -> int array
 (** Uniform per-processor storage shape used by the reshaped-storage manager
     (every processor's offsets fit in this box). *)
 
-val elements_per_proc_max : t -> int
-(** Product of [storage_extents] — reshaped per-processor allocation size in
-    elements. *)
-
 val iter_portion : t -> proc:int -> (int array -> unit) -> unit
 (** Iterate all global element tuples owned by [proc], first dimension
     fastest. The callback receives a reused buffer; copy if retained. *)
@@ -57,14 +50,5 @@ val contiguous_ranges : t -> proc:int -> elem_bytes:int -> (int * int) list
     portion of [proc] in the array's *original* column-major layout, relative
     to the array base. Used to place pages for regular distributions and to
     reason about page-granularity false sharing. *)
-
-val linear_element : t -> int array -> int
-(** Column-major linearisation of a global element tuple (element count, not
-    bytes). *)
-
-val equal_shape : t -> t -> bool
-(** Same extents, kinds and grid — the condition under which two arrays can
-    share loop tiling (paper §7.1, "match the first array in size and
-    distribution"). *)
 
 val pp : Format.formatter -> t -> unit

@@ -142,16 +142,3 @@ let nrounds t = List.length t.rounds
    round in parallel, so a round costs its largest transfer. *)
 let round_words rounds =
   List.fold_left (fun acc r -> acc + r.max_words) 0 rounds
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>redist %d->%d procs: %d words (%d cross) in %d rounds@,"
-    t.nprocs_src t.nprocs_dst t.total_words t.cross_words (nrounds t);
-  List.iteri
-    (fun i r ->
-      Format.fprintf ppf "  round %d (max %d):" i r.max_words;
-      List.iter
-        (fun m -> Format.fprintf ppf " %d->%d:%d" m.src m.dst m.words)
-        r.transfers;
-      Format.fprintf ppf "@,")
-    t.rounds;
-  Format.fprintf ppf "@]"

@@ -59,5 +59,3 @@ val round_words : round list -> int
 (** Sum over rounds of the largest transfer in the round — the
     scheduled-time proxy the cost model charges (rounds are serial,
     transfers within a round parallel). *)
-
-val pp : Format.formatter -> t -> unit

@@ -10,11 +10,8 @@ let call = 12
 let argcheck_register = 40
 let argcheck_lookup = 25
 
-(* moving one page: read + write each cache line through memory *)
-let redistribute_per_page ~page_words = page_words / 4
-
-(* moving [words] data words of one transfer: same per-word bandwidth as
-   the page path *)
+(* moving [words] data words of one transfer: each cache line is read and
+   written through memory *)
 let redistribute_words ~words = words / 4
 
 (* one all-to-all round of a scheduled redistribution: pairing up the

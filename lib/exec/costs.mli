@@ -35,16 +35,6 @@ val argcheck_register : int
 (** §6 hash-table probe at subroutine entry *)
 val argcheck_lookup : int
 
-val redistribute_per_page : page_words:int -> int
-
-(** cycles to move [words] data words of one transfer (per-word bandwidth
-    of the page-migration path) *)
-val redistribute_words : words:int -> int
-
-(** cycles for one all-to-all round of a scheduled redistribution:
-    pairing up the senders/receivers and the round barrier *)
-val redistribute_round : int
-
 (** cycles charged for each failed (injected) redistribution attempt:
     OS round-trip plus backoff wait before retrying *)
 val redistribute_retry : int
@@ -62,14 +52,8 @@ val redistribute_naive : cross_words:int -> transfers:int -> int
     one address classification plus a bin insert *)
 val gather_inspect : int
 
-(** cycles for one all-to-all round of a scheduled bulk gather *)
-val gather_round : int
-
 (** cycles charged for each failed (injected) bulk-fetch attempt *)
 val gather_retry : int
-
-(** cycles to move [words] words of one gather transfer *)
-val gather_words : words:int -> int
 
 (** a scheduled bulk gather runs [rounds] rounds back to back; within a
     round the per-home transfers proceed in parallel so each round costs

@@ -23,5 +23,4 @@ type t =
   | TDirective of string  (** [c$<name>] at start of line *)
   | TEof
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

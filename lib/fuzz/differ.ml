@@ -45,10 +45,6 @@ let kind_of = function
   | Fail _ -> "fail"
   | Diverged { kind; _ } -> "diverged:" ^ kind
 
-let is_failure = function
-  | Pass | Timeout -> false
-  | Reject _ | Fail _ | Diverged _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Engine legs *)
 

@@ -54,10 +54,5 @@ type verdict =
 val kind_of : verdict -> string
 (** Stable tag: ["ok" | "timeout" | "reject" | "fail" | "diverged:<kind>"]. *)
 
-val is_failure : verdict -> bool
-(** [Reject]/[Fail]/[Diverged] — what a fuzzing campaign reports.  (Timeouts
-    are inconclusive; [Fail] and [Reject] still count because generated
-    programs are legal and error-free by construction.) *)
-
 val run : options -> (string * string) list -> verdict
 (** Run one candidate given as [(filename, source)] pairs. *)

@@ -15,11 +15,9 @@ type size = {
   max_files : int;
 }
 
-val quick : size
-(** Small programs for CI campaigns (extents 3-6, <= 2 subroutines). *)
-
 val of_level : int -> size
 (** Scale the size knobs from a single [--max-size] level; [of_level 10]
-    is {!quick}. *)
+    is the default of {!generate}: small programs for CI campaigns
+    (extents 3-6, <= 2 subroutines). *)
 
 val generate : ?size:size -> seed:int -> unit -> Spec.t

@@ -16,5 +16,3 @@ let chance t ~pct = int t 100 < pct
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
-
-let split t = create (next t)

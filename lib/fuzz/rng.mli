@@ -19,6 +19,3 @@ val chance : t -> pct:int -> bool
 
 val pick : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
-
-val split : t -> t
-(** Child stream seeded from (and advancing) this one. *)

@@ -29,9 +29,6 @@ type file = { fname : string; routines : routine list }
 
 let find_routine f name = List.find_opt (fun r -> r.rname = name) f.routines
 let find_decl r name = List.find_opt (fun d -> d.vname = name) r.rdecls
-let find_dist r name = List.find_opt (fun d -> d.dtarget = name) r.rdists
-let dim_default_lower hi = { dlo = Expr.Int 1; dhi = hi }
-let scalar_dims = []
 
 let pp_dist ppf d =
   Format.fprintf ppf "c$distribute%s %s(%a)%a"

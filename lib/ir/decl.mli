@@ -37,8 +37,5 @@ type file = { fname : string; routines : routine list }
 
 val find_routine : file -> string -> routine option
 val find_decl : routine -> string -> vdecl option
-val find_dist : routine -> string -> dist option
-val dim_default_lower : Expr.t -> dim
-val scalar_dims : dim list
 val pp_routine : Format.formatter -> routine -> unit
 val pp_file : Format.formatter -> file -> unit

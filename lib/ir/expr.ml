@@ -73,16 +73,6 @@ let free_vars e =
   iter (function Var x -> if not (List.mem x !acc) then acc := x :: !acc | _ -> ()) e;
   List.rev !acc
 
-let arrays_used e =
-  let acc = ref [] in
-  iter
-    (function
-      | Ref (a, _) | Meta (a, _) | BaseOf (a, _) ->
-          if not (List.mem a !acc) then acc := a :: !acc
-      | _ -> ())
-    e;
-  List.rev !acc
-
 let rec affine_in v e =
   match e with
   | Var x when x = v -> Some (1, 0)

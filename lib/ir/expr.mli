@@ -56,9 +56,6 @@ val subst_var : string -> t -> t -> t
 val free_vars : t -> string list
 (** Variables read, without duplicates (array names not included). *)
 
-val arrays_used : t -> string list
-(** Array names referenced via [Ref]/[Meta]/[BaseOf]. *)
-
 val affine_in : string -> t -> (int * int) option
 (** [affine_in v e] is [Some (s, c)] when [e] is the affine form [s*v + c]
     with literal integer [s] and [c] (the form the paper's affinity clause

@@ -4,5 +4,4 @@ type t = { file : string; line : int }
 
 val none : t
 val v : file:string -> line:int -> t
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

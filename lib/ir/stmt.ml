@@ -144,23 +144,6 @@ and iter_do f d =
   Option.iter f d.step;
   List.iter (iter_exprs f) d.body
 
-let rec map_body f t =
-  let s =
-    match t.s with
-    | Do d -> Do { d with body = f (List.map (map_body f) d.body) }
-    | If (c, th, el) ->
-        If (c, f (List.map (map_body f) th), f (List.map (map_body f) el))
-    | Doacross da ->
-        Doacross
-          {
-            da with
-            loop = { da.loop with body = f (List.map (map_body f) da.loop.body) };
-          }
-    | Par p -> Par { pbody = f (List.map (map_body f) p.pbody) }
-    | other -> other
-  in
-  { t with s }
-
 let rec collect_assigned acc ts =
   List.fold_left
     (fun acc t ->

@@ -91,8 +91,6 @@ val map_exprs : (Expr.t -> Expr.t) -> t -> t
     subscripts; affinity clauses included). *)
 
 val iter_exprs : (Expr.t -> unit) -> t -> unit
-val map_body : (t list -> t list) -> t -> t
-(** Rewrite the immediate statement lists of structured statements. *)
 
 val assigned_vars : t list -> string list
 (** Scalar variables assigned anywhere in the statements (including loop

@@ -1,7 +1,5 @@
 type ty = Tint | Treal
 
-let equal_ty a b = a = b
-
 let pp_ty ppf = function
   | Tint -> Format.pp_print_string ppf "integer"
   | Treal -> Format.pp_print_string ppf "real*8"

@@ -3,5 +3,4 @@
 
 type ty = Tint | Treal
 
-val equal_ty : ty -> ty -> bool
 val pp_ty : Format.formatter -> ty -> unit

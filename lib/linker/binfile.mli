@@ -15,11 +15,6 @@
     either sees the complete old file, the complete new file, or no file
     — never a torn one. *)
 
-val format_version : int
-(** Bumped whenever the marshalled representation of any persisted type
-    changes; old files then fail {!load} with a "stale version" error
-    instead of unmarshalling garbage. *)
-
 val save : kind:string -> path:string -> 'a -> unit
 (** [save ~kind ~path v] marshals [v] and atomically installs it at
     [path]. Raises [Sys_error] on OS failures (unwritable directory,

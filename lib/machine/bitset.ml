@@ -6,8 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((n + wbits - 1) / wbits) 0; n }
 
-let universe t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset: element out of universe"
 
@@ -29,7 +27,6 @@ let popcount x =
 
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let iter f t =
   for i = 0 to t.n - 1 do
@@ -40,11 +37,3 @@ let fold f t init =
   let acc = ref init in
   iter (fun i -> acc := f i !acc) t;
   !acc
-
-let copy t = { t with words = Array.copy t.words }
-
-let pp ppf t =
-  Format.fprintf ppf "{%a}"
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_char ppf ',')
-       Format.pp_print_int)
-    (List.rev (fold (fun i acc -> i :: acc) t []))

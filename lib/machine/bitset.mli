@@ -6,14 +6,10 @@ type t
 val create : int -> t
 (** [create n] is the empty set over universe [0..n-1]. *)
 
-val universe : t -> int
 val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
-val clear : t -> unit
 val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val copy : t -> t
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,7 @@ type iarr = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (* Bigarray metadata keeps per-processor cache state (large at full
    Origin-2000 scale) out of the GC's marking work. *)
 type t = {
-  line_bytes : int;
-  line_shift : int; (* log2 line_bytes: line_of_addr is one lsr *)
-  nsets : int;
+  line_shift : int; (* log2 line bytes: an address's line is one lsr *)
   set_mask : int; (* nsets - 1: set_of_line is one land *)
   assoc : int;
   tags : iarr; (* set*assoc + way -> line id, -1 = invalid *)
@@ -40,9 +38,7 @@ let create (cfg : Config.cache_cfg) =
   if not (is_pow2 nsets) then
     invalid_arg "Cache.create: set count not a power of two";
   {
-    line_bytes = cfg.line_bytes;
     line_shift = log2 cfg.line_bytes;
-    nsets;
     set_mask = nsets - 1;
     assoc = cfg.assoc;
     tags = make_iarr nlines (-1);
@@ -52,8 +48,6 @@ let create (cfg : Config.cache_cfg) =
     resident = 0;
   }
 
-let line_bytes t = t.line_bytes
-let line_of_addr t addr = addr lsr t.line_shift
 let set_of_line t line = line land t.set_mask
 
 (* [s + w] stays inside [tags] by construction (set index is masked, way
@@ -160,8 +154,3 @@ let iter_resident t f =
     let line = Bigarray.Array1.get t.tags idx in
     if line >= 0 then f ~line ~dirty:(Bytes.get t.dirty idx <> '\000')
   done
-
-let clear t =
-  Bigarray.Array1.fill t.tags (-1);
-  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
-  t.resident <- 0

@@ -11,8 +11,6 @@ type t
 type evicted = { line : int; dirty : bool }
 
 val create : Config.cache_cfg -> t
-val line_bytes : t -> int
-val line_of_addr : t -> int -> int
 
 val probe : t -> line:int -> bool
 (** Hit test without touching LRU state. *)
@@ -53,5 +51,3 @@ val resident_lines : t -> int
 val iter_resident : t -> (line:int -> dirty:bool -> unit) -> unit
 (** Visit every resident line (order unspecified); used by the invariant
     auditor. Does not disturb LRU state. *)
-
-val clear : t -> unit

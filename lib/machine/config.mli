@@ -56,14 +56,6 @@ val nnodes : t -> int
 val node_of_proc : t -> int -> int
 val pages_per_node : t -> int
 
-val max_dims : int
-(** Hypercube dimension bound on the interconnect geometry: machines up to
-    [2^max_dims] nodes (10 dims = 1024 nodes, 8x the paper's 64-node /
-    128-proc Origin) pass {!validate}; anything larger is rejected. *)
-
-val max_nodes : int
-(** [2^max_dims]. *)
-
 val dims : t -> int
 (** Hypercube dimension of the machine: the smallest [d] with
     [2^d >= nnodes]. Non-power-of-two node counts embed as a subcube of the
@@ -71,5 +63,5 @@ val dims : t -> int
 
 val validate : t -> (unit, string) result
 (** Check structural invariants (powers of two, positive parameters,
-    l1 line <= l2 line <= page, node count within the {!max_dims} hypercube
-    bound). Each error names the offending parameter and value. *)
+    l1 line <= l2 line <= page, node count within a 10-dimension (1024-node)
+    hypercube). Each error names the offending parameter and value. *)

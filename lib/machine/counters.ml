@@ -35,23 +35,6 @@ let create () =
     tlb_stall_cycles = 0;
   }
 
-let reset t =
-  t.loads <- 0;
-  t.stores <- 0;
-  t.l1_misses <- 0;
-  t.l2_misses <- 0;
-  t.tlb_misses <- 0;
-  t.local_fills <- 0;
-  t.remote_fills <- 0;
-  t.dirty_fetches <- 0;
-  t.upgrades <- 0;
-  t.invals_sent <- 0;
-  t.invals_received <- 0;
-  t.writebacks <- 0;
-  t.contention_cycles <- 0;
-  t.mem_stall_cycles <- 0;
-  t.tlb_stall_cycles <- 0
-
 let add acc x =
   acc.loads <- acc.loads + x.loads;
   acc.stores <- acc.stores + x.stores;
@@ -94,13 +77,3 @@ let to_assoc t =
     ("mem_stall_cycles", t.mem_stall_cycles);
     ("tlb_stall_cycles", t.tlb_stall_cycles);
   ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>accesses %d (%d ld, %d st)@ L1 miss %d, L2 miss %d (%d local, %d \
-     remote, %d dirty), TLB miss %d@ upgrades %d, invals %d sent / %d recv, \
-     writebacks %d@ stall: mem %d, contention %d, tlb %d@]"
-    (accesses t) t.loads t.stores t.l1_misses t.l2_misses t.local_fills
-    t.remote_fills t.dirty_fetches t.tlb_misses t.upgrades t.invals_sent
-    t.invals_received t.writebacks t.mem_stall_cycles t.contention_cycles
-    t.tlb_stall_cycles

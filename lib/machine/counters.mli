@@ -21,7 +21,6 @@ type t = {
 }
 
 val create : unit -> t
-val reset : t -> unit
 val add : t -> t -> unit
 (** [add acc x] accumulates [x] into [acc]. *)
 
@@ -30,5 +29,3 @@ val accesses : t -> int
 
 val to_assoc : t -> (string * int) list
 (** Snapshot as (name, value) pairs, for structured diagnostics. *)
-
-val pp : Format.formatter -> t -> unit

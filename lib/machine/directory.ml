@@ -181,12 +181,8 @@ let sharers_except t ~line ~proc =
       !acc
     end
 
-let entries t = t.size
-
 let iter t f =
   for s = 0 to (1 lsl t.lb) - 1 do
     let line = t.keys.(s) in
     if line >= 0 then f ~line (state_of_slot t s)
   done
-
-let nprocs t = t.nprocs

@@ -41,10 +41,6 @@ val drop : t -> line:int -> proc:int -> unit
 val sharers_except : t -> line:int -> proc:int -> int list
 (** Processors, other than [proc], currently holding the line. *)
 
-val entries : t -> int
-
 val iter : t -> (line:int -> state -> unit) -> unit
 (** Visit every directory entry (including [Uncached] ones left behind by
     evictions); used by the invariant auditor. *)
-
-val nprocs : t -> int

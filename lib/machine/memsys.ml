@@ -34,7 +34,6 @@ type t = {
   l1_shift : int; (* log2 L1 line bytes *)
   l2_shift : int; (* log2 L2 line bytes *)
   l1_hit_cycles : int;
-  l2_hit_cycles : int;
   tlb_miss_cycles : int;
   (* per-processor one-entry translation memo: the last translated page and
      its packed (node, frame) word. Purely a host-side cache of pagetable
@@ -75,7 +74,6 @@ let create cfg ~policy ?(fault = Fault.none) () =
     l1_shift = log2 cfg.Config.l1.Config.line_bytes;
     l2_shift = log2 cfg.Config.l2.Config.line_bytes;
     l1_hit_cycles = cfg.Config.l1.Config.hit_cycles;
-    l2_hit_cycles = cfg.Config.l2.Config.hit_cycles;
     tlb_miss_cycles = cfg.Config.tlb_miss_cycles;
     memo_page = Array.make n (-1);
     memo_packed = Array.make n (-1);
@@ -94,16 +92,13 @@ let invalidate_memos t = Array.fill t.memo_page 0 (Array.length t.memo_page) (-1
 
 let config t = t.cfg
 let fault t = t.fault
-let topology t = t.topo
 let pagetable t = t.pt
-let directory t = t.dir
 let page_of_addr t addr = addr lsr t.page_shift
 let home_of_addr t addr = Pagetable.home_opt t.pt ~page:(page_of_addr t addr)
 let set_probe t p = t.probe <- p
 let event t = t.event
 let counters t ~proc = t.ctrs.(proc)
 let total_counters t = Counters.sum t.ctrs
-let reset_counters t = Array.iter Counters.reset t.ctrs
 
 let place_page t ~page ~node =
   Pagetable.place t.pt ~page ~node;
@@ -114,15 +109,6 @@ let place_bytes t ~lo ~hi ~node =
     Pagetable.place t.pt ~page ~node
   done;
   invalidate_memos t
-
-let migrate_bytes t ~lo ~hi ~node =
-  let moved = ref 0 in
-  for page = lo lsr t.page_shift to hi lsr t.page_shift do
-    Pagetable.migrate t.pt ~page ~node;
-    incr moved
-  done;
-  invalidate_memos t;
-  !moved
 
 let migrate_page t ~page ~node =
   Pagetable.migrate t.pt ~page ~node;

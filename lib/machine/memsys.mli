@@ -49,7 +49,6 @@ val create : Config.t -> policy:Pagetable.policy -> ?fault:Ddsm_check.Fault.t ->
 
 val config : t -> Config.t
 val fault : t -> Ddsm_check.Fault.t
-val topology : t -> Topology.t
 
 val access : t -> proc:int -> addr:int -> write:bool -> now:int -> int
 (** Latency in cycles of a one-word access by [proc] at local time [now]. *)
@@ -61,26 +60,17 @@ val place_bytes : t -> lo:int -> hi:int -> node:int -> unit
 
 val place_page : t -> page:int -> node:int -> unit
 
-val migrate_bytes : t -> lo:int -> hi:int -> node:int -> int
-(** Re-home all pages overlapping the range; returns the number of pages
-    moved (the runtime charges redistribution cost per page). *)
-
-val migrate_page : t -> page:int -> node:int -> unit
-(** Re-home one page. Migration allocates a fresh physical frame, so this
-    also shoots the page down in every processor's TLB and invalidates the
-    per-processor one-entry translation memos — bypassing it (calling
-    [Pagetable.migrate] directly) leaves stale translations that the
-    {!audit} translation-memo check flags. *)
-
 val migrate_pages : t -> (int * int) list -> (int, int) result
 (** Bulk scheduled migration: apply every [(page, node)] move in order —
     all or nothing. Each move consults the fault plan's [migrate-fail]
     counter; on an injected failure the moves already applied are migrated
     back to their previous homes and [Error i] names the failed move, so
     the caller observes either the complete new placement or the old one.
-    [Ok n] is the number of moves applied. *)
+    [Ok n] is the number of moves applied. Migration allocates a fresh
+    physical frame, so each move (and each rollback) also shoots the page
+    down in every processor's TLB and drops the one-entry translation
+    memos. *)
 
-val page_of_addr : t -> int -> int
 val home_of_addr : t -> int -> int option
 
 val set_probe : t -> (access_event -> unit) option -> unit
@@ -94,10 +84,8 @@ val event : t -> access_event
 
 val counters : t -> proc:int -> Counters.t
 val total_counters : t -> Counters.t
-val reset_counters : t -> unit
 
 val pagetable : t -> Pagetable.t
-val directory : t -> Directory.t
 
 val audit : t -> Ddsm_check.Audit.violation list
 (** On-demand invariant audit of the whole machine: single-writer

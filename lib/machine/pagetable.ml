@@ -14,7 +14,6 @@ let node_bits = 20
 let node_mask = (1 lsl node_bits) - 1
 
 type t = {
-  cfg : Config.t;
   policy : policy;
   mutable table : int array; (* page -> (frame lsl node_bits) lor node; -1 = unplaced *)
   mutable hi : int; (* one past the highest placed page *)
@@ -40,7 +39,6 @@ let create cfg policy =
       / cfg.Config.page_bytes)
   in
   {
-    cfg;
     policy;
     table = Array.make 4096 (-1);
     hi = 0;

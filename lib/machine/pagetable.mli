@@ -61,10 +61,6 @@ val node_of_frame : t -> int -> int
 val pages_on_node : t -> node:int -> int
 val placed_pages : t -> int
 
-val iter : t -> (page:int -> node:int -> frame:int -> unit) -> unit
-(** Visit every placed page; used by the invariant auditor (e.g. to check
-    physical-frame uniqueness). *)
-
 val audit : t -> Ddsm_check.Audit.violation list
 (** Check frame uniqueness and frame/node agreement for every placed
     page. *)

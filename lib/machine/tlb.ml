@@ -90,7 +90,6 @@ let invalidate t ~page =
     t.last <- -1
   end
 
-let entries t = t.entries
 let resident t = t.used
 
 let iter_resident t f =

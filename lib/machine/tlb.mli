@@ -18,7 +18,6 @@ val invalidate : t -> page:int -> unit
 (** Drop [page]'s translation if resident (a targeted shootdown, as a page
     migration requires); a no-op otherwise. Other entries stay resident. *)
 
-val entries : t -> int
 val resident : t -> int
 (** Number of currently valid entries. *)
 

@@ -1,10 +1,10 @@
 type t = {
   cfg : Config.t;
   nnodes : int;
-  dims : int;
-  (* memory latency by hop count, dense over [0 .. dims]: hop distances in
-     a hypercube (Hamming distance of node ids) never exceed the dimension,
-     so every lookup the simulator can make is precomputed once here *)
+  (* memory latency by hop count, dense over [0 .. Config.dims]: hop
+     distances in a hypercube (Hamming distance of node ids) never exceed
+     the dimension, so every lookup the simulator can make is precomputed
+     once here *)
   hop_latency : int array;
 }
 
@@ -17,11 +17,9 @@ let create cfg =
           cfg.Config.remote_base_cycles
           + ((h - 1) * cfg.Config.remote_per_hop_cycles))
   in
-  { cfg; nnodes = Config.nnodes cfg; dims; hop_latency }
+  { cfg; nnodes = Config.nnodes cfg; hop_latency }
 
 let nnodes t = t.nnodes
-let dims t = t.dims
-let node_of_proc t p = Config.node_of_proc t.cfg p
 
 let hops t n1 n2 =
   if n1 < 0 || n1 >= t.nnodes || n2 < 0 || n2 >= t.nnodes then
@@ -31,11 +29,6 @@ let hops t n1 n2 =
     let x = n1 lxor n2 in
     let rec pc x acc = if x = 0 then acc else pc (x land (x - 1)) (acc + 1) in
     max 1 (pc x 0)
-
-let hop_latency t ~hops =
-  if hops < 0 || hops > t.dims then
-    invalid_arg "Topology.hop_latency: hop count out of range";
-  t.hop_latency.(hops)
 
 let route_cycles t ~from_node ~to_node =
   let h = hops t from_node to_node in

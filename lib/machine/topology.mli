@@ -10,20 +10,9 @@ type t
 
 val create : Config.t -> t
 val nnodes : t -> int
-val node_of_proc : t -> int -> int
-
-val dims : t -> int
-(** Hypercube dimension (see {!Config.dims}); the maximum possible hop
-    count on this machine. *)
 
 val hops : t -> int -> int -> int
 (** [hops t n1 n2]: 0 if same node, else Hamming distance (>= 1). *)
-
-val hop_latency : t -> hops:int -> int
-(** Uncontended memory latency at a given hop distance, from a table
-    precomputed at {!create} (dense over [0 .. dims t]). [hop_latency
-    ~hops:0] is the local latency. Raises [Invalid_argument] outside the
-    range. *)
 
 val route_cycles : t -> from_node:int -> to_node:int -> int
 (** One-way network traversal cost; 0 for the local node. *)

@@ -19,9 +19,6 @@ val to_string : t -> string
 
 val to_channel : out_channel -> t -> unit
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 val of_string : string -> (t, string) result
 (** Parse one complete JSON value (the RFC 8259 grammar; [\uXXXX] escapes
     are decoded to UTF-8). Numeric literals without ['.']/['e'] that fit

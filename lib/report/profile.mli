@@ -19,11 +19,7 @@
 
 type cause = Tlb | Hit | Local_fill | Remote_fill | Contention | Coherence
 
-val causes : cause array
-(** All causes, in {!cause_index} order. *)
-
 val cause_index : cause -> int
-val cause_name : cause -> string
 
 type t
 

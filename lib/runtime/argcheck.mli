@@ -34,8 +34,6 @@ val unregister : t -> addr:int -> (unit, string) result
     (a pop without a push), which would silently disable the §6 checks for
     every enclosing call — the caller must surface it. *)
 
-val lookup : t -> addr:int -> info option
-
 val check_entry :
   t -> addr:int -> name:string -> formal_extents:int array ->
   ?formal_kinds:Kind.t array -> unit -> (unit, string) result

@@ -34,7 +34,6 @@ module Meta : sig
   val block_off : dim:int -> int
   val stor_off : dim:int -> int
   val bases_off : ndims:int -> int
-  val size : ndims:int -> nprocs:int -> int
 end
 
 type storage =
@@ -142,8 +141,6 @@ val word_addr : t -> int array -> int
     is the runtime oracle for the compiled Table 1 address computation. *)
 
 val element_count : t -> int
-val zero_based : t -> int array -> int array
-(** Subtract lower bounds. *)
 
 val portion_run : t -> int array -> int
 (** Consecutive global elements starting at the given (Fortran) indices

@@ -46,4 +46,3 @@ let set_real t w v = Bigarray.Array1.set t.reals w v
 let get_int t w = Bigarray.Array1.get t.ints w
 let set_int t w v = Bigarray.Array1.set t.ints w v
 let byte_of_word w = w * word_bytes
-let word_of_byte b = b / word_bytes

@@ -21,7 +21,6 @@ exception Out_of_memory of string
     mistaken for an internal invariant violation. *)
 
 val create : words:int -> t
-val size_words : t -> int
 val used_words : t -> int
 
 val alloc : t -> words:int -> align_words:int -> int
@@ -35,4 +34,3 @@ val get_int : t -> int -> int
 val set_int : t -> int -> int -> unit
 
 val byte_of_word : int -> int
-val word_of_byte : int -> int

@@ -10,8 +10,10 @@ type t = {
   pools : (int, pool) Hashtbl.t;
 }
 
-let create heap mem ~slab_pages =
-  if slab_pages < 1 then invalid_arg "Pools.create";
+(* a processor's pool grows by at least this many pages at a time *)
+let slab_pages = 4
+
+let create heap mem =
   let page_bytes = (Memsys.config mem).Config.page_bytes in
   let page_words = page_bytes / Heap.word_bytes in
   { heap; mem; slab_words = slab_pages * page_words; page_words; pools = Hashtbl.create 64 }

@@ -12,9 +12,8 @@
 
 type t
 
-val create : Heap.t -> Ddsm_machine.Memsys.t -> slab_pages:int -> t
-(** [slab_pages] is the granularity (in pages) by which each processor's
-    pool grows. *)
+val create : Heap.t -> Ddsm_machine.Memsys.t -> t
+(** Each processor's pool grows by slabs of at least 4 pages. *)
 
 val alloc : t -> proc:int -> words:int -> int
 (** Allocate [words] words local to [proc]; returns the word address.

@@ -65,7 +65,7 @@ type t = {
   mutable observe : (event -> unit) option;
 }
 
-let create cfg ~policy ~heap_words ?(pool_slab_pages = 4) ?job_procs
+let create cfg ~policy ~heap_words ?job_procs
     ?(fault = Ddsm_check.Fault.none) () =
   let heap = Heap.create ~words:heap_words in
   let mem = Memsys.create cfg ~policy ~fault () in
@@ -80,7 +80,7 @@ let create cfg ~policy ~heap_words ?(pool_slab_pages = 4) ?job_procs
   {
     heap;
     mem;
-    pools = Pools.create heap mem ~slab_pages:pool_slab_pages;
+    pools = Pools.create heap mem;
     argcheck = Argcheck.create ();
     arrays = Hashtbl.create 64;
     gathers = Hashtbl.create 16;

@@ -117,8 +117,7 @@ type t = {
 
 val create :
   Config.t -> policy:Pagetable.policy -> heap_words:int ->
-  ?pool_slab_pages:int -> ?job_procs:int -> ?fault:Ddsm_check.Fault.t ->
-  unit -> t
+  ?job_procs:int -> ?fault:Ddsm_check.Fault.t -> unit -> t
 (** [fault] installs a deterministic fault plan on the simulated machine
     (see {!Ddsm_machine.Memsys.create}) and drives the injected
     redistribution failures consumed by {!redistribute}. *)
@@ -132,8 +131,6 @@ val note_barrier : t -> proc:int -> now:int -> unit
     counted machine-wide, 1-based) the arrival is never published — the
     seeded missing-synchronization bug the sanitizer must catch. Timing is
     unaffected either way. *)
-
-val page_words : t -> int
 
 (** Allocation entry points used by program elaboration. Arrays are
     registered by name; re-declaring a name is an error (the frontend

@@ -79,14 +79,11 @@ val false_sharing : t -> report list
     Deduplicated per (kind, array, region pair, access kinds). *)
 
 val dropped : t -> int
-(** Reports suppressed by the per-run cap (the first
-    {!val-reports_cap} survive). *)
+(** Reports suppressed by the per-run cap (the first 200 survive). *)
 
 val is_clean : t -> bool
 (** No data races and nothing dropped by the cap. False sharing does not
     make a run unclean — the program's values are still well-defined. *)
-
-val reports_cap : int
 
 val report_json : t -> Ddsm_report.Json.t
 (** Machine-readable report: counts plus one object per surviving race and

@@ -39,24 +39,6 @@ let table =
   ]
 
 let lookup name = List.assoc_opt name table
-let is_intrinsic name = lookup name <> None
-let names = List.map fst table
-
-let eval_pure name args =
-  match (name, args) with
-  | "mod", [ a; b ] when b <> 0.0 -> Some (Float.rem a b)
-  | "min", args -> Some (List.fold_left min infinity args)
-  | "max", args -> Some (List.fold_left max neg_infinity args)
-  | "abs", [ a ] -> Some (Float.abs a)
-  | "sqrt", [ a ] -> Some (sqrt a)
-  | "exp", [ a ] -> Some (exp a)
-  | "log", [ a ] -> Some (log a)
-  | "sin", [ a ] -> Some (sin a)
-  | "cos", [ a ] -> Some (cos a)
-  | "int", [ a ] -> Some (Float.of_int (int_of_float a))
-  | "nint", [ a ] -> Some (Float.round a)
-  | ("dble" | "float"), [ a ] -> Some a
-  | _ -> None
 
 let cycles = function
   | "sqrt" -> 20

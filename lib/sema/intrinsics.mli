@@ -11,12 +11,6 @@ type sig_ = {
 }
 
 val lookup : string -> sig_ option
-val is_intrinsic : string -> bool
-val names : string list
-
-val eval_pure : string -> float list -> float option
-(** Evaluate a numeric intrinsic on constant arguments ([None] for the
-    [dsm_*] family, which needs runtime state). *)
 
 val cycles : string -> int
 (** Compute cost charged by the VM for one evaluation. [sqrt], [exp] etc.

@@ -32,7 +32,6 @@ type binds = ((string * int) * bind) list
 (** keyed by (group key, dimension). *)
 
 val owner_expr : Tctx.arr -> dim:int -> i0:Expr.t -> Expr.t
-val offset_expr : Tctx.arr -> dim:int -> i0:Expr.t -> Expr.t
 
 val address : Tctx.arr -> binds -> subs:Expr.t list -> Expr.t
 (** Full word-address expression for a reference, using bindings where a

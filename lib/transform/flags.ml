@@ -35,10 +35,3 @@ let all_off =
 
 let tile_peel = { all_off with tile = true; peel = true; skew = true }
 let tile_peel_hoist = { tile_peel with hoist = true; cse = true; interchange = true }
-
-let pp ppf t =
-  let b name v = if v then name else "no-" ^ name in
-  Format.fprintf ppf "[%s %s %s %s %s %s %s %s]" (b "tile" t.tile)
-    (b "peel" t.peel) (b "skew" t.skew) (b "hoist" t.hoist) (b "cse" t.cse)
-    (b "fpdiv" t.fp_divmod) (b "interchange" t.interchange)
-    (b "inspector" t.inspector)

@@ -31,5 +31,3 @@ val tile_peel : t
 
 val tile_peel_hoist : t
 (** Table 2 row 3: adds hoisting (and the CSE it enables). *)
-
-val pp : Format.formatter -> t -> unit

@@ -90,8 +90,3 @@ let reshaped t name =
   match Hashtbl.find_opt t.arrays name with
   | Some a when a.reshape -> Some a
   | _ -> None
-
-let elem_ty t name =
-  match Sema.find_array t.env name with
-  | Some ai -> ai.Sema.ai_ty
-  | None -> Types.Treal

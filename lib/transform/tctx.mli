@@ -37,6 +37,3 @@ val distributed : t -> string -> arr option
 
 val reshaped : t -> string -> arr option
 (** Info only when the array is reshaped. *)
-
-val elem_ty : t -> string -> Types.ty
-(** Element type of a declared array (defaults to real for unknowns). *)

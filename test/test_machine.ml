@@ -372,9 +372,17 @@ let test_memsys_migrate_changes_home () =
   let m = mk () in
   ignore (Memsys.access m ~proc:0 ~addr:0 ~write:false ~now:0);
   Alcotest.(check (option int)) "homed on node 0" (Some 0) (Memsys.home_of_addr m 0);
-  let moved = Memsys.migrate_bytes m ~lo:0 ~hi:255 ~node:1 in
-  check_int "one page moved" 1 moved;
-  Alcotest.(check (option int)) "re-homed" (Some 1) (Memsys.home_of_addr m 0)
+  check_int "first touch misses the TLB" 1
+    (Memsys.counters m ~proc:0).Counters.tlb_misses;
+  (match Memsys.migrate_pages m [ (0, 1) ] with
+  | Ok moved -> check_int "one page moved" 1 moved
+  | Error i -> Alcotest.failf "move %d failed without a fault plan" i);
+  Alcotest.(check (option int)) "re-homed" (Some 1) (Memsys.home_of_addr m 0);
+  (* the migration shot page 0 down, so the next access refills the TLB *)
+  ignore (Memsys.access m ~proc:0 ~addr:0 ~write:false ~now:100);
+  check_int "stale translation dropped" 2
+    (Memsys.counters m ~proc:0).Counters.tlb_misses;
+  check_int "audit clean" 0 (List.length (Memsys.audit m))
 
 let test_memsys_tlb_pressure () =
   (* touching more pages than TLB entries causes recurring TLB misses *)
