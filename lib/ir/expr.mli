@@ -43,6 +43,11 @@ type t =
       (** word base of gather site [id]'s scratch buffer (inspector–executor
           transform); defined once the site's [Stmt.Gather] has executed *)
 
+val map_children : (t -> t) -> t -> t
+(** Rebuild the node with [f] applied to each direct subexpression (the
+    right operand of a binary node first). A leaf is returned physically
+    unchanged. *)
+
 val map : (t -> t) -> t -> t
 (** Bottom-up rewrite: applies the function to each node after rewriting its
     children. *)

@@ -24,21 +24,15 @@ let call_signature env args =
       | _ -> None)
     args
 
-let rec scan_calls env shadow (stmts : Stmt.t list) =
-  List.iter
-    (fun t ->
+let scan_calls env shadow (stmts : Stmt.t list) =
+  Stmt.fold
+    (fun () t ->
       match t.Stmt.s with
       | Stmt.Call (n, args) ->
           let sg = call_signature env args in
           if not (Sig_.is_trivial sg) then Shadow.add_call shadow n sg
-      | Stmt.Do d -> scan_calls env shadow d.Stmt.body
-      | Stmt.If (_, a, b) ->
-          scan_calls env shadow a;
-          scan_calls env shadow b
-      | Stmt.Doacross da -> scan_calls env shadow da.Stmt.loop.Stmt.body
-      | Stmt.Par p -> scan_calls env shadow p.Stmt.pbody
       | _ -> ())
-    stmts
+    () stmts
 
 let common_members env members =
   let off = ref 0 in

@@ -1,33 +1,16 @@
 open Ddsm_ir
 
-(* Expressions appearing at block level in a statement: everything except
-   the contents of nested bodies (each nested body is its own block). *)
-let shallow_exprs (t : Stmt.t) =
-  match t.Stmt.s with
-  | Stmt.Assign (Stmt.LVar _, e) -> [ e ]
-  | Stmt.Assign (Stmt.LRef (_, subs), e) -> subs @ [ e ]
-  | Stmt.AbsStore (_, a, v) -> [ a; v ]
-  | Stmt.Do d -> (d.Stmt.lo :: d.Stmt.hi :: Option.to_list d.Stmt.step)
-  | Stmt.If (c, _, _) -> [ c ]
-  | Stmt.Call (_, args) -> args
-  | Stmt.Print es -> es
-  | _ -> []
+(* Expressions appearing at block level in a statement: its own
+   expressions, not those of nested bodies (each nested body is its own
+   block). A [Gather] rectangle and a [Doacross] header are never
+   rewritten. *)
+let rewritable (t : Stmt.t) =
+  match t.Stmt.s with Stmt.Gather _ | Stmt.Doacross _ -> false | _ -> true
 
-let shallow_map f (t : Stmt.t) =
-  let s =
-    match t.Stmt.s with
-    | Stmt.Assign (Stmt.LVar x, e) -> Stmt.Assign (Stmt.LVar x, f e)
-    | Stmt.Assign (Stmt.LRef (a, subs), e) ->
-        Stmt.Assign (Stmt.LRef (a, List.map f subs), f e)
-    | Stmt.AbsStore (ty, a, v) -> Stmt.AbsStore (ty, f a, f v)
-    | Stmt.Do d ->
-        Stmt.Do { d with Stmt.lo = f d.Stmt.lo; hi = f d.Stmt.hi; step = Option.map f d.Stmt.step }
-    | Stmt.If (c, th, el) -> Stmt.If (f c, th, el)
-    | Stmt.Call (n, args) -> Stmt.Call (n, List.map f args)
-    | Stmt.Print es -> Stmt.Print (List.map f es)
-    | other -> other
-  in
-  { t with Stmt.s }
+let shallow_exprs t = if rewritable t then Stmt.own_exprs t else []
+
+let shallow_map f t =
+  if rewritable t then Stmt.map_own_exprs f t else { t with Stmt.s = t.Stmt.s }
 
 let replace_in c tv e =
   Expr.map (fun x -> if Expr.equal x c then Expr.Var tv else x) e
@@ -226,22 +209,13 @@ let rec cse_block ctx block =
     {
       stmts;
       kills = Array.map (fun t -> Stmt.assigned_vars [ t ]) stmts;
-      relaid = Array.map Hoist.redistributed_arrays stmts;
+      relaid = Array.map (fun t -> Stmt.arrays_redistributed [ t ]) stmts;
     }
   in
   let rec fix b iters =
     if iters > 50 then b
     else match round ctx b with None -> b | Some b -> fix b (iters + 1)
   in
-  let block = Array.to_list (fix b 0).stmts in
-  List.map
-    (fun t ->
-      match t.Stmt.s with
-      | Stmt.Do d -> { t with Stmt.s = Stmt.Do { d with Stmt.body = cse_block ctx d.Stmt.body } }
-      | Stmt.If (c, th, el) ->
-          { t with Stmt.s = Stmt.If (c, cse_block ctx th, cse_block ctx el) }
-      | Stmt.Par p -> { t with Stmt.s = Stmt.Par { Stmt.pbody = cse_block ctx p.Stmt.pbody } }
-      | _ -> t)
-    block
+  List.map (Stmt.map_bodies (cse_block ctx)) (Array.to_list (fix b 0).stmts)
 
 let routine ctx (r : Decl.routine) = { r with Decl.rbody = cse_block ctx r.Decl.rbody }

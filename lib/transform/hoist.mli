@@ -19,12 +19,5 @@ val contains_expensive : Ddsm_ir.Expr.t -> bool
     base-pointer load, or an integer div/mod. The CSE pass computes the
     same test bottom-up while it enumerates candidates. *)
 
-val redistributed_arrays : Ddsm_ir.Stmt.t -> string list
-(** Arrays whose layout the statement may change: targets of any
-    [c$redistribute] reachable inside it, including nested bodies. [Meta] and
-    [BaseOf] reads of such an array are not invariant across the statement
-    (shared with the CSE pass, which must not cache descriptor loads across a
-    redistribution). *)
-
 val meta_arrays : Ddsm_ir.Expr.t -> string list
 (** Arrays whose layout tables ([Meta]/[BaseOf]) the expression consults. *)

@@ -24,20 +24,12 @@ let rec xform_stmt (t : Stmt.t) : Stmt.t =
           let inner = Stmt.mk ~loc:t.Stmt.loc (Stmt.Do { d with Stmt.body = pt.Stmt.body }) in
           Stmt.mk ~loc:ploc (Stmt.Do { pt with Stmt.body = [ inner ] })
       | _ -> { t with Stmt.s = Stmt.Do d })
-  | Stmt.If (c, th, el) ->
-      { t with Stmt.s = Stmt.If (c, List.map xform_stmt th, List.map xform_stmt el) }
-  | Stmt.Par p ->
-      { t with Stmt.s = Stmt.Par { Stmt.pbody = List.map xform_stmt p.Stmt.pbody } }
-  | _ -> t
+  | _ -> Stmt.map_bodies (List.map xform_stmt) t
 
 (* only touch loops inside Par regions *)
 let rec outer (t : Stmt.t) : Stmt.t =
   match t.Stmt.s with
-  | Stmt.Par p ->
-      { t with Stmt.s = Stmt.Par { Stmt.pbody = List.map xform_stmt p.Stmt.pbody } }
-  | Stmt.Do d -> { t with Stmt.s = Stmt.Do { d with Stmt.body = List.map outer d.Stmt.body } }
-  | Stmt.If (c, th, el) ->
-      { t with Stmt.s = Stmt.If (c, List.map outer th, List.map outer el) }
-  | _ -> t
+  | Stmt.Par _ -> Stmt.map_bodies (List.map xform_stmt) t
+  | _ -> Stmt.map_bodies (List.map outer) t
 
 let routine (r : Decl.routine) = { r with Decl.rbody = List.map outer r.Decl.rbody }

@@ -35,18 +35,9 @@ let group_key ~kinds ~lowers ~extents ~onto =
 let create env =
   let arrays = Hashtbl.create 16 in
   let dynamic = Hashtbl.create 4 in
-  let rec scan (t : Stmt.t) =
-    match t.Stmt.s with
-    | Stmt.Redistribute rd -> Hashtbl.replace dynamic rd.Stmt.rarray ()
-    | Stmt.Do d -> List.iter scan d.Stmt.body
-    | Stmt.If (_, a, b) ->
-        List.iter scan a;
-        List.iter scan b
-    | Stmt.Doacross da -> List.iter scan da.Stmt.loop.Stmt.body
-    | Stmt.Par p -> List.iter scan p.Stmt.pbody
-    | _ -> ()
-  in
-  List.iter scan env.Sema.routine.Decl.rbody;
+  List.iter
+    (fun a -> Hashtbl.replace dynamic a ())
+    (Stmt.arrays_redistributed env.Sema.routine.Decl.rbody);
   Hashtbl.iter
     (fun name sym ->
       match sym with

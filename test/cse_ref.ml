@@ -115,7 +115,7 @@ let round ctx (block : Stmt.t list) : Stmt.t list option =
             List.exists (fun v -> List.mem v fv) (kills t)
             || List.exists
                  (fun a -> List.mem a ma)
-                 (Hoist.redistributed_arrays t)
+                 (Stmt.arrays_redistributed [ t ])
           then begin
             consider (i + 1);
             seg_start := i + 1;
