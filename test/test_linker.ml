@@ -209,6 +209,43 @@ let test_clone_created_and_runs () =
   (* b(k) = k + 2*1 summed over 1..128 = 8256 + 256 = 8512 *)
   check_str "linked program computes correctly" "8512" (run_linked l)
 
+(* [orphan] is never called from the program unit, so the clone of daxpy
+   it needs is made while the pre-linker sweeps the routines no call
+   reached, i.e. while it walks the routine table that cloning extends *)
+let orphan_src =
+  {|
+      program p
+      print *, 1
+      end
+
+      subroutine orphan()
+      integer n
+      parameter (n = 64)
+      real*8 a(n), b(n)
+c$distribute_reshape a(block), b(block)
+      call daxpy(a, b, n, 2.0)
+      end
+|}
+
+let test_clone_made_in_final_sweep () =
+  let l = link_ok [ obj "main.pf" orphan_src; obj "lib.pf" lib_src ] in
+  let clone =
+    match l.Prelink.clones with
+    | [ ("daxpy", clone) ] -> clone
+    | _ -> Alcotest.fail "expected exactly one clone, of daxpy"
+  in
+  let linked n = List.filter (fun (m, _, _) -> m = n) l.Prelink.routines in
+  List.iter
+    (fun n -> check_int (n ^ " linked once") 1 (List.length (linked n)))
+    [ "p"; "orphan"; "daxpy"; clone ];
+  (match linked "orphan" with
+  | [ (_, _, r) ] ->
+      check_bool "orphan calls the clone" true
+        (Ddsm_ir.Stmt.calls_made r.Ddsm_ir.Decl.rbody = [ clone ])
+  | _ -> ());
+  check_int "one recompilation" 1 l.Prelink.recompilations;
+  check_str "program runs" "1" (run_linked l)
+
 let test_two_distributions_two_clones () =
   let main2 =
     {|
@@ -709,6 +746,8 @@ let () =
           Alcotest.test_case "two distributions, two clones" `Quick test_two_distributions_two_clones;
           Alcotest.test_case "propagation down the chain" `Quick test_propagation_down_chain;
           Alcotest.test_case "shared clone" `Quick test_same_signature_shares_clone;
+          Alcotest.test_case "clone made in final sweep" `Quick
+            test_clone_made_in_final_sweep;
         ] );
       ( "link errors",
         [
