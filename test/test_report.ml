@@ -333,118 +333,19 @@ let test_observers_detached () =
   check_order "cycle-budget run, ordered subscribers" ~max_cycles:2000 ~ok:false
 
 (* ------------------------------------------------------------------ *)
-(* Trace export: a minimal test-local JSON reader (the library
-   deliberately has no parser) checks the Chrome trace output is
-   well-formed and timestamp-monotonic. *)
+(* Trace export: [Json.of_string] reads back what the emitter wrote, and
+   checks the Chrome trace output is well-formed and timestamp-monotonic. *)
 
-module Jparse = struct
-  type v =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of v list
-    | Obj of (string * v) list
+let parse_json what rendered =
+  match Json.of_string rendered with
+  | Ok v -> v
+  | Error m -> Alcotest.failf "%s malformed: %s" what m
 
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then s.[!pos] else raise (Bad "eof") in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      if !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      then (advance (); skip_ws ())
-    in
-    let expect c =
-      if peek () <> c then raise (Bad (Printf.sprintf "expected %c at %d" c !pos));
-      advance ()
-    in
-    let literal lit v =
-      String.iter expect lit;
-      v
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | '"' -> advance (); Buffer.contents b
-        | '\\' ->
-            advance ();
-            (match peek () with
-            | 'n' -> Buffer.add_char b '\n'
-            | 't' -> Buffer.add_char b '\t'
-            | 'r' -> Buffer.add_char b '\r'
-            | 'u' ->
-                (* skip the 4 hex digits; the tests only compare ASCII *)
-                advance (); advance (); advance (); advance ();
-                Buffer.add_char b '?'
-            | c -> Buffer.add_char b c);
-            advance ();
-            go ()
-        | c -> Buffer.add_char b c; advance (); go ()
-      in
-      go ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let numchar c =
-        (c >= '0' && c <= '9')
-        || c = '-' || c = '+' || c = '.' || c = 'e' || c = 'E'
-      in
-      while !pos < n && numchar s.[!pos] do advance () done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> raise (Bad "number")
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = '}' then (advance (); Obj [])
-          else
-            let rec fields acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); fields ((k, v) :: acc)
-              | '}' -> advance (); Obj (List.rev ((k, v) :: acc))
-              | _ -> raise (Bad "object")
-            in
-            fields []
-      | '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = ']' then (advance (); Arr [])
-          else
-            let rec items acc =
-              let v = value () in
-              skip_ws ();
-              match peek () with
-              | ',' -> advance (); items (v :: acc)
-              | ']' -> advance (); Arr (List.rev (v :: acc))
-              | _ -> raise (Bad "array")
-            in
-            items []
-      | '"' -> Str (parse_string ())
-      | 't' -> literal "true" (Bool true)
-      | 'f' -> literal "false" (Bool false)
-      | 'n' -> literal "null" Null
-      | _ -> parse_number ()
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then raise (Bad "trailing garbage");
-    v
-end
+(* a JSON number, whichever literal form the emitter chose *)
+let number = function
+  | Json.Int n -> Some (float_of_int n)
+  | Json.Float f -> Some f
+  | _ -> None
 
 let test_json_nonfinite_roundtrip () =
   (* JSON has no literal for inf/-inf/nan: all three must emit [null],
@@ -460,19 +361,17 @@ let test_json_nonfinite_roundtrip () =
       ]
   in
   let rendered = Json.to_string v in
-  match Jparse.parse rendered with
-  | exception Jparse.Bad m -> Alcotest.failf "emitted JSON malformed: %s" m
-  | Jparse.Obj f ->
-      let is_null k = List.assoc_opt k f = Some Jparse.Null in
+  match parse_json "emitted JSON" rendered with
+  | Json.Obj f ->
+      let is_null k = List.assoc_opt k f = Some Json.Null in
       check_bool "infinity emits null" true (is_null "a");
       check_bool "neg_infinity emits null" true (is_null "b");
       check_bool "nan emits null" true (is_null "c");
-      (match List.assoc_opt "d" f with
-      | Some (Jparse.Num x) ->
-          Alcotest.(check (float 1e-12)) "finite floats survive" 3.5 x
-      | _ -> Alcotest.fail "finite float mangled");
+      (match Option.bind (List.assoc_opt "d" f) number with
+      | Some x -> Alcotest.(check (float 1e-12)) "finite floats survive" 3.5 x
+      | None -> Alcotest.fail "finite float mangled");
       (match List.assoc_opt "e" f with
-      | Some (Jparse.Arr [ Jparse.Null; Jparse.Num _ ]) -> ()
+      | Some (Json.List [ Json.Null; x ]) when number x <> None -> ()
       | _ -> Alcotest.fail "nested non-finite float not nulled")
   | _ -> Alcotest.fail "top level not an object"
 
@@ -482,34 +381,30 @@ let test_trace_roundtrip () =
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   let rendered = Json.to_string (Profile.trace_json profile) in
-  let parsed =
-    try Jparse.parse rendered
-    with Jparse.Bad m -> Alcotest.failf "trace JSON malformed: %s" m
-  in
   let fields =
-    match parsed with
-    | Jparse.Obj f -> f
+    match parse_json "trace JSON" rendered with
+    | Json.Obj f -> f
     | _ -> Alcotest.fail "trace top level is not an object"
   in
   let events =
     match List.assoc_opt "traceEvents" fields with
-    | Some (Jparse.Arr l) -> l
+    | Some (Json.List l) -> l
     | _ -> Alcotest.fail "no traceEvents array"
   in
   check_bool "trace has events" true (List.length events > 0);
   let ts_of = function
-    | Jparse.Obj f -> (
+    | Json.Obj f -> (
         (match List.assoc_opt "ph" f with
-        | Some (Jparse.Str ("B" | "E" | "i")) -> ()
+        | Some (Json.Str ("B" | "E" | "i")) -> ()
         | _ -> Alcotest.fail "bad or missing ph");
         (match List.assoc_opt "name" f with
-        | Some (Jparse.Str _) -> ()
+        | Some (Json.Str _) -> ()
         | _ -> Alcotest.fail "missing name");
-        match List.assoc_opt "ts" f with
-        | Some (Jparse.Num t) ->
+        match Option.bind (List.assoc_opt "ts" f) number with
+        | Some t ->
             check_bool "ts is an integer" true (Float.is_integer t);
             t
-        | _ -> Alcotest.fail "missing ts")
+        | None -> Alcotest.fail "missing ts")
     | _ -> Alcotest.fail "event is not an object"
   in
   let stamps = List.map ts_of events in
@@ -523,7 +418,7 @@ let test_trace_roundtrip () =
     List.length
       (List.filter
          (function
-           | Jparse.Obj f -> List.assoc_opt "ph" f = Some (Jparse.Str ph)
+           | Json.Obj f -> List.assoc_opt "ph" f = Some (Json.Str ph)
            | _ -> false)
          events)
   in
