@@ -421,17 +421,14 @@ let user_error fmt =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let quick = List.mem "--quick" args in
-  (* --jobs N (or DDSM_JOBS) fans the version x P sweeps over domains *)
+  (* --jobs N fans the version x P sweeps over domains *)
   let rec jobs_of = function
     | "--jobs" :: n :: _ -> (
         match int_of_string_opt n with
         | Some j when j >= 1 -> j
         | _ -> user_error "--jobs: expected a positive integer, got %S" n)
     | _ :: tl -> jobs_of tl
-    | [] -> (
-        match Ddsm_util.Jobs.default_jobs () with
-        | Ok j -> j
-        | Error e -> user_error "%s" e)
+    | [] -> 1
   in
   let jobs = jobs_of args in
   let rec strip = function

@@ -314,13 +314,6 @@ let run image nprocs policy machine heap_words stats no_checks bounds
   | Invalid_argument m -> fail_diag (Diag.user ~phase:"cli" m)
 
 let () =
-  (* the env-supplied default is user input: a malformed DDSM_JOBS is a
-     located user error (exit 2), not an internal failure *)
-  let default_jobs =
-    match Ddsm_util.Jobs.default_jobs () with
-    | Ok n -> n
-    | Error e -> fail_diag (Diag.user ~phase:"env" e)
-  in
   let image = Arg.(required & pos 0 (some file) None & info [] ~docv:"PROG.pfi") in
   let nprocs =
     Arg.(value & opt int 8 & info [ "p"; "nprocs" ] ~docv:"N" ~doc:"Simulated processors.")
@@ -389,11 +382,11 @@ let () =
   let jobs =
     Arg.(
       value
-      & opt positive_int default_jobs
+      & opt positive_int 1
       & info [ "jobs" ] ~docv:"N"
           ~doc:
             "Run $(b,--differential) configurations on up to N domains \
-             (default from $(b,DDSM_JOBS), else 1). Results are reported in \
+             (default 1). Results are reported in \
              configuration order, so the output is identical for any N.")
   in
   let profile =

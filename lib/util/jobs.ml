@@ -6,24 +6,6 @@
    results (and re-raising exceptions) in job-list order, so the observable
    output of a parallel sweep is byte-identical to the sequential one. *)
 
-(* The environment default ([DDSM_JOBS]) is user input: a
-   malformed value is a diagnosable user error, never an exception — the
-   CLIs map [Error] to their documented exit-2 path. *)
-
-let parse_count ~env s =
-  let t = String.trim s in
-  (* decimal digits only: int_of_string's 0x/0o/_ spellings are surprising
-     in an environment variable and stay rejected *)
-  let decimal = t <> "" && String.for_all (fun c -> c >= '0' && c <= '9') t in
-  match (decimal, int_of_string_opt t) with
-  | true, Some n when n >= 1 -> Ok n
-  | _ -> Error (Printf.sprintf "%s=%S: expected a positive integer" env s)
-
-let default_jobs () =
-  match Sys.getenv_opt "DDSM_JOBS" with
-  | None -> Ok 1
-  | Some s -> parse_count ~env:"DDSM_JOBS" s
-
 type 'b slot = Pending | Done of 'b | Raised of exn * Printexc.raw_backtrace
 
 let map ?(jobs = 1) f xs =

@@ -7,16 +7,6 @@
     re-raised, making a parallel sweep observably identical to a sequential
     one. *)
 
-val parse_count : env:string -> string -> (int, string) result
-(** Parse a positive job count supplied through environment variable
-    [env]; the error message names the variable and the offending value,
-    so the CLIs can surface it as a located user error (exit 2). *)
-
-val default_jobs : unit -> (int, string) result
-(** Job count from the [DDSM_JOBS] environment variable; [Ok 1] when
-    unset. A malformed value is an [Error] naming the variable — user
-    input is never an exception. *)
-
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] is [List.map f xs] computed on up to [jobs] domains
     (the calling domain included). [jobs = 1] runs sequentially with no

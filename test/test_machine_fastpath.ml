@@ -8,9 +8,7 @@
    random event streams and on every example program.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
-   is re-raised; and its [DDSM_JOBS] parsing: a malformed value is a
-   located user error, never a bare exception (the CLI half of that table
-   lives in the bin/dune and bench/dune smokes). *)
+   is re-raised. *)
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
@@ -637,67 +635,6 @@ let test_jobs_empty_and_single () =
   Alcotest.(check (list int)) "empty" [] (Jobs.map ~jobs:4 (fun x -> x) []);
   Alcotest.(check (list int)) "single" [ 9 ] (Jobs.map ~jobs:4 (fun x -> x * 9) [ 1 ])
 
-(* ------------------------------------------------------------------ *)
-(* Jobs: env-derived counts are parsed, never exception-raising *)
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let check_error_mentions what sub = function
-  | Ok _ -> Alcotest.failf "%s: expected an error mentioning %S" what sub
-  | Error e ->
-      check_bool
-        (Printf.sprintf "%s: %S mentions %S" what e sub)
-        true (contains e sub)
-
-let test_jobs_parse_table () =
-  let cases =
-    [
-      ("4", Some 4);
-      (" 8 ", Some 8);
-      ("1", Some 1);
-      ("0", None);
-      ("-2", None);
-      ("", None);
-      ("abc", None);
-      ("4.5", None);
-      ("0x10", None);
-    ]
-  in
-  List.iter
-    (fun (s, expect) ->
-      match (Jobs.parse_count ~env:"DDSM_JOBS" s, expect) with
-      | Ok n, Some m -> check_int (Printf.sprintf "parse %S" s) m n
-      | Error e, None ->
-          check_bool
-            (Printf.sprintf "error for %S names the variable: %s" s e)
-            true
-            (contains e "DDSM_JOBS" && contains e s)
-      | Ok n, None ->
-          Alcotest.failf "parse %S: expected an error, got Ok %d" s n
-      | Error e, Some _ -> Alcotest.failf "parse %S: unexpected error %s" s e)
-    cases
-
-let with_env k v f =
-  let old = Sys.getenv_opt k in
-  Unix.putenv k v;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv k (Option.value old ~default:"1"))
-    f
-
-let test_jobs_env_defaults () =
-  with_env "DDSM_JOBS" "3" (fun () ->
-      check_bool "DDSM_JOBS=3" true (Jobs.default_jobs () = Ok 3));
-  with_env "DDSM_JOBS" "bogus" (fun () ->
-      check_error_mentions "DDSM_JOBS=bogus" "DDSM_JOBS" (Jobs.default_jobs ()))
-
 let () =
   Alcotest.run "machine-fastpath"
     [
@@ -734,10 +671,5 @@ let () =
             test_jobs_lowest_index_under_timing_skew;
           Alcotest.test_case "empty and single" `Quick
             test_jobs_empty_and_single;
-        ] );
-      ( "jobs env",
-        [
-          Alcotest.test_case "parse table" `Quick test_jobs_parse_table;
-          Alcotest.test_case "env defaults" `Quick test_jobs_env_defaults;
         ] );
     ]
