@@ -32,7 +32,9 @@
       [Tctx.fresh ctx "cse"] name [t], inserts [t = c] before the segment's
       first statement and replaces [c] by [t] throughout the segment.
     - {e Rounds} repeat until none is profitable, at most 51 per block.
-      Then each nested [Do], [If] and [Par] body is processed the same way,
-      in statement order. [Doacross] bodies are not entered. *)
+      Then each nested body is processed the same way, in statement order
+      (an [If]'s else branch before its then branch). A [Gather]'s
+      rectangle and a [Doacross] header are never rewritten; the pass
+      runs after {!Lower}, which leaves no [Doacross]. *)
 
 val routine : Tctx.t -> Ddsm_ir.Decl.routine -> Ddsm_ir.Decl.routine
