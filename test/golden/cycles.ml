@@ -1,11 +1,12 @@
 (* cycles.exe FILE.pf... — the cycle golden.
 
    Prints one line per run: the simulated cycle count, a digest of the
-   print transcript and every machine counter. Runs cover generated
-   programs (Gen seeds 0-499 at 1 and 4 processors, checks and bounds on,
-   as the fuzz differential runs them) and each FILE at 1 and 8
-   processors with pflc/pflrun defaults. Any moved cycle, counter or
-   print shows up as a diff against cycles.expected. *)
+   print transcript, every machine counter and the scheduling decisions
+   (parks, direct continues, forks). Runs cover generated programs (Gen
+   seeds 0-499 at 1 and 4 processors, checks and bounds on, as the fuzz
+   differential runs them) and each FILE at 1, 8 and 128 processors with
+   pflc/pflrun defaults. Any moved cycle, counter, print or scheduling
+   decision shows up as a diff against cycles.expected. *)
 
 module Ddsm = Ddsm_core.Ddsm
 module Counters = Ddsm_machine.Counters
@@ -22,7 +23,11 @@ let report name nprocs result =
              (Digest.to_hex (Digest.string (String.concat "\n" o.prints)))
           :: List.map
                (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-               (Counters.to_assoc o.counters))
+               (Counters.to_assoc o.counters)
+          @ [
+              Printf.sprintf "parks=%d direct=%d forks=%d" o.parks
+                o.direct_continues o.forks;
+            ])
   in
   Printf.printf "%s p%d %s\n" name nprocs body
 
@@ -67,5 +72,5 @@ let () =
     (fun path ->
       case (Filename.basename path)
         (compile_all Ddsm.compile_path [ path ])
-        ~heap_words:(1 lsl 24) ~bounds:false [ 1; 8 ])
+        ~heap_words:(1 lsl 24) ~bounds:false [ 1; 8; 128 ])
     paths

@@ -1067,6 +1067,88 @@ let test_schedule_pinned () =
         ("conv", 128, Origin2000, (261729, 88578, 1));
       ]
 
+(* The watchdog, tripped on purpose: with a stall limit of one scheduler
+   step, transpose at 8 procs stops at the first two same-clock pops
+   inside its first parallel region. Pins the headline and the blocked
+   forest the engine reports. *)
+let test_watchdog_stall_pinned () =
+  let module Ddsm = Ddsm_core.Ddsm in
+  let module Diag = Ddsm_check.Diag in
+  let prog =
+    match Ddsm.compile_path "../examples/programs/transpose.pf" with
+    | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
+    | Ok obj -> (
+        match Ddsm.link [ obj ] with
+        | Ok (prog, _) -> prog
+        | Error es -> Alcotest.failf "link: %s" (String.concat "; " es))
+  in
+  let rt = Ddsm.make_rt ~nprocs:8 () in
+  match Ddsm.run prog ~rt ~stall_limit:1 () with
+  | Ok _ -> Alcotest.fail "expected a watchdog stall"
+  | Error d ->
+      check_bool "watchdog reason" true
+        (d.Diag.reason = Diag.Watchdog_stall { steps = 2 });
+      Alcotest.(check string)
+        "headline" "watchdog: scheduler made no progress in 2 steps (livelock?)"
+        (Diag.headline d);
+      let rec render indent (v : Diag.task_view) =
+        Printf.sprintf "%sp%d c%d d%d %s" indent v.Diag.tv_proc v.Diag.tv_clock
+          v.Diag.tv_depth
+          (match v.Diag.tv_state with
+          | Diag.Ready -> "ready"
+          | Diag.Waiting n -> Printf.sprintf "waiting(%d)" n
+          | Diag.Blocked_mem -> "blocked-mem"
+          | Diag.Done -> "done")
+        :: List.concat_map (render (indent ^ "  ")) v.Diag.tv_children
+      in
+      Alcotest.(check (list string))
+        "blocked forest"
+        [
+          "p0 c1146121 d0 waiting(8)";
+          "  p7 c1146326 d1 ready";
+          "  p6 c1146350 d1 ready";
+          "  p5 c1146121 d1 ready";
+          "  p4 c1146121 d1 ready";
+          "  p3 c1146121 d1 ready";
+          "  p2 c1146121 d1 ready";
+          "  p1 c1146121 d1 ready";
+          "  p0 c1146121 d1 ready";
+        ]
+        (List.concat_map (render "") d.Diag.blocked)
+
+(* Minor-heap words allocated per simulated access by a whole run
+   (elaboration, closure compilation and execution), for the three
+   kernels at 8 procs. Minor words are deterministic for a given compiler
+   and program; the bounds sit about 10% above the values measured with
+   OCaml 5.1.1 (transpose 38.5, lu 30.6, conv 27.9) so a newer compiler's
+   small drift passes and a new per-access allocation does not. *)
+let test_words_per_access () =
+  let module Ddsm = Ddsm_core.Ddsm in
+  List.iter
+    (fun (name, bound) ->
+      let prog =
+        match Ddsm.compile_path ("../examples/programs/" ^ name ^ ".pf") with
+        | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
+        | Ok obj -> (
+            match Ddsm.link [ obj ] with
+            | Ok (prog, _) -> prog
+            | Error es -> Alcotest.failf "link: %s" (String.concat "; " es))
+      in
+      let rt = Ddsm.make_rt ~nprocs:8 () in
+      let before = Gc.minor_words () in
+      match Ddsm.run prog ~rt () with
+      | Error d -> Alcotest.failf "%s: %s" name (Ddsm.Diag.to_string d)
+      | Ok o ->
+          let words = Gc.minor_words () -. before in
+          let per =
+            words /. float_of_int (Ddsm_machine.Counters.accesses o.Engine.counters)
+          in
+          check_bool
+            (Printf.sprintf "%s -p 8: %.1f words per access (bound %.1f)" name
+               per bound)
+            true (per <= bound))
+    [ ("transpose", 42.5); ("lu", 33.7); ("conv", 30.7) ]
+
 let () =
   Alcotest.run "exec"
     [
@@ -1112,6 +1194,9 @@ let () =
           Alcotest.test_case "optimizations reduce cycles" `Quick test_optimization_reduces_cycles;
           Alcotest.test_case "counters populated" `Quick test_counters_populated;
           Alcotest.test_case "schedule pinned" `Quick test_schedule_pinned;
+          Alcotest.test_case "watchdog stall pinned" `Quick
+            test_watchdog_stall_pinned;
+          Alcotest.test_case "words per access" `Quick test_words_per_access;
           Alcotest.test_case "doacross in serial loop (hoist regression)" `Quick
             test_doacross_in_serial_loop;
           Alcotest.test_case "skewed loop semantics" `Quick test_skewed_loop_correct;
