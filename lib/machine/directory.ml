@@ -160,6 +160,17 @@ let drop t ~line ~proc =
     end
   end
 
+(* index of the lowest set bit of a non-zero word *)
+let ctz x =
+  let n = ref 0 and x = ref x in
+  if !x land 0xFFFFFFFF = 0 then (n := 32; x := !x lsr 32);
+  if !x land 0xFFFF = 0 then (n := !n + 16; x := !x lsr 16);
+  if !x land 0xFF = 0 then (n := !n + 8; x := !x lsr 8);
+  if !x land 0xF = 0 then (n := !n + 4; x := !x lsr 4);
+  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
+  if !x land 0x1 = 0 then incr n;
+  !n
+
 (* highest-processor-first, matching the Bitset.fold order of the reference
    implementation (the order is observable only through trace/event
    interleaving, never through counters) *)
@@ -171,12 +182,15 @@ let sharers_except t ~line ~proc =
     if w = 0 then []
     else if w land 1 = 1 then if w lsr 1 = proc then [] else [ w lsr 1 ]
     else begin
+      (* each word's set bits, lowest first, each prepended *)
       let acc = ref [] in
-      for p = 0 to t.nprocs - 1 do
-        if
-          p <> proc
-          && t.sh.((s * t.nwords) + (p / wbits)) land (1 lsl (p mod wbits)) <> 0
-        then acc := p :: !acc
+      for k = 0 to t.nwords - 1 do
+        let bits = ref t.sh.((s * t.nwords) + k) in
+        while !bits <> 0 do
+          let p = (k * wbits) + ctz !bits in
+          if p <> proc then acc := p :: !acc;
+          bits := !bits land (!bits - 1)
+        done
       done;
       !acc
     end

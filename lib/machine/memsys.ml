@@ -351,73 +351,71 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
       in
       (* who supplies the data? *)
       let dirty_owner =
-        match Directory.state t.dir ~line:l2_line with
-        | Directory.Exclusive q when q <> proc && Cache.is_dirty t.l2s.(q) ~line:l2_line ->
-            Some q
-        | _ -> None
+        let q = Directory.exclusive_owner t.dir ~line:l2_line in
+        if q >= 0 && q <> proc && Cache.is_dirty t.l2s.(q) ~line:l2_line then q
+        else -1
       in
-      (match dirty_owner with
-      | Some q ->
-          (* cache-to-cache: owner forwards; its copy is written back (read)
-             or invalidated (write) *)
-          c.Counters.dirty_fetches <- c.Counters.dirty_fetches + 1;
-          let q_node = Config.node_of_proc t.cfg q in
-          let c2c =
-            t.cfg.Config.dirty_transfer_extra_cycles
-            + Topology.route_cycles t.topo ~from_node:q_node ~to_node:my_node
-            + Fault.link_extra t.fault ~a:q_node ~b:my_node
-          in
-          fill_c := !fill_c + base_lat;
-          coh_c := !coh_c + c2c;
-          lat := !lat + base_lat + c2c;
-          (* the line being fetched lives on the accessed page, whose home
-             node we already hold — no page-table re-derivation *)
-          enqueue_writeback t ~node:home ~now:arrival;
-          if write then begin
-            ignore (smash_line t ~victim:q ~phys_line:l2_line);
-            t.ctrs.(q).Counters.invals_received <-
-              t.ctrs.(q).Counters.invals_received + 1;
-            c.Counters.invals_sent <- c.Counters.invals_sent + 1;
-            Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
-          end
-          else begin
-            (* owner's copy becomes clean-shared — in L1 too, or a later L1
-               victim eviction would fold its stale dirty bit back into the
-               now-shared L2 line *)
-            Cache.clear_dirty t.l2s.(q) ~line:l2_line;
-            let lo = l2_line lsl t.l2_shift in
-            Cache.clear_dirty_range t.l1s.(q) ~lo_addr:lo
-              ~hi_addr:(lo + t.cfg.Config.l2.Config.line_bytes - 1);
-            Directory.add_sharer t.dir ~line:l2_line ~proc
-          end
-      | None ->
-          (* memory supplies the line *)
-          let wait = module_service t ~node:home ~arrival in
-          c.Counters.contention_cycles <- c.Counters.contention_cycles + wait;
-          fill_c := !fill_c + base_lat;
-          cont_c := !cont_c + wait;
-          lat := !lat + base_lat + wait;
-          if write then begin
-            let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
-            List.iter
-              (fun q ->
-                ignore (smash_line t ~victim:q ~phys_line:l2_line);
-                t.ctrs.(q).Counters.invals_received <-
-                  t.ctrs.(q).Counters.invals_received + 1)
-              others;
-            c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
-            let inval = t.cfg.Config.inval_cycles_per_sharer * List.length others in
-            coh_c := !coh_c + inval;
-            lat := !lat + inval;
-            Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
-          end
-          else begin
-            match Directory.state t.dir ~line:l2_line with
-            | Directory.Uncached ->
-                (* MESI E state: sole reader gets a clean-exclusive copy *)
-                Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
-            | _ -> Directory.add_sharer t.dir ~line:l2_line ~proc
-          end);
+      (if dirty_owner >= 0 then begin
+        let q = dirty_owner in
+        (* cache-to-cache: owner forwards; its copy is written back (read)
+           or invalidated (write) *)
+        c.Counters.dirty_fetches <- c.Counters.dirty_fetches + 1;
+        let q_node = Config.node_of_proc t.cfg q in
+        let c2c =
+          t.cfg.Config.dirty_transfer_extra_cycles
+          + Topology.route_cycles t.topo ~from_node:q_node ~to_node:my_node
+          + Fault.link_extra t.fault ~a:q_node ~b:my_node
+        in
+        fill_c := !fill_c + base_lat;
+        coh_c := !coh_c + c2c;
+        lat := !lat + base_lat + c2c;
+        (* the line being fetched lives on the accessed page, whose home
+           node we already hold — no page-table re-derivation *)
+        enqueue_writeback t ~node:home ~now:arrival;
+        if write then begin
+          ignore (smash_line t ~victim:q ~phys_line:l2_line);
+          t.ctrs.(q).Counters.invals_received <-
+            t.ctrs.(q).Counters.invals_received + 1;
+          c.Counters.invals_sent <- c.Counters.invals_sent + 1;
+          Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
+        end
+        else begin
+          (* owner's copy becomes clean-shared — in L1 too, or a later L1
+             victim eviction would fold its stale dirty bit back into the
+             now-shared L2 line *)
+          Cache.clear_dirty t.l2s.(q) ~line:l2_line;
+          let lo = l2_line lsl t.l2_shift in
+          Cache.clear_dirty_range t.l1s.(q) ~lo_addr:lo
+            ~hi_addr:(lo + t.cfg.Config.l2.Config.line_bytes - 1);
+          Directory.add_sharer t.dir ~line:l2_line ~proc
+        end
+      end
+      else begin
+        (* memory supplies the line *)
+        let wait = module_service t ~node:home ~arrival in
+        c.Counters.contention_cycles <- c.Counters.contention_cycles + wait;
+        fill_c := !fill_c + base_lat;
+        cont_c := !cont_c + wait;
+        lat := !lat + base_lat + wait;
+        if write then begin
+          let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
+          List.iter
+            (fun q ->
+              ignore (smash_line t ~victim:q ~phys_line:l2_line);
+              t.ctrs.(q).Counters.invals_received <-
+                t.ctrs.(q).Counters.invals_received + 1)
+            others;
+          c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
+          let inval = t.cfg.Config.inval_cycles_per_sharer * List.length others in
+          coh_c := !coh_c + inval;
+          lat := !lat + inval;
+          Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
+        end
+        else if Directory.is_uncached t.dir ~line:l2_line then
+          (* MESI E state: sole reader gets a clean-exclusive copy *)
+          Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
+        else Directory.add_sharer t.dir ~line:l2_line ~proc
+      end);
       if home = my_node then c.Counters.local_fills <- c.Counters.local_fills + 1
       else c.Counters.remote_fills <- c.Counters.remote_fills + 1;
       handle_l2_eviction t ~proc ~now (Cache.insert l2 ~line:l2_line ~dirty:write)
