@@ -12,29 +12,32 @@ module Grid = Ddsm_dist.Grid
 module K = Ddsm_dist.Kind
 module Redist = Ddsm_dist.Redist
 
-exception Return_local
+type task = Sched.task
 
-type ctx = { ws : Eff.ws; frame : Frame.t }
+(* a continuation: where a task goes next *)
+type k = task -> unit
 
-type rt_arg = Ai of int | Af of float | Awhole of Frame.abind | Aelem of int
-
-type entry = Eff.ws -> rt_arg list -> unit
+(* code that runs and then continues at its argument; applied to its
+   successor once, when the routine is linked *)
+type step = k -> k
 
 type g = {
   prog : Prog.t;
   rt : Rt.t;
+  sched : Sched.t;
   checks : bool;
   bounds : bool;
   static_abind : routine:string -> array:string -> Frame.abind option;
   print : string -> unit;
-  entries : (string, entry) Hashtbl.t;
+  entries : (string, k) Hashtbl.t;
   mutable cycle_limit : int;
 }
 
-let create prog ~rt ~checks ~bounds ~static_abind ~print =
+let create prog ~rt ~sched ~checks ~bounds ~static_abind ~print =
   {
     prog;
     rt;
+    sched;
     checks;
     bounds;
     static_abind;
@@ -44,6 +47,9 @@ let create prog ~rt ~checks ~bounds ~static_abind ~print =
   }
 
 let set_cycle_limit g n = g.cycle_limit <- n
+let ints (t : task) = t.Sched.frame.Frame.ints
+let floats (t : task) = t.Sched.frame.Frame.floats
+let arrays (t : task) = t.Sched.frame.Frame.arrays
 
 (* ------------------------------------------------------------------ *)
 (* Per-routine compile environment *)
@@ -59,6 +65,7 @@ type renv = {
   mutable nf : int;
   aslots : (string, int) Hashtbl.t;
   mutable na : int;
+  mutable in_par : bool;  (** compiling the body of a [Par] *)
 }
 
 let sema_scalar_ty renv x =
@@ -87,6 +94,15 @@ let slot_for renv x ~ty =
       Hashtbl.replace renv.slots x s;
       s
 
+(* frame temporaries: values that live across a memory access *)
+let temp_int renv =
+  renv.ni <- renv.ni + 1;
+  renv.ni - 1
+
+let temp_float renv =
+  renv.nf <- renv.nf + 1;
+  renv.nf - 1
+
 let arr_slot renv a =
   match Hashtbl.find_opt renv.aslots a with
   | Some i -> i
@@ -109,17 +125,7 @@ let array_elem_ty renv a =
   | None -> Types.Treal
 
 (* ------------------------------------------------------------------ *)
-(* Memory helpers (word addresses; the engine converts to bytes) *)
-
-let load_int g (addrf : ctx -> int) ctx =
-  let addr = addrf ctx in
-  Effect.perform (Eff.Mem (ctx.ws, addr, false));
-  Heap.get_int g.rt.Rt.heap addr
-
-let load_real g (addrf : ctx -> int) ctx =
-  let addr = addrf ctx in
-  Effect.perform (Eff.Mem (ctx.ws, addr, false));
-  Heap.get_real g.rt.Rt.heap addr
+(* Memory helpers (word addresses; the scheduler converts to bytes) *)
 
 (* Storing a real value into an INTEGER array element: NaN and
    out-of-range magnitudes have no integer representation — surface the
@@ -143,17 +149,20 @@ let meta_addr name (ab : Frame.abind) field =
       | Expr.Block dim -> mb + Darray.Meta.block_off ~dim
       | Expr.Stor dim -> mb + Darray.Meta.stor_off ~dim)
 
+let check_subscript name (ab : Frame.abind) i s =
+  let x = s - ab.Frame.ab_lowers.(i) in
+  if x < 0 || x >= ab.Frame.ab_extents.(i) then
+    Eff.error "array %s: subscript %d out of bounds in dim %d" name s (i + 1)
+
 (* column-major word address of a subscript list in a plain view; with
    [bounds], an out-of-range subscript is a located error reporting the
    value already computed *)
-let plain_addr ~bounds name (ab : Frame.abind) subfs ctx =
+let plain_addr ~bounds name (ab : Frame.abind) subfs t =
   let addr = ref ab.Frame.ab_base in
   for i = 0 to Array.length subfs - 1 do
-    let s = subfs.(i) ctx in
-    let x = s - ab.Frame.ab_lowers.(i) in
-    if bounds && (x < 0 || x >= ab.Frame.ab_extents.(i)) then
-      Eff.error "array %s: subscript %d out of bounds in dim %d" name s (i + 1);
-    addr := !addr + (x * ab.Frame.ab_strides.(i))
+    let s = subfs.(i) t in
+    if bounds then check_subscript name ab i s;
+    addr := !addr + ((s - ab.Frame.ab_lowers.(i)) * ab.Frame.ab_strides.(i))
   done;
   !addr
 
@@ -180,35 +189,164 @@ let alu_discount e =
     e;
   !n * Costs.alu
 
-(* ------------------------------------------------------------------ *)
-(* Expression compilation: each node is compiled once, into a closure of
-   its own type and its static cost *)
+let charge c (t : task) = t.Sched.clock <- t.Sched.clock + c
 
-type value = I of (ctx -> int) | F of (ctx -> float)
+(* ------------------------------------------------------------------ *)
+(* Expression compilation: each node is compiled once, into code of its
+   own type and its static cost.
+
+   An expression without memory accesses is one direct closure, [f]. An
+   expression with accesses also has a [pre]: it makes them in evaluation
+   order, each result going to a frame temporary, and then continues; [f]
+   computes the value from those temporaries afterwards. The order is the
+   one direct-style OCaml gives the closures: binary operands and function
+   arguments right to left, [let] sequences, [let ... and ...] and list
+   walks left to right. An operand whose value must be computed before a
+   later operand's accesses (to keep an error or a charge in place) is
+   computed there and kept in a temporary, unless it is [safe]: it raises
+   nothing and reads only frame slots, so computing it late changes
+   nothing. *)
+
+type 'a cexp = { pre : step option; f : task -> 'a; safe : bool }
+type value = I of int cexp | F of float cexp
+
+let direct ?(safe = true) f = { pre = None; f; safe }
+let has_pre x = Option.is_some x.pre
+let then_ pre (k : k) = match pre with None -> k | Some p -> p k
+
+(* the steps of a sequence, in order, as one step *)
+let chain pres =
+  match List.filter_map Fun.id pres with
+  | [] -> None
+  | ps -> Some (fun k -> List.fold_right (fun p k -> p k) ps k)
+
+(* One operand of a node: its accesses, and a reader of its value that is
+   valid in the node's own code. [later]: an operand evaluated after this
+   one makes accesses. *)
+let settle_int renv x ~later =
+  if x.safe || not later then (x.pre, x.f)
+  else
+    let r = temp_int renv and f = x.f in
+    ( Some
+        (fun k ->
+          then_ x.pre (fun t ->
+              (ints t).(r) <- f t;
+              k t)),
+      fun t -> (ints t).(r) )
+
+let settle_float renv x ~later =
+  if x.safe || not later then (x.pre, x.f)
+  else
+    let r = temp_float renv and f = x.f in
+    ( Some
+        (fun k ->
+          then_ x.pre (fun t ->
+              (floats t).(r) <- f t;
+              k t)),
+      fun t -> (floats t).(r) )
+
+let settle_value renv v ~later =
+  match v with
+  | I x ->
+      let p, f = settle_int renv x ~later in
+      (p, I (direct f))
+  | F x ->
+      let p, f = settle_float renv x ~later in
+      (p, F (direct f))
+
+let value_pre = function I x -> x.pre | F x -> x.pre
+
+(* operands evaluated in list order *)
+let settle_all settle has xs =
+  let rec go = function
+    | [] -> ([], [])
+    | x :: rest ->
+        let p, f = settle x ~later:(List.exists has rest) in
+        let ps, fs = go rest in
+        (p :: ps, f :: fs)
+  in
+  let ps, fs = go xs in
+  (chain ps, fs)
+
+let settle_ints renv xs = settle_all (settle_int renv) has_pre xs
+let settle_floats renv xs = settle_all (settle_float renv) has_pre xs
+
+let settle_values renv vs =
+  settle_all (settle_value renv) (fun v -> Option.is_some (value_pre v)) vs
+
+(* two operands evaluated right to left: [b]'s accesses, then [a]'s *)
+let rl_ints renv a b =
+  let pb, fb = settle_int renv b ~later:(has_pre a) in
+  let pa, fa = settle_int renv a ~later:false in
+  (chain [ pb; pa ], fa, fb)
+
+let rl_floats renv a b =
+  let pb, fb = settle_float renv b ~later:(has_pre a) in
+  let pa, fa = settle_float renv a ~later:false in
+  (chain [ pb; pa ], fa, fb)
+
+(* [x], raising [fail v] right after it yields a value [v] that [bad]
+   rejects *)
+let checked x bad fail =
+  let f = x.f in
+  {
+    x with
+    f =
+      (fun t ->
+        let v = f t in
+        if bad v then fail v;
+        v);
+    safe = false;
+  }
 
 (* the two coercions; a conversion costs one ALU op *)
 let to_int = function
-  | I f, c -> (f, c)
-  | F f, c -> ((fun ctx -> int_of_float (f ctx)), c + Costs.alu)
+  | I x, c -> (x, c)
+  | F x, c ->
+      let f = x.f in
+      ({ x with f = (fun t -> int_of_float (f t)) }, c + Costs.alu)
 
 let to_float = function
-  | F f, c -> (f, c)
-  | I f, c -> ((fun ctx -> float_of_int (f ctx)), c + Costs.alu)
+  | F x, c -> (x, c)
+  | I x, c ->
+      let f = x.f in
+      ({ x with f = (fun t -> float_of_int (f t)) }, c + Costs.alu)
 
 let is_real = function F _, _ -> true | I _, _ -> false
 
-(* the closures of several compiled operands and their summed cost *)
+(* the compiled operands of several arguments and their summed cost *)
 let sum_costs cs = (List.map fst cs, List.fold_left (fun acc (_, c) -> acc + c) 0 cs)
 
-let load renv ty addrf =
+(* A load: the address's accesses, then the access itself, then — on
+   resume, after the commit — the heap read into a temporary. *)
+let load renv ty (a : int cexp) =
+  let s = renv.g.sched and heap = renv.g.rt.Rt.heap and af = a.f in
   match ty with
-  | Types.Tint -> I (load_int renv.g addrf)
-  | Types.Treal -> F (load_real renv.g addrf)
+  | Types.Tint ->
+      let r = temp_int renv in
+      let pre k =
+        let got t =
+          (ints t).(r) <- Heap.get_int heap t.Sched.addr;
+          k t
+        in
+        then_ a.pre (fun t -> Sched.access s t (af t) false got)
+      in
+      I { pre = Some pre; f = (fun t -> (ints t).(r)); safe = true }
+  | Types.Treal ->
+      let r = temp_float renv in
+      let pre k =
+        let got t =
+          (floats t).(r) <- Heap.get_real heap t.Sched.addr;
+          k t
+        in
+        then_ a.pre (fun t -> Sched.access s t (af t) false got)
+      in
+      F { pre = Some pre; f = (fun t -> (floats t).(r)); safe = true }
 
 let rec compile renv (e : Expr.t) : value * int =
   match e with
-  | Expr.Int n -> (I (fun _ -> n), 0)
-  | Expr.Real x -> (F (fun _ -> x), 0)
+  | Expr.Int n -> (I (direct (fun _ -> n)), 0)
+  | Expr.Real x -> (F (direct (fun _ -> x)), 0)
   | Expr.Str _ -> Eff.error "internal: string constant outside print"
   | Expr.Var x -> (
       (* a name sema does not know is an integer temporary; a bare array
@@ -219,54 +357,89 @@ let rec compile renv (e : Expr.t) : value * int =
         | None -> Types.Tint
       in
       match slot_for renv x ~ty with
-      | SInt i -> (I (fun ctx -> ctx.frame.Frame.ints.(i)), 0)
-      | SFloat i -> (F (fun ctx -> ctx.frame.Frame.floats.(i)), 0))
+      | SInt i -> (I (direct (fun t -> (ints t).(i))), 0)
+      | SFloat i -> (F (direct (fun t -> (floats t).(i))), 0))
   | Expr.Neg a -> (
       match compile renv a with
-      | I f, c -> (I (fun ctx -> -f ctx), c + Costs.alu)
-      | F f, c -> (F (fun ctx -> -.f ctx), c + Costs.alu))
+      | I x, c ->
+          let f = x.f in
+          (I { x with f = (fun t -> -f t) }, c + Costs.alu)
+      | F x, c ->
+          let f = x.f in
+          (F { x with f = (fun t -> -.f t) }, c + Costs.alu))
   | Expr.Bin (op, a, b) -> (
       let ra = compile renv a in
       let rb = compile renv b in
       match (ra, rb) with
-      | (I fa, ca), (I fb, cb) -> (
+      | (I xa, ca), (I xb, cb) -> (
           let c = ca + cb in
           match op with
-          | Expr.Add -> (I (fun ctx -> fa ctx + fb ctx), c + Costs.alu)
-          | Expr.Sub -> (I (fun ctx -> fa ctx - fb ctx), c + Costs.alu)
-          | Expr.Mul -> (I (fun ctx -> fa ctx * fb ctx), c + Costs.alu)
+          | Expr.Add | Expr.Sub | Expr.Mul ->
+              let pre, fa, fb = rl_ints renv xa xb in
+              let f =
+                match op with
+                | Expr.Add -> fun t -> fa t + fb t
+                | Expr.Sub -> fun t -> fa t - fb t
+                | _ -> fun t -> fa t * fb t
+              in
+              (I { pre; f; safe = xa.safe && xb.safe }, c + Costs.alu)
           | Expr.Div ->
+              let xb =
+                checked xb (fun d -> d = 0) (fun _ ->
+                    Eff.error "integer division by zero")
+              in
+              let pre, fa, fb = rl_ints renv xa xb in
               ( I
-                  (fun ctx ->
-                    let d = fb ctx in
-                    if d = 0 then Eff.error "integer division by zero";
-                    fa ctx / d),
+                  {
+                    pre;
+                    f =
+                      (fun t ->
+                        let d = fb t in
+                        fa t / d);
+                    safe = false;
+                  },
                 c + Costs.int_div )
           | Expr.Pow ->
+              (* [let base = .. and e = ..]: left to right *)
+              let xb =
+                checked xb (fun e -> e < 0) (fun _ ->
+                    Eff.error "negative integer exponent")
+              in
+              let pre, fs = settle_ints renv [ xa; xb ] in
+              let fa, fb =
+                match fs with [ fa; fb ] -> (fa, fb) | _ -> assert false
+              in
               ( I
-                  (fun ctx ->
-                    let base = fa ctx and e = fb ctx in
-                    if e < 0 then Eff.error "negative integer exponent";
-                    let rec pw acc n =
-                      if n = 0 then acc else pw (acc * base) (n - 1)
-                    in
-                    pw 1 e),
+                  {
+                    pre;
+                    f =
+                      (fun t ->
+                        let base = fa t and e = fb t in
+                        let rec pw acc n =
+                          if n = 0 then acc else pw (acc * base) (n - 1)
+                        in
+                        pw 1 e);
+                    safe = false;
+                  },
                 c + Costs.pow ))
       | _ -> (
-          let fa, ca = to_float ra and fb, cb = to_float rb in
+          let xa, ca = to_float ra and xb, cb = to_float rb in
           let c = ca + cb in
+          let pre, fa, fb = rl_floats renv xa xb in
+          let safe = xa.safe && xb.safe in
           match op with
-          | Expr.Add -> (F (fun ctx -> fa ctx +. fb ctx), c + Costs.alu)
-          | Expr.Sub -> (F (fun ctx -> fa ctx -. fb ctx), c + Costs.alu)
-          | Expr.Mul -> (F (fun ctx -> fa ctx *. fb ctx), c + Costs.alu)
-          | Expr.Div -> (F (fun ctx -> fa ctx /. fb ctx), c + Costs.real_div)
-          | Expr.Pow -> (F (fun ctx -> Float.pow (fa ctx) (fb ctx)), c + Costs.pow)))
+          | Expr.Add -> (F { pre; f = (fun t -> fa t +. fb t); safe }, c + Costs.alu)
+          | Expr.Sub -> (F { pre; f = (fun t -> fa t -. fb t); safe }, c + Costs.alu)
+          | Expr.Mul -> (F { pre; f = (fun t -> fa t *. fb t); safe }, c + Costs.alu)
+          | Expr.Div -> (F { pre; f = (fun t -> fa t /. fb t); safe }, c + Costs.real_div)
+          | Expr.Pow ->
+              (F { pre; f = (fun t -> Float.pow (fa t) (fb t)); safe }, c + Costs.pow)))
   | Expr.Rel (op, a, b) ->
       let ra = compile renv a in
       let rb = compile renv b in
-      let test, c =
+      let pre, test, safe, c =
         match (ra, rb) with
-        | (I fa, ca), (I fb, cb) ->
+        | (I xa, ca), (I xb, cb) ->
             let cmp : int -> int -> bool =
               match op with
               | Expr.Lt -> ( < )
@@ -276,9 +449,10 @@ let rec compile renv (e : Expr.t) : value * int =
               | Expr.Eq -> ( = )
               | Expr.Ne -> ( <> )
             in
-            ((fun ctx -> cmp (fa ctx) (fb ctx)), ca + cb)
+            let pre, fa, fb = rl_ints renv xa xb in
+            (pre, (fun t -> cmp (fa t) (fb t)), xa.safe && xb.safe, ca + cb)
         | _ ->
-            let fa, ca = to_float ra and fb, cb = to_float rb in
+            let xa, ca = to_float ra and xb, cb = to_float rb in
             let cmp : float -> float -> bool =
               match op with
               | Expr.Lt -> ( < )
@@ -288,38 +462,83 @@ let rec compile renv (e : Expr.t) : value * int =
               | Expr.Eq -> ( = )
               | Expr.Ne -> ( <> )
             in
-            ((fun ctx -> cmp (fa ctx) (fb ctx)), ca + cb)
+            let pre, fa, fb = rl_floats renv xa xb in
+            (pre, (fun t -> cmp (fa t) (fb t)), xa.safe && xb.safe, ca + cb)
       in
-      (I (fun ctx -> if test ctx then 1 else 0), c + Costs.alu)
-  | Expr.Log (op, a, b) ->
-      let fa, ca = compile_int renv a in
-      let fb, cb = compile_int renv b in
-      let f =
-        match op with
-        | Expr.And -> fun ctx -> if fa ctx <> 0 && fb ctx <> 0 then 1 else 0
-        | Expr.Or -> fun ctx -> if fa ctx <> 0 || fb ctx <> 0 then 1 else 0
-      in
-      (I f, ca + cb + Costs.alu)
+      (I { pre; f = (fun t -> if test t then 1 else 0); safe }, c + Costs.alu)
+  | Expr.Log (op, a, b) -> (
+      let xa, ca = compile_int renv a in
+      let xb, cb = compile_int renv b in
+      let c = ca + cb + Costs.alu in
+      let fa = xa.f and fb = xb.f in
+      match xb.pre with
+      | None ->
+          (* [b] makes no access: it stays conditional in the node's code *)
+          let f =
+            match op with
+            | Expr.And -> fun t -> if fa t <> 0 && fb t <> 0 then 1 else 0
+            | Expr.Or -> fun t -> if fa t <> 0 || fb t <> 0 then 1 else 0
+          in
+          (I { pre = xa.pre; f; safe = xa.safe && xb.safe }, c)
+      | Some pb ->
+          (* short circuit: [b]'s accesses happen only when [a] does not
+             decide the result *)
+          let r = temp_int renv in
+          let pre k =
+            let rhs =
+              pb (fun t ->
+                  (ints t).(r) <- (if fb t <> 0 then 1 else 0);
+                  k t)
+            in
+            let decided v t =
+              (ints t).(r) <- v;
+              k t
+            in
+            then_ xa.pre
+              (match op with
+              | Expr.And -> fun t -> if fa t <> 0 then rhs t else decided 0 t
+              | Expr.Or -> fun t -> if fa t <> 0 then decided 1 t else rhs t)
+          in
+          (I { pre = Some pre; f = (fun t -> (ints t).(r)); safe = true }, c))
   | Expr.Not a ->
-      let f, c = compile_int renv a in
-      (I (fun ctx -> if f ctx = 0 then 1 else 0), c + Costs.alu)
+      let x, c = compile_int renv a in
+      let f = x.f in
+      (I { x with f = (fun t -> if f t = 0 then 1 else 0) }, c + Costs.alu)
   | Expr.Idiv (impl, a, b) ->
-      let fa, ca = compile_int renv a in
-      let fb, cb = compile_int renv b in
+      let xa, ca = compile_int renv a in
+      let xb, cb = compile_int renv b in
+      let xb =
+        checked xb (fun d -> d <= 0) (fun _ ->
+            Eff.error "idiv by non-positive value")
+      in
+      let pre, fa, fb = rl_ints renv xa xb in
       ( I
-          (fun ctx ->
-            let d = fb ctx in
-            if d <= 0 then Eff.error "idiv by non-positive value";
-            Ddsm_dist.Intmath.fdiv (fa ctx) d),
+          {
+            pre;
+            f =
+              (fun t ->
+                let d = fb t in
+                Ddsm_dist.Intmath.fdiv (fa t) d);
+            safe = false;
+          },
         ca + cb + div_cost impl )
   | Expr.Imod (impl, a, b) ->
-      let fa, ca = compile_int renv a in
-      let fb, cb = compile_int renv b in
+      let xa, ca = compile_int renv a in
+      let xb, cb = compile_int renv b in
+      let xb =
+        checked xb (fun d -> d <= 0) (fun _ ->
+            Eff.error "imod by non-positive value")
+      in
+      let pre, fa, fb = rl_ints renv xa xb in
       ( I
-          (fun ctx ->
-            let d = fb ctx in
-            if d <= 0 then Eff.error "imod by non-positive value";
-            Ddsm_dist.Intmath.fmod (fa ctx) d),
+          {
+            pre;
+            f =
+              (fun t ->
+                let d = fb t in
+                Ddsm_dist.Intmath.fmod (fa t) d);
+            safe = false;
+          },
         ca + cb + div_cost impl )
   | Expr.GatherBase id ->
       (* scratch base of the gather site; defined once the dominating
@@ -329,44 +548,55 @@ let rec compile renv (e : Expr.t) : value * int =
       let rt = renv.g.rt in
       let site = ref None in
       ( I
-          (fun _ ->
-            let s =
-              match !site with
-              | Some s -> s
-              | None ->
-                  let s = Rt.gather_site rt ~key in
-                  site := Some s;
-                  s
-            in
-            if s.Rt.gs_scratch < 0 then
-              Eff.error "internal: gather site %s read before its inspector"
-                key;
-            s.Rt.gs_scratch),
+          (direct ~safe:false (fun _ ->
+               let s =
+                 match !site with
+                 | Some s -> s
+                 | None ->
+                     let s = Rt.gather_site rt ~key in
+                     site := Some s;
+                     s
+               in
+               if s.Rt.gs_scratch < 0 then
+                 Eff.error "internal: gather site %s read before its inspector"
+                   key;
+               s.Rt.gs_scratch)),
         0 )
   | Expr.Meta (name, field) ->
       let aslot = arr_slot renv name in
-      ( I
-          (load_int renv.g (fun ctx ->
-               meta_addr name ctx.frame.Frame.arrays.(aslot) field)),
+      ( load renv Types.Tint
+          (direct ~safe:false (fun t -> meta_addr name (arrays t).(aslot) field)),
         0 )
   | Expr.BaseOf (name, p) ->
       let aslot = arr_slot renv name in
-      let fp, cp = compile_int renv p in
-      ( I
-          (load_int renv.g (fun ctx ->
-               let ab = ctx.frame.Frame.arrays.(aslot) in
-               match ab.Frame.ab_darr with
-               | None -> Eff.error "array %s has no descriptor (BaseOf)" name
-               | Some d ->
-                   let nd = Array.length d.Darray.extents in
-                   Darray.meta_base d + Darray.Meta.bases_off ~ndims:nd + fp ctx)),
-        cp + Costs.addressing )
+      let xp, cp = compile_int renv p in
+      let fp = xp.f in
+      let no_descriptor () = Eff.error "array %s has no descriptor (BaseOf)" name in
+      let addr t =
+        match (arrays t).(aslot).Frame.ab_darr with
+        | None -> no_descriptor ()
+        | Some d ->
+            let nd = Array.length d.Darray.extents in
+            Darray.meta_base d + Darray.Meta.bases_off ~ndims:nd + fp t
+      in
+      (* the descriptor is looked up before [p] is evaluated *)
+      let pre =
+        Option.map
+          (fun pp k ->
+            let pk = pp k in
+            fun t ->
+              match (arrays t).(aslot).Frame.ab_darr with
+              | None -> no_descriptor ()
+              | Some _ -> pk t)
+          xp.pre
+      in
+      (load renv Types.Tint { pre; f = addr; safe = false }, cp + Costs.addressing)
   | Expr.AbsLoad (ty, a) ->
-      let fa, ca = compile_addr renv a in
-      (load renv ty fa, ca + Costs.addressing)
+      let xa, ca = compile_addr renv a in
+      (load renv ty xa, ca + Costs.addressing)
   | Expr.Ref (a, subs) ->
-      let addrf, c = ref_addr renv a (subscripts renv subs) in
-      (load renv (array_elem_ty renv a) addrf, c)
+      let addr, c = ref_addr renv a (subscripts renv subs) in
+      (load renv (array_elem_ty renv a) addr, c)
   | Expr.Intrin (nm, args) -> compile_intrin renv nm args
 
 and compile_int renv e = to_int (compile renv e)
@@ -376,32 +606,64 @@ and div_cost = function Expr.Hw -> Costs.int_div | Expr.Fp -> Costs.fp_div
 
 (* an integer address expression, its adds and multiplies discounted *)
 and compile_addr renv e =
-  let f, c = compile_int renv e in
-  (f, max 0 (c - alu_discount e))
+  let x, c = compile_int renv e in
+  (x, max 0 (c - alu_discount e))
 
 and subscripts renv subs =
-  let fs, c = sum_costs (List.map (compile_addr renv) subs) in
-  (Array.of_list fs, c)
+  let xs, c = sum_costs (List.map (compile_addr renv) subs) in
+  (Array.of_list xs, c)
 
 (* column-major address of an array reference through its runtime binding;
    reshaped descriptors fall back to the runtime oracle (call-argument
    subscript positions and defensive paths) *)
-and ref_addr renv a (subfs, subcost) : (ctx -> int) * int =
+and ref_addr renv a (subs, subcost) : int cexp * int =
   let aslot = arr_slot renv a in
-  let nd = Array.length subfs in
+  let nd = Array.length subs in
   let bounds = renv.g.bounds in
-  let f ctx =
-    let ab = ctx.frame.Frame.arrays.(aslot) in
+  let reshaped t =
+    match (arrays t).(aslot).Frame.ab_darr with
+    | Some d -> d.Darray.reshaped
+    | None -> false
+  in
+  let pre, subfs =
+    if not (Array.exists has_pre subs) then (None, Array.map (fun x -> x.f) subs)
+    else
+      (* subscripts with accesses: under [bounds] a plain view checks each
+         subscript before the next one's accesses, as the direct loop
+         below does *)
+      let subs =
+        if bounds then
+          Array.mapi
+            (fun i x ->
+              let f = x.f in
+              {
+                x with
+                f =
+                  (fun t ->
+                    let s = f t in
+                    if not (reshaped t) then
+                      check_subscript a (arrays t).(aslot) i s;
+                    s);
+                safe = false;
+              })
+            subs
+        else subs
+      in
+      let pre, fs = settle_ints renv (Array.to_list subs) in
+      (pre, Array.of_list fs)
+  in
+  let f t =
+    let ab = (arrays t).(aslot) in
     match ab.Frame.ab_darr with
     | Some d when d.Darray.reshaped ->
         (* runtime oracle with the unoptimized Table 1 cost *)
-        let idx = Array.init nd (fun i -> subfs.(i) ctx) in
-        ctx.ws.Eff.clock <- ctx.ws.Eff.clock + oracle_cost d;
+        let idx = Array.init nd (fun i -> subfs.(i) t) in
+        charge (oracle_cost d) t;
         (try Darray.word_addr d idx
          with Invalid_argument m -> Eff.error "%s" m)
-    | _ -> plain_addr ~bounds a ab subfs ctx
+    | _ -> plain_addr ~bounds a ab subfs t
   in
-  (f, subcost + Costs.addressing)
+  ({ pre; f; safe = false }, subcost + Costs.addressing)
 
 (* Inquiry intrinsics charge their cost plus one per argument after the
    array name, and nothing for the arguments themselves. [int]/[nint] take
@@ -413,17 +675,19 @@ and compile_intrin renv nm args : value * int =
   match nm with
   | "dsm_nprocs" ->
       let n = Rt.nprocs renv.g.rt in
-      (I (fun _ -> n), cost)
-  | "dsm_myproc" -> (I (fun ctx -> ctx.ws.Eff.proc), cost)
+      (I (direct (fun _ -> n)), cost)
+  | "dsm_myproc" -> (I (direct (fun t -> t.Sched.proc)), cost)
   | "dsm_numprocs" | "dsm_chunksize" | "dsm_this_lo" | "dsm_this_hi"
   | "dsm_owner" | "dsm_distribution" | "dsm_isreshaped" ->
       compile_dsm renv nm args cost
   | "int" | "nint" -> (
       match args with
       | [ a ] ->
-          let f, c = compile_float renv a in
-          if nm = "int" then (I (fun ctx -> int_of_float (f ctx)), c + cost)
-          else (I (fun ctx -> int_of_float (Float.round (f ctx))), c + cost)
+          let x, c = compile_float renv a in
+          let f = x.f in
+          if nm = "int" then (I { x with f = (fun t -> int_of_float (f t)) }, c + cost)
+          else
+            (I { x with f = (fun t -> int_of_float (Float.round (f t))) }, c + cost)
       | _ -> Eff.error "%s arity" nm)
   | _ ->
       let rs = List.map (compile renv) args in
@@ -433,12 +697,19 @@ and compile_intrin renv nm args : value * int =
         | _ -> false
       in
       if real_result || List.exists is_real rs then begin
-        let fs, argcost = sum_costs (List.map to_float rs) in
+        let xs, argcost = sum_costs (List.map to_float rs) in
         let c = argcost + cost in
+        let safe = List.for_all (fun x -> x.safe) xs in
         let unary op =
-          match fs with
-          | [ f ] -> (F (fun ctx -> op (f ctx)), c)
+          match xs with
+          | [ x ] ->
+              let f = x.f in
+              (F { x with f = (fun t -> op (f t)) }, c)
           | _ -> Eff.error "%s arity" nm
+        in
+        let fold op init =
+          let pre, fs = settle_floats renv xs in
+          (F { pre; f = (fun t -> List.fold_left (fun acc f -> op acc (f t)) init fs); safe }, c)
         in
         match nm with
         | "sqrt" -> unary sqrt
@@ -449,38 +720,49 @@ and compile_intrin renv nm args : value * int =
         | "abs" -> unary Float.abs
         | "dble" | "float" -> unary Fun.id
         | "mod" -> (
-            match fs with
-            | [ fa; fb ] -> (F (fun ctx -> Float.rem (fa ctx) (fb ctx)), c)
+            match xs with
+            | [ xa; xb ] ->
+                let pre, fa, fb = rl_floats renv xa xb in
+                (F { pre; f = (fun t -> Float.rem (fa t) (fb t)); safe }, c)
             | _ -> Eff.error "mod arity")
-        | "min" ->
-            ( F (fun ctx -> List.fold_left (fun acc f -> Float.min acc (f ctx)) infinity fs),
-              c )
-        | "max" ->
-            ( F
-                (fun ctx ->
-                  List.fold_left (fun acc f -> Float.max acc (f ctx)) neg_infinity fs),
-              c )
+        | "min" -> fold Float.min infinity
+        | "max" -> fold Float.max neg_infinity
         | _ -> Eff.error "unknown intrinsic %s" nm
       end
       else begin
-        let fs, argcost = sum_costs (List.map to_int rs) in
+        let xs, argcost = sum_costs (List.map to_int rs) in
         let c = argcost + cost in
+        let safe = List.for_all (fun x -> x.safe) xs in
+        let fold op init =
+          let pre, fs = settle_ints renv xs in
+          (I { pre; f = (fun t -> List.fold_left (fun acc f -> op acc (f t)) init fs); safe }, c)
+        in
         match nm with
         | "mod" -> (
-            match fs with
-            | [ fa; fb ] ->
+            match xs with
+            | [ xa; xb ] ->
+                let xb =
+                  checked xb (fun d -> d = 0) (fun _ -> Eff.error "mod by zero")
+                in
+                let pre, fa, fb = rl_ints renv xa xb in
                 ( I
-                    (fun ctx ->
-                      let d = fb ctx in
-                      if d = 0 then Eff.error "mod by zero";
-                      fa ctx mod d),
+                    {
+                      pre;
+                      f =
+                        (fun t ->
+                          let d = fb t in
+                          fa t mod d);
+                      safe = false;
+                    },
                   c )
             | _ -> Eff.error "mod arity")
-        | "min" -> (I (fun ctx -> List.fold_left (fun acc f -> min acc (f ctx)) max_int fs), c)
-        | "max" -> (I (fun ctx -> List.fold_left (fun acc f -> max acc (f ctx)) min_int fs), c)
+        | "min" -> fold min max_int
+        | "max" -> fold max min_int
         | "abs" -> (
-            match fs with
-            | [ f ] -> (I (fun ctx -> abs (f ctx)), c)
+            match xs with
+            | [ x ] ->
+                let f = x.f in
+                (I { x with f = (fun t -> abs (f t)) }, c)
             | _ -> Eff.error "abs arity")
         | _ -> Eff.error "unknown intrinsic %s" nm
       end
@@ -492,9 +774,9 @@ and compile_dsm renv nm args cost : value * int =
     | _ -> Eff.error "%s: first argument must name an array" nm
   in
   let aslot = arr_slot renv aname in
-  let restf = List.map (fun a -> fst (compile_int renv a)) rest in
-  let layout_of ctx =
-    let ab = ctx.frame.Frame.arrays.(aslot) in
+  let xs = List.map (fun a -> fst (compile_int renv a)) rest in
+  let layout_of t =
+    let ab = (arrays t).(aslot) in
     match ab.Frame.ab_darr with
     | Some d -> (
         match d.Darray.layout with
@@ -502,15 +784,26 @@ and compile_dsm renv nm args cost : value * int =
         | None -> Eff.error "%s: array %s is not distributed" nm aname)
     | None -> Eff.error "%s: array %s has no descriptor here" nm aname
   in
-  let f ctx =
-    let d, l = layout_of ctx in
+  let pre, restf = settle_ints renv xs in
+  (* the layout is looked up before any argument is evaluated *)
+  let pre =
+    Option.map
+      (fun p k ->
+        let pk = p k in
+        fun t ->
+          ignore (layout_of t);
+          pk t)
+      pre
+  in
+  let f t =
+    let d, l = layout_of t in
     match (nm, restf) with
-    | "dsm_numprocs", [ fdim ] -> l.Layout.grid.Grid.per_dim.(fdim ctx - 1)
-    | "dsm_chunksize", [ fdim ] -> l.Layout.dims.(fdim ctx - 1).Dim_map.block
+    | "dsm_numprocs", [ fdim ] -> l.Layout.grid.Grid.per_dim.(fdim t - 1)
+    | "dsm_chunksize", [ fdim ] -> l.Layout.dims.(fdim t - 1).Dim_map.block
     | ("dsm_this_lo" | "dsm_this_hi"), [ fdim ] -> (
-        let dim = fdim ctx - 1 in
+        let dim = fdim t - 1 in
         let total = Layout.nprocs l in
-        let p = ctx.ws.Eff.proc mod total in
+        let p = t.Sched.proc mod total in
         let ow = Grid.delinear l.Layout.grid p in
         let ranges = Dim_map.portion_ranges l.Layout.dims.(dim) ~proc:ow.(dim) in
         match ranges with
@@ -520,10 +813,10 @@ and compile_dsm renv nm args cost : value * int =
             let _, hi = List.nth rs (List.length rs - 1) in
             hi + d.Darray.lower.(dim))
     | "dsm_owner", [ fdim; fidx ] ->
-        let dim = fdim ctx - 1 in
-        Dim_map.owner l.Layout.dims.(dim) (fidx ctx - d.Darray.lower.(dim))
+        let dim = fdim t - 1 in
+        Dim_map.owner l.Layout.dims.(dim) (fidx t - d.Darray.lower.(dim))
     | "dsm_distribution", [ fdim ] -> (
-        match l.Layout.kinds.(fdim ctx - 1) with
+        match l.Layout.kinds.(fdim t - 1) with
         | K.Star -> 0
         | K.Block -> 1
         | K.Cyclic -> 2
@@ -531,58 +824,101 @@ and compile_dsm renv nm args cost : value * int =
     | "dsm_isreshaped", [] -> if d.Darray.reshaped then 1 else 0
     | _ -> Eff.error "%s: bad arguments" nm
   in
-  (I f, cost + List.length restf)
+  (I { pre; f; safe = false }, cost + List.length xs)
 
 (* ------------------------------------------------------------------ *)
-(* Statements *)
+(* Statements
 
-let charge c (ws : Eff.ws) = ws.Eff.clock <- ws.Eff.clock + c
+   [compile_stmt] does a statement's compile-time work (slots, operands,
+   compile errors) at once, in source order, and returns a linker: applied
+   to the statement's successor, it builds the statement's code, which ends
+   by calling that successor in tail position. A body is linked from its
+   last statement back, so every continuation exists before any code runs
+   and a task that never parks runs in constant stack. *)
 
-let rec compile_body renv stmts : ctx -> unit =
-  let fs = Array.of_list (List.map (compile_stmt renv) stmts) in
-  fun ctx ->
-    for i = 0 to Array.length fs - 1 do
-      fs.(i) ctx
-    done
+(* per-execution state of a gather's inspector walk and per-element
+   fallback, kept in the task across their accesses *)
+type walk = {
+  w_tab : Frame.abind;
+  w_iab : Frame.abind;
+  w_site : Rt.gather_site;
+  w_key : int * int * int array;
+  w_nslots : int;
+  w_los : int array;
+  w_his : int array;
+  w_cur : int array;  (** the loop variables' values at the current slot *)
+  w_saved : int array;  (** the loop variables before the walk *)
+  w_pairs : (int * int, int ref) Hashtbl.t;
+      (** (src node, dst node) -> words of that transfer *)
+  mutable w_addrs : int array;
+  mutable w_scratch : int;
+  mutable w_slot : int;  (** next slot of the walk, then of the fallback *)
+  mutable w_tries : int;
+}
 
-and compile_stmt renv (t : Stmt.t) : ctx -> unit =
-  match t.Stmt.s with
-  | Stmt.Assign (Stmt.LVar x, e) -> (
+type Sched.local += Gathering of walk
+
+(* charge [c], then run [pre] and continue at [k] *)
+let charged c pre (k : k) : k =
+  let run = then_ pre k in
+  fun t ->
+    charge c t;
+    run t
+
+(* pop the task's innermost return point: unregister the call's argument
+   checks, restore the caller's frame and continue at the call's
+   successor *)
+let return_ g (t : task) =
+  match t.Sched.calls with
+  | [] -> failwith "return outside a called routine"
+  | r :: rest ->
+      t.Sched.calls <- rest;
+      t.Sched.frame <- r.Sched.caller;
+      List.iter
+        (fun addr ->
+          match Argcheck.unregister g.rt.Rt.argcheck ~addr with
+          | Ok () -> ()
+          | Error m -> Eff.error "%s" m)
+        r.Sched.registered;
+      r.Sched.k t
+
+let rec compile_body renv stmts : step =
+  let links = List.map (compile_stmt renv) stmts in
+  fun k -> List.fold_right (fun link k -> link k) links k
+
+and compile_stmt renv (st : Stmt.t) : step =
+  match st.Stmt.s with
+  | Stmt.Assign (Stmt.LVar v, e) -> (
       let r = compile renv e in
-      match slot_for renv x ~ty:(if is_real r then Types.Treal else Types.Tint) with
+      match slot_for renv v ~ty:(if is_real r then Types.Treal else Types.Tint) with
       | SInt i ->
-          let f, c = to_int r in
-          let c = c + Costs.assign in
-          fun ctx ->
-            charge c ctx.ws;
-            ctx.frame.Frame.ints.(i) <- f ctx
+          let x, c = to_int r in
+          let f = x.f in
+          fun k ->
+            charged (c + Costs.assign) x.pre (fun t ->
+                (ints t).(i) <- f t;
+                k t)
       | SFloat i ->
-          let f, c = to_float r in
-          let c = c + Costs.assign in
-          fun ctx ->
-            charge c ctx.ws;
-            ctx.frame.Frame.floats.(i) <- f ctx)
+          let x, c = to_float r in
+          let f = x.f in
+          fun k ->
+            charged (c + Costs.assign) x.pre (fun t ->
+                (floats t).(i) <- f t;
+                k t))
   | Stmt.Assign (Stmt.LRef (a, subs), e) ->
       let addr = ref_addr renv a (subscripts renv subs) in
       let aslot = arr_slot renv a in
-      (* write-generation bump: cached gather schedules over this array
-         key on the version and must re-inspect after any visible store *)
-      let bump ctx =
-        match ctx.frame.Frame.arrays.(aslot).Frame.ab_darr with
-        | Some d -> Darray.bump_version d
-        | None -> ()
-      in
-      compile_store renv ~name:a (array_elem_ty renv a) addr e ~after:bump
+      compile_store renv ~name:a (array_elem_ty renv a) addr e ~bump:(Some aslot)
   | Stmt.AbsStore (ty, aexp, e) ->
-      let addrf, ca = compile_addr renv aexp in
-      compile_store renv ~name:"<lowered>" ty (addrf, ca + Costs.addressing) e
-        ~after:ignore
+      let xa, ca = compile_addr renv aexp in
+      compile_store renv ~name:"<lowered>" ty (xa, ca + Costs.addressing) e
+        ~bump:None
   | Stmt.Do d -> (
-      let flo, clo = compile_int renv d.Stmt.lo in
-      let fhi, chi = compile_int renv d.Stmt.hi in
-      let fstep, cstep =
+      let xlo, clo = compile_int renv d.Stmt.lo in
+      let xhi, chi = compile_int renv d.Stmt.hi in
+      let xstep, cstep =
         match d.Stmt.step with
-        | None -> ((fun _ -> 1), 0)
+        | None -> (direct (fun _ -> 1), 0)
         | Some s -> compile_int renv s
       in
       let head_cost = clo + chi + cstep + Costs.assign in
@@ -591,34 +927,47 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
       | SInt slot ->
           let body = compile_body renv d.Stmt.body in
           let g = renv.g in
-          fun ctx ->
-            charge head_cost ctx.ws;
-            let lo = flo ctx and hi = fhi ctx and step = fstep ctx in
-            if step = 0 then Eff.error "do %s: zero step" d.Stmt.var;
-            let ints = ctx.frame.Frame.ints in
-            ints.(slot) <- lo;
-            if step > 0 then
-              while ints.(slot) <= hi do
-                if ctx.ws.Eff.clock > g.cycle_limit then
+          (* [let lo = .. and hi = .. and step = ..]: left to right *)
+          let pre, fs = settle_ints renv [ xlo; xhi; xstep ] in
+          let flo, fhi, fstep =
+            match fs with [ l; h; s ] -> (l, h, s) | _ -> assert false
+          in
+          (* the bound and the step live in frame slots, so the loop's
+             continuations are fixed at link time *)
+          let hi_slot = temp_int renv and step_slot = temp_int renv in
+          fun k ->
+            let body_k = ref k in
+            let test t =
+              let a = ints t in
+              let v = a.(slot) and hi = a.(hi_slot) in
+              if if a.(step_slot) > 0 then v <= hi else v >= hi then begin
+                if t.Sched.clock > g.cycle_limit then
                   raise (Eff.Cycle_limit g.cycle_limit);
-                charge Costs.loop_iter ctx.ws;
-                body ctx;
-                ints.(slot) <- ints.(slot) + step
-              done
-            else
-              while ints.(slot) >= hi do
-                if ctx.ws.Eff.clock > g.cycle_limit then
-                  raise (Eff.Cycle_limit g.cycle_limit);
-                charge Costs.loop_iter ctx.ws;
-                body ctx;
-                ints.(slot) <- ints.(slot) + step
-              done)
+                charge Costs.loop_iter t;
+                !body_k t
+              end
+              else k t
+            in
+            body_k :=
+              body (fun t ->
+                  let a = ints t in
+                  a.(slot) <- a.(slot) + a.(step_slot);
+                  test t);
+            charged head_cost pre (fun t ->
+                let lo = flo t and hi = fhi t and step = fstep t in
+                if step = 0 then Eff.error "do %s: zero step" d.Stmt.var;
+                let a = ints t in
+                a.(hi_slot) <- hi;
+                a.(step_slot) <- step;
+                a.(slot) <- lo;
+                test t))
   | Stmt.If (cond, th, el) ->
-      let fc, cc = compile_int renv cond in
+      let xc, cc = compile_int renv cond in
       let fth = compile_body renv th and fel = compile_body renv el in
-      fun ctx ->
-        charge (cc + Costs.alu) ctx.ws;
-        if fc ctx <> 0 then fth ctx else fel ctx
+      let fc = xc.f in
+      fun k ->
+        let th = fth k and el = fel k in
+        charged (cc + Costs.alu) xc.pre (fun t -> if fc t <> 0 then th t else el t)
   | Stmt.Call (name, args) -> compile_call renv name args
   | Stmt.Doacross _ -> Eff.error "internal: doacross reached the VM unlowered"
   | Stmt.Redistribute rd ->
@@ -626,8 +975,8 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
       let onto = Option.map Array.of_list rd.Stmt.ronto in
       let procs = rd.Stmt.rprocs in
       let qname = qualified renv.env rd.Stmt.rarray in
-      fun ctx -> (
-        match Rt.redistribute renv.g.rt ~name:qname ~kinds ?onto ?procs () with
+      fun k t ->
+        (match Rt.redistribute renv.g.rt ~name:qname ~kinds ?onto ?procs () with
         | Ok ({ Rt.rounds; round_words; retries; _ } as result) -> (
             (* failed attempts cost backoff time; the data movement itself
                is charged by the round schedule — rounds run back to back,
@@ -636,88 +985,133 @@ and compile_stmt renv (t : Stmt.t) : ctx -> unit =
             charge
               ((retries * Costs.redistribute_retry)
               + Costs.redistribute_scheduled ~rounds ~round_words)
-              ctx.ws;
-            let { Eff.proc; clock = now; _ } = ctx.ws in
+              t;
+            let { Sched.proc; clock = now; _ } = t in
             match renv.g.rt.Rt.observe with
             | None -> ()
             | Some observe ->
                 observe (Rt.Redistribute { array = qname; result; proc; now }))
-        | Error m -> Eff.error "%s" m)
+        | Error m -> Eff.error "%s" m);
+        k t
   | Stmt.Gather gth -> compile_gather renv gth
-  | Stmt.Continue -> fun _ -> ()
+  | Stmt.Continue -> fun k -> k
   | Stmt.Barrier ->
-      fun ctx ->
-        Rt.note_barrier renv.g.rt ~proc:ctx.ws.Eff.proc ~now:ctx.ws.Eff.clock
-  | Stmt.Return -> fun _ -> raise Return_local
+      fun k t ->
+        Rt.note_barrier renv.g.rt ~proc:t.Sched.proc ~now:t.Sched.clock;
+        k t
+  | Stmt.Return -> fun _ -> return_ renv.g
   | Stmt.Print items ->
-      let fs =
+      let compiled =
         List.map
           (fun e ->
             match e with
-            | Expr.Str s -> fun _ -> s
-            | _ -> (
-                match compile renv e with
-                | I f, _ -> fun ctx -> string_of_int (f ctx)
-                | F f, _ -> fun ctx -> Printf.sprintf "%.10g" (f ctx)))
+            | Expr.Str s -> Either.Left s
+            | _ -> Either.Right (fst (compile renv e)))
           items
       in
-      fun ctx ->
-        renv.g.print (String.concat " " (List.map (fun f -> f ctx) fs))
+      let pre, readers =
+        settle_values renv (List.filter_map Either.find_right compiled)
+      in
+      let rec strings items readers =
+        match (items, readers) with
+        | [], _ -> []
+        | Either.Left s :: items, readers -> (fun _ -> s) :: strings items readers
+        | Either.Right _ :: items, I x :: readers ->
+            let f = x.f in
+            (fun t -> string_of_int (f t)) :: strings items readers
+        | Either.Right _ :: items, F x :: readers ->
+            let f = x.f in
+            (fun t -> Printf.sprintf "%.10g" (f t)) :: strings items readers
+        | Either.Right _ :: _, [] -> assert false
+      in
+      let fs = strings compiled readers in
+      fun k ->
+        then_ pre (fun t ->
+            renv.g.print (String.concat " " (List.map (fun f -> f t) fs));
+            k t)
   | Stmt.Par p ->
       let region =
-        Printf.sprintf "%s:%d" renv.rname t.Stmt.loc.Loc.line
+        Printf.sprintf "%s:%d" renv.rname st.Stmt.loc.Loc.line
       in
       let (myp_slot, np_slot) =
         match (slot_for renv "myp$" ~ty:Types.Tint, slot_for renv "np$" ~ty:Types.Tint) with
         | SInt a, SInt b -> (a, b)
         | _ -> assert false
       in
+      (* a [Par] inside a [Par] body always runs at depth > 0 *)
+      let nested = renv.in_par in
+      renv.in_par <- true;
       let body = compile_body renv p.Stmt.pbody in
-      fun ctx ->
-        if ctx.ws.Eff.depth > 0 then begin
-          (* nested parallelism runs single-worker (documented) *)
-          ctx.frame.Frame.ints.(myp_slot) <- 0;
-          ctx.frame.Frame.ints.(np_slot) <- 1;
-          body ctx
-        end
-        else begin
-          let n = Rt.nprocs renv.g.rt in
-          let parent_frame = ctx.frame in
-          Effect.perform
-            (Eff.Fork
-               ( ctx.ws,
-                 (fun cws p ->
-                   let fr = Frame.copy_scalars parent_frame in
-                   fr.Frame.ints.(myp_slot) <- p;
-                   fr.Frame.ints.(np_slot) <- n;
-                   body { ws = cws; frame = fr }),
-                 n,
-                 region ))
-        end
+      renv.in_par <- nested;
+      let s = renv.g.sched and n = Rt.nprocs renv.g.rt in
+      fun k ->
+        (* nested parallelism runs single-worker (documented) *)
+        let inline = body k in
+        let run_inline t =
+          (ints t).(myp_slot) <- 0;
+          (ints t).(np_slot) <- 1;
+          inline t
+        in
+        if nested then run_inline
+        else
+          let forked = body (Sched.finish s) in
+          fun t ->
+            if t.Sched.depth > 0 then run_inline t
+            else
+              Sched.fork s t ~n ~region ~myp:myp_slot ~np:np_slot ~body:forked ~k
 
 (* One store path for array elements and lowered addresses: charge,
-   evaluate the value, then the address, perform the write, store, then
-   [after]. A real value stored into an integer element is converted
-   under [int_elem_of_real] and costs one more ALU op. *)
-and compile_store renv ~name ty (addrf, ca) e ~after : ctx -> unit =
-  let heap = renv.g.rt.Rt.heap in
-  let build set f ce =
-    let c = ca + ce + Costs.assign in
-    fun ctx ->
-      charge c ctx.ws;
-      let v = f ctx in
-      let addr = addrf ctx in
-      Effect.perform (Eff.Mem (ctx.ws, addr, true));
-      set heap addr v;
-      after ctx
+   evaluate the value, then the address, and make the write access; on
+   resume, after the commit, write the heap and, for an array element,
+   bump its write generation (cached gather schedules over the array key
+   on it and must re-inspect after any visible store). A real value stored
+   into an integer element is converted under [int_elem_of_real] and costs
+   one more ALU op. *)
+and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
+  let s = renv.g.sched and heap = renv.g.rt.Rt.heap and fa = addr.f in
+  let bumped (k : k) : k =
+    match bump with
+    | None -> k
+    | Some aslot ->
+        fun t ->
+          (match (arrays t).(aslot).Frame.ab_darr with
+          | Some d -> Darray.bump_version d
+          | None -> ());
+          k t
+  in
+  let int_store (x : int cexp) ce =
+    let pv, fv = settle_int renv x ~later:(has_pre addr) in
+    let r = temp_int renv in
+    fun k ->
+      let after = bumped k in
+      charged (ca + ce + Costs.assign) (chain [ pv; addr.pre ]) (fun t ->
+          let v = fv t in
+          let a = fa t in
+          (ints t).(r) <- v;
+          Sched.access s t a true (fun t ->
+              Heap.set_int heap t.Sched.addr (ints t).(r);
+              after t))
   in
   match (ty, compile renv e) with
   | Types.Treal, r ->
-      let f, ce = to_float r in
-      build Heap.set_real f ce
-  | Types.Tint, (F f, ce) ->
-      build Heap.set_int (fun ctx -> int_elem_of_real name (f ctx)) (ce + Costs.alu)
-  | Types.Tint, (I f, ce) -> build Heap.set_int f ce
+      let x, ce = to_float r in
+      let pv, fv = settle_float renv x ~later:(has_pre addr) in
+      let r = temp_float renv in
+      fun k ->
+        let after = bumped k in
+        charged (ca + ce + Costs.assign) (chain [ pv; addr.pre ]) (fun t ->
+            let v = fv t in
+            let a = fa t in
+            (floats t).(r) <- v;
+            Sched.access s t a true (fun t ->
+                Heap.set_real heap t.Sched.addr (floats t).(r);
+                after t))
+  | Types.Tint, (F x, ce) ->
+      let f = x.f in
+      int_store
+        { x with f = (fun t -> int_elem_of_real name (f t)); safe = false }
+        (ce + Costs.alu)
+  | Types.Tint, (I x, ce) -> int_store x ce
 
 (* ------------------------------------------------------------------ *)
 (* Inspector-executor gather (Stmt.Gather, serial context only).
@@ -734,16 +1128,28 @@ and compile_store renv ~name ty (addrf, ca) e ~after : ctx -> unit =
    bulk fetch charged by the round schedule, or — when the fault plan
    fails the fetch past the bounded retries — a per-element fallback
    through ordinary timed loads. Either way the scratch holds the same
-   values, so results never depend on the fault plan. *)
+   values, so results never depend on the fault plan.
+
+   The walk and the fallback are resumable loops over a {!walk} record
+   made on entry; the walk drives the loop variables through the serial
+   frame in odometer order, the innermost dimension fastest. *)
 
 and max_gather_attempts = 3
 
-and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
+and compile_gather renv (gth : Stmt.gather) : step =
   let g = renv.g in
+  let s = g.sched in
   let key = renv.rname ^ "#" ^ string_of_int gth.Stmt.g_id in
   let tslot = arr_slot renv gth.Stmt.g_target in
   let islot = arr_slot renv gth.Stmt.g_index in
   let tq = qualified renv.env gth.Stmt.g_target in
+  (* the inspector only forms gathers over pure scalar bounds and index
+     subscripts *)
+  let pure what (x, _) =
+    match x.pre with
+    | None -> x.f
+    | Some _ -> Eff.error "internal: gather %s %s reads memory" key what
+  in
   let dims =
     Array.of_list
       (List.map
@@ -754,183 +1160,249 @@ and compile_gather renv (gth : Stmt.gather) : ctx -> unit =
              | SFloat _ ->
                  Eff.error "gather: loop variable %s is not an integer" v
            in
-           let flo, _ = compile_int renv lo in
-           let fhi, _ = compile_int renv hi in
+           let flo = pure "bound" (compile_int renv lo) in
+           let fhi = pure "bound" (compile_int renv hi) in
            (slot, flo, fhi))
          gth.Stmt.g_dims)
   in
   let ndims = Array.length dims in
-  let isubfs, isubcost = subscripts renv gth.Stmt.g_isubs in
+  let vslots = Array.map (fun (v, _, _) -> v) dims in
+  let isubs, isubcost = subscripts renv gth.Stmt.g_isubs in
+  let isubfs = Array.map (fun x -> pure "subscript" (x, 0)) isubs in
   let scale = gth.Stmt.g_scale and off = gth.Stmt.g_off in
   let bounds = g.bounds in
   let target = gth.Stmt.g_target and index = gth.Stmt.g_index in
   let real_elems = array_elem_ty renv target = Types.Treal in
-  fun ctx ->
-    let rt = g.rt in
-    let tab = ctx.frame.Frame.arrays.(tslot) in
-    let iab = ctx.frame.Frame.arrays.(islot) in
-    let td =
-      match tab.Frame.ab_darr with
-      | Some d -> d
-      | None -> Eff.error "internal: gather target %s has no descriptor" target
-    in
-    let idd =
-      match iab.Frame.ab_darr with
-      | Some d -> d
-      | None -> Eff.error "internal: gather index %s has no descriptor" index
-    in
-    let los = Array.make (max 1 ndims) 0 and his = Array.make (max 1 ndims) 0 in
-    let nslots = ref 1 in
-    Array.iteri
-      (fun d (_, flo, fhi) ->
-        let lo = flo ctx and hi = fhi ctx in
-        los.(d) <- lo;
-        his.(d) <- hi;
-        nslots := !nslots * max 0 (hi - lo + 1))
-      dims;
-    let nslots = !nslots in
-    let site = Rt.gather_site rt ~key in
-    if nslots = 0 then begin
-      (* empty rectangle: the executor never runs, but its [GatherBase]
-         is still compiled — leave a harmless base in place *)
-      if site.Rt.gs_scratch < 0 then site.Rt.gs_scratch <- 0
+  let rt = g.rt in
+  let heap = rt.Rt.heap and mem = rt.Rt.mem in
+  let walk_of (t : task) =
+    match t.Sched.local with Gathering w -> w | _ -> assert false
+  in
+  let observe_gather w step ~retries (t : task) =
+    match rt.Rt.observe with
+    | None -> ()
+    | Some observe ->
+        observe
+          (Rt.Gather
+             {
+               site = key;
+               step;
+               slots = w.w_nslots;
+               rounds = w.w_site.Rt.gs_rounds;
+               retries;
+               proc = t.Sched.proc;
+               now = t.Sched.clock;
+             })
+  in
+  let copy_one w i =
+    if real_elems then
+      Heap.set_real heap (w.w_scratch + i) (Heap.get_real heap w.w_addrs.(i))
+    else Heap.set_int heap (w.w_scratch + i) (Heap.get_int heap w.w_addrs.(i))
+  in
+  (* next slot of the rectangle: false once the walk is over *)
+  let rec advance w a d =
+    d >= 0
+    &&
+    if w.w_cur.(d) < w.w_his.(d) then begin
+      w.w_cur.(d) <- w.w_cur.(d) + 1;
+      a.(vslots.(d)) <- w.w_cur.(d);
+      true
     end
     else begin
-      let observe_gather step ~retries =
-        match rt.Rt.observe with
-        | None -> ()
-        | Some observe ->
-            let { Eff.proc; clock = now; _ } = ctx.ws in
-            let rounds = site.Rt.gs_rounds and slots = nslots in
-            observe (Rt.Gather { site = key; step; slots; rounds; retries; proc; now })
-      in
-      let keynow =
-        (idd.Darray.version, td.Darray.version, Array.append los his)
-      in
-      (match site.Rt.gs_key with
-      | Some k when k = keynow -> ()
-      | _ ->
-          (* cache miss: inspect. The index vector is read through
-             ordinary timed accesses — inspection is real work the
-             benchmark must see; repeated sweeps then hit the cache. *)
-          rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
-          if site.Rt.gs_cap < nslots then begin
-            site.Rt.gs_scratch <-
-              Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
-            site.Rt.gs_cap <- nslots
-          end;
-          if Array.length site.Rt.gs_addrs < nslots then
-            site.Rt.gs_addrs <- Array.make nslots 0;
-          let addrs = site.Rt.gs_addrs in
-          let ints = ctx.frame.Frame.ints in
-          let mem = rt.Rt.mem in
-          let scratch = site.Rt.gs_scratch in
-          (* (src node, dst node) -> words of that transfer *)
-          let pairs : (int * int, int ref) Hashtbl.t = Hashtbl.create 16 in
-          let slot = ref 0 in
-          let rec walk d =
-            if d = ndims then begin
-              charge (Costs.gather_inspect + isubcost) ctx.ws;
-              let iaddr = plain_addr ~bounds index iab isubfs ctx in
-              Effect.perform (Eff.Mem (ctx.ws, iaddr, false));
-              let ival = Heap.get_int rt.Rt.heap iaddr in
-              let sub = (scale * ival) + off in
-              let x = sub - tab.Frame.ab_lowers.(0) in
-              if bounds && (x < 0 || x >= tab.Frame.ab_extents.(0)) then
-                Eff.error "array %s: subscript %d out of bounds in dim %d"
-                  target sub 1;
-              let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
-              addrs.(!slot) <- taddr;
-              let home a =
-                Option.value ~default:0
-                  (Memsys.home_of_addr mem (Heap.byte_of_word a))
-              in
-              let src = home taddr and dst = home (scratch + !slot) in
-              (match Hashtbl.find_opt pairs (src, dst) with
-              | Some r -> incr r
-              | None -> Hashtbl.replace pairs (src, dst) (ref 1));
-              incr slot
-            end
-            else begin
-              let vslot, _, _ = dims.(d) in
-              for i = los.(d) to his.(d) do
-                ints.(vslot) <- i;
-                walk (d + 1)
-              done
-            end
-          in
-          (* the walk drives the loop variables through the serial frame;
-             restore them afterwards so the executor (and any read of the
-             variables after the nest) sees exactly the naive values *)
-          let saved = Array.map (fun (vslot, _, _) -> ints.(vslot)) dims in
-          walk 0;
-          Array.iteri (fun d (vslot, _, _) -> ints.(vslot) <- saved.(d)) dims;
-          let rounds =
-            Redist.rounds_of_moves
-              ~r:(Ddsm_machine.Config.nnodes (Memsys.config mem))
-              (Hashtbl.fold
-                 (fun (src, dst) n acc -> { Redist.src; dst; words = !n } :: acc)
-                 pairs [])
-          in
-          site.Rt.gs_rounds <- List.length rounds;
-          site.Rt.gs_round_words <- Redist.round_words rounds;
-          site.Rt.gs_key <- Some keynow;
-          observe_gather Rt.Inspect ~retries:0);
-      (* every execution: move the CURRENT target values into scratch *)
-      let addrs = site.Rt.gs_addrs in
-      let scratch = site.Rt.gs_scratch in
-      let heap = rt.Rt.heap in
-      let copy_one =
-        if real_elems then fun i ->
-          Heap.set_real heap (scratch + i) (Heap.get_real heap addrs.(i))
-        else fun i ->
-          Heap.set_int heap (scratch + i) (Heap.get_int heap addrs.(i))
-      in
-      let fault = Memsys.fault rt.Rt.mem in
+      w.w_cur.(d) <- w.w_los.(d);
+      a.(vslots.(d)) <- w.w_los.(d);
+      advance w a (d - 1)
+    end
+  in
+  fun k ->
+    let finish t =
+      t.Sched.local <- Sched.Idle;
+      k t
+    in
+    let rec fall t =
+      let w = walk_of t in
+      if w.w_slot < w.w_nslots then
+        Sched.access s t w.w_addrs.(w.w_slot) false fell
+      else begin
+        observe_gather w Rt.Fallback ~retries:w.w_tries t;
+        finish t
+      end
+    and fell t =
+      let w = walk_of t in
+      copy_one w w.w_slot;
+      w.w_slot <- w.w_slot + 1;
+      fall t
+    in
+    (* every execution: move the CURRENT target values into scratch *)
+    let fetch t =
+      let w = walk_of t in
+      let site = w.w_site in
+      w.w_addrs <- site.Rt.gs_addrs;
+      w.w_scratch <- site.Rt.gs_scratch;
+      let fault = Memsys.fault mem in
       let rec attempt tries =
         let fetch = Rt.next_gather_fetch rt in
         if not (Ddsm_check.Fault.gather_fetch_fails fault ~fetch) then begin
-          for i = 0 to nslots - 1 do
-            copy_one i
+          for i = 0 to w.w_nslots - 1 do
+            copy_one w i
           done;
           charge
             (Costs.gather_scheduled ~rounds:site.Rt.gs_rounds
                ~round_words:site.Rt.gs_round_words)
-            ctx.ws;
-          observe_gather Rt.Fetch ~retries:tries
+            t;
+          observe_gather w Rt.Fetch ~retries:tries t;
+          finish t
         end
         else begin
           rt.Rt.gather_retries <- rt.Rt.gather_retries + 1;
-          charge Costs.gather_retry ctx.ws;
+          charge Costs.gather_retry t;
           if tries + 1 < max_gather_attempts then attempt (tries + 1)
           else begin
             (* retries exhausted: per-element fallback through ordinary
                timed loads — same addresses, same values, only slower *)
             rt.Rt.gather_fallbacks <- rt.Rt.gather_fallbacks + 1;
-            for i = 0 to nslots - 1 do
-              Effect.perform (Eff.Mem (ctx.ws, addrs.(i), false));
-              copy_one i
-            done;
-            observe_gather Rt.Fallback ~retries:tries
+            w.w_slot <- 0;
+            w.w_tries <- tries;
+            fall t
           end
         end
       in
       attempt 0
-    end
+    in
+    let rec visit t =
+      let w = walk_of t in
+      charge (Costs.gather_inspect + isubcost) t;
+      let iaddr = plain_addr ~bounds index w.w_iab isubfs t in
+      Sched.access s t iaddr false visited
+    and visited t =
+      let w = walk_of t in
+      let ival = Heap.get_int heap t.Sched.addr in
+      let sub = (scale * ival) + off in
+      let tab = w.w_tab in
+      let x = sub - tab.Frame.ab_lowers.(0) in
+      if bounds && (x < 0 || x >= tab.Frame.ab_extents.(0)) then
+        Eff.error "array %s: subscript %d out of bounds in dim %d" target sub 1;
+      let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
+      w.w_addrs.(w.w_slot) <- taddr;
+      let home a =
+        Option.value ~default:0 (Memsys.home_of_addr mem (Heap.byte_of_word a))
+      in
+      let src = home taddr and dst = home (w.w_scratch + w.w_slot) in
+      (match Hashtbl.find_opt w.w_pairs (src, dst) with
+      | Some r -> incr r
+      | None -> Hashtbl.replace w.w_pairs (src, dst) (ref 1));
+      w.w_slot <- w.w_slot + 1;
+      if advance w (ints t) (ndims - 1) then visit t else inspected t
+    and inspected t =
+      let w = walk_of t in
+      (* the walk drove the loop variables through the serial frame;
+         restore them so the executor (and any read of the variables after
+         the nest) sees exactly the naive values *)
+      let a = ints t in
+      Array.iteri (fun d vslot -> a.(vslot) <- w.w_saved.(d)) vslots;
+      let site = w.w_site in
+      let rounds =
+        Redist.rounds_of_moves
+          ~r:(Ddsm_machine.Config.nnodes (Memsys.config mem))
+          (Hashtbl.fold
+             (fun (src, dst) n acc -> { Redist.src; dst; words = !n } :: acc)
+             w.w_pairs [])
+      in
+      site.Rt.gs_rounds <- List.length rounds;
+      site.Rt.gs_round_words <- Redist.round_words rounds;
+      site.Rt.gs_key <- Some w.w_key;
+      observe_gather w Rt.Inspect ~retries:0 t;
+      fetch t
+    in
+    fun t ->
+      let tab = (arrays t).(tslot) in
+      let iab = (arrays t).(islot) in
+      let td =
+        match tab.Frame.ab_darr with
+        | Some d -> d
+        | None -> Eff.error "internal: gather target %s has no descriptor" target
+      in
+      let idd =
+        match iab.Frame.ab_darr with
+        | Some d -> d
+        | None -> Eff.error "internal: gather index %s has no descriptor" index
+      in
+      let los = Array.make (max 1 ndims) 0 and his = Array.make (max 1 ndims) 0 in
+      let nslots = ref 1 in
+      Array.iteri
+        (fun d (_, flo, fhi) ->
+          let lo = flo t and hi = fhi t in
+          los.(d) <- lo;
+          his.(d) <- hi;
+          nslots := !nslots * max 0 (hi - lo + 1))
+        dims;
+      let nslots = !nslots in
+      let site = Rt.gather_site rt ~key in
+      if nslots = 0 then begin
+        (* empty rectangle: the executor never runs, but its [GatherBase]
+           is still compiled — leave a harmless base in place *)
+        if site.Rt.gs_scratch < 0 then site.Rt.gs_scratch <- 0;
+        k t
+      end
+      else begin
+        let keynow =
+          (idd.Darray.version, td.Darray.version, Array.append los his)
+        in
+        let w =
+          {
+            w_tab = tab;
+            w_iab = iab;
+            w_site = site;
+            w_key = keynow;
+            w_nslots = nslots;
+            w_los = los;
+            w_his = his;
+            w_cur = Array.copy los;
+            w_saved = Array.make ndims 0;
+            w_pairs = Hashtbl.create 16;
+            w_addrs = site.Rt.gs_addrs;
+            w_scratch = site.Rt.gs_scratch;
+            w_slot = 0;
+            w_tries = 0;
+          }
+        in
+        t.Sched.local <- Gathering w;
+        match site.Rt.gs_key with
+        | Some k when k = keynow -> fetch t
+        | _ ->
+            (* cache miss: inspect. The index vector is read through
+               ordinary timed accesses — inspection is real work the
+               benchmark must see; repeated sweeps then hit the cache. *)
+            rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
+            if site.Rt.gs_cap < nslots then begin
+              site.Rt.gs_scratch <-
+                Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
+              site.Rt.gs_cap <- nslots
+            end;
+            if Array.length site.Rt.gs_addrs < nslots then
+              site.Rt.gs_addrs <- Array.make nslots 0;
+            w.w_addrs <- site.Rt.gs_addrs;
+            w.w_scratch <- site.Rt.gs_scratch;
+            let a = ints t in
+            Array.iteri (fun d vslot -> w.w_saved.(d) <- a.(vslot)) vslots;
+            Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;
+            visit t
+      end
 
 (* ------------------------------------------------------------------ *)
 (* Calls *)
 
-and compile_call renv name args : ctx -> unit =
+and compile_call renv name args : step =
   let g = renv.g in
   match Prog.find g.prog name with
-  | None -> fun _ -> Eff.error "call to undefined subroutine %s" name
+  | None -> fun _ _ -> Eff.error "call to undefined subroutine %s" name
   | Some callee ->
       let formals = callee.Prog.env.Sema.routine.Decl.rparams in
       if List.length formals <> List.length args then
         Eff.error "call %s: %d arguments for %d formals" name (List.length args)
           (List.length formals);
-      (* per-argument: evaluator and optional argcheck registration *)
+      (* per argument: its evaluation, its cost and its argcheck
+         registration *)
       let builders =
         List.map2
           (fun formal actual ->
@@ -939,110 +1411,143 @@ and compile_call renv name args : ctx -> unit =
             | Some (Sema.SScalar (ty, _)) -> (
                 match ty with
                 | Types.Tint ->
-                    let f, c = compile_int renv actual in
-                    (((fun ctx -> Ai (f ctx)), c), fun _ -> None)
+                    let x, c = compile_int renv actual in
+                    let f = x.f in
+                    ({ x with f = (fun t -> Frame.Ai (f t)) }, c, Fun.id)
                 | Types.Treal ->
-                    let f, c = compile_float renv actual in
-                    (((fun ctx -> Af (f ctx)), c), fun _ -> None))
+                    let x, c = compile_float renv actual in
+                    let f = x.f in
+                    ({ x with f = (fun t -> Frame.Af (f t)) }, c, Fun.id))
             | _ ->
                 Eff.error "call %s: formal %s is not declared in the callee"
                   name formal)
           formals args
       in
-      let argfs = List.map (fun ((f, _), _) -> f) builders in
-      let regfs = List.map snd builders in
       let static_cost =
-        Costs.call + List.fold_left (fun acc ((_, c), _) -> acc + c) 0 builders
+        Costs.call + List.fold_left (fun acc (_, c, _) -> acc + c) 0 builders
       in
-      fun ctx ->
-        charge static_cost ctx.ws;
-        let argv = List.map (fun f -> f ctx) argfs in
-        let regs =
-          if g.checks then
-            List.filter_map
-              (fun f ->
-                match f ctx with
-                | Some (addr, info) ->
-                    charge Costs.argcheck_register ctx.ws;
-                    Argcheck.register g.rt.Rt.argcheck ~addr info;
-                    Some addr
-                | None -> None)
-              regfs
-          else []
+      let n = List.length builders in
+      (* each argument is evaluated in full, in order, into [t.args] *)
+      let arg_steps =
+        List.mapi
+          (fun i (x, _, _) ->
+            let f = x.f in
+            fun k ->
+              then_ x.pre (fun t ->
+                  t.Sched.args.(i) <- f t;
+                  k t))
+          builders
+      in
+      let reg_steps = List.map (fun (_, _, reg) -> reg) builders in
+      fun k ->
+        let enter t =
+          let entry =
+            match Hashtbl.find_opt g.entries name with
+            | Some e -> e
+            | None -> Eff.error "internal: %s not compiled" name
+          in
+          t.Sched.calls <-
+            { Sched.caller = t.Sched.frame; k; registered = List.rev t.Sched.regs }
+            :: t.Sched.calls;
+          entry t
         in
-        let entry =
-          match Hashtbl.find_opt g.entries name with
-          | Some e -> e
-          | None -> Eff.error "internal: %s not compiled" name
+        let registered =
+          if g.checks then List.fold_right (fun reg k -> reg k) reg_steps enter
+          else enter
         in
-        (* not Fun.protect: an unregister underflow must surface as a plain
-           runtime error on the success path, and ~finally would wrap it in
-           Finally_raised *)
-        (match entry ctx.ws argv with
-        | () ->
-            List.iter
-              (fun addr ->
-                match Argcheck.unregister g.rt.Rt.argcheck ~addr with
-                | Ok () -> ()
-                | Error m -> Eff.error "%s" m)
-              regs
-        | exception e ->
-            List.iter
-              (fun addr ->
-                ignore (Argcheck.unregister g.rt.Rt.argcheck ~addr))
-              regs;
-            raise e)
+        let evaluated =
+          List.fold_right
+            (fun arg k -> arg k)
+            arg_steps
+            (fun t ->
+              t.Sched.regs <- [];
+              registered t)
+        in
+        fun t ->
+          charge static_cost t;
+          t.Sched.args <- (if n = 0 then [||] else Array.make n (Frame.Ai 0));
+          evaluated t
 
 (* array actual argument: whole array (Var) or element (Ref) *)
-and compile_array_arg renv actual :
-    ((ctx -> rt_arg) * int) * (ctx -> (int * Argcheck.info) option) =
+and compile_array_arg renv actual : Frame.arg cexp * int * step =
+  let g = renv.g in
+  let register ~addr info t =
+    charge Costs.argcheck_register t;
+    Argcheck.register g.rt.Rt.argcheck ~addr info;
+    t.Sched.regs <- addr :: t.Sched.regs
+  in
   match actual with
   | Expr.Var a ->
       let aslot = arr_slot renv a in
-      let evalf ctx = Awhole ctx.frame.Frame.arrays.(aslot) in
-      let regf ctx =
-        let ab = ctx.frame.Frame.arrays.(aslot) in
-        match ab.Frame.ab_darr with
+      let arg = direct (fun t -> Frame.Awhole (arrays t).(aslot)) in
+      let reg k t =
+        let ab = (arrays t).(aslot) in
+        (match ab.Frame.ab_darr with
         | Some d when d.Darray.reshaped -> (
             match d.Darray.layout with
             | Some l ->
-                Some
-                  ( ab.Frame.ab_base,
-                    Argcheck.Whole_array
-                      { extents = d.Darray.extents; kinds = l.Layout.kinds } )
-            | None -> None)
-        | _ -> None
+                register ~addr:ab.Frame.ab_base
+                  (Argcheck.Whole_array
+                     { extents = d.Darray.extents; kinds = l.Layout.kinds })
+                  t
+            | None -> ())
+        | _ -> ());
+        k t
       in
-      ((evalf, Costs.alu), regf)
+      (arg, Costs.alu, reg)
   | Expr.Ref (a, subs) ->
-      let (subfs, _) as subs = subscripts renv subs in
-      let addrf, ca = ref_addr renv a subs in
+      let (subxs, _) as subs = subscripts renv subs in
+      let addr, ca = ref_addr renv a subs in
       let aslot = arr_slot renv a in
-      let evalf ctx =
-        (* the callee receives a bare address (its binding has no
-           descriptor), so any store it makes through the element is
-           invisible to the version counter — bump conservatively here *)
-        (match ctx.frame.Frame.arrays.(aslot).Frame.ab_darr with
-        | Some d -> Darray.bump_version d
-        | None -> ());
-        Aelem (addrf ctx)
+      let fa = addr.f in
+      let arg =
+        {
+          addr with
+          f =
+            (fun t ->
+              (* the callee receives a bare address (its binding has no
+                 descriptor), so any store it makes through the element is
+                 invisible to the version counter — bump conservatively
+                 here *)
+              (match (arrays t).(aslot).Frame.ab_darr with
+              | Some d -> Darray.bump_version d
+              | None -> ());
+              Frame.Aelem (fa t));
+        }
       in
-      let regf ctx =
-        let ab = ctx.frame.Frame.arrays.(aslot) in
-        match ab.Frame.ab_darr with
-        | Some d when d.Darray.reshaped ->
-            let addr = addrf ctx in
-            let idx = Array.map (fun f -> f ctx) subfs in
-            Some (addr, Argcheck.Portion { words = Darray.portion_run d idx })
-        | _ -> None
+      (* a reshaped element registers its portion: the address, then each
+         subscript again *)
+      let pre, fs = settle_ints renv (addr :: Array.to_list subxs) in
+      let faddr, fsubs =
+        match fs with f :: fs -> (f, Array.of_list fs) | [] -> assert false
       in
-      ((evalf, ca), regf)
+      let reg k =
+        let regd =
+          then_ pre (fun t ->
+              (match (arrays t).(aslot).Frame.ab_darr with
+              | Some d ->
+                  let addr = faddr t in
+                  let idx = Array.map (fun f -> f t) fsubs in
+                  register ~addr
+                    (Argcheck.Portion { words = Darray.portion_run d idx })
+                    t
+              | None -> ());
+              k t)
+        in
+        fun t ->
+          match (arrays t).(aslot).Frame.ab_darr with
+          | Some d when d.Darray.reshaped -> regd t
+          | _ -> k t
+      in
+      (arg, ca, reg)
   | _ -> Eff.error "array argument must be an array name or an array element"
 
 (* ------------------------------------------------------------------ *)
-(* Routine entries *)
+(* Routine entries. An entry binds the caller's [t.args] into a fresh
+   frame and runs the body; the caller has already pushed the return
+   point that the body's end (or a [Return]) pops. *)
 
-let compile_routine g (name : string) (pr : Prog.routine) : entry =
+let compile_routine g (name : string) (pr : Prog.routine) : k =
   let renv =
     {
       g;
@@ -1053,6 +1558,7 @@ let compile_routine g (name : string) (pr : Prog.routine) : entry =
       nf = 0;
       aslots = Hashtbl.create 8;
       na = 0;
+      in_par = false;
     }
   in
   let r = pr.Prog.env.Sema.routine in
@@ -1070,7 +1576,7 @@ let compile_routine g (name : string) (pr : Prog.routine) : entry =
         match Sema.find_sym pr.Prog.env p with
         | Some (Sema.SArray ai) ->
             (* dim expressions may reference formal scalars (adjustable) *)
-            let dimfs =
+            let dims =
               List.map2
                 (fun lo hi ->
                   (fst (compile_int renv lo), fst (compile_int renv hi)))
@@ -1081,7 +1587,7 @@ let compile_routine g (name : string) (pr : Prog.routine) : entry =
                 (fun (d : Decl.dist) -> Array.of_list d.Decl.dkinds)
                 ai.Sema.ai_dist
             in
-            `Array (p, arr_slot renv p, ai.Sema.ai_ty, dimfs, kinds)
+            `Array (p, arr_slot renv p, ai.Sema.ai_ty, dims, kinds)
         | Some (Sema.SScalar (ty, _)) -> `Scalar (p, slot_for renv p ~ty, ty)
         | _ -> Eff.error "routine %s: formal %s undeclared" name p)
       r.Decl.rparams
@@ -1096,74 +1602,98 @@ let compile_routine g (name : string) (pr : Prog.routine) : entry =
         | Some ab -> template.(slot) <- ab
         | None -> ())
     renv.aslots;
-  fun ws argv ->
+  (* array formals, in order, each bound after its dimension expressions
+     (every lower bound, then every upper bound) *)
+  let array_steps =
+    List.concat
+      (List.mapi
+         (fun i plan ->
+           match plan with
+           | `Scalar _ -> []
+           | `Array (p, aslot, fty, dims, kinds) ->
+               let nd = List.length dims in
+               let pre, fs =
+                 settle_ints renv (List.map fst dims @ List.map snd dims)
+               in
+               let fs = Array.of_list fs in
+               [
+                 (fun k ->
+                   then_ pre (fun t ->
+                       let lowers = Array.init nd (fun d -> fs.(d) t) in
+                       let his = Array.init nd (fun d -> fs.(nd + d) t) in
+                       let extents = Array.map2 (fun h l -> h - l + 1) his lowers in
+                       let strides = Frame.column_strides extents in
+                       let ab =
+                         match t.Sched.args.(i) with
+                         | Frame.Awhole ({ Frame.ab_darr = Some d; _ } as ab)
+                           when d.Darray.reshaped ->
+                             (* reshaped whole-array pass: keep the descriptor *)
+                             ab
+                         | Frame.Awhole ab ->
+                             {
+                               ab with
+                               Frame.ab_lowers = lowers;
+                               ab_strides = strides;
+                               ab_extents = extents;
+                               ab_ty = fty;
+                             }
+                         | Frame.Aelem addr ->
+                             {
+                               Frame.ab_darr = None;
+                               ab_base = addr;
+                               ab_lowers = lowers;
+                               ab_strides = strides;
+                               ab_extents = extents;
+                               ab_ty = fty;
+                             }
+                         | Frame.Ai _ | Frame.Af _ ->
+                             Eff.error "%s: argument %s: array expected" name p
+                       in
+                       (arrays t).(aslot) <- ab;
+                       if g.checks then begin
+                         charge Costs.argcheck_lookup t;
+                         match
+                           Argcheck.check_entry g.rt.Rt.argcheck
+                             ~addr:ab.Frame.ab_base ~name:p
+                             ~formal_extents:extents ?formal_kinds:kinds ()
+                         with
+                         | Ok () -> ()
+                         | Error m -> Eff.error "%s" m
+                       end;
+                       k t));
+               ])
+         formal_plan)
+  in
+  let body = List.fold_right (fun step k -> step k) array_steps (bodyc (return_ g)) in
+  fun t ->
     let frame =
       Frame.create ~n_int:renv.ni ~n_float:renv.nf ~arrays:(Array.copy template)
     in
-    let ctx = { ws; frame } in
+    t.Sched.frame <- frame;
     (* bind scalars first (adjustable array dims may need them) *)
-    List.iter2
-      (fun plan arg ->
-        match (plan, arg) with
-        | `Scalar (_, SInt i, _), Ai v -> frame.Frame.ints.(i) <- v
-        | `Scalar (_, SInt i, _), Af v -> frame.Frame.ints.(i) <- int_of_float v
-        | `Scalar (_, SFloat i, _), Af v -> frame.Frame.floats.(i) <- v
-        | `Scalar (_, SFloat i, _), Ai v -> frame.Frame.floats.(i) <- float_of_int v
+    List.iteri
+      (fun i plan ->
+        match (plan, t.Sched.args.(i)) with
+        | `Scalar (_, SInt i, _), Frame.Ai v -> frame.Frame.ints.(i) <- v
+        | `Scalar (_, SInt i, _), Frame.Af v -> frame.Frame.ints.(i) <- int_of_float v
+        | `Scalar (_, SFloat i, _), Frame.Af v -> frame.Frame.floats.(i) <- v
+        | `Scalar (_, SFloat i, _), Frame.Ai v -> frame.Frame.floats.(i) <- float_of_int v
         | `Scalar (p, _, _), _ -> Eff.error "%s: argument %s: scalar expected" name p
         | `Array _, _ -> ())
-      formal_plan argv;
-    (* then bind arrays *)
-    List.iter2
-      (fun plan arg ->
-        match plan with
-        | `Scalar _ -> ()
-        | `Array (p, aslot, fty, dimfs, kinds) -> (
-            let lowers = Array.of_list (List.map (fun (lo, _) -> lo ctx) dimfs) in
-            let his = Array.of_list (List.map (fun (_, hi) -> hi ctx) dimfs) in
-            let extents = Array.map2 (fun h l -> h - l + 1) his lowers in
-            let strides = Frame.column_strides extents in
-            let ab =
-              match arg with
-              | Awhole ({ Frame.ab_darr = Some d; _ } as ab) when d.Darray.reshaped ->
-                  (* reshaped whole-array pass: keep the descriptor *)
-                  ab
-              | Awhole ab ->
-                  {
-                    ab with
-                    Frame.ab_lowers = lowers;
-                    ab_strides = strides;
-                    ab_extents = extents;
-                    ab_ty = fty;
-                  }
-              | Aelem addr ->
-                  {
-                    Frame.ab_darr = None;
-                    ab_base = addr;
-                    ab_lowers = lowers;
-                    ab_strides = strides;
-                    ab_extents = extents;
-                    ab_ty = fty;
-                  }
-              | Ai _ | Af _ -> Eff.error "%s: argument %s: array expected" name p
-            in
-            frame.Frame.arrays.(aslot) <- ab;
-            if g.checks then begin
-              charge Costs.argcheck_lookup ws;
-              match
-                Argcheck.check_entry g.rt.Rt.argcheck ~addr:ab.Frame.ab_base
-                  ~name:p ~formal_extents:extents ?formal_kinds:kinds ()
-              with
-              | Ok () -> ()
-              | Error m -> Eff.error "%s" m
-            end))
-      formal_plan argv;
-    try bodyc ctx with Return_local -> ()
+      formal_plan;
+    body t
 
 let compile_all g =
   Prog.iter g.prog (fun name pr ->
       Hashtbl.replace g.entries name (compile_routine g name pr))
 
-let run_main g ws =
-  match Hashtbl.find_opt g.entries g.prog.Prog.main with
-  | Some entry -> entry ws []
-  | None -> Eff.error "main routine %s not compiled" g.prog.Prog.main
+let run_main g : k =
+  let finish = Sched.finish g.sched in
+  fun t ->
+    match Hashtbl.find_opt g.entries g.prog.Prog.main with
+    | Some entry ->
+        t.Sched.calls <-
+          [ { Sched.caller = t.Sched.frame; k = finish; registered = [] } ];
+        t.Sched.args <- [||];
+        entry t
+    | None -> Eff.error "main routine %s not compiled" g.prog.Prog.main

@@ -3,12 +3,14 @@
     directives exactly as the paper's start-up code does), compiles all
     routines, and then runs the program unit on simulated processor 0.
 
-    Workers are effect-based coroutines scheduled strictly by minimum local
-    clock, so memory-system events (directory transactions, memory-module
-    queueing) happen in global simulated-time order and runs are
-    deterministic. A [Par] region forks one worker per simulated processor
-    and joins at the maximum child clock — the doacross's implicit
-    barrier. *)
+    Tasks ({!Sched.task}) are scheduled strictly by minimum local clock, so
+    memory-system events (directory transactions, memory-module queueing)
+    happen in global simulated-time order and runs are deterministic. The
+    scheduler loop pops the task with the smallest clock and resumes it
+    with a plain call of its resume point; compiled code runs until it
+    parks at an access, forks, finishes or fails. A [Par] region forks one
+    task per simulated processor and joins at the maximum child clock —
+    the doacross's implicit barrier. *)
 
 type outcome = {
   cycles : int;  (** program-unit completion time in simulated cycles *)
@@ -22,8 +24,8 @@ type outcome = {
   forks : int;  (** parallel regions entered *)
 }
 (** [parks], [direct_continues] and [forks] count scheduling decisions,
-    not simulated time: they pin the schedule itself, and no CLI prints
-    them. *)
+    not simulated time: they pin the schedule itself. [pflrun --stats]
+    prints them. *)
 
 val run :
   Prog.t ->

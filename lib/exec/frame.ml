@@ -8,6 +8,9 @@ type abind = {
 }
 
 type t = { ints : int array; floats : float array; arrays : abind array }
+type arg = Ai of int | Af of float | Awhole of abind | Aelem of int
+
+let empty = { ints = [||]; floats = [||]; arrays = [||] }
 
 let create ~n_int ~n_float ~arrays =
   { ints = Array.make n_int 0; floats = Array.make n_float 0.0; arrays }

@@ -21,6 +21,14 @@ type abind = {
 
 type t = { ints : int array; floats : float array; arrays : abind array }
 
+(** An evaluated actual argument on its way into the callee's frame:
+    scalars by value, whole arrays by binding, array elements by word
+    address. *)
+type arg = Ai of int | Af of float | Awhole of abind | Aelem of int
+
+val empty : t
+(** No slots: the frame of a task before its first routine binds one. *)
+
 val create : n_int:int -> n_float:int -> arrays:abind array -> t
 val copy_scalars : t -> t
 (** Fresh scalar slots holding the same values; shared array bindings. *)

@@ -1120,7 +1120,7 @@ let test_watchdog_stall_pinned () =
    (elaboration, closure compilation and execution), for the three
    kernels at 8 procs. Minor words are deterministic for a given compiler
    and program; the bounds sit about 10% above the values measured with
-   OCaml 5.1.1 (transpose 38.5, lu 30.6, conv 27.9) so a newer compiler's
+   OCaml 5.1.1 (transpose 35.6, lu 25.9, conv 24.2) so a newer compiler's
    small drift passes and a new per-access allocation does not. *)
 let test_words_per_access () =
   let module Ddsm = Ddsm_core.Ddsm in
@@ -1147,7 +1147,7 @@ let test_words_per_access () =
             (Printf.sprintf "%s -p 8: %.1f words per access (bound %.1f)" name
                per bound)
             true (per <= bound))
-    [ ("transpose", 42.5); ("lu", 33.7); ("conv", 30.7) ]
+    [ ("transpose", 39.2); ("lu", 28.5); ("conv", 26.6) ]
 
 let () =
   Alcotest.run "exec"
