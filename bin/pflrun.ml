@@ -296,7 +296,11 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                     (Ddsm_report.Stats.of_counters o.Ddsm.Engine.counters);
                   List.iter
                     (Printf.printf "counter-accounting bug: %s\n")
-                    (Ddsm_report.Stats.audit o.Ddsm.Engine.counters)
+                    (Ddsm_report.Stats.audit o.Ddsm.Engine.counters);
+                  Printf.printf
+                    "schedule: parks %d  direct continues %d  forks %d\n"
+                    o.Ddsm.Engine.parks o.Ddsm.Engine.direct_continues
+                    o.Ddsm.Engine.forks
                 end;
                 (match prof with
                 | Some p when profile ->
@@ -333,7 +337,14 @@ let () =
   let heap =
     Arg.(value & opt int (1 lsl 24) & info [ "heap-words" ] ~doc:"Simulated heap size in 8-byte words.")
   in
-  let stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print hardware-counter statistics.") in
+  let stats =
+    Arg.(
+      value & flag
+      & info [ "stats" ]
+          ~doc:
+            "Print hardware-counter statistics and the scheduling decisions \
+             (accesses that parked or continued directly, regions forked).")
+  in
   let no_checks =
     Arg.(value & flag & info [ "no-checks" ] ~doc:"Disable the §6 runtime argument checks.")
   in
