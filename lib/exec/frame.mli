@@ -1,10 +1,12 @@
 (** Per-invocation variable frames.
 
-    Scalars live in typed slot arrays (resolved to indices at compile time);
-    array names resolve to {!abind} bindings that carry either a full
-    descriptor (locally declared arrays, whole-array arguments) or a bare
-    base address (array-element arguments viewed as plain Fortran arrays by
-    the callee). Parallel workers get a private copy of the scalar slots —
+    Scalars live in typed slot arrays (resolved to indices at compile time),
+    beside the compiler's temporaries: values that must survive a memory
+    access, such as a load's result or a store's value. Array names
+    resolve to {!abind} bindings that carry either a full descriptor
+    (locally declared arrays, whole-array arguments) or a bare base address
+    (array-element arguments viewed as plain Fortran arrays by the
+    callee). Parallel tasks get a private copy of the scalar slots —
     the [local]-clause semantics — and share the array bindings. *)
 
 type abind = {

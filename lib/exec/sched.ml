@@ -98,7 +98,7 @@ let fail s t e =
 
 let access s t waddr write k =
   t.addr <- waddr;
-  s.access_ev.Rt.region <- t.region;
+  if s.access_ev.Rt.region != t.region then s.access_ev.Rt.region <- t.region;
   let lat =
     Memsys.access s.mem ~proc:t.proc ~addr:(Heap.byte_of_word waddr) ~write
       ~now:t.clock
