@@ -182,6 +182,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     Sched.task ~proc:0 ~clock:0 ~depth:0 ~region:serial_region ~parent:None
       ~frame:Frame.empty ~resume:ignore
   in
+  (* not started: a failure before the run reports no blocked task *)
   master.Sched.state <- Sched.Done;
   (* Full-context diagnosis: reason + where every simulated task stands.
      Built from whatever state exists when the failure is observed. *)
