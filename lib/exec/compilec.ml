@@ -837,7 +837,7 @@ and compile_dsm renv nm args cost : value * int =
    and a task that never parks runs in constant stack. *)
 
 (* per-execution state of a gather's inspector walk and per-element
-   fallback, kept in the task across their accesses *)
+   fallback, captured by their continuations *)
 type walk = {
   w_tab : Frame.abind;
   w_iab : Frame.abind;
@@ -853,10 +853,7 @@ type walk = {
   mutable w_addrs : int array;
   mutable w_scratch : int;
   mutable w_slot : int;  (** next slot of the walk, then of the fallback *)
-  mutable w_tries : int;
 }
-
-type Sched.local += Gathering of walk
 
 (* charge [c], then run [pre] and continue at [k] *)
 let charged c pre (k : k) : k =
@@ -1131,7 +1128,7 @@ and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
    values, so results never depend on the fault plan.
 
    The walk and the fallback are resumable loops over a {!walk} record
-   made on entry; the walk drives the loop variables through the serial
+   made on entry, which their continuations capture; the walk drives the loop variables through the serial
    frame in odometer order, the innermost dimension fastest. *)
 
 and max_gather_attempts = 3
@@ -1175,9 +1172,6 @@ and compile_gather renv (gth : Stmt.gather) : step =
   let real_elems = array_elem_ty renv target = Types.Treal in
   let rt = g.rt in
   let heap = rt.Rt.heap and mem = rt.Rt.mem in
-  let walk_of (t : task) =
-    match t.Sched.local with Gathering w -> w | _ -> assert false
-  in
   let observe_gather w step ~retries (t : task) =
     match rt.Rt.observe with
     | None -> ()
@@ -1215,27 +1209,25 @@ and compile_gather renv (gth : Stmt.gather) : step =
     end
   in
   fun k ->
-    let finish t =
-      t.Sched.local <- Sched.Idle;
-      k t
-    in
-    let rec fall t =
-      let w = walk_of t in
-      if w.w_slot < w.w_nslots then
-        Sched.access s t w.w_addrs.(w.w_slot) false fell
-      else begin
-        observe_gather w Rt.Fallback ~retries:w.w_tries t;
-        finish t
-      end
-    and fell t =
-      let w = walk_of t in
-      copy_one w w.w_slot;
-      w.w_slot <- w.w_slot + 1;
+    (* the per-element fallback: one timed load per slot *)
+    let fallback w ~tries t =
+      w.w_slot <- 0;
+      let rec fall t =
+        if w.w_slot < w.w_nslots then
+          Sched.access s t w.w_addrs.(w.w_slot) false fell
+        else begin
+          observe_gather w Rt.Fallback ~retries:tries t;
+          k t
+        end
+      and fell t =
+        copy_one w w.w_slot;
+        w.w_slot <- w.w_slot + 1;
+        fall t
+      in
       fall t
     in
     (* every execution: move the CURRENT target values into scratch *)
-    let fetch t =
-      let w = walk_of t in
+    let fetch w t =
       let site = w.w_site in
       w.w_addrs <- site.Rt.gs_addrs;
       w.w_scratch <- site.Rt.gs_scratch;
@@ -1251,7 +1243,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
                ~round_words:site.Rt.gs_round_words)
             t;
           observe_gather w Rt.Fetch ~retries:tries t;
-          finish t
+          k t
         end
         else begin
           rt.Rt.gather_retries <- rt.Rt.gather_retries + 1;
@@ -1261,40 +1253,13 @@ and compile_gather renv (gth : Stmt.gather) : step =
             (* retries exhausted: per-element fallback through ordinary
                timed loads — same addresses, same values, only slower *)
             rt.Rt.gather_fallbacks <- rt.Rt.gather_fallbacks + 1;
-            w.w_slot <- 0;
-            w.w_tries <- tries;
-            fall t
+            fallback w ~tries t
           end
         end
       in
       attempt 0
     in
-    let rec visit t =
-      let w = walk_of t in
-      charge (Costs.gather_inspect + isubcost) t;
-      let iaddr = plain_addr ~bounds index w.w_iab isubfs t in
-      Sched.access s t iaddr false visited
-    and visited t =
-      let w = walk_of t in
-      let ival = Heap.get_int heap t.Sched.addr in
-      let sub = (scale * ival) + off in
-      let tab = w.w_tab in
-      let x = sub - tab.Frame.ab_lowers.(0) in
-      if bounds && (x < 0 || x >= tab.Frame.ab_extents.(0)) then
-        Eff.error "array %s: subscript %d out of bounds in dim %d" target sub 1;
-      let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
-      w.w_addrs.(w.w_slot) <- taddr;
-      let home a =
-        Option.value ~default:0 (Memsys.home_of_addr mem (Heap.byte_of_word a))
-      in
-      let src = home taddr and dst = home (w.w_scratch + w.w_slot) in
-      (match Hashtbl.find_opt w.w_pairs (src, dst) with
-      | Some r -> incr r
-      | None -> Hashtbl.replace w.w_pairs (src, dst) (ref 1));
-      w.w_slot <- w.w_slot + 1;
-      if advance w (ints t) (ndims - 1) then visit t else inspected t
-    and inspected t =
-      let w = walk_of t in
+    let inspected w t =
       (* the walk drove the loop variables through the serial frame;
          restore them so the executor (and any read of the variables after
          the nest) sees exactly the naive values *)
@@ -1312,7 +1277,36 @@ and compile_gather renv (gth : Stmt.gather) : step =
       site.Rt.gs_round_words <- Redist.round_words rounds;
       site.Rt.gs_key <- Some w.w_key;
       observe_gather w Rt.Inspect ~retries:0 t;
-      fetch t
+      fetch w t
+    in
+    (* the inspector walk: one timed index load per slot *)
+    let inspect w t =
+      let rec visit t =
+        charge (Costs.gather_inspect + isubcost) t;
+        let iaddr = plain_addr ~bounds index w.w_iab isubfs t in
+        Sched.access s t iaddr false visited
+      and visited t =
+        let ival = Heap.get_int heap t.Sched.addr in
+        let sub = (scale * ival) + off in
+        let tab = w.w_tab in
+        let x = sub - tab.Frame.ab_lowers.(0) in
+        if bounds && (x < 0 || x >= tab.Frame.ab_extents.(0)) then
+          Eff.error "array %s: subscript %d out of bounds in dim %d" target sub
+            1;
+        let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
+        w.w_addrs.(w.w_slot) <- taddr;
+        let home a =
+          Option.value ~default:0
+            (Memsys.home_of_addr mem (Heap.byte_of_word a))
+        in
+        let src = home taddr and dst = home (w.w_scratch + w.w_slot) in
+        (match Hashtbl.find_opt w.w_pairs (src, dst) with
+        | Some r -> incr r
+        | None -> Hashtbl.replace w.w_pairs (src, dst) (ref 1));
+        w.w_slot <- w.w_slot + 1;
+        if advance w (ints t) (ndims - 1) then visit t else inspected w t
+      in
+      visit t
     in
     fun t ->
       let tab = (arrays t).(tslot) in
@@ -1363,12 +1357,10 @@ and compile_gather renv (gth : Stmt.gather) : step =
             w_addrs = site.Rt.gs_addrs;
             w_scratch = site.Rt.gs_scratch;
             w_slot = 0;
-            w_tries = 0;
           }
         in
-        t.Sched.local <- Gathering w;
         match site.Rt.gs_key with
-        | Some k when k = keynow -> fetch t
+        | Some k when k = keynow -> fetch w t
         | _ ->
             (* cache miss: inspect. The index vector is read through
                ordinary timed accesses — inspection is real work the
@@ -1386,7 +1378,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
             let a = ints t in
             Array.iteri (fun d vslot -> w.w_saved.(d) <- a.(vslot)) vslots;
             Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;
-            visit t
+            inspect w t
       end
 
 (* ------------------------------------------------------------------ *)

@@ -4,8 +4,6 @@ module Rt = Ddsm_runtime.Rt
 module Fault = Ddsm_check.Fault
 
 type state = Ready | Waiting | Done
-type local = ..
-type local += Idle
 
 type task = {
   proc : int;
@@ -19,7 +17,6 @@ type task = {
   mutable args : Frame.arg array;
   mutable regs : int list;
   mutable calls : ret list;
-  mutable local : local;
   mutable state : state;
   mutable children : task list;
   mutable pending : int;
@@ -72,7 +69,6 @@ let task ~proc ~clock ~depth ~region ~parent ~frame ~resume =
     args = [||];
     regs = [];
     calls = [];
-    local = Idle;
     state = Ready;
     children = [];
     pending = 0;

@@ -14,12 +14,6 @@ type state =
   | Waiting  (** joining its children *)
   | Done  (** finished, or running right now *)
 
-type local = ..
-(** Per-task state of a statement that makes several accesses (the
-    inspector walk of a gather), kept across its parks. *)
-
-type local += Idle
-
 type task = {
   proc : int;  (** simulated processor *)
   mutable clock : int;  (** local cycle count *)
@@ -34,7 +28,6 @@ type task = {
       (** argument-check registrations of the call being made, newest
           first *)
   mutable calls : ret list;  (** return points, innermost first *)
-  mutable local : local;
   mutable state : state;
   mutable children : task list;
   mutable pending : int;  (** children still running *)

@@ -160,17 +160,6 @@ let drop t ~line ~proc =
     end
   end
 
-(* index of the lowest set bit of a non-zero word *)
-let ctz x =
-  let n = ref 0 and x = ref x in
-  if !x land 0xFFFFFFFF = 0 then (n := 32; x := !x lsr 32);
-  if !x land 0xFFFF = 0 then (n := !n + 16; x := !x lsr 16);
-  if !x land 0xFF = 0 then (n := !n + 8; x := !x lsr 8);
-  if !x land 0xF = 0 then (n := !n + 4; x := !x lsr 4);
-  if !x land 0x3 = 0 then (n := !n + 2; x := !x lsr 2);
-  if !x land 0x1 = 0 then incr n;
-  !n
-
 (* highest-processor-first, matching the Bitset.fold order of the reference
    implementation (the order is observable only through trace/event
    interleaving, never through counters) *)
@@ -182,15 +171,15 @@ let sharers_except t ~line ~proc =
     if w = 0 then []
     else if w land 1 = 1 then if w lsr 1 = proc then [] else [ w lsr 1 ]
     else begin
-      (* each word's set bits, lowest first, each prepended *)
+      (* lowest first, each prepended; a word with no sharer is skipped *)
       let acc = ref [] in
       for k = 0 to t.nwords - 1 do
-        let bits = ref t.sh.((s * t.nwords) + k) in
-        while !bits <> 0 do
-          let p = (k * wbits) + ctz !bits in
-          if p <> proc then acc := p :: !acc;
-          bits := !bits land (!bits - 1)
-        done
+        let word = t.sh.((s * t.nwords) + k) in
+        if word <> 0 then
+          for b = 0 to min wbits (t.nprocs - (k * wbits)) - 1 do
+            let p = (k * wbits) + b in
+            if p <> proc && word land (1 lsl b) <> 0 then acc := p :: !acc
+          done
       done;
       !acc
     end
