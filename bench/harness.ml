@@ -108,17 +108,17 @@ let json_of_series series =
        (fun (_, s) ->
          Json.Obj
            [
-             ("label", Json.Str s.Ddsm_report.Series.label);
+             ("label", Json.Str s.Series.label);
              ( "points",
                Json.List
                  (List.map
                     (fun p ->
                       Json.Obj
                         [
-                          ("x", Json.Int p.Ddsm_report.Series.x);
-                          ("y", Json.Float p.Ddsm_report.Series.y);
+                          ("x", Json.Int p.Series.x);
+                          ("y", Json.Float p.Series.y);
                         ])
-                    s.Ddsm_report.Series.points) );
+                    s.Series.points) );
            ])
        series)
 
@@ -137,7 +137,7 @@ let write_json ppf ~path j =
 
 (* speedup series over a processor sweep, relative to [baseline] cycles *)
 let speedup_series ~label ~baseline measurements =
-  Ddsm_report.Series.speedup ~baseline:(float_of_int baseline) ~label
+  Series.speedup ~baseline:(float_of_int baseline) ~label
     (List.map (fun (p, c) -> (p, float_of_int c)) measurements)
 
 let check ppf name ok =

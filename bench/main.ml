@@ -15,7 +15,6 @@
 
 module Ddsm = Ddsm_core.Ddsm
 module Flags = Ddsm_core.Ddsm.Flags
-module Series = Ddsm_report.Series
 module Stats = Ddsm_report.Stats
 module W = Workloads
 module H = Harness

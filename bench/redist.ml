@@ -82,6 +82,11 @@ type point = {
   sched_cycles : int;
 }
 
+(* the unscheduled plan moves every cross word serially, paying the round
+   setup once per transfer: a schedule of one transfer per round *)
+let naive_cycles ~cross_words ~transfers =
+  Costs.redistribute_scheduled ~rounds:transfers ~round_words:cross_words
+
 let measure sweep nprocs =
   let src =
     Layout.make ~extents:sweep.extents ~kinds:(sweep.src_kinds nprocs) ~nprocs ()
@@ -100,8 +105,7 @@ let measure sweep nprocs =
     transfers;
     rounds;
     round_words;
-    naive_cycles =
-      Costs.redistribute_naive ~cross_words:s.Redist.cross_words ~transfers;
+    naive_cycles = naive_cycles ~cross_words:s.Redist.cross_words ~transfers;
     sched_cycles = Costs.redistribute_scheduled ~rounds ~round_words;
   }
 

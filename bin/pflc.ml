@@ -1,6 +1,8 @@
 (* pflc — compiler/linker driver for the mini-Fortran data-distribution
    language. Mirrors the paper's toolchain: per-file compilation emits an
-   object (.pfo) plus a shadow file (.pfs); linking runs the pre-linker,
+   object (.pfo) whose shadow section records the file's routines, reshaped
+   call signatures and common blocks (`pflc dump` prints it as text, as the
+   paper's shadow file); linking runs the pre-linker,
    which propagates distribute_reshape directives across files and clones
    subroutines as needed (§5), then writes a program image (.pfi) for
    pflrun. *)
@@ -63,8 +65,7 @@ let compile_cmd =
               | _ -> Filename.remove_extension src ^ ".pfo"
             in
             Ddsm_linker.Objfile.save obj ~path:out;
-            Printf.printf "%s -> %s (+ %s)\n" src out
-              (Filename.remove_extension out ^ ".pfs"))
+            Printf.printf "%s -> %s (object + shadow section)\n" src out)
       srcs
   in
   let srcs =
@@ -73,7 +74,7 @@ let compile_cmd =
   let output =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT" ~doc:"Object path.")
   in
-  Cmd.v (Cmd.info "compile" ~doc:"Compile sources to objects + shadow files.")
+  Cmd.v (Cmd.info "compile" ~doc:"Compile sources to objects, each with its shadow section.")
     Term.(const run $ flags_term $ srcs $ output)
 
 let link_objs paths output verbose =

@@ -61,6 +61,7 @@ val code : t -> string
     the key the fuzzing harness buckets failures by, so it must not change
     across releases. *)
 
+(* Test-only: tests match a failure's reason without its dump. *)
 val headline : t -> string
 (** One-line summary (the old string error, e.g.
     ["deadlock: program did not run to completion"]). *)

@@ -101,14 +101,6 @@ let portion_ranges t ~proc =
       in
       go proc []
 
-let iter_portion t ~proc f =
-  List.iter
-    (fun (lo, hi) ->
-      for i = lo to hi do
-        f i
-      done)
-    (portion_ranges t ~proc)
-
 let pp ppf t =
   Format.fprintf ppf "@[<h>%a over %d procs, extent %d, block %d@]" Kind.pp
     t.kind t.procs t.extent t.block

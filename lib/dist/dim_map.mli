@@ -30,10 +30,12 @@ val offset : t -> int -> int
     row): block [i mod b]; cyclic [i/P]; cyclic(k) [(i/(kP))*k + i mod k];
     star [i]. *)
 
+(* Test-only: Table 1's inverse, the owner/offset properties' oracle. *)
 val global : t -> proc:int -> offset:int -> int
 (** Inverse of [(owner, offset)]. Unchecked: the pair must denote a real
     element (use [portion_size]). *)
 
+(* Test-only: the partition properties check portion_ranges with it. *)
 val portion_size : t -> proc:int -> int
 (** Number of elements owned by [proc]. *)
 
@@ -42,12 +44,10 @@ val storage_extent : t -> int
     such that every processor's [offset] values fit. Block: b; cyclic:
     ceil(N/P); cyclic(k): ceil(ceil(N/k)/P) * k. *)
 
-val iter_portion : t -> proc:int -> (int -> unit) -> unit
-(** Iterate the global indices owned by [proc] in increasing order. *)
-
 val portion_ranges : t -> proc:int -> (int * int) list
 (** Maximal contiguous global index ranges [(lo, hi)] (inclusive) owned by
     [proc], in increasing order. Block yields at most one range; cyclic yields
     singletons; cyclic(k) yields one range per owned chunk. *)
 
+(* Test-only: prints property-test counterexamples. *)
 val pp : Format.formatter -> t -> unit

@@ -31,39 +31,3 @@ let egcd a b =
 let gcd a b =
   let g, _, _ = egcd a b in
   g
-
-type ap = { start : int; step : int }
-
-let align_up x ~base ~step =
-  if step <= 0 then invalid_arg "Intmath.align_up: non-positive step";
-  if x <= base then base else base + (cdiv (x - base) step * step)
-
-(* Steps are bounded so the CRT arithmetic below cannot overflow:
-   operands reduced mod m stay below 2^31, so products stay below 2^62. *)
-let max_step = 1 lsl 31
-
-(* Solve { a.start + i*a.step } ∩ { b.start + j*b.step } by CRT. We need
-   x ≡ a.start (mod a.step) and x ≡ b.start (mod b.step); solvable iff
-   gcd divides the difference of the residues. *)
-let ap_intersect a b =
-  if a.step <= 0 || b.step <= 0 then invalid_arg "Intmath.ap_intersect";
-  if a.step >= max_step || b.step >= max_step then
-    invalid_arg "Intmath.ap_intersect: step >= 2^31 (CRT would overflow)";
-  let g, u, _v = egcd a.step b.step in
-  let diff = b.start - a.start in
-  (* a same-sign wrap here means the true difference exceeds the int
-     range; refuse rather than intersect the wrong progressions *)
-  if b.start >= a.start <> (diff >= 0) then
-    invalid_arg "Intmath.ap_intersect: start difference overflows";
-  if diff mod g <> 0 then None
-  else
-    let lcm = a.step / g * b.step in
-    (* x = a.start + a.step * t where t ≡ u * (diff/g) (mod b.step/g);
-       reduce both factors mod m first — the raw u * (diff/g) product
-       overflows for large steps and far-apart starts *)
-    let m = b.step / g in
-    let t0 = fmod (fmod u m * fmod (diff / g) m) m in
-    let x0 = a.start + (a.step * t0) in
-    (* x0 satisfies both congruences; move up to >= max of starts *)
-    let lo = max a.start b.start in
-    Some { start = align_up lo ~base:x0 ~step:lcm; step = lcm }

@@ -14,6 +14,7 @@ val fmod : int -> int -> int
 val cdiv : int -> int -> int
 (** [cdiv a b] is ceil(a/b). [b] must be positive. *)
 
+(* Test-only: the affinity oracle's CRT (test/affinity_ref.ml) uses it. *)
 val egcd : int -> int -> int * int * int
 (** [egcd a b] is [(g, x, y)] with [g = gcd a b] (non-negative) and
     [a*x + b*y = g]. Raises [Invalid_argument] when either operand is
@@ -23,19 +24,3 @@ val egcd : int -> int -> int * int * int
 val gcd : int -> int -> int
 (** Non-negative gcd; [gcd 0 0 = 0]. Same [min_int] restriction as
     {!egcd}. *)
-
-type ap = { start : int; step : int }
-(** The arithmetic progression [{start + k*step | k >= 0}]. [step] > 0. *)
-
-val ap_intersect : ap -> ap -> ap option
-(** Intersection of two upward-infinite arithmetic progressions, itself an
-    arithmetic progression (or [None] if empty, i.e. the residues are
-    incompatible). The result's [start] is the smallest common element that is
-    [>= max a.start b.start]. Starts may be negative. Raises
-    [Invalid_argument] when a step is [>= 2{^31}] or the two starts are so
-    far apart that their difference overflows — explicit refusals instead
-    of silently wrapped CRT arithmetic. *)
-
-val align_up : int -> base:int -> step:int -> int
-(** [align_up x ~base ~step] is the smallest element of the progression
-    [base, base+step, ...] that is [>= x]. [step] > 0. *)

@@ -22,13 +22,3 @@ let pp ppf = function
 
 let to_string t = Format.asprintf "%a" pp t
 
-let of_string s =
-  let s = String.trim (String.lowercase_ascii s) in
-  if s = "block" then Ok Block
-  else if s = "cyclic" then Ok Cyclic
-  else if s = "*" then Ok Star
-  else
-    match Scanf.sscanf_opt s "cyclic(%d)" (fun k -> k) with
-    | Some k when k >= 1 -> Ok (Cyclic_k k)
-    | Some k -> Error (Printf.sprintf "cyclic(%d): chunk size must be >= 1" k)
-    | None -> Error (Printf.sprintf "unknown distribution kind %S" s)

@@ -20,6 +20,3 @@ val pp : Format.formatter -> t -> unit
 (** Prints directive syntax: [block], [cyclic], [cyclic(4)], [*]. *)
 
 val to_string : t -> string
-
-val of_string : string -> (t, string) result
-(** Parses directive syntax (case-insensitive), e.g. ["cyclic(4)"]. *)

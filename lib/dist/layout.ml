@@ -33,15 +33,6 @@ let offsets t idx =
   check_tuple t idx;
   Array.mapi (fun d i -> Dim_map.offset t.dims.(d) i) idx
 
-let global_of t ~proc ~offsets =
-  check_tuple t offsets;
-  let ow = Grid.delinear t.grid proc in
-  Array.mapi (fun d off -> Dim_map.global t.dims.(d) ~proc:ow.(d) ~offset:off) offsets
-
-let portion_extents t ~proc =
-  let ow = Grid.delinear t.grid proc in
-  Array.mapi (fun d p -> Dim_map.portion_size t.dims.(d) ~proc:p) ow
-
 let storage_extents t = Array.map Dim_map.storage_extent t.dims
 
 let iter_portion t ~proc f =

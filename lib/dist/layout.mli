@@ -21,7 +21,6 @@ val make :
 (** Elaborate a distribution over [nprocs] processors. Raises
     [Invalid_argument] on arity mismatches or invalid extents/kinds. *)
 
-val ndims : t -> int
 val nprocs : t -> int
 
 val owner : t -> int array -> int
@@ -29,13 +28,6 @@ val owner : t -> int array -> int
 
 val offsets : t -> int array -> int array
 (** Per-dimension local offsets of an element within its owner's portion. *)
-
-val global_of : t -> proc:int -> offsets:int array -> int array
-(** Inverse: the global element held by [proc] at local [offsets]. *)
-
-val portion_extents : t -> proc:int -> int array
-(** Per-dimension portion sizes owned by a linear processor. An empty portion
-    has at least one 0 extent. *)
 
 val storage_extents : t -> int array
 (** Uniform per-processor storage shape used by the reshaped-storage manager
@@ -51,4 +43,5 @@ val contiguous_ranges : t -> proc:int -> elem_bytes:int -> (int * int) list
     to the array base. Used to place pages for regular distributions and to
     reason about page-granularity false sharing. *)
 
+(* Test-only: prints property-test counterexamples. *)
 val pp : Format.formatter -> t -> unit

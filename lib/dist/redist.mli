@@ -40,10 +40,10 @@ val build : src:Layout.t -> dst:Layout.t -> t
     times the number of distinct pair combinations — never to the number
     of elements. *)
 
+(* Test-only: the differential oracle checks this step alone. *)
 val dim_pairs : Dim_map.t -> Dim_map.t -> ((int * int) * int) list
 (** One-dimensional pair map: [(src_owner, dst_owner), count] for a
-    single dimension, sorted. Exposed for the differential oracle in the
-    test suite. *)
+    single dimension, sorted. *)
 
 val rounds_of_moves : r:int -> move list -> round list
 (** Group arbitrary moves into rounds for a machine of [r] processors (or

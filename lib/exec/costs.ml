@@ -23,13 +23,9 @@ let redistribute_retry = 400
 
 (* a scheduled redistribution runs its rounds back to back; within a
    round the transfers proceed in parallel, so the round costs its
-   LARGEST transfer ([round_words] is the sum of those maxima). The naive
-   plan moves every cross word serially with no round structure. *)
+   LARGEST transfer ([round_words] is the sum of those maxima) *)
 let redistribute_scheduled ~rounds ~round_words =
   (rounds * redistribute_round) + redistribute_words ~words:round_words
-
-let redistribute_naive ~cross_words ~transfers =
-  (transfers * redistribute_round) + redistribute_words ~words:cross_words
 
 (* inspector-executor gathers (irregular accesses through an index array):
    inspection classifies one referenced element per iteration slot — an

@@ -44,10 +44,6 @@ val redistribute_retry : int
     largest transfer ([round_words] is the sum of those maxima) *)
 val redistribute_scheduled : rounds:int -> round_words:int -> int
 
-(** the unscheduled plan moves every cross word serially, paying the
-    round setup once per transfer *)
-val redistribute_naive : cross_words:int -> transfers:int -> int
-
 (** per-iteration-slot inspection work of an inspector-executor gather:
     one address classification plus a bin insert *)
 val gather_inspect : int

@@ -35,4 +35,5 @@ val pop_value : 'a t -> 'a
     the last popped key. Read the key first with {!min_key}.
     @raise Invalid_argument if empty. *)
 
+(* Test-only: the run-queue oracle compares sizes after every operation. *)
 val size : 'a t -> int

@@ -666,13 +666,3 @@ let parse_file ~fname src =
         done;
         Ok { Decl.fname; routines = List.rev !routines }
       with Perror (l, msg) -> Error (Printf.sprintf "%s: %s" (Loc.to_string l) msg))
-
-let parse_expr_string s =
-  match Lexer.tokenize ~fname:"<expr>" s with
-  | Error e -> Error e
-  | Ok toks -> (
-      let st = { toks = Array.of_list toks; pos = 0; fname = "<expr>" } in
-      try
-        let e = parse_expr st in
-        Ok e
-      with Perror (l, msg) -> Error (Printf.sprintf "%s: %s" (Loc.to_string l) msg))

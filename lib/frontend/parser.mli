@@ -13,5 +13,3 @@
 val parse_file : fname:string -> string -> (Ddsm_ir.Decl.file, string) result
 (** Errors are formatted ["file:line: message"]. *)
 
-val parse_expr_string : string -> (Ddsm_ir.Expr.t, string) result
-(** Parse a standalone expression (used by tests and tools). *)

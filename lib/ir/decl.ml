@@ -28,8 +28,6 @@ type routine = {
 type file = { fname : string; routines : routine list }
 
 let find_routine f name = List.find_opt (fun r -> r.rname = name) f.routines
-let find_decl r name = List.find_opt (fun d -> d.vname = name) r.rdecls
-
 let pp_dist ppf d =
   Format.fprintf ppf "c$distribute%s %s(%a)%a"
     (if d.dreshape then "_reshape" else "")
@@ -67,8 +65,3 @@ let pp_routine ppf r =
     r.rdecls
     (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_dist)
     r.rdists Stmt.pp_body r.rbody
-
-let pp_file ppf f =
-  Format.fprintf ppf "@[<v>%a@]"
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_routine)
-    f.routines

@@ -36,6 +36,4 @@ type routine = {
 type file = { fname : string; routines : routine list }
 
 val find_routine : file -> string -> routine option
-val find_decl : routine -> string -> vdecl option
 val pp_routine : Format.formatter -> routine -> unit
-val pp_file : Format.formatter -> file -> unit

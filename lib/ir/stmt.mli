@@ -134,5 +134,4 @@ val size : t list -> int
 (** Total statement-node count, recursing into loop/branch bodies — the
     progress metric the fuzzing shrinker minimizes. *)
 
-val pp : Format.formatter -> t -> unit
 val pp_body : Format.formatter -> t list -> unit

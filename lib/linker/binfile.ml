@@ -10,12 +10,6 @@
 let magic = "DDSMBIN1"
 let format_version = 2 (* v1 = the headerless bare-Marshal era *)
 
-exception Crashed
-
-let crash_plan = ref None
-let inject_crash ~after_bytes = crash_plan := Some after_bytes
-let clear_crash () = crash_plan := None
-
 let save ~kind ~path v =
   if String.exists (fun c -> c = ' ' || c = '\n') kind then
     invalid_arg "Binfile.save: kind must not contain spaces";
@@ -34,20 +28,11 @@ let save ~kind ~path v =
   in
   (try
      output_string oc header;
-     (match !crash_plan with
-     | Some n ->
-         (* simulated kill mid-write: the torn temp file stays on disk,
-            the target path is never touched *)
-         crash_plan := None;
-         output_substring oc payload 0 (min n (String.length payload));
-         flush oc;
-         close_out_noerr oc;
-         raise Crashed
-     | None -> output_string oc payload);
+     output_string oc payload;
      close_out oc
    with e ->
      close_out_noerr oc;
-     (if e <> Crashed then try Sys.remove tmp with Sys_error _ -> ());
+     (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   Sys.rename tmp path
 

@@ -25,16 +25,3 @@ val load : kind:string -> path:string -> ('a, string) result
     before unmarshalling. Errors are located (they start with [path]) and
     say which check failed: not a DDSM file, wrong artifact kind, stale
     format version, truncated, or digest mismatch. *)
-
-(** {2 Fault injection (tests only)}
-
-    Simulates a writer killed mid-write: [save] raises {!Crashed} after
-    the temp file has received [after_bytes] bytes of payload, leaving the
-    torn temp file on disk but never renaming it into place — the
-    machinery the atomic-write test uses to prove readers cannot observe
-    a partial file. The plan is one-shot: it clears when it fires. *)
-
-exception Crashed
-
-val inject_crash : after_bytes:int -> unit
-val clear_crash : unit -> unit

@@ -154,16 +154,10 @@ let compile_clone t ~original ~clone ~sig_ =
             Ok u
       end
 
-let shadow_path path =
-  if Filename.check_suffix path ".pfo" then Filename.chop_suffix path ".pfo" ^ ".pfs"
-  else path ^ ".pfs"
-
 (* Objects ride the hardened Binfile container: magic/kind/version header,
    payload digest, atomic temp-file+rename install. A truncated, stale or
    foreign .pfo is a located [Error], never a Marshal crash. *)
 
-let save t ~path =
-  Binfile.save ~kind:"object" ~path t;
-  Shadow.save t.shadow ~path:(shadow_path path)
+let save t ~path = Binfile.save ~kind:"object" ~path t
 
 let load ~path : (t, string) result = Binfile.load ~kind:"object" ~path

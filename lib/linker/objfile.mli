@@ -39,5 +39,5 @@ val call_signature : Ddsm_sema.Sema.env -> Expr.t list -> Sig_.t
 
 val save : t -> path:string -> unit
 val load : path:string -> (t, string) result
-(** Marshal-based container; the sibling [.pfs] shadow file is written by
-    {!save} next to the object. *)
+(** The [.pfo] file: a {!Binfile} container holding the whole object,
+    shadow entries included. *)

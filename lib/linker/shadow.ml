@@ -44,27 +44,6 @@ let member_to_string m =
     | None -> "-"
     | Some a -> Sig_.to_string [ Some a ])
 
-let member_of_string s =
-  match String.split_on_char ':' s with
-  | [ nameoff; shape; dist ] -> (
-      match String.split_on_char '@' nameoff with
-      | [ name; off ] -> (
-          let shape =
-            if shape = "" then []
-            else List.map int_of_string (String.split_on_char 'x' shape)
-          in
-          match dist with
-          | "-" -> Ok { cm_name = name; cm_offset = int_of_string off; cm_shape = shape; cm_dist = None }
-          | d -> (
-              match Sig_.of_string d with
-              | Ok [ Some a ] ->
-                  Ok
-                    { cm_name = name; cm_offset = int_of_string off; cm_shape = shape; cm_dist = Some a }
-              | Ok _ -> Error ("bad member dist " ^ d)
-              | Error e -> Error e))
-      | _ -> Error ("bad member " ^ s))
-  | _ -> Error ("bad member " ^ s)
-
 let to_string t =
   let b = Buffer.create 256 in
   Buffer.add_string b "# ddsm shadow file v1\n";
@@ -85,61 +64,3 @@ let to_string t =
            (String.concat " " (List.map member_to_string members))))
     t.commons;
   Buffer.contents b
-
-let of_string s =
-  let t = empty () in
-  let err = ref None in
-  String.split_on_char '\n' s
-  |> List.iteri (fun lineno line ->
-         let line = String.trim line in
-         if line = "" || line.[0] = '#' then ()
-         else
-           match String.split_on_char ' ' line with
-           | "def" :: name :: rest -> (
-               match Sig_.of_string (String.concat " " rest) with
-               | Ok sg -> add_def t name sg
-               | Error e -> if !err = None then err := Some (lineno + 1, e))
-           | "call" :: name :: rest -> (
-               match Sig_.of_string (String.concat " " rest) with
-               | Ok sg -> add_call t name sg
-               | Error e -> if !err = None then err := Some (lineno + 1, e))
-           | "request" :: name :: rest -> (
-               match Sig_.of_string (String.concat " " rest) with
-               | Ok sg -> add_request t name sg
-               | Error e -> if !err = None then err := Some (lineno + 1, e))
-           | "common" :: blk :: routine :: members -> (
-               let ms = List.map member_of_string members in
-               match List.find_opt Result.is_error ms with
-               | Some (Error e) -> if !err = None then err := Some (lineno + 1, e)
-               | _ ->
-                   add_common t ~block:blk ~routine
-                     (List.map Result.get_ok ms))
-           | _ -> if !err = None then err := Some (lineno + 1, "bad shadow line"))
-  |> ignore;
-  match !err with
-  | Some (line, e) -> Error (Printf.sprintf "shadow line %d: %s" line e)
-  | None -> Ok t
-
-let save t ~path =
-  (* atomic like Binfile.save: temp file in the target directory, then
-     rename, so concurrent readers never see a partial shadow file *)
-  let tmp, oc =
-    Filename.open_temp_file ~temp_dir:(Filename.dirname path) ".ddsm-" ".tmp"
-  in
-  (try
-     output_string oc (to_string t);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
-
-let load ~path =
-  try
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    of_string s
-  with Sys_error e -> Error e

@@ -1,6 +1,8 @@
-(** Shadow files (paper §5): the side-channel the compiler maintains next to
-    each object file so the pre-linker can propagate reshape directives
-    across separately compiled files.
+(** Shadow entries (paper §5): the side-channel the compiler keeps with
+    each object so the pre-linker can propagate reshape directives across
+    separately compiled files. The paper keeps them in a file beside the
+    object; here they are a section of the object itself ({!Objfile.t}),
+    saved and loaded with it.
 
     A shadow records (a) each subroutine defined in the file along with the
     distribute-reshape directives on its parameters (trivial for original
@@ -10,8 +12,8 @@
     offset and distribution of each member — the input to the §6 link-time
     consistency check.
 
-    The format is line-oriented text so shadow files are inspectable, as
-    in the original system. *)
+    [pflc dump] prints them as line-oriented text, so they stay
+    inspectable, as in the original system. *)
 
 type common_member = {
   cm_name : string;
@@ -37,6 +39,4 @@ val add_request : t -> string -> Sig_.t -> unit
 val remove_request : t -> string -> Sig_.t -> unit
 val add_common : t -> block:string -> routine:string -> common_member list -> unit
 val to_string : t -> string
-val of_string : string -> (t, string) result
-val save : t -> path:string -> unit
-val load : path:string -> (t, string) result
+(** The line-oriented text [pflc dump] prints. *)

@@ -32,62 +32,3 @@ let mangle name t =
   if is_trivial t then name else Printf.sprintf "%s$%s" name (sanitize (to_string t))
 
 let equal (a : t) (b : t) = a = b
-
-let parse_arg s =
-  if s = "-" then Ok None
-  else
-    (* r(<kinds>)[onto(<ints>)] *)
-    let fail () = Error (Printf.sprintf "bad signature argument %S" s) in
-    if String.length s < 3 || s.[0] <> 'r' || s.[1] <> '(' then fail ()
-    else
-      (* find the close paren matching the opening one (kinds may contain
-         nested parens, e.g. cyclic(5)) *)
-      let close =
-        let depth = ref 0 and found = ref (-1) in
-        String.iteri
-          (fun i c ->
-            if !found < 0 then
-              if c = '(' then incr depth
-              else if c = ')' then begin
-                decr depth;
-                if !depth = 0 then found := i
-              end)
-          s;
-        !found
-      in
-      match (if close < 0 then None else Some close) with
-      | None -> fail ()
-      | Some close -> (
-          let kinds_s = String.sub s 2 (close - 2) in
-          let kinds_r =
-            List.map K.of_string (String.split_on_char ',' kinds_s)
-          in
-          if List.exists Result.is_error kinds_r then fail ()
-          else
-            let kinds = List.map Result.get_ok kinds_r in
-            let rest = String.sub s (close + 1) (String.length s - close - 1) in
-            if rest = "" then Ok (Some { kinds; onto = None })
-            else
-              match Scanf.sscanf_opt rest "onto(%s@)" (fun x -> x) with
-              | Some ws -> (
-                  try
-                    Ok
-                      (Some
-                         {
-                           kinds;
-                           onto =
-                             Some
-                               (List.map int_of_string
-                                  (String.split_on_char ',' ws));
-                         })
-                  with _ -> fail ())
-              | None -> fail ())
-
-let of_string s =
-  if String.trim s = "" then Ok []
-  else
-    let parts = String.split_on_char ';' s in
-    let results = List.map parse_arg parts in
-    match List.find_opt Result.is_error results with
-    | Some (Error e) -> Error e
-    | _ -> Ok (List.map Result.get_ok results)

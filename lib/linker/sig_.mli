@@ -19,7 +19,6 @@ val mangle : string -> t -> string
     return the name unchanged. *)
 
 val to_string : t -> string
-val of_string : string -> (t, string) result
-(** Inverse of [to_string]; used by the textual shadow-file format. *)
+(** The text of a signature in [pflc dump]'s shadow lines. *)
 
 val equal : t -> t -> bool

@@ -13,27 +13,11 @@ let add t i =
   check t i;
   t.words.(i / wbits) <- t.words.(i / wbits) lor (1 lsl (i mod wbits))
 
-let remove t i =
-  check t i;
-  t.words.(i / wbits) <- t.words.(i / wbits) land lnot (1 lsl (i mod wbits))
-
 let mem t i =
   check t i;
   t.words.(i / wbits) land (1 lsl (i mod wbits)) <> 0
-
-let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x land (x - 1)) (acc + 1) in
-  go x 0
-
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
 let iter f t =
   for i = 0 to t.n - 1 do
     if mem t i then f i
   done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc

@@ -7,9 +7,5 @@ val create : int -> t
 (** [create n] is the empty set over universe [0..n-1]. *)
 
 val add : t -> int -> unit
-val remove : t -> int -> unit
 val mem : t -> int -> bool
-val cardinal : t -> int
-val is_empty : t -> bool
 val iter : (int -> unit) -> t -> unit
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a

@@ -160,9 +160,8 @@ let drop t ~line ~proc =
     end
   end
 
-(* highest-processor-first, matching the Bitset.fold order of the reference
-   implementation (the order is observable only through trace/event
-   interleaving, never through counters) *)
+(* highest-processor-first (the order is observable only through
+   trace/event interleaving, never through counters) *)
 let sharers_except t ~line ~proc =
   let s = slot_of t line in
   if t.keys.(s) < 0 then []

@@ -82,6 +82,7 @@ val event : t -> access_event
 (** The machine's one access record, the argument of every probe call: a
     probe reads it during the call and never keeps it. *)
 
+(* Test-only: tests read one processor's counters. *)
 val counters : t -> proc:int -> Counters.t
 val total_counters : t -> Counters.t
 

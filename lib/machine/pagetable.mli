@@ -39,6 +39,7 @@ val place : t -> page:int -> node:int -> unit
     page is already placed this is a no-op: placement directives run before
     any touch, and re-placement must go through {!migrate}. *)
 
+(* Test-only: tests place pages by first touch without a Memsys. *)
 val home : t -> page:int -> faulting_node:int -> int
 (** Home node of [page], assigning it per policy on first touch. *)
 
@@ -58,7 +59,9 @@ val frame : t -> page:int -> int
 val node_of_frame : t -> int -> int
 (** Recover the home node from a frame id (used to route writebacks). *)
 
+(* Test-only: the Hashtbl oracle (test/pagetable_ref.ml) is compared on it. *)
 val pages_on_node : t -> node:int -> int
+(* Test-only: the Hashtbl oracle (test/pagetable_ref.ml) is compared on it. *)
 val placed_pages : t -> int
 
 val audit : t -> Ddsm_check.Audit.violation list

@@ -9,8 +9,10 @@
 type t
 
 val create : Config.t -> t
+(* Test-only: tests check the hypercube's size. *)
 val nnodes : t -> int
 
+(* Test-only: tests check the hypercube distances behind route_cycles. *)
 val hops : t -> int -> int -> int
 (** [hops t n1 n2]: 0 if same node, else Hamming distance (>= 1). *)
 

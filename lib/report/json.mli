@@ -14,6 +14,7 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* Test-only: tests compare rendered JSON in memory. *)
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 

@@ -19,6 +19,7 @@
 
 type cause = Tlb | Hit | Local_fill | Remote_fill | Contention | Coherence
 
+(* Test-only: tests read one cause's cell of a row. *)
 val cause_index : cause -> int
 
 type t
@@ -33,9 +34,11 @@ val observe : t -> Ddsm_runtime.Rt.event -> unit
     (or to ["(unattributed)"]); every other event, and an [Access] that
     fired an injected TLB flush, is appended to the trace. *)
 
+(* Test-only: tests check that attribution sums to the stall cycles. *)
 val total_stall : t -> int
 (** Sum of all recorded access cycles. *)
 
+(* Test-only: tests check that attribution sums to the stall cycles. *)
 val attributed_stall : t -> int
 (** Cycles that landed on a named array (total minus unattributed). *)
 
@@ -44,6 +47,7 @@ val attributed_stall : t -> int
 val trace_dropped : t -> int
 (** Events lost to ring-buffer wrap-around. *)
 
+(* Test-only: tests inspect the trace without writing a file. *)
 val trace_json : t -> Json.t
 (** Chrome trace-event JSON object: [{"traceEvents": [...], ...}]. Events
     are sorted by timestamp (per-processor clocks make raw arrival order
@@ -61,6 +65,7 @@ type row = {
   r_total : int;
 }
 
+(* Test-only: tests read the attribution matrix. *)
 val rows : t -> row list
 (** Attribution matrix rows, most expensive first. *)
 

@@ -15,6 +15,7 @@ type t = {
   contention_fraction : float;
 }
 
+(* Test-only: tests pin its zero-denominator rules. *)
 val ratio : int -> int -> float
 (** [ratio a b] is [a /. b], with the zero-denominator cases made honest:
     [0/0] is [0.0] (nothing happened), but [a/0] with [a > 0] is [nan] — a

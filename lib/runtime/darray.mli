@@ -148,9 +148,11 @@ val portion_run : t -> int array -> int
     an element argument denotes (paper §3.2.1 — a [cyclic(5)] element at a
     chunk start denotes 5 elements). Plain arrays: the rest of the array. *)
 
+(* Test-only: tests check reshaped portion placement. *)
 val portion_base : t -> proc:int -> int
 (** Reshaped arrays: word address of [proc]'s portion. *)
 
+(* Test-only: tests check reshaped portion sizes. *)
 val portion_words : t -> proc:int -> int
 (** Number of words of [proc]'s *storage box* (reshaped allocation size). *)
 
@@ -163,5 +165,6 @@ val word_ranges : t -> (int * int) list
 val meta_base : t -> int
 (** Distributed arrays: word address of the descriptor block. *)
 
+(* Test-only: tests check the processor grid after a redistribution. *)
 val nprocs : t -> int
 (** Processors the array is distributed over (1 for plain arrays). *)

@@ -21,6 +21,7 @@ exception Out_of_memory of string
     mistaken for an internal invariant violation. *)
 
 val create : words:int -> t
+(* Test-only: tests check the bump allocator's accounting. *)
 val used_words : t -> int
 
 val alloc : t -> words:int -> align_words:int -> int

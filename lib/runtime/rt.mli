@@ -188,6 +188,7 @@ val read : t -> addr:int -> elem:Darray.elem -> float
 (** Raw data read (no timing); integers are returned as floats for the VM's
     untyped data path. *)
 
+(* Test-only: tests seed array contents without simulated time. *)
 val write : t -> addr:int -> elem:Darray.elem -> float -> unit
 (** Raw data write (no timing). Integer elements go through
     {!int_of_real}; raises [Invalid_argument] when the value has no

@@ -35,6 +35,7 @@ type kind =
   | Page_sharing
       (** unordered conflicting accesses to distinct lines of one page *)
 
+(* Test-only: the Hashtbl sanitizer oracle's reports are compared as text. *)
 val kind_name : kind -> string
 
 type report = {
@@ -74,6 +75,7 @@ val observe : t -> Ddsm_runtime.Rt.event -> unit
 val races : t -> report list
 (** Data races observed so far, in detection order. *)
 
+(* Test-only: tests read false-sharing pairs apart from races. *)
 val false_sharing : t -> report list
 (** Line/page false-sharing pairs observed so far, in detection order.
     Deduplicated per (kind, array, region pair, access kinds). *)

@@ -53,6 +53,7 @@ val analyse_file :
 
 val find_sym : env -> string -> sym option
 val find_array : env -> string -> array_info option
+(* Test-only: tests pin the typing rule behind compiled int/real code. *)
 val type_of : env -> Expr.t -> Types.ty
 (** Result type of a checked expression (call only on expressions that
     passed analysis; raises [Invalid_argument] on malformed input). *)

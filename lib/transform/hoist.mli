@@ -14,6 +14,7 @@
 
 val routine : Tctx.t -> Ddsm_ir.Decl.routine -> Ddsm_ir.Decl.routine
 
+(* Test-only: the CSE oracle (test/cse_ref.ml) uses the same test. *)
 val contains_expensive : Ddsm_ir.Expr.t -> bool
 (** True when the expression contains a descriptor load, an indirect
     base-pointer load, or an integer div/mod. The CSE pass computes the

@@ -56,5 +56,3 @@ let map ?(jobs = 1) f xs =
          (function Done y -> y | Raised _ | Pending -> assert false)
          results)
   end
-
-let mapi ?jobs f xs = map ?jobs (fun (i, x) -> f i x) (List.mapi (fun i x -> (i, x)) xs)

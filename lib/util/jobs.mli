@@ -16,5 +16,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     every domain joins, the lowest-index failure is re-raised with its
     original backtrace — never whichever failure a [Domain.join] happened
     to observe first. *)
-
-val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list

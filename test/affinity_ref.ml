@@ -2,6 +2,44 @@
 
 open Ddsm_dist
 
+module Ap = struct
+  type t = { start : int; step : int }
+
+  let align_up x ~base ~step =
+    if step <= 0 then invalid_arg "Ap.align_up: non-positive step";
+    if x <= base then base else base + (Intmath.cdiv (x - base) step * step)
+
+  (* Steps are bounded so the CRT arithmetic below cannot overflow:
+     operands reduced mod m stay below 2^31, so products stay below 2^62. *)
+  let max_step = 1 lsl 31
+
+  (* Solve { a.start + i*a.step } ∩ { b.start + j*b.step } by CRT. We need
+     x ≡ a.start (mod a.step) and x ≡ b.start (mod b.step); solvable iff
+     gcd divides the difference of the residues. *)
+  let intersect a b =
+    if a.step <= 0 || b.step <= 0 then invalid_arg "Ap.intersect";
+    if a.step >= max_step || b.step >= max_step then
+      invalid_arg "Ap.intersect: step >= 2^31 (CRT would overflow)";
+    let g, u, _v = Intmath.egcd a.step b.step in
+    let diff = b.start - a.start in
+    (* a same-sign wrap here means the true difference exceeds the int
+       range; refuse rather than intersect the wrong progressions *)
+    if b.start >= a.start <> (diff >= 0) then
+      invalid_arg "Ap.intersect: start difference overflows";
+    if diff mod g <> 0 then None
+    else
+      let lcm = a.step / g * b.step in
+      (* x = a.start + a.step * t where t ≡ u * (diff/g) (mod b.step/g);
+         reduce both factors mod m first — the raw u * (diff/g) product
+         overflows for large steps and far-apart starts *)
+      let m = b.step / g in
+      let t0 = Intmath.fmod (Intmath.fmod u m * Intmath.fmod (diff / g) m) m in
+      let x0 = a.start + (a.step * t0) in
+      (* x0 satisfies both congruences; move up to >= max of starts *)
+      let lo = max a.start b.start in
+      Some { start = align_up lo ~base:x0 ~step:lcm; step = lcm }
+end
+
 type spec = { s : int; c : int }
 type piece = { lo : int; hi : int; step : int }
 
@@ -15,7 +53,7 @@ let clamp_piece ~lb ~ub ~step ~vlo ~vhi ~base ~pstep lo hi =
   let lo = max (max lo lb) vlo and hi = min (min hi ub) vhi in
   if lo > hi then None
   else
-    let lo = Intmath.align_up lo ~base ~step:pstep in
+    let lo = Ap.align_up lo ~base ~step:pstep in
     if lo > hi then None else Some { lo; hi; step }
 
 let pieces dm spec ~lb ~ub ~step ~proc =
@@ -54,15 +92,15 @@ let pieces dm spec ~lb ~ub ~step ~proc =
             let period = pr / g in
             let i0 = Intmath.fmod (x * ((p - c) / g)) period in
             (* smallest i >= lb with i ≡ i0 (mod period) *)
-            let own = { Intmath.start = lb + Intmath.fmod (i0 - lb) period; step = period } in
-            let loop = { Intmath.start = lb; step } in
-            (match Intmath.ap_intersect loop own with
+            let own = { Ap.start = lb + Intmath.fmod (i0 - lb) period; step = period } in
+            let loop = { Ap.start = lb; step } in
+            (match Ap.intersect loop own with
             | None -> []
-            | Some { Intmath.start; step = st } ->
+            | Some { Ap.start; step = st } ->
                 let lo = max start vlo and hi = min ub vhi in
                 if lo > hi then []
                 else
-                  let lo = Intmath.align_up lo ~base:start ~step:st in
+                  let lo = Ap.align_up lo ~base:start ~step:st in
                   if lo > hi then [] else [ { lo; hi; step = st } ])
       | Kind.Cyclic_k k ->
           let n = dm.Dim_map.extent in

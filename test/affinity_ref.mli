@@ -18,6 +18,26 @@
 
 open Ddsm_dist
 
+(** Arithmetic progressions: the oracle intersects the loop's iterations
+    with a processor's owned residues (the [Cyclic] case). *)
+module Ap : sig
+  type t = { start : int; step : int }
+  (** The arithmetic progression [{start + k*step | k >= 0}]. [step] > 0. *)
+
+  val intersect : t -> t -> t option
+  (** Intersection of two upward-infinite arithmetic progressions, itself an
+      arithmetic progression (or [None] if empty, i.e. the residues are
+      incompatible). The result's [start] is the smallest common element that is
+      [>= max a.start b.start]. Starts may be negative. Raises
+      [Invalid_argument] when a step is [>= 2{^31}] or the two starts are so
+      far apart that their difference overflows — explicit refusals instead
+      of silently wrapped CRT arithmetic. *)
+
+  val align_up : int -> base:int -> step:int -> int
+  (** [align_up x ~base ~step] is the smallest element of the progression
+      [base, base+step, ...] that is [>= x]. [step] > 0. *)
+end
+
 type spec = { s : int; c : int }
 
 type piece = { lo : int; hi : int; step : int }

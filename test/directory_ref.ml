@@ -2,9 +2,8 @@
    implementation, kept verbatim as the differential oracle for the flat
    open-addressing {!Directory}. Test-only. *)
 
-open Ddsm_machine
-
-type state = Uncached | Shared of Bitset.t | Exclusive of int
+(* a sharer set is a sorted list of distinct processors *)
+type state = Uncached | Shared of int list | Exclusive of int
 
 type entry = { mutable st : state }
 
@@ -30,16 +29,9 @@ let set_exclusive t ~line ~owner = (entry t line).st <- Exclusive owner
 let add_sharer t ~line ~proc =
   let e = entry t line in
   match e.st with
-  | Uncached ->
-      let s = Bitset.create t.nprocs in
-      Bitset.add s proc;
-      e.st <- Shared s
-  | Shared s -> Bitset.add s proc
-  | Exclusive q ->
-      let s = Bitset.create t.nprocs in
-      Bitset.add s q;
-      Bitset.add s proc;
-      e.st <- Shared s
+  | Uncached -> e.st <- Shared [ proc ]
+  | Shared s -> e.st <- Shared (List.sort_uniq compare (proc :: s))
+  | Exclusive q -> e.st <- Shared (List.sort_uniq compare [ q; proc ])
 
 let drop t ~line ~proc =
   match Hashtbl.find_opt t.table line with
@@ -48,16 +40,17 @@ let drop t ~line ~proc =
       match e.st with
       | Uncached -> ()
       | Exclusive q -> if q = proc then e.st <- Uncached
-      | Shared s ->
-          Bitset.remove s proc;
-          if Bitset.is_empty s then e.st <- Uncached)
+      | Shared s -> (
+          match List.filter (fun p -> p <> proc) s with
+          | [] -> e.st <- Uncached
+          | s -> e.st <- Shared s))
 
 let sharers_except t ~line ~proc =
   match state t ~line with
   | Uncached -> []
   | Exclusive q -> if q = proc then [] else [ q ]
   | Shared s ->
-      Bitset.fold (fun p acc -> if p = proc then acc else p :: acc) s []
+      List.fold_left (fun acc p -> if p = proc then acc else p :: acc) [] s
 
 let entries t = Hashtbl.length t.table
 let nprocs t = t.nprocs

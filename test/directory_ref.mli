@@ -2,9 +2,8 @@
     for the flat open-addressing {!Directory}. Test-only: random operation
     sequences must produce identical states on both implementations. *)
 
-open Ddsm_machine
-
-type state = Uncached | Shared of Bitset.t | Exclusive of int
+type state = Uncached | Shared of int list | Exclusive of int
+(** [Shared] holds the sharers in increasing order. *)
 
 type t
 

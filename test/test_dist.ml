@@ -2,6 +2,7 @@
    affinity scheduling, processor grids, portion enumeration. *)
 
 open Ddsm_dist
+module Ap = Affinity_ref.Ap
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -32,10 +33,10 @@ let test_egcd () =
     [ (12, 18); (18, 12); (7, 13); (0, 5); (5, 0); (-12, 18); (1, 1); (100, 75) ]
 
 let test_align_up () =
-  check_int "align in grid" 7 (Intmath.align_up 7 ~base:1 ~step:3);
-  check_int "align up" 7 (Intmath.align_up 6 ~base:1 ~step:3);
-  check_int "align below base" 1 (Intmath.align_up 0 ~base:1 ~step:3);
-  check_int "align equal base" 1 (Intmath.align_up 1 ~base:1 ~step:3)
+  check_int "align in grid" 7 (Ap.align_up 7 ~base:1 ~step:3);
+  check_int "align up" 7 (Ap.align_up 6 ~base:1 ~step:3);
+  check_int "align below base" 1 (Ap.align_up 0 ~base:1 ~step:3);
+  check_int "align equal base" 1 (Ap.align_up 1 ~base:1 ~step:3)
 
 let test_ap_intersect_brute () =
   (* brute force over small parameter space *)
@@ -43,16 +44,16 @@ let test_ap_intersect_brute () =
     for st1 = 1 to 5 do
       for s2 = 0 to 4 do
         for st2 = 1 to 5 do
-          let a = { Intmath.start = s1; step = st1 }
-          and b = { Intmath.start = s2; step = st2 } in
-          let in_ap { Intmath.start; step } x = x >= start && (x - start) mod step = 0 in
+          let a = { Ap.start = s1; step = st1 }
+          and b = { Ap.start = s2; step = st2 } in
+          let in_ap { Ap.start; step } x = x >= start && (x - start) mod step = 0 in
           let brute =
             List.filter (fun x -> in_ap a x && in_ap b x) (List.init 200 Fun.id)
           in
-          match Intmath.ap_intersect a b with
+          match Ap.intersect a b with
           | None ->
               Alcotest.(check (list int)) "empty intersection" [] brute
-          | Some ({ Intmath.start; step } as r) ->
+          | Some ({ Ap.start; step } as r) ->
               let mine = List.filter (in_ap r) (List.init 200 Fun.id) in
               Alcotest.(check (list int))
                 (Printf.sprintf "ap(%d,%d) ∩ ap(%d,%d) start=%d step=%d" s1 st1
@@ -86,7 +87,7 @@ let test_intmath_min_int () =
   check_int "gcd -12 18" 6 (Intmath.gcd (-12) 18);
   check_int "gcd (min_int+1) 0" max_int (Intmath.gcd (min_int + 1) 0)
 
-let in_ap { Intmath.start; step } x = x >= start && Intmath.fmod (x - start) step = 0
+let in_ap { Ap.start; step } x = x >= start && Intmath.fmod (x - start) step = 0
 
 (* Property: against a brute-force oracle, with negative starts. The
    oracle enumerates lo .. lo + st1*st2 which always contains the first
@@ -97,48 +98,48 @@ let prop_ap_intersect_oracle =
       quad (int_range (-100) 100) (int_range 1 50) (int_range (-100) 100)
         (int_range 1 50))
     (fun (s1, st1, s2, st2) ->
-      let a = { Intmath.start = s1; step = st1 }
-      and b = { Intmath.start = s2; step = st2 } in
+      let a = { Ap.start = s1; step = st1 }
+      and b = { Ap.start = s2; step = st2 } in
       let lo = max s1 s2 in
       let brute =
         List.find_opt
           (fun x -> in_ap a x && in_ap b x)
           (List.init ((st1 * st2) + 1) (fun i -> lo + i))
       in
-      match (Intmath.ap_intersect a b, brute) with
+      match (Ap.intersect a b, brute) with
       | None, None -> true
       | None, Some _ | Some _, None -> false
       | Some r, Some first ->
-          r.Intmath.start = first
-          && r.Intmath.step = st1 * st2 / Intmath.gcd st1 st2)
+          r.Ap.start = first
+          && r.Ap.step = st1 * st2 / Intmath.gcd st1 st2)
 
 let test_ap_intersect_large_steps () =
   (* the raw CRT product u * (diff/g) overflows for large steps and
      far-apart starts; verify by congruence + minimality instead of
      enumeration *)
   let check_pair a b =
-    match Intmath.ap_intersect a b with
+    match Ap.intersect a b with
     | None -> Alcotest.fail "expected non-empty intersection"
     | Some r ->
-        let lo = max a.Intmath.start b.Intmath.start in
-        check_bool "start in a" true (in_ap a r.Intmath.start);
-        check_bool "start in b" true (in_ap b r.Intmath.start);
-        check_bool "start >= lo" true (r.Intmath.start >= lo);
+        let lo = max a.Ap.start b.Ap.start in
+        check_bool "start in a" true (in_ap a r.Ap.start);
+        check_bool "start in b" true (in_ap b r.Ap.start);
+        check_bool "start >= lo" true (r.Ap.start >= lo);
         check_int "step is lcm"
-          (a.Intmath.step / Intmath.gcd a.Intmath.step b.Intmath.step
-          * b.Intmath.step)
-          r.Intmath.step;
+          (a.Ap.step / Intmath.gcd a.Ap.step b.Ap.step
+          * b.Ap.step)
+          r.Ap.step;
         (* minimality: the previous element of the result progression is
            below the admissible range *)
-        check_bool "start is minimal" true (r.Intmath.start - r.Intmath.step < lo)
+        check_bool "start is minimal" true (r.Ap.start - r.Ap.step < lo)
   in
   let big1 = (1 lsl 31) - 1 (* prime 2^31-1 *) and big2 = (1 lsl 30) + 3 in
   check_pair
-    { Intmath.start = -1_000_000_000; step = big1 }
-    { Intmath.start = 999_999_937; step = big2 };
+    { Ap.start = -1_000_000_000; step = big1 }
+    { Ap.start = 999_999_937; step = big2 };
   check_pair
-    { Intmath.start = 0; step = big1 }
-    { Intmath.start = max_int / 2; step = 2 };
+    { Ap.start = 0; step = big1 }
+    { Ap.start = max_int / 2; step = 2 };
   (* explicit refusals instead of silent wraps *)
   let expect_invalid name f =
     check_bool name true
@@ -147,31 +148,44 @@ let test_ap_intersect_large_steps () =
       | _ -> false)
   in
   expect_invalid "step >= 2^31 refused" (fun () ->
-      Intmath.ap_intersect
-        { Intmath.start = 0; step = 1 lsl 31 }
-        { Intmath.start = 0; step = 3 });
+      Ap.intersect
+        { Ap.start = 0; step = 1 lsl 31 }
+        { Ap.start = 0; step = 3 });
   expect_invalid "overflowing start difference refused" (fun () ->
-      Intmath.ap_intersect
-        { Intmath.start = min_int + 10; step = 3 }
-        { Intmath.start = max_int - 10; step = 5 })
+      Ap.intersect
+        { Ap.start = min_int + 10; step = 3 }
+        { Ap.start = max_int - 10; step = 5 })
 
 (* ------------------------------------------------------------------ *)
 (* Kind *)
 
+(* kinds print in directive syntax, and what prints parses back *)
 let test_kind_strings () =
+  let parse k =
+    let src =
+      Printf.sprintf
+        "      program p\n      real*8 a(64)\nc$distribute a(%s)\n      end\n" k
+    in
+    match Ddsm_frontend.Parser.parse_file ~fname:"k.pf" src with
+    | Ok { Ddsm_ir.Decl.routines = [ r ]; _ } -> (
+        match r.Ddsm_ir.Decl.rdists with
+        | [ { Ddsm_ir.Decl.dkinds = [ k ]; _ } ] -> Ok k
+        | _ -> Error "expected one one-dimensional distribution")
+    | Ok _ -> Error "expected one routine"
+    | Error e -> Error e
+  in
   let roundtrip k =
-    match Kind.of_string (Kind.to_string k) with
+    match parse (Kind.to_string k) with
     | Ok k' -> check_bool (Kind.to_string k) true (Kind.equal k k')
     | Error e -> Alcotest.fail e
   in
   List.iter roundtrip [ Kind.Block; Kind.Cyclic; Kind.Cyclic_k 7; Kind.Star ];
-  check_bool "case-insensitive" true
-    (Kind.of_string "BLOCK" = Ok Kind.Block);
+  check_bool "case-insensitive" true (parse "BLOCK" = Ok Kind.Block);
   check_bool "cyclic(1) = cyclic" true (Kind.equal (Kind.Cyclic_k 1) Kind.Cyclic);
   check_bool "bad kind rejected" true
-    (match Kind.of_string "banana" with Error _ -> true | Ok _ -> false);
+    (match parse "banana" with Error _ -> true | Ok _ -> false);
   check_bool "cyclic(0) rejected" true
-    (match Kind.of_string "cyclic(0)" with Error _ -> true | Ok _ -> false)
+    (match parse "cyclic(0)" with Error _ -> true | Ok _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Dim_map: Table 1 *)
@@ -268,10 +282,14 @@ let prop_portion_partition =
       let total = ref 0 in
       for p = 0 to dm.Dim_map.procs - 1 do
         let count = ref 0 in
-        Dim_map.iter_portion dm ~proc:p (fun i ->
-            seen.(i) <- seen.(i) + 1;
-            incr count;
-            if Dim_map.owner dm i <> p then failwith "owner mismatch");
+        List.iter
+          (fun (lo, hi) ->
+            for i = lo to hi do
+              seen.(i) <- seen.(i) + 1;
+              incr count;
+              if Dim_map.owner dm i <> p then failwith "owner mismatch"
+            done)
+          (Dim_map.portion_ranges dm ~proc:p);
         if !count <> Dim_map.portion_size dm ~proc:p then
           failwith "portion_size mismatch";
         total := !total + !count
@@ -360,6 +378,19 @@ let test_layout_row_dist () =
   let lo, hi = List.hd ranges in
   check_int "piece size = 8000/8" 1000 (hi - lo + 1)
 
+(* A layout is a per-dimension composition: the element [proc] holds at
+   local [offsets], and the extents of its portion, come from the
+   dimension maps and the processor grid. *)
+let global_of (l : Layout.t) ~proc ~offsets =
+  let ow = Grid.delinear l.Layout.grid proc in
+  Array.mapi
+    (fun d off -> Dim_map.global l.Layout.dims.(d) ~proc:ow.(d) ~offset:off)
+    offsets
+
+let portion_extents (l : Layout.t) ~proc =
+  let ow = Grid.delinear l.Layout.grid proc in
+  Array.mapi (fun d p -> Dim_map.portion_size l.Layout.dims.(d) ~proc:p) ow
+
 let test_layout_block_block () =
   let l =
     Layout.make ~extents:[| 100; 100 |] ~kinds:[| Kind.Block; Kind.Block |]
@@ -370,7 +401,7 @@ let test_layout_block_block () =
   check_int "owner of (99,99)" 3 (Layout.owner l [| 99; 99 |]);
   check_int "owner of (99,0)" 1 (Layout.owner l [| 99; 0 |]);
   Alcotest.(check (array int)) "portion extents" [| 50; 50 |]
-    (Layout.portion_extents l ~proc:2)
+    (portion_extents l ~proc:2)
 
 let layout_gen =
   QCheck.Gen.(
@@ -398,7 +429,7 @@ let prop_layout_roundtrip =
             incr total;
             if Layout.owner l idx <> p then ok := false;
             let offs = Layout.offsets l idx in
-            let back = Layout.global_of l ~proc:p ~offsets:offs in
+            let back = global_of l ~proc:p ~offsets:offs in
             if back <> idx then ok := false)
       done;
       !ok && !total = Array.fold_left ( * ) 1 l.Layout.extents)
@@ -418,7 +449,7 @@ let prop_layout_ranges_cover =
             (Layout.contiguous_ranges l ~proc:p ~elem_bytes)
         in
         let portion =
-          Array.fold_left ( * ) 1 (Layout.portion_extents l ~proc:p)
+          Array.fold_left ( * ) 1 (portion_extents l ~proc:p)
         in
         if bytes <> portion * elem_bytes then ok := false
       done;
@@ -428,7 +459,7 @@ let prop_layout_ranges_owned =
   QCheck.Test.make ~count:100 ~name:"layout: every byte in ranges is owned"
     layout_arb (fun l ->
       let elem_bytes = 8 in
-      let nd = Layout.ndims l in
+      let nd = Array.length l.Layout.extents in
       let delinear lin =
         let idx = Array.make nd 0 in
         let rest = ref lin in

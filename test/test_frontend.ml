@@ -18,10 +18,11 @@ let parse_err src =
   | Ok _ -> Alcotest.fail "expected a parse error"
   | Error e -> e
 
+(* an expression, parsed as the right-hand side of an assignment *)
 let expr_ok s =
-  match Parser.parse_expr_string s with
-  | Ok e -> e
-  | Error e -> Alcotest.failf "expr parse error: %s" e
+  match (List.hd (parse_ok ("      program p\n      x = " ^ s ^ "\n      end\n")).Decl.routines).Decl.rbody with
+  | [ { Stmt.s = Stmt.Assign (Stmt.LVar "x", e); _ } ] -> e
+  | _ -> Alcotest.failf "expected one assignment for %S" s
 
 (* ------------------------------------------------------------------ *)
 (* Lexer *)
@@ -229,7 +230,7 @@ let test_parse_misc () =
   let f = parse_ok misc_src in
   let r = List.hd f.Decl.routines in
   (* lower-bound declaration *)
-  let v = Option.get (Decl.find_decl r "v") in
+  let v = List.find (fun d -> d.Decl.vname = "v") r.Decl.rdecls in
   (match v.Decl.vdims with
   | [ { dlo = Expr.Int 0; dhi = Expr.Int 9 } ] -> ()
   | _ -> Alcotest.fail "expected v(0:9)");
@@ -319,7 +320,9 @@ let test_parse_barrier_directive () =
 let test_roundtrip_pp () =
   (* the pretty-printer should at least produce something for each construct *)
   let f = parse_ok transpose_src in
-  let s = Format.asprintf "%a" Decl.pp_file f in
+  let s =
+    Format.asprintf "%a" (Format.pp_print_list Decl.pp_routine) f.Decl.routines
+  in
   check_bool "pp non-empty" true (String.length s > 100)
 
 (* Table-driven rejections: every malformed program must produce a

@@ -58,22 +58,20 @@ let run_linked ?(nprocs = 4) l =
 (* ------------------------------------------------------------------ *)
 (* Signatures *)
 
-let test_sig_roundtrip () =
-  let sigs : Sig_.t list =
-    [
-      [];
-      [ None; None ];
-      [ Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None }; None ];
-      [ Some { Sig_.kinds = [ K.Cyclic_k 5 ]; onto = None } ];
-      [ Some { Sig_.kinds = [ K.Block; K.Block ]; onto = Some [ 2; 1 ] } ];
-    ]
-  in
+let test_sig_text () =
+  (* the text [pflc dump] prints in shadow lines, and clone names derive
+     from it *)
   List.iter
-    (fun s ->
-      match Sig_.of_string (Sig_.to_string s) with
-      | Ok s' -> check_bool (Sig_.to_string s) true (Sig_.equal s s')
-      | Error e -> Alcotest.fail e)
-    sigs;
+    (fun (s, text) -> check_str text text (Sig_.to_string s))
+    [
+      ([], "");
+      ([ None; None ], "-;-");
+      ([ Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None }; None ],
+       "r(block,*);-");
+      ([ Some { Sig_.kinds = [ K.Cyclic_k 5 ]; onto = None } ], "r(cyclic(5))");
+      ([ Some { Sig_.kinds = [ K.Block; K.Block ]; onto = Some [ 2; 1 ] } ],
+       "r(block,block)onto(2,1)");
+    ];
   check_bool "trivial" true (Sig_.is_trivial [ None; None ]);
   check_str "trivial mangle unchanged" "f" (Sig_.mangle "f" [ None ]);
   let m =
@@ -84,47 +82,6 @@ let test_sig_roundtrip () =
     Sig_.mangle "f" [ Some { Sig_.kinds = [ K.Cyclic; K.Star ]; onto = None } ]
   in
   check_bool "different dists mangle differently" true (m <> m2)
-
-(* ------------------------------------------------------------------ *)
-(* Shadow files *)
-
-let test_shadow_roundtrip () =
-  let s = Shadow.empty () in
-  Shadow.add_def s "main" [];
-  Shadow.add_def s "sub" [ None; None ];
-  Shadow.add_call s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
-  Shadow.add_request s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
-  Shadow.add_common s ~block:"blk" ~routine:"main"
-    [
-      { Shadow.cm_name = "a"; cm_offset = 0; cm_shape = [ 10; 10 ];
-        cm_dist = Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None } };
-      { Shadow.cm_name = "b"; cm_offset = 100; cm_shape = [ 50 ]; cm_dist = None };
-    ];
-  match Shadow.of_string (Shadow.to_string s) with
-  | Error e -> Alcotest.fail e
-  | Ok s' ->
-      check_int "defs" 2 (List.length s'.Shadow.defs);
-      check_int "calls" 1 (List.length s'.Shadow.calls);
-      check_int "requests" 1 (List.length s'.Shadow.requests);
-      check_int "commons" 1 (List.length s'.Shadow.commons);
-      let _, _, ms = List.hd s'.Shadow.commons in
-      check_int "members" 2 (List.length ms);
-      check_bool "reshaped member dist survives" true
-        ((List.hd ms).Shadow.cm_dist <> None)
-
-let test_shadow_file_io () =
-  let dir = Filename.temp_file "ddsm" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let s = Shadow.empty () in
-  Shadow.add_def s "f" [];
-  let path = Filename.concat dir "x.pfs" in
-  Shadow.save s ~path;
-  (match Shadow.load ~path with
-  | Ok s' -> check_int "defs" 1 (List.length s'.Shadow.defs)
-  | Error e -> Alcotest.fail e);
-  Sys.remove path;
-  Unix.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Objfile *)
@@ -162,6 +119,64 @@ c$doacross local(i) affinity(i) = data(a(i))
       end
 |}
 
+(* ------------------------------------------------------------------ *)
+(* Shadow entries *)
+
+let with_dir f =
+  let dir = Filename.temp_file "ddsm" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+(* the shadow is a section of the object: every entry kind survives the
+   object's save and load, and prints the same text *)
+let test_shadow_roundtrip () =
+  let s = Shadow.empty () in
+  Shadow.add_def s "main" [];
+  Shadow.add_def s "sub" [ None; None ];
+  Shadow.add_call s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
+  Shadow.add_request s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
+  Shadow.add_common s ~block:"blk" ~routine:"main"
+    [
+      { Shadow.cm_name = "a"; cm_offset = 0; cm_shape = [ 10; 10 ];
+        cm_dist = Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None } };
+      { Shadow.cm_name = "b"; cm_offset = 100; cm_shape = [ 50 ]; cm_dist = None };
+    ];
+  with_dir (fun dir ->
+      let path = Filename.concat dir "x.pfo" in
+      Objfile.save { (obj "main.pf" main_src) with Objfile.shadow = s } ~path;
+      match Objfile.load ~path with
+      | Error e -> Alcotest.fail e
+      | Ok o ->
+          let s' = o.Objfile.shadow in
+          check_int "defs" 2 (List.length s'.Shadow.defs);
+          check_int "calls" 1 (List.length s'.Shadow.calls);
+          check_int "requests" 1 (List.length s'.Shadow.requests);
+          check_int "commons" 1 (List.length s'.Shadow.commons);
+          let _, _, ms = List.hd s'.Shadow.commons in
+          check_int "members" 2 (List.length ms);
+          check_bool "reshaped member dist survives" true
+            ((List.hd ms).Shadow.cm_dist <> None);
+          check_str "same text" (Shadow.to_string s) (Shadow.to_string s'))
+
+(* compiling writes the object alone; its shadow comes back with it *)
+let test_shadow_file_io () =
+  with_dir (fun dir ->
+      let o = obj "main.pf" main_src in
+      let path = Filename.concat dir "main.pfo" in
+      Objfile.save o ~path;
+      Alcotest.(check (list string)) "only the object on disk" [ "main.pfo" ]
+        (Array.to_list (Sys.readdir dir));
+      match Objfile.load ~path with
+      | Ok o' ->
+          check_str "shadow text" (Shadow.to_string o.Objfile.shadow)
+            (Shadow.to_string o'.Objfile.shadow)
+      | Error e -> Alcotest.fail e)
+
 let test_objfile_shadow_contents () =
   let o = obj "main.pf" main_src in
   let s = o.Objfile.shadow in
@@ -177,22 +192,15 @@ let test_objfile_shadow_contents () =
   check_int "no requests yet" 0 (List.length s.Shadow.requests)
 
 let test_objfile_save_load () =
-  let dir = Filename.temp_file "ddsm" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let o = obj "main.pf" main_src in
-  let path = Filename.concat dir "main.pfo" in
-  Objfile.save o ~path;
-  check_bool "shadow written alongside" true
-    (Sys.file_exists (Filename.concat dir "main.pfs"));
-  (match Objfile.load ~path with
-  | Ok o' ->
-      check_int "units preserved" (List.length o.Objfile.units)
-        (List.length o'.Objfile.units)
-  | Error e -> Alcotest.fail e);
-  Sys.remove path;
-  Sys.remove (Filename.concat dir "main.pfs");
-  Unix.rmdir dir
+  with_dir (fun dir ->
+      let o = obj "main.pf" main_src in
+      let path = Filename.concat dir "main.pfo" in
+      Objfile.save o ~path;
+      match Objfile.load ~path with
+      | Ok o' ->
+          check_int "units preserved" (List.length o.Objfile.units)
+            (List.length o'.Objfile.units)
+      | Error e -> Alcotest.fail e)
 
 (* ------------------------------------------------------------------ *)
 (* Pre-linker: cloning *)
@@ -617,48 +625,48 @@ let test_binfile_trailing_garbage () =
       check_error_mentions "trailing garbage" "trailing garbage"
         (load_sample ~kind:"test" ~path))
 
-(* the atomicity proof: a writer killed mid-write leaves either the old
-   complete file or no file — a reader never observes a partial one *)
+(* the atomicity proof: [save] writes a temp file beside the target and
+   renames it into place, so a writer killed mid-write leaves the old
+   complete file (or no file) plus a stray torn temp file, and a reader
+   never observes a partial one *)
 let test_binfile_crash_atomicity () =
-  with_file (tmpfile ()) (fun path ->
+  with_dir (fun dir ->
+      let path = Filename.concat dir "target.bin" in
       let v1 = ([ "old" ], 1) and v2 = ([ "new"; "bigger" ], 2) in
-      Binfile.save ~kind:"test" ~path v1;
-      Binfile.inject_crash ~after_bytes:4;
-      (match Binfile.save ~kind:"test" ~path v2 with
-      | () -> Alcotest.fail "injected crash did not fire"
-      | exception Binfile.Crashed -> ());
-      (* the old file is byte-for-byte intact *)
-      (match load_sample ~kind:"test" ~path with
-      | Ok v -> check_bool "old value survives the torn write" true (v = v1)
-      | Error e -> Alcotest.failf "reader observed a partial file: %s" e);
-      (* the torn temp file is visible on disk but never under [path] *)
-      let dir = Filename.dirname path in
-      let torn =
+      let temps () =
         Array.to_list (Sys.readdir dir)
         |> List.filter (fun f ->
                String.length f >= 6 && String.sub f 0 6 = ".ddsm-")
       in
-      check_bool "torn temp file left behind" true (torn <> []);
-      List.iter (fun f -> Sys.remove (Filename.concat dir f)) torn;
-      Binfile.clear_crash ();
-      (* a crash with no pre-existing target leaves no target at all *)
-      let fresh = tmpfile () in
-      with_file fresh (fun fresh ->
-          Binfile.inject_crash ~after_bytes:0;
-          (try Binfile.save ~kind:"test" ~path:fresh v2
-           with Binfile.Crashed -> ());
-          check_bool "no partial target created" false (Sys.file_exists fresh);
-          Binfile.clear_crash ();
-          Array.iter
-            (fun f ->
-              if String.length f >= 6 && String.sub f 0 6 = ".ddsm-" then
-                Sys.remove (Filename.concat dir f))
-            (Sys.readdir dir));
-      (* after the dust settles, a clean save works again *)
+      Binfile.save ~kind:"test" ~path v1;
+      let old_bytes = read_file path in
+      (* a reader that opened the old file keeps all of it: the new file is
+         a fresh inode renamed over the target, never a rewrite in place *)
+      let ic = open_in_bin path in
       Binfile.save ~kind:"test" ~path v2;
-      match load_sample ~kind:"test" ~path with
-      | Ok v -> check_bool "clean save after crash" true (v = v2)
-      | Error e -> Alcotest.fail e)
+      let seen = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      check_bool "open reader keeps the complete old file" true
+        (seen = old_bytes);
+      check_bool "a finished save leaves no temp file" true (temps () = []);
+      (* a writer killed mid-write: the first bytes of what a save writes,
+         left in a temp file of its own *)
+      let torn_path, oc =
+        Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:dir ".ddsm-"
+          ".tmp"
+      in
+      output_string oc (String.sub old_bytes 0 (String.length old_bytes / 2));
+      close_out oc;
+      (match load_sample ~kind:"test" ~path with
+      | Ok v -> check_bool "target survives the torn write" true (v = v2)
+      | Error e -> Alcotest.failf "reader observed a partial file: %s" e);
+      (* beside the torn file, a clean save works again *)
+      Binfile.save ~kind:"test" ~path v1;
+      (match load_sample ~kind:"test" ~path with
+      | Ok v -> check_bool "clean save after crash" true (v = v1)
+      | Error e -> Alcotest.fail e);
+      check_bool "only the torn temp file is left" true
+        (temps () = [ Filename.basename torn_path ]))
 
 let hello_src =
   "      program hello\n\
@@ -706,7 +714,6 @@ let test_loaders_are_total () =
       | Error e ->
           check_bool "kind confusion diagnosed" true
             (contains e "expected a image file"));
-      Sys.remove (path ^ ".pfs");
       let linked = link_hello () in
       Ddsm.save_image linked ~path;
       match Ddsm.load_image ~path with
@@ -729,7 +736,7 @@ let () =
           Alcotest.test_case "loaders are total" `Quick test_loaders_are_total;
         ] );
       ( "signatures",
-        [ Alcotest.test_case "roundtrip & mangling" `Quick test_sig_roundtrip ] );
+        [ Alcotest.test_case "text & mangling" `Quick test_sig_text ] );
       ( "shadow",
         [
           Alcotest.test_case "text roundtrip" `Quick test_shadow_roundtrip;

@@ -583,13 +583,6 @@ let test_jobs_order () =
         seq par)
     [ 2; 3; 4; 7 ]
 
-let test_jobs_mapi () =
-  let xs = [ "a"; "b"; "c"; "d"; "e" ] in
-  let f i s = Printf.sprintf "%d:%s" i s in
-  Alcotest.(check (list string))
-    "mapi indices in order" (List.mapi f xs)
-    (Jobs.mapi ~jobs:3 f xs)
-
 exception Boom of int
 
 let test_jobs_first_failure () =
@@ -664,7 +657,6 @@ let () =
       ( "jobs",
         [
           Alcotest.test_case "map order deterministic" `Quick test_jobs_order;
-          Alcotest.test_case "mapi indices" `Quick test_jobs_mapi;
           Alcotest.test_case "first failure re-raised" `Quick
             test_jobs_first_failure;
           Alcotest.test_case "lowest index wins under skew" `Quick

@@ -13,35 +13,6 @@ let has_sub s sub =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Series *)
-
-let test_series_speedup () =
-  let s = Series.speedup ~baseline:100.0 ~label:"v" [ (1, 100.0); (2, 50.0); (4, 20.0) ] in
-  let ys = List.map (fun p -> p.Series.y) s.Series.points in
-  Alcotest.(check (list (float 1e-9))) "speedups" [ 1.0; 2.0; 5.0 ] ys
-
-let test_series_table_chart () =
-  let a = Series.make ~label:"a" [ (1, 1.0); (2, 2.0) ] in
-  let b = Series.make ~label:"b" [ (1, 1.0); (4, 3.0) ] in
-  let table = Format.asprintf "%a" (fun ppf -> Series.pp_table ~xlabel:"p" ppf) [ a; b ] in
-  check_bool "table mentions both labels" true
-    (String.length table > 0
-    && has_sub table "a" && has_sub table "b"
-    && has_sub table "-" (* missing point *));
-  let chart =
-    Format.asprintf "%a" (fun ppf -> Series.pp_chart ~ideal:true ~xlabel:"p" ppf) [ a; b ]
-  in
-  check_bool "chart has legend" true (has_sub chart "linear speedup")
-
-let test_crossover () =
-  let a = Series.make ~label:"a" [ (1, 1.0); (2, 1.0); (4, 5.0); (8, 9.0) ] in
-  let b = Series.make ~label:"b" [ (1, 2.0); (2, 2.0); (4, 3.0); (8, 4.0) ] in
-  (match Series.crossovers a b with
-  | Some (x, _) -> check_int "a overtakes b at 4" 4 x
-  | None -> Alcotest.fail "expected a crossover");
-  check_bool "b never overtakes a after 4" true (Series.crossovers b a = None)
-
-(* ------------------------------------------------------------------ *)
 (* Stats *)
 
 let test_stats () =
@@ -588,12 +559,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "forms" `Quick test_json_parse_forms;
           Alcotest.test_case "rejects" `Quick test_json_rejects;
-        ] );
-      ( "series",
-        [
-          Alcotest.test_case "speedup conversion" `Quick test_series_speedup;
-          Alcotest.test_case "table & chart" `Quick test_series_table_chart;
-          Alcotest.test_case "crossover detection" `Quick test_crossover;
         ] );
       ( "stats",
         [

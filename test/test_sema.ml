@@ -77,7 +77,7 @@ let test_intrinsic_resolution () =
   let env = List.hd envs in
   match (List.hd env.Sema.routine.Decl.rbody).Stmt.s with
   | Stmt.Assign (_, Expr.Intrin ("mod", _)) -> ()
-  | s -> Alcotest.failf "expected intrinsic, got %s" (Format.asprintf "%a" Stmt.pp (Stmt.mk s))
+  | s -> Alcotest.failf "expected intrinsic, got %s" (Format.asprintf "%a" Stmt.pp_body [ Stmt.mk s ])
 
 let test_undeclared () =
   analyse_err ~expect:"undeclared" (wrap "      x = 1\n");
