@@ -30,7 +30,6 @@ type g = {
   static_abind : routine:string -> array:string -> Frame.abind option;
   print : string -> unit;
   entries : (string, k) Hashtbl.t;
-  mutable cycle_limit : int;
 }
 
 let create prog ~rt ~sched ~checks ~bounds ~static_abind ~print =
@@ -43,10 +42,8 @@ let create prog ~rt ~sched ~checks ~bounds ~static_abind ~print =
     static_abind;
     print;
     entries = Hashtbl.create 16;
-    cycle_limit = max_int;
   }
 
-let set_cycle_limit g n = g.cycle_limit <- n
 let ints (t : task) = t.Sched.frame.Frame.ints
 let floats (t : task) = t.Sched.frame.Frame.floats
 let arrays (t : task) = t.Sched.frame.Frame.arrays
@@ -923,7 +920,7 @@ and compile_stmt renv (st : Stmt.t) : step =
       | SFloat _ -> Eff.error "loop variable %s is not an integer" d.Stmt.var
       | SInt slot ->
           let body = compile_body renv d.Stmt.body in
-          let g = renv.g in
+          let limit = renv.g.sched.Sched.max_cycles in
           (* [let lo = .. and hi = .. and step = ..]: left to right *)
           let pre, fs = settle_ints renv [ xlo; xhi; xstep ] in
           let flo, fhi, fstep =
@@ -938,8 +935,7 @@ and compile_stmt renv (st : Stmt.t) : step =
               let a = ints t in
               let v = a.(slot) and hi = a.(hi_slot) in
               if if a.(step_slot) > 0 then v <= hi else v >= hi then begin
-                if t.Sched.clock > g.cycle_limit then
-                  raise (Eff.Cycle_limit g.cycle_limit);
+                if t.Sched.clock > limit then raise (Eff.Cycle_limit limit);
                 charge Costs.loop_iter t;
                 !body_k t
               end
@@ -1061,7 +1057,8 @@ and compile_stmt renv (st : Stmt.t) : step =
    evaluate the value, then the address, and make the write access; on
    resume, after the commit, write the heap and, for an array element,
    bump its write generation (cached gather schedules over the array key
-   on it and must re-inspect after any visible store). A real value stored
+   on it and must re-inspect after any visible store). Like a load's, the
+   resume continuation is built once, at link time. A real value stored
    into an integer element is converted under [int_elem_of_real] and costs
    one more ALU op. *)
 and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
@@ -1081,13 +1078,15 @@ and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
     let r = temp_int renv in
     fun k ->
       let after = bumped k in
+      let stored t =
+        Heap.set_int heap t.Sched.addr (ints t).(r);
+        after t
+      in
       charged (ca + ce + Costs.assign) (chain [ pv; addr.pre ]) (fun t ->
           let v = fv t in
           let a = fa t in
           (ints t).(r) <- v;
-          Sched.access s t a true (fun t ->
-              Heap.set_int heap t.Sched.addr (ints t).(r);
-              after t))
+          Sched.access s t a true stored)
   in
   match (ty, compile renv e) with
   | Types.Treal, r ->
@@ -1096,13 +1095,15 @@ and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
       let r = temp_float renv in
       fun k ->
         let after = bumped k in
+        let stored t =
+          Heap.set_real heap t.Sched.addr (floats t).(r);
+          after t
+        in
         charged (ca + ce + Costs.assign) (chain [ pv; addr.pre ]) (fun t ->
             let v = fv t in
             let a = fa t in
             (floats t).(r) <- v;
-            Sched.access s t a true (fun t ->
-                Heap.set_real heap t.Sched.addr (floats t).(r);
-                after t))
+            Sched.access s t a true stored)
   | Types.Tint, (F x, ce) ->
       let f = x.f in
       int_store

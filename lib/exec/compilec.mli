@@ -44,11 +44,6 @@ val create :
   print:(string -> unit) ->
   g
 
-val set_cycle_limit : g -> int -> unit
-(** Compiled loops abort with a runtime error once the task clock passes
-    this limit (checked once per iteration; memory accesses are checked by
-    {!Sched.access}). *)
-
 val compile_all : g -> unit
 (** Compile every routine in the program. Raises {!Eff.Runtime_error} on
     malformed input (e.g. calling an undefined routine is deferred to call

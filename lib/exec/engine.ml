@@ -149,10 +149,12 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
   let phase = ref "elaborate" in
   let mem = rt.Rt.mem in
   (* ---- observability -------------------------------------------------
-     The subscribers share one event stream, delivered in list order. One
-     machine probe forwards every access as the same [Access] value, whose
-     region the scheduler sets before each access. With no subscriber no
-     event is built and the machine probe is left alone. *)
+     The subscribers share one event stream, delivered in list order and
+     installed once, as the runtime's observer: the runtime and the
+     scheduler deliver their events through [rt.observe]. One machine probe
+     forwards every access as the same [Access] value, whose region the
+     scheduler sets before each access. With no subscriber no event is
+     built and the machine probe is left alone. *)
   let access = { Rt.region = serial_region; ev = Memsys.event mem } in
   let access_event = Rt.Access access in
   let observer =
@@ -177,7 +179,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
       Memsys.set_probe mem None;
       rt.Rt.observe <- None)
   in
-  let s = Sched.create ~mem ~max_cycles ~access_ev:access ~observe:observer in
+  let s = Sched.create ~rt ~max_cycles ~access_ev:access in
   let master =
     Sched.task ~proc:0 ~clock:0 ~depth:0 ~region:serial_region ~parent:None
       ~frame:Frame.empty ~resume:ignore
@@ -244,7 +246,6 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
         ~static_abind:(fun ~routine ~array -> static_abind prog rt ~routine ~array)
         ~print:(fun s -> prints := s :: !prints)
     in
-    Compilec.set_cycle_limit g max_cycles;
     Compilec.compile_all g;
     phase := "execute";
     (* an exception ends the task's run, and the run: unregister the

@@ -28,12 +28,12 @@ type task = {
 and ret = { caller : Frame.t; k : task -> unit; registered : int list }
 
 type t = {
+  rt : Rt.t;
   mem : Memsys.t;
   runq : task Runq.t;
   max_cycles : int;
   fault : Fault.t;
   access_ev : Rt.access;
-  observe : (Rt.event -> unit) option;
   mutable wakeups : int;
   mutable parks : int;
   mutable direct_continues : int;
@@ -41,14 +41,15 @@ type t = {
   mutable failure : exn option;
 }
 
-let create ~mem ~max_cycles ~access_ev ~observe =
+let create ~rt ~max_cycles ~access_ev =
+  let mem = rt.Rt.mem in
   {
+    rt;
     mem;
     runq = Runq.create ();
     max_cycles;
     fault = Memsys.fault mem;
     access_ev;
-    observe;
     wakeups = 0;
     parks = 0;
     direct_continues = 0;
@@ -80,7 +81,7 @@ let task ~proc ~clock ~depth ~region ~parent ~frame ~resume =
 let push s t = Runq.push s.runq ~key:t.clock t
 
 let mark s mark ~proc ~now =
-  match s.observe with
+  match s.rt.Rt.observe with
   | None -> ()
   | Some observe -> observe (Rt.Mark { mark; proc; now })
 
@@ -136,7 +137,7 @@ let fork s t ~n ~region ~myp ~np ~body ~k =
   t.maxchild <- t.clock;
   t.children <- [];
   t.forked_region <- Some region;
-  (match s.observe with
+  (match s.rt.Rt.observe with
   | None -> ()
   | Some observe ->
       observe (Rt.Fork { region; nprocs = n; proc = t.proc; now = t.clock }));
@@ -163,7 +164,7 @@ let finish s t =
       if p.pending = 0 then begin
         p.children <- [];
         p.clock <- p.maxchild;
-        (match (p.forked_region, s.observe) with
+        (match (p.forked_region, s.rt.Rt.observe) with
         | Some region, Some observe ->
             observe (Rt.Join { region; proc = p.proc; now = p.maxchild })
         | _ -> ());

@@ -44,14 +44,18 @@ and ret = {
 }
 
 type t = {
-  mem : Ddsm_machine.Memsys.t;
+  rt : Ddsm_runtime.Rt.t;
+      (** its [observe] field is the run's one observer; the scheduler
+          delivers fork, join and mark events through it *)
+  mem : Ddsm_machine.Memsys.t;  (** [rt]'s machine *)
   runq : task Runq.t;
   max_cycles : int;
+      (** the run's cycle budget, checked after each access and, bound at
+          link time, by compiled loops once per iteration *)
   fault : Ddsm_check.Fault.t;
   access_ev : Ddsm_runtime.Rt.access;
       (** the observers' access event; its region is set before every
           access *)
-  observe : (Ddsm_runtime.Rt.event -> unit) option;
   mutable wakeups : int;
   mutable parks : int;
   mutable direct_continues : int;
@@ -60,10 +64,9 @@ type t = {
 }
 
 val create :
-  mem:Ddsm_machine.Memsys.t ->
+  rt:Ddsm_runtime.Rt.t ->
   max_cycles:int ->
   access_ev:Ddsm_runtime.Rt.access ->
-  observe:(Ddsm_runtime.Rt.event -> unit) option ->
   t
 
 val task :

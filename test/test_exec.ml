@@ -1116,38 +1116,68 @@ let test_watchdog_stall_pinned () =
         ]
         (List.concat_map (render "") d.Diag.blocked)
 
-(* Minor-heap words allocated per simulated access by a whole run
-   (elaboration, closure compilation and execution), for the three
-   kernels at 8 procs. Minor words are deterministic for a given compiler
-   and program; the bounds sit about 10% above the values measured with
-   OCaml 5.1.1 (transpose 35.6, lu 25.9, conv 24.2) so a newer compiler's
-   small drift passes and a new per-access allocation does not. *)
+(* Minor-heap words allocated by a whole run (elaboration, closure
+   compilation and execution) per simulated access, or per loop iteration
+   for the loops that make no access: the three kernels at 8 procs, and one
+   loop each of integer load, integer store, integer scalar and real scalar
+   work on one proc. Minor words are deterministic for a given compiler and
+   program; the bounds sit about 10% above the values measured with OCaml
+   5.1.1 (in the comment beside each) so a newer compiler's small drift
+   passes and a new per-access allocation does not. The integer scalar
+   loop allocates nothing per iteration; its bound only allows the fixed
+   cost of the run spread over the iterations. *)
 let test_words_per_access () =
   let module Ddsm = Ddsm_core.Ddsm in
+  let iterations = 100_000 in
+  let one_proc_loop decls body =
+    Printf.sprintf
+      "      program p\n      integer n, i\n      parameter (n = %d)\n%s\n      do i = 1, n\n        %s\n      enddo\n      print *, s\n      end\n"
+      iterations decls body
+  in
+  let measure name ~nprocs ~per_iteration compiled bound =
+    let prog =
+      match compiled with
+      | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
+      | Ok obj -> (
+          match Ddsm.link [ obj ] with
+          | Ok (prog, _) -> prog
+          | Error es -> Alcotest.failf "link: %s" (String.concat "; " es))
+    in
+    let rt = Ddsm.make_rt ~nprocs () in
+    let before = Gc.minor_words () in
+    match Ddsm.run prog ~rt () with
+    | Error d -> Alcotest.failf "%s: %s" name (Ddsm.Diag.to_string d)
+    | Ok o ->
+        let words = Gc.minor_words () -. before in
+        let per, unit =
+          if per_iteration then (words /. float_of_int iterations, "iteration")
+          else
+            ( words
+              /. float_of_int (Ddsm_machine.Counters.accesses o.Engine.counters),
+              "access" )
+        in
+        check_bool
+          (Printf.sprintf "%s -p %d: %.2f words per %s (bound %.2f)" name nprocs
+             per unit bound)
+          true (per <= bound)
+  in
   List.iter
     (fun (name, bound) ->
-      let prog =
-        match Ddsm.compile_path ("../examples/programs/" ^ name ^ ".pf") with
-        | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
-        | Ok obj -> (
-            match Ddsm.link [ obj ] with
-            | Ok (prog, _) -> prog
-            | Error es -> Alcotest.failf "link: %s" (String.concat "; " es))
-      in
-      let rt = Ddsm.make_rt ~nprocs:8 () in
-      let before = Gc.minor_words () in
-      match Ddsm.run prog ~rt () with
-      | Error d -> Alcotest.failf "%s: %s" name (Ddsm.Diag.to_string d)
-      | Ok o ->
-          let words = Gc.minor_words () -. before in
-          let per =
-            words /. float_of_int (Ddsm_machine.Counters.accesses o.Engine.counters)
-          in
-          check_bool
-            (Printf.sprintf "%s -p 8: %.1f words per access (bound %.1f)" name
-               per bound)
-            true (per <= bound))
-    [ ("transpose", 39.2); ("lu", 28.5); ("conv", 26.6) ]
+      measure name ~nprocs:8 ~per_iteration:false
+        (Ddsm.compile_path ("../examples/programs/" ^ name ^ ".pf"))
+        bound)
+    [ ("transpose", 35.6) (* 32.3 *); ("lu", 26.7) (* 24.3 *); ("conv", 24.1) (* 21.9 *) ];
+  List.iter
+    (fun (name, decls, body, per_iteration, bound) ->
+      measure name ~nprocs:1 ~per_iteration
+        (Ddsm.compile_source ~fname:"loop.pf" (one_proc_loop decls body))
+        bound)
+    [
+      ("s = s + a(i)", "      integer s, a(n)", "s = s + a(i)", false, 14.7 (* 13.4 *));
+      ("a(i) = i", "      integer s, a(n)", "a(i) = i", false, 34.4 (* 31.2 *));
+      ("s = s + i", "      integer s", "s = s + i", true, 0.1 (* 0.01 *));
+      ("s = s + i * 0.5", "      real*8 s", "s = s + i * 0.5", true, 8.8 (* 8.0 *));
+    ]
 
 let () =
   Alcotest.run "exec"
