@@ -3,7 +3,7 @@
    Pins what the compile path produces, before anything runs. Each FILE is
    compiled with every optimization on and with every one off, then
    linked; the output is each linked routine as [Decl.pp_routine] prints
-   it, the clone list, and each object's shadow file after linking.
+   it, the clone list, and each object's shadow text after linking.
    Generated programs (Gen seeds 0-199 at [of_level 24], every
    optimization on) print one MD5 of that same text per seed. Any change
    to a lowered routine, a fresh-name choice, a clone or a shadow record
