@@ -54,6 +54,18 @@ let reject_exit es =
 
 let compile_cmd =
   let run flags srcs output =
+    (* one -o path cannot name an object per source: refuse before any
+       object is written *)
+    (match (output, srcs) with
+    | Some o, _ :: _ :: _ ->
+        err_exit
+          [
+            Printf.sprintf
+              "pflc compile: -o %s names one object but %d sources were given; \
+               drop -o (each SRC.pf gets SRC.pfo) or compile one at a time"
+              o (List.length srcs);
+          ]
+    | _ -> ());
     List.iter
       (fun src ->
         match Ddsm.compile_path ~flags src with
@@ -61,8 +73,8 @@ let compile_cmd =
         | Ok obj ->
             let out =
               match output with
-              | Some o when List.length srcs = 1 -> o
-              | _ -> Filename.remove_extension src ^ ".pfo"
+              | Some o -> o
+              | None -> Filename.remove_extension src ^ ".pfo"
             in
             Ddsm_linker.Objfile.save obj ~path:out;
             Printf.printf "%s -> %s (object + shadow section)\n" src out)
@@ -72,7 +84,7 @@ let compile_cmd =
     Arg.(non_empty & pos_all file [] & info [] ~docv:"SRC.pf" ~doc:"Source files.")
   in
   let output =
-    Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT" ~doc:"Object path.")
+    Arg.(value & opt (some string) None & info [ "o" ] ~docv:"OUT" ~doc:"Object path (one source only; default SRC.pfo).")
   in
   Cmd.v (Cmd.info "compile" ~doc:"Compile sources to objects, each with its shadow section.")
     Term.(const run $ flags_term $ srcs $ output)

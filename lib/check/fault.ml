@@ -113,24 +113,54 @@ let link_extra t ~a ~b =
         if (x = a && y = b) || (x = b && y = a) then acc + e else acc)
       0 t.slow_links
 
-let tlb_flush_due t ~accesses =
-  t.tlb_flush_period > 0 && accesses mod t.tlb_flush_period = 0
+(* ------------------------------------------------------------------ *)
+(* One machine's event counts *)
 
-let redist_attempt_fails t ~attempt = attempt >= 0 && attempt < t.redist_fail
+type event = Migration | Redist_attempt | Gather_fetch | Wakeup | Barrier_note
 
-(* Page migrations fail from the Nth one on (1-based, machine-wide
-   counter): the first N-1 succeed, so an injected failure lands in the
-   MIDDLE of a planned bulk migration and exercises the rollback path. *)
-let migration_fails t ~migration =
-  t.migrate_fail > 0 && migration >= t.migrate_fail - 1
+type counts = {
+  plan : t;
+  translations : int array;  (* per processor *)
+  seen : int array;  (* per event kind, indexed by [slot] *)
+}
 
-(* Bulk gather fetches fail from the Nth one on (1-based, machine-wide
-   counter), so the failure lands mid-run once schedules are warm and
-   exercises the retry-then-per-element-fallback path persistently. *)
-let gather_fetch_fails t ~fetch =
-  t.gather_fail > 0 && fetch >= t.gather_fail - 1
-let wakeup_lost t ~wakeup = t.lose_wakeup > 0 && wakeup = t.lose_wakeup
-let barrier_dropped t ~barrier = t.drop_barrier > 0 && barrier = t.drop_barrier
+let slot = function
+  | Migration -> 0
+  | Redist_attempt -> 1
+  | Gather_fetch -> 2
+  | Wakeup -> 3
+  | Barrier_note -> 4
+
+let counts plan ~nprocs =
+  { plan; translations = Array.make nprocs 0; seen = Array.make 5 0 }
+
+let count c ev = c.seen.(slot ev)
+
+(* Every count is 1-based: the event being counted is number [n]. *)
+let fails c ev =
+  let i = slot ev in
+  let n = c.seen.(i) + 1 in
+  c.seen.(i) <- n;
+  let p = c.plan in
+  match ev with
+  (* a page migration or gather fetch fails from the Nth on, so the
+     failure lands in the MIDDLE of a bulk migration (exercising its
+     rollback) or once gather schedules are warm, and persists *)
+  | Migration -> p.migrate_fail > 0 && n >= p.migrate_fail
+  | Gather_fetch -> p.gather_fail > 0 && n >= p.gather_fail
+  | Redist_attempt -> n <= p.redist_fail
+  | Wakeup -> n = p.lose_wakeup
+  | Barrier_note -> n = p.drop_barrier
+
+(* translations are counted only under a flush period: nothing else reads
+   them *)
+let flush_tlb c ~proc =
+  let period = c.plan.tlb_flush_period in
+  period > 0
+  &&
+  let n = c.translations.(proc) + 1 in
+  c.translations.(proc) <- n;
+  n mod period = 0
 
 (* ------------------------------------------------------------------ *)
 (* Spec syntax *)

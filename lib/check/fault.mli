@@ -2,10 +2,11 @@
 
     A {!t} is an immutable, seeded plan of performance-side perturbations:
     slow memory modules, hot directory controllers, congested router links,
-    periodic TLB shootdowns and retryable page-redistribution failures. The
-    machine model consults the plan at fixed points; because every decision
-    is a pure function of the plan and of deterministic machine state
-    (access counts, attempt indices), a faulty run is exactly reproducible.
+    periodic TLB shootdowns and retryable page-redistribution failures.
+    The machine, the runtime and the scheduler consult it at fixed points
+    through one {!counts} per machine; because every decision is a pure
+    function of the plan and of those deterministic event counts, a faulty
+    run is exactly reproducible.
 
     Faults never corrupt values — they only stretch latencies or force the
     runtime down its degradation paths — so any program must produce
@@ -36,25 +37,24 @@ type t = {
       (** the first N redistribution attempts (machine-wide) return a
           retryable failure — models transient page-migration failure *)
   migrate_fail : int;
-      (** page migrations fail from the Nth one on (1-based, machine-wide
-          counter): the first N-1 succeed, so a planned bulk migration
-          fails in the MIDDLE and must roll back; 0 = off. Never chosen by
-          {!random} — the failure is persistent, so a redistribute under
-          this clause always falls back to the old placement (correct,
-          only slower). *)
+      (** every page migration fails from the Nth one on (machine-wide):
+          the first N-1 succeed, so a planned bulk migration fails in the
+          MIDDLE and must roll back; 0 = off. Never chosen by {!random} —
+          the failure is persistent, so a redistribute under this clause
+          always falls back to the old placement (correct, only
+          slower). *)
   gather_fail : int;
       (** bulk gather fetches (the inspector-executor's per-home transfers)
-          fail from the Nth one on (1-based, machine-wide counter): the
-          runtime retries with bounded attempts and then falls back to
-          per-element fetches — homes and results unchanged, only slower;
-          0 = off. Never chosen by {!random} (the failure is
-          persistent). *)
+          fail from the Nth one on (machine-wide): the runtime retries with
+          bounded attempts and then falls back to per-element fetches —
+          homes and results unchanged, only slower; 0 = off. Never chosen
+          by {!random} (the failure is persistent). *)
   lose_wakeup : int;
       (** chaos (not performance-side): drop the Nth memory-completion
           wakeup so the program deadlocks; 0 = off. For watchdog tests. *)
   drop_barrier : int;
-      (** chaos (not performance-side): skip the Nth barrier note (1-based,
-          machine-wide) so one processor's barrier arrival is lost — the
+      (** chaos (not performance-side): skip the Nth barrier note
+          (machine-wide) so one processor's barrier arrival is lost — the
           classic missing-synchronization bug; 0 = off. For sanitizer
           tests; never chosen by {!random}. *)
 }
@@ -96,30 +96,43 @@ val link_extra : t -> a:int -> b:int -> int
 (** Extra cycles for a transfer between nodes [a] and [b] (symmetric;
     0 when [a = b]). *)
 
-val tlb_flush_due : t -> accesses:int -> bool
-(** Should the TLB be flushed before translation number [accesses]
-    (1-based, per processor)? *)
+(** {2 One machine's event counts}
 
-val redist_attempt_fails : t -> attempt:int -> bool
-(** Does redistribution attempt number [attempt] (0-based, machine-wide)
-    fail retryably? *)
+    A {!counts} binds a plan to one machine. It counts every event the plan
+    schedules and, as it counts each one, says whether the plan makes that
+    one fail. Every count is 1-based: the first event of a kind is
+    number 1. *)
 
-val migration_fails : t -> migration:int -> bool
-(** Does page migration number [migration] (0-based, machine-wide) fail?
-    True from the [migrate_fail]-th migration (1-based) on. *)
+type event =
+  | Migration
+      (** a page migration: fails from the [migrate_fail]-th on *)
+  | Redist_attempt
+      (** a redistribute attempt: the first [redist_fail] fail *)
+  | Gather_fetch
+      (** a bulk gather fetch: fails from the [gather_fail]-th on *)
+  | Wakeup
+      (** a memory-completion wakeup: the [lose_wakeup]-th is lost *)
+  | Barrier_note
+      (** a barrier note: the [drop_barrier]-th is dropped, so one
+          processor's arrival is never published — the sanitizer should
+          report the resulting races *)
 
-val gather_fetch_fails : t -> fetch:int -> bool
-(** Does bulk gather fetch number [fetch] (1-based, machine-wide) fail
-    retryably? True from the [gather_fail]-th fetch on. *)
+type counts
 
-val wakeup_lost : t -> wakeup:int -> bool
-(** Chaos: is memory-completion wakeup number [wakeup] (1-based,
-    machine-wide) dropped? *)
+val counts : t -> nprocs:int -> counts
+(** Fresh counts of [plan] for a machine of [nprocs] processors. *)
 
-val barrier_dropped : t -> barrier:int -> bool
-(** Chaos: is barrier note number [barrier] (1-based, machine-wide)
-    dropped? A dropped note means one processor's arrival at a barrier is
-    never published — the sanitizer should report the resulting races. *)
+val fails : counts -> event -> bool
+(** Count one more [event], machine-wide, and say whether the plan makes
+    this one fail (for [Wakeup]: lost; for [Barrier_note]: dropped). *)
+
+val flush_tlb : counts -> proc:int -> bool
+(** Count one more translation by [proc] and say whether its TLB is
+    flushed first: every [tlb_flush_period]-th translation of each
+    processor. Without a period nothing is counted. *)
+
+(* Test-only: tests read how many events of a kind were counted. *)
+val count : counts -> event -> int
 
 (** {2 Parsing and printing} *)
 

@@ -50,7 +50,7 @@ val rounds_of_moves : r:int -> move list -> round list
     nodes): the pair [(src, dst)] communicates in round class
     [(dst - src) mod r]. Rounds come in increasing class order, each
     round's transfers sorted by [(src, dst)]. Also schedules the
-    page-granular migrations of regular arrays and the inspector's bulk
+    page-granular moves of regular arrays and the inspector's bulk
     gathers. *)
 
 val nrounds : t -> int

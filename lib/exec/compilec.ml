@@ -847,8 +847,6 @@ type walk = {
   w_saved : int array;  (** the loop variables before the walk *)
   w_pairs : (int * int, int ref) Hashtbl.t;
       (** (src node, dst node) -> words of that transfer *)
-  mutable w_addrs : int array;
-  mutable w_scratch : int;
   mutable w_slot : int;  (** next slot of the walk, then of the fallback *)
 }
 
@@ -971,12 +969,13 @@ and compile_stmt renv (st : Stmt.t) : step =
       fun k t ->
         (match Rt.redistribute renv.g.rt ~name:qname ~kinds ?onto ?procs () with
         | Ok ({ Rt.rounds; round_words; retries; _ } as result) -> (
-            (* failed attempts cost backoff time; the data movement itself
-               is charged by the round schedule — rounds run back to back,
-               transfers within a round in parallel. A fallback costs only
-               the retries (nothing moves, the old placement is kept). *)
+            (* each failed attempt costs a backoff; the data movement
+               itself is charged by the round schedule — rounds run back
+               to back, transfers within a round in parallel. A fallback
+               costs only the retries (nothing moves, the old placement is
+               kept). *)
             charge
-              ((retries * Costs.redistribute_retry)
+              ((retries * Costs.retry_backoff)
               + Costs.redistribute_scheduled ~rounds ~round_words)
               t;
             let { Sched.proc; clock = now; _ } = t in
@@ -1123,16 +1122,15 @@ and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
    home, scratch home) into an all-to-all round schedule.
 
    On EVERY execution the current target values move into scratch: one
-   bulk fetch charged by the round schedule, or — when the fault plan
-   fails the fetch past the bounded retries — a per-element fallback
-   through ordinary timed loads. Either way the scratch holds the same
-   values, so results never depend on the fault plan.
+   bulk fetch ({!Rt.gather_fetch}) charged by the round schedule, or —
+   when the fault plan fails every attempt the retry rule allows — a
+   per-element fallback through ordinary timed loads. Either way the
+   scratch holds the same values, so results never depend on the fault
+   plan.
 
    The walk and the fallback are resumable loops over a {!walk} record
    made on entry, which their continuations capture; the walk drives the loop variables through the serial
    frame in odometer order, the innermost dimension fastest. *)
-
-and max_gather_attempts = 3
 
 and compile_gather renv (gth : Stmt.gather) : step =
   let g = renv.g in
@@ -1170,7 +1168,9 @@ and compile_gather renv (gth : Stmt.gather) : step =
   let scale = gth.Stmt.g_scale and off = gth.Stmt.g_off in
   let bounds = g.bounds in
   let target = gth.Stmt.g_target and index = gth.Stmt.g_index in
-  let real_elems = array_elem_ty renv target = Types.Treal in
+  let elem =
+    if array_elem_ty renv target = Types.Treal then Darray.Real else Darray.Int
+  in
   let rt = g.rt in
   let heap = rt.Rt.heap and mem = rt.Rt.mem in
   let observe_gather w step ~retries (t : task) =
@@ -1189,11 +1189,6 @@ and compile_gather renv (gth : Stmt.gather) : step =
                now = t.Sched.clock;
              })
   in
-  let copy_one w i =
-    if real_elems then
-      Heap.set_real heap (w.w_scratch + i) (Heap.get_real heap w.w_addrs.(i))
-    else Heap.set_int heap (w.w_scratch + i) (Heap.get_int heap w.w_addrs.(i))
-  in
   (* next slot of the rectangle: false once the walk is over *)
   let rec advance w a d =
     d >= 0
@@ -1211,54 +1206,39 @@ and compile_gather renv (gth : Stmt.gather) : step =
   in
   fun k ->
     (* the per-element fallback: one timed load per slot *)
-    let fallback w ~tries t =
+    let fallback w ~retries t =
       w.w_slot <- 0;
       let rec fall t =
         if w.w_slot < w.w_nslots then
-          Sched.access s t w.w_addrs.(w.w_slot) false fell
+          Sched.access s t w.w_site.Rt.gs_addrs.(w.w_slot) false fell
         else begin
-          observe_gather w Rt.Fallback ~retries:tries t;
+          observe_gather w Rt.Fallback ~retries t;
           k t
         end
       and fell t =
-        copy_one w w.w_slot;
+        Rt.gather_copy rt w.w_site ~elem w.w_slot;
         w.w_slot <- w.w_slot + 1;
         fall t
       in
       fall t
     in
-    (* every execution: move the CURRENT target values into scratch *)
+    (* every execution: move the CURRENT target values into scratch; each
+       failed bulk attempt costs a backoff *)
     let fetch w t =
       let site = w.w_site in
-      w.w_addrs <- site.Rt.gs_addrs;
-      w.w_scratch <- site.Rt.gs_scratch;
-      let fault = Memsys.fault mem in
-      let rec attempt tries =
-        let fetch = Rt.next_gather_fetch rt in
-        if not (Ddsm_check.Fault.gather_fetch_fails fault ~fetch) then begin
-          for i = 0 to w.w_nslots - 1 do
-            copy_one w i
-          done;
-          charge
-            (Costs.gather_scheduled ~rounds:site.Rt.gs_rounds
-               ~round_words:site.Rt.gs_round_words)
-            t;
-          observe_gather w Rt.Fetch ~retries:tries t;
-          k t
-        end
-        else begin
-          rt.Rt.gather_retries <- rt.Rt.gather_retries + 1;
-          charge Costs.gather_retry t;
-          if tries + 1 < max_gather_attempts then attempt (tries + 1)
-          else begin
-            (* retries exhausted: per-element fallback through ordinary
-               timed loads — same addresses, same values, only slower *)
-            rt.Rt.gather_fallbacks <- rt.Rt.gather_fallbacks + 1;
-            fallback w ~tries t
-          end
-        end
+      let { Rt.retries; fell_back } =
+        Rt.gather_fetch rt site ~elem ~slots:w.w_nslots
       in
-      attempt 0
+      charge (retries * Costs.retry_backoff) t;
+      if fell_back then fallback w ~retries t
+      else begin
+        charge
+          (Costs.gather_scheduled ~rounds:site.Rt.gs_rounds
+             ~round_words:site.Rt.gs_round_words)
+          t;
+        observe_gather w Rt.Fetch ~retries t;
+        k t
+      end
     in
     let inspected w t =
       (* the walk drove the loop variables through the serial frame;
@@ -1295,12 +1275,13 @@ and compile_gather renv (gth : Stmt.gather) : step =
           Eff.error "array %s: subscript %d out of bounds in dim %d" target sub
             1;
         let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
-        w.w_addrs.(w.w_slot) <- taddr;
+        w.w_site.Rt.gs_addrs.(w.w_slot) <- taddr;
         let home a =
           Option.value ~default:0
             (Memsys.home_of_addr mem (Heap.byte_of_word a))
         in
-        let src = home taddr and dst = home (w.w_scratch + w.w_slot) in
+        let src = home taddr
+        and dst = home (w.w_site.Rt.gs_scratch + w.w_slot) in
         (match Hashtbl.find_opt w.w_pairs (src, dst) with
         | Some r -> incr r
         | None -> Hashtbl.replace w.w_pairs (src, dst) (ref 1));
@@ -1355,8 +1336,6 @@ and compile_gather renv (gth : Stmt.gather) : step =
             w_cur = Array.copy los;
             w_saved = Array.make ndims 0;
             w_pairs = Hashtbl.create 16;
-            w_addrs = site.Rt.gs_addrs;
-            w_scratch = site.Rt.gs_scratch;
             w_slot = 0;
           }
         in
@@ -1374,8 +1353,6 @@ and compile_gather renv (gth : Stmt.gather) : step =
             end;
             if Array.length site.Rt.gs_addrs < nslots then
               site.Rt.gs_addrs <- Array.make nslots 0;
-            w.w_addrs <- site.Rt.gs_addrs;
-            w.w_scratch <- site.Rt.gs_scratch;
             let a = ints t in
             Array.iteri (fun d vslot -> w.w_saved.(d) <- a.(vslot)) vslots;
             Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;

@@ -10,6 +10,10 @@ let call = 12
 let argcheck_register = 40
 let argcheck_lookup = 25
 
+(* one failed attempt of a redistribute or a bulk gather fetch: OS
+   round-trip plus backoff wait before the next *)
+let retry_backoff = 400
+
 (* moving [words] data words of one transfer: each cache line is read and
    written through memory *)
 let redistribute_words ~words = words / 4
@@ -17,9 +21,6 @@ let redistribute_words ~words = words / 4
 (* one all-to-all round of a scheduled redistribution: pairing up the
    senders/receivers and the round barrier *)
 let redistribute_round = 150
-
-(* one failed redistribution attempt: OS round-trip plus backoff wait *)
-let redistribute_retry = 400
 
 (* a scheduled redistribution runs its rounds back to back; within a
    round the transfers proceed in parallel, so the round costs its
@@ -36,9 +37,6 @@ let gather_inspect = 2
    redistribution round because nothing is re-homed, the receivers only
    fill their scratch pages *)
 let gather_round = 100
-
-(* one failed bulk-fetch attempt: OS round-trip plus backoff wait *)
-let gather_retry = 400
 
 (* words of one gather transfer: same per-word bandwidth as redistribution *)
 let gather_words ~words = words / 4

@@ -35,9 +35,10 @@ val argcheck_register : int
 (** §6 hash-table probe at subroutine entry *)
 val argcheck_lookup : int
 
-(** cycles charged for each failed (injected) redistribution attempt:
-    OS round-trip plus backoff wait before retrying *)
-val redistribute_retry : int
+(** cycles charged for each failed (injected) attempt of a redistribute
+    or a bulk gather fetch — every retry under [Rt]'s retry rule:
+    OS round-trip plus backoff wait before the next attempt *)
+val retry_backoff : int
 
 (** a scheduled redistribution runs [rounds] rounds back to back; within
     a round the transfers proceed in parallel so each round costs its
@@ -47,9 +48,6 @@ val redistribute_scheduled : rounds:int -> round_words:int -> int
 (** per-iteration-slot inspection work of an inspector-executor gather:
     one address classification plus a bin insert *)
 val gather_inspect : int
-
-(** cycles charged for each failed (injected) bulk-fetch attempt *)
-val gather_retry : int
 
 (** a scheduled bulk gather runs [rounds] rounds back to back; within a
     round the per-home transfers proceed in parallel so each round costs

@@ -32,9 +32,7 @@ type t = {
   mem : Memsys.t;
   runq : task Runq.t;
   max_cycles : int;
-  fault : Fault.t;
   access_ev : Rt.access;
-  mutable wakeups : int;
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;
@@ -48,9 +46,7 @@ let create ~rt ~max_cycles ~access_ev =
     mem;
     runq = Runq.create ();
     max_cycles;
-    fault = Memsys.fault mem;
     access_ev;
-    wakeups = 0;
     parks = 0;
     direct_continues = 0;
     forks = 0;
@@ -103,10 +99,9 @@ let access s t waddr write k =
   t.clock <- t.clock + lat;
   if t.clock > s.max_cycles then fail s t (Eff.Cycle_limit s.max_cycles)
   else begin
-    s.wakeups <- s.wakeups + 1;
     (* chaos fault: the completion wakeup is dropped and the task stays
        parked forever — the watchdog's deadlock report must name it *)
-    if Fault.wakeup_lost s.fault ~wakeup:s.wakeups then begin
+    if Fault.fails (Memsys.faults s.mem) Fault.Wakeup then begin
       t.state <- Ready;
       t.resume <- k;
       t.lost_wakeup <- true;

@@ -52,11 +52,9 @@ type t = {
   max_cycles : int;
       (** the run's cycle budget, checked after each access and, bound at
           link time, by compiled loops once per iteration *)
-  fault : Ddsm_check.Fault.t;
   access_ev : Ddsm_runtime.Rt.access;
       (** the observers' access event; its region is set before every
           access *)
-  mutable wakeups : int;
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;
@@ -93,8 +91,9 @@ val access : t -> task -> int -> bool -> (task -> unit) -> unit
     in [t.addr], charges the memory system's latency to [t.clock], then
     continues at [k] directly when the new clock is strictly below every
     queued key (and the latency positive), or parks [t] with resume point
-    [k]. Past the cycle budget it fails the run instead; under a
-    lost-wakeup fault the task is parked and never queued. The heap read
+    [k]. Past the cycle budget it fails the run instead. Otherwise the
+    access counts one [Wakeup] of the machine's fault plan, and a lost
+    wakeup leaves the task parked and never queued. The heap read
     or write belongs to [k], after the commit. *)
 
 val fork :

@@ -365,7 +365,7 @@ let analyse opts files =
                 (Diverged
                    { kind = "variant"; detail = Diag.code bd ^ " vs ok" }))
         [ v1; v2 ]);
-  (* 3e. chaos leg: lost wakeups may deadlock or stall the run, but it must
+  (* 3e. chaos leg: a lost wakeup may deadlock or stall the run, but it must
      come back as a structured diagnosis, not an exception *)
   if opts.fault && opts.case_seed mod 4 = 0 then begin
     let chaos =

@@ -46,7 +46,6 @@ let member_to_string m =
 
 let to_string t =
   let b = Buffer.create 256 in
-  Buffer.add_string b "# ddsm shadow file v1\n";
   List.iter
     (fun (n, s) -> Buffer.add_string b (Printf.sprintf "def %s %s\n" n (Sig_.to_string s)))
     t.defs;

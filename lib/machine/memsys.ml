@@ -35,17 +35,8 @@ type t = {
   l2_shift : int; (* log2 L2 line bytes *)
   l1_hit_cycles : int;
   tlb_miss_cycles : int;
-  (* per-processor one-entry translation memo: the last translated page and
-     its packed (node, frame) word. Purely a host-side cache of pagetable
-     state — it never changes a charged cycle (translation itself is free in
-     simulated time; only TLB misses cost cycles). Invalidated on migrate/
-     place/TLB-flush faults; [audit] cross-checks it against the table. *)
-  memo_page : int array; (* -1 = empty *)
-  memo_packed : int array;
-  fault : Fault.t;
-  faults_off : bool; (* Fault.none: skip the per-access fault probes *)
-  accesses : int array; (* per-proc translation count, for TLB-flush faults *)
-  mutable migrations : int; (* machine-wide count, for migrate-fail faults *)
+  plan : Fault.t;
+  faults : Fault.counts; (* the plan's event counts for this machine *)
   mutable probe : (access_event -> unit) option;
   event : access_event; (* refilled in place for every probe call *)
 }
@@ -75,12 +66,8 @@ let create cfg ~policy ?(fault = Fault.none) () =
     l2_shift = log2 cfg.Config.l2.Config.line_bytes;
     l1_hit_cycles = cfg.Config.l1.Config.hit_cycles;
     tlb_miss_cycles = cfg.Config.tlb_miss_cycles;
-    memo_page = Array.make n (-1);
-    memo_packed = Array.make n (-1);
-    fault;
-    faults_off = Fault.is_none fault;
-    accesses = Array.make n 0;
-    migrations = 0;
+    plan = fault;
+    faults = Fault.counts fault ~nprocs:n;
     probe = None;
     event =
       { ev_proc = 0; ev_addr = 0; ev_write = false; ev_now = 0; ev_tlb = 0;
@@ -88,10 +75,8 @@ let create cfg ~policy ?(fault = Fault.none) () =
         ev_coherence = 0; ev_tlb_flushed = false };
   }
 
-let invalidate_memos t = Array.fill t.memo_page 0 (Array.length t.memo_page) (-1)
-
 let config t = t.cfg
-let fault t = t.fault
+let faults t = t.faults
 let pagetable t = t.pt
 let page_of_addr t addr = addr lsr t.page_shift
 let home_of_addr t addr = Pagetable.home_opt t.pt ~page:(page_of_addr t addr)
@@ -100,28 +85,24 @@ let event t = t.event
 let counters t ~proc = t.ctrs.(proc)
 let total_counters t = Counters.sum t.ctrs
 
-let place_page t ~page ~node =
-  Pagetable.place t.pt ~page ~node;
-  invalidate_memos t
+let place_page t ~page ~node = Pagetable.place t.pt ~page ~node
 
 let place_bytes t ~lo ~hi ~node =
   for page = lo lsr t.page_shift to hi lsr t.page_shift do
     Pagetable.place t.pt ~page ~node
-  done;
-  invalidate_memos t
+  done
 
 let migrate_page t ~page ~node =
   Pagetable.migrate t.pt ~page ~node;
   (* migration allocates a fresh frame: stale translations anywhere would
      hand out the old frame's cache lines, so shoot the page down in every
-     processor's TLB and drop the one-entry translation memos *)
-  Array.iter (fun tlb -> Tlb.invalidate tlb ~page) t.tlbs;
-  invalidate_memos t
+     processor's TLB *)
+  Array.iter (fun tlb -> Tlb.invalidate tlb ~page) t.tlbs
 
 (* Bulk scheduled migration: apply every (page, node) move or none. Each
-   move consults the fault plan's migrate-fail counter; on an injected
+   move counts one [Migration] of the fault plan; on an injected
    failure the already-applied moves are migrated BACK to their recorded
-   homes (rollback never consults the counter — a rollback that could
+   homes (a rollback move is never counted — a rollback that could
    itself fail would leave the very half-moved state the bulk entry
    exists to rule out) and the index of the failed move is returned. *)
 let migrate_pages t moves =
@@ -132,9 +113,7 @@ let migrate_pages t moves =
   let rec go i = function
     | [] -> Ok i
     | (page, node) :: rest ->
-        let migration = t.migrations in
-        t.migrations <- migration + 1;
-        if Fault.migration_fails t.fault ~migration then begin
+        if Fault.fails t.faults Fault.Migration then begin
           rollback ();
           Error i
         end
@@ -163,7 +142,7 @@ let smash_line t ~victim ~phys_line =
 let module_service t ~node ~arrival =
   let start = max arrival t.busy_until.(node) in
   let occupancy =
-    t.cfg.Config.mem_occupancy_cycles + Fault.mem_extra t.fault ~node
+    t.cfg.Config.mem_occupancy_cycles + Fault.mem_extra t.plan ~node
   in
   t.busy_until.(node) <- start + occupancy;
   start - arrival
@@ -219,17 +198,10 @@ let rec access t ~proc ~addr ~write ~now =
   let page = addr lsr t.page_shift in
   (* injected TLB-shootdown fault: periodically drop this processor's
      translations (costs only the refill misses) *)
-  let acc = Array.unsafe_get t.accesses proc + 1 in
-  Array.unsafe_set t.accesses proc acc;
-  let tlb_flushed =
-    (not t.faults_off) && Fault.tlb_flush_due t.fault ~accesses:acc
-  in
-  if tlb_flushed then begin
-    Tlb.flush t.tlbs.(proc);
-    t.memo_page.(proc) <- -1
-  end;
+  let tlb_flushed = Fault.flush_tlb t.faults ~proc in
+  if tlb_flushed then Tlb.flush t.tlbs.(proc);
   (* 1. address translation: TLB (the only part that costs cycles), then
-     the one-entry memo in front of the flat page table *)
+     the flat page table *)
   let tlb_c =
     if Tlb.access (Array.unsafe_get t.tlbs proc) ~page then 0
     else begin
@@ -240,17 +212,8 @@ let rec access t ~proc ~addr ~write ~now =
     end
   in
   let packed =
-    if Array.unsafe_get t.memo_page proc = page then
-      Array.unsafe_get t.memo_packed proc
-    else begin
-      let p =
-        Pagetable.translate t.pt ~page
-          ~faulting_node:(Config.node_of_proc t.cfg proc)
-      in
-      Array.unsafe_set t.memo_page proc page;
-      Array.unsafe_set t.memo_packed proc p;
-      p
-    end
+    Pagetable.translate t.pt ~page
+      ~faulting_node:(Config.node_of_proc t.cfg proc)
   in
   let home = Pagetable.packed_node packed in
   let phys_addr =
@@ -297,11 +260,9 @@ let rec access t ~proc ~addr ~write ~now =
 and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     ~l2 ~l1_line ~l2_line ~l1_hit =
   let my_node = Config.node_of_proc t.cfg proc in
-  let lat = ref tlb_c in
-  (* cause-tagged slices of [lat], reported to the probe (profiler). Every
-     cycle added to [lat] below is also added to exactly one slice. *)
-  let tlb_c = ref tlb_c
-  and hit_c = ref 0
+  (* cause-tagged slices of the latency, reported to the probe (profiler):
+     they partition it, so the latency is their sum *)
+  let hit_c = ref 0
   and fill_c = ref 0
   and cont_c = ref 0
   and coh_c = ref 0 in
@@ -312,7 +273,6 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     if l2_hit && ((not write) || exclusive_mine ()) then begin
       (* L2 hit (or write to an exclusively-held line) *)
       hit_c := !hit_c + t.cfg.Config.l2.Config.hit_cycles;
-      lat := !lat + t.cfg.Config.l2.Config.hit_cycles;
       if write then Cache.set_dirty l2 ~line:l2_line
     end
     else if l2_hit (* && write && not exclusive: upgrade *) then begin
@@ -327,27 +287,27 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
       c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
       let route =
         Topology.route_cycles t.topo ~from_node:my_node ~to_node:home
-        + Fault.link_extra t.fault ~a:my_node ~b:home
+        + Fault.link_extra t.plan ~a:my_node ~b:home
       in
       let upgrade_coh =
         route
-        + Fault.dir_extra t.fault ~home
+        + Fault.dir_extra t.plan ~home
         + (t.cfg.Config.inval_cycles_per_sharer * List.length others)
       in
       hit_c := !hit_c + t.cfg.Config.l2.Config.hit_cycles;
       coh_c := !coh_c + upgrade_coh;
-      lat := !lat + t.cfg.Config.l2.Config.hit_cycles + upgrade_coh;
       Directory.set_exclusive t.dir ~line:l2_line ~owner:proc;
       Cache.set_dirty l2 ~line:l2_line
     end
     else begin
       (* L2 miss: directory transaction at the page's home node *)
       c.Counters.l2_misses <- c.Counters.l2_misses + 1;
-      let arrival = now + !lat in
+      (* the request leaves once the latency so far has elapsed *)
+      let arrival = now + tlb_c + !hit_c + !fill_c + !cont_c + !coh_c in
       let base_lat =
         Topology.mem_latency t.topo ~proc_node:my_node ~home_node:home
-        + Fault.link_extra t.fault ~a:my_node ~b:home
-        + Fault.dir_extra t.fault ~home
+        + Fault.link_extra t.plan ~a:my_node ~b:home
+        + Fault.dir_extra t.plan ~home
       in
       (* who supplies the data? *)
       let dirty_owner =
@@ -364,11 +324,10 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
         let c2c =
           t.cfg.Config.dirty_transfer_extra_cycles
           + Topology.route_cycles t.topo ~from_node:q_node ~to_node:my_node
-          + Fault.link_extra t.fault ~a:q_node ~b:my_node
+          + Fault.link_extra t.plan ~a:q_node ~b:my_node
         in
         fill_c := !fill_c + base_lat;
         coh_c := !coh_c + c2c;
-        lat := !lat + base_lat + c2c;
         (* the line being fetched lives on the accessed page, whose home
            node we already hold — no page-table re-derivation *)
         enqueue_writeback t ~node:home ~now:arrival;
@@ -396,7 +355,6 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
         c.Counters.contention_cycles <- c.Counters.contention_cycles + wait;
         fill_c := !fill_c + base_lat;
         cont_c := !cont_c + wait;
-        lat := !lat + base_lat + wait;
         if write then begin
           let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
           List.iter
@@ -408,7 +366,6 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
           c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
           let inval = t.cfg.Config.inval_cycles_per_sharer * List.length others in
           coh_c := !coh_c + inval;
-          lat := !lat + inval;
           Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
         end
         else if Directory.is_uncached t.dir ~line:l2_line then
@@ -431,16 +388,17 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     end
     else if write then Cache.set_dirty l1 ~line:l1_line
   end;
-  c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + !lat;
+  let lat = tlb_c + !hit_c + !fill_c + !cont_c + !coh_c in
+  c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + lat;
   (match t.probe with
   | None -> ()
   | Some probe ->
       let local = home = my_node in
-      emit t probe ~proc ~addr ~write ~now ~tlb:!tlb_c ~hit:!hit_c
+      emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:!hit_c
         ~local:(if local then !fill_c else 0)
         ~remote:(if local then 0 else !fill_c)
         ~contention:!cont_c ~coherence:!coh_c ~tlb_flushed);
-  !lat
+  lat
 
 (* ------------------------------------------------------------------ *)
 (* Invariant auditor (on demand; scans are O(cache lines + directory +
@@ -511,24 +469,6 @@ let audit t =
             add
               (Audit.v "tlb-pagetable"
                  "p%d: TLB caches page %d which the pagetable never placed" p
-                 page));
-    (* translation memo: a non-empty memo must mirror the page table *)
-    if t.memo_page.(p) >= 0 then begin
-      let page = t.memo_page.(p) and packed = t.memo_packed.(p) in
-      match Pagetable.home_opt t.pt ~page with
-      | None ->
-          add
-            (Audit.v "translation-memo"
-               "p%d: memo caches page %d which the pagetable never placed" p
-               page)
-      | Some node ->
-          if
-            node <> Pagetable.packed_node packed
-            || Pagetable.frame t.pt ~page <> Pagetable.packed_frame packed
-          then
-            add
-              (Audit.v "translation-memo"
-                 "p%d: memo for page %d is stale (node/frame mismatch)" p page)
-    end
+                 page))
   done;
   List.rev_append !vs (Pagetable.audit t.pt)

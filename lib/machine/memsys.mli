@@ -48,7 +48,10 @@ val create : Config.t -> policy:Pagetable.policy -> ?fault:Ddsm_check.Fault.t ->
     and only the latencies, never values. *)
 
 val config : t -> Config.t
-val fault : t -> Ddsm_check.Fault.t
+
+val faults : t -> Ddsm_check.Fault.counts
+(** The plan's event counts for this machine: the one schedule the
+    machine, the runtime and the scheduler all ask which event fails. *)
 
 val access : t -> proc:int -> addr:int -> write:bool -> now:int -> int
 (** Latency in cycles of a one-word access by [proc] at local time [now]. *)
@@ -62,14 +65,13 @@ val place_page : t -> page:int -> node:int -> unit
 
 val migrate_pages : t -> (int * int) list -> (int, int) result
 (** Bulk scheduled migration: apply every [(page, node)] move in order —
-    all or nothing. Each move consults the fault plan's [migrate-fail]
-    counter; on an injected failure the moves already applied are migrated
+    all or nothing. Each move counts one [Migration] of the fault plan;
+    on an injected failure the moves already applied are migrated
     back to their previous homes and [Error i] names the failed move, so
     the caller observes either the complete new placement or the old one.
     [Ok n] is the number of moves applied. Migration allocates a fresh
     physical frame, so each move (and each rollback) also shoots the page
-    down in every processor's TLB and drops the one-entry translation
-    memos. *)
+    down in every processor's TLB. *)
 
 val home_of_addr : t -> int -> int option
 

@@ -1,4 +1,5 @@
 open Ddsm_machine
+module Fault = Ddsm_check.Fault
 
 type redist = {
   moved : int;
@@ -23,6 +24,7 @@ type gather_site = {
   mutable gs_round_words : int;
 }
 
+type fetch = { retries : int; fell_back : bool }
 type access = { mutable region : string; ev : Memsys.access_event }
 type gather_step = Inspect | Fetch | Fallback
 type mark = Run_begin | Run_end | Cycle_budget | Wakeup_lost | Watchdog_stall
@@ -53,20 +55,17 @@ type t = {
   arrays : (string, Darray.t) Hashtbl.t;
   gathers : (string, gather_site) Hashtbl.t;
   mutable redist_pages : int;
-  mutable redist_attempts : int;
   mutable redist_retries : int;
   mutable redist_fallbacks : int;
-  mutable gather_fetches : int;
   mutable gather_inspections : int;
   mutable gather_retries : int;
   mutable gather_fallbacks : int;
   job_procs : int;
-  mutable barriers : int;
   mutable observe : (event -> unit) option;
 }
 
 let create cfg ~policy ~heap_words ?job_procs
-    ?(fault = Ddsm_check.Fault.none) () =
+    ?(fault = Fault.none) () =
   let heap = Heap.create ~words:heap_words in
   let mem = Memsys.create cfg ~policy ~fault () in
   let job_procs =
@@ -85,29 +84,22 @@ let create cfg ~policy ~heap_words ?job_procs
     arrays = Hashtbl.create 64;
     gathers = Hashtbl.create 16;
     redist_pages = 0;
-    redist_attempts = 0;
     redist_retries = 0;
     redist_fallbacks = 0;
-    gather_fetches = 0;
     gather_inspections = 0;
     gather_retries = 0;
     gather_fallbacks = 0;
     job_procs;
-    barriers = 0;
     observe = None;
   }
 
 let note_barrier t ~proc ~now =
-  t.barriers <- t.barriers + 1;
   (* a dropped note models the missing-synchronization bug: the arrival is
      never published, so observers (the sanitizer) see the processors on
      either side of the barrier as unordered *)
+  let dropped = Fault.fails (Memsys.faults t.mem) Fault.Barrier_note in
   match t.observe with
-  | Some observe
-    when not
-           (Ddsm_check.Fault.barrier_dropped (Memsys.fault t.mem)
-              ~barrier:t.barriers) ->
-      observe (Barrier { proc; now })
+  | Some observe when not dropped -> observe (Barrier { proc; now })
   | _ -> ()
 
 let announce_alloc t ~name ~word_ranges =
@@ -139,15 +131,29 @@ let declare_reshaped t ~name ~elem ~extents ?lower ~kinds ?onto () =
     (Darray.alloc_reshaped t.heap t.mem t.pools ~name ~elem ~extents ?lower
        ~kinds ?onto ~nprocs:t.job_procs ())
 
-(* At most this many tries per redistribute call before giving up and
-   keeping the old placement. *)
-let max_redist_attempts = 3
+(* The one retry rule for bulk operations the fault plan can fail
+   (redistribute, gather fetch): [attempt ()] runs at most [retry_limit]
+   times, until it gives [Some]. Returns its result, or [None] when every
+   attempt failed, with the number of failed attempts: the retries, each
+   of which the caller charges one backoff. *)
+let retry_limit = 3
+
+let retry attempt =
+  let rec go failed =
+    if failed = retry_limit then (None, failed)
+    else
+      match attempt () with
+      | Some r -> (Some r, failed)
+      | None -> go (failed + 1)
+  in
+  go 0
 
 let redistribute t ~name ~kinds ?onto ?procs () =
   match Hashtbl.find_opt t.arrays name with
   | None -> Error (Printf.sprintf "redistribute: unknown array %s" name)
-  | Some a ->
-      let fault = Memsys.fault t.mem in
+  | Some a when Option.is_none a.Darray.layout ->
+      Error (Printf.sprintf "redistribute: %s is not a distributed array" name)
+  | Some a -> (
       (* onto-grid resize: the requested processor count is clamped to the
          job's, so one program runs unchanged on any machine size (the
          same start-up-time contract as [c$distribute] itself) *)
@@ -156,63 +162,55 @@ let redistribute t ~name ~kinds ?onto ?procs () =
         | None -> t.job_procs
         | Some p -> max 1 (min p t.job_procs)
       in
-      let fallback tries =
-        t.redist_fallbacks <- t.redist_fallbacks + 1;
-        Ok
-          {
-            moved = 0;
-            words = 0;
-            rounds = 0;
-            round_words = 0;
-            retries = tries;
-            fell_back = true;
-          }
-      in
-      (* Injected retryable failures — a whole attempt refused up front
-         (redist-fail) or a page migration failing mid-plan and rolling
-         back (migrate-fail): retry with bounded attempts, and if every
-         attempt fails fall back to the old placement — the program stays
-         correct, only slower. *)
-      let rec go tries =
-        let attempt = t.redist_attempts in
-        t.redist_attempts <- attempt + 1;
-        let retry_or_fallback () =
-          if tries + 1 >= max_redist_attempts then fallback tries
-          else (
-            t.redist_retries <- t.redist_retries + 1;
-            go (tries + 1))
-        in
-        if Ddsm_check.Fault.redist_attempt_fails fault ~attempt then
-          retry_or_fallback ()
+      (* an attempt fails retryably when the fault plan refuses it up front
+         (redist-fail) or a page migration fails mid-plan and rolls back
+         (migrate-fail) *)
+      let attempt () =
+        if Fault.fails (Memsys.faults t.mem) Fault.Redist_attempt then None
         else
           match
             Darray.redistribute a t.heap t.mem ~pools:t.pools ~kinds ?onto
               ~nprocs ()
           with
-          | Ok Darray.Busy -> retry_or_fallback ()
-          | Ok (Darray.Moved o) ->
-              t.redist_pages <- t.redist_pages + o.Darray.pages_moved;
-              (* page homes (regular) or portion addresses (reshaped)
-                 changed: cached gather schedules over this array are
-                 stale *)
-              Darray.bump_version a;
-              (* a reshaped relayout installs new portions; a regular one
-                 moves pages, not addresses *)
-              if a.Darray.reshaped then
-                announce_alloc t ~name:a.Darray.name
-                  ~word_ranges:(Darray.word_ranges a);
-              Ok
-                {
-                  moved = o.Darray.pages_moved;
-                  words = o.Darray.words_moved;
-                  rounds = o.Darray.rounds;
-                  round_words = o.Darray.round_words;
-                  retries = tries;
-                  fell_back = false;
-                }
-          | Error _ as e -> e
+          | Ok (Darray.Moved o) -> Some o
+          | Ok Darray.Busy -> None
+          | Error m -> invalid_arg ("Rt.redistribute: " ^ m)
       in
-      go 0
+      let moved, retries = retry attempt in
+      t.redist_retries <- t.redist_retries + retries;
+      match moved with
+      | None ->
+          (* every attempt failed: keep the old placement — the program
+             stays correct, only slower *)
+          t.redist_fallbacks <- t.redist_fallbacks + 1;
+          Ok
+            {
+              moved = 0;
+              words = 0;
+              rounds = 0;
+              round_words = 0;
+              retries;
+              fell_back = true;
+            }
+      | Some o ->
+          t.redist_pages <- t.redist_pages + o.Darray.pages_moved;
+          (* page homes (regular) or portion addresses (reshaped) changed:
+             cached gather schedules over this array are stale *)
+          Darray.bump_version a;
+          (* a reshaped relayout installs new portions; a regular one moves
+             pages, not addresses *)
+          if a.Darray.reshaped then
+            announce_alloc t ~name:a.Darray.name
+              ~word_ranges:(Darray.word_ranges a);
+          Ok
+            {
+              moved = o.Darray.pages_moved;
+              words = o.Darray.words_moved;
+              rounds = o.Darray.rounds;
+              round_words = o.Darray.round_words;
+              retries;
+              fell_back = false;
+            })
 
 let find_array t name = Hashtbl.find_opt t.arrays name
 
@@ -257,13 +255,33 @@ let alloc_gather_scratch t ~src_array ~words =
   announce_alloc t ~name:src_array ~word_ranges:[ (base, base + padded - 1) ];
   base
 
-(* machine-wide bulk-fetch counter feeding the fault plan: returns the
-   0-based ordinal of this fetch, like [Memsys]'s migration counter, so
-   [gather-fail=N] fails the Nth fetch onward (1-based spec). *)
-let next_gather_fetch t =
-  let v = t.gather_fetches in
-  t.gather_fetches <- t.gather_fetches + 1;
-  v
+(* copy iteration slot [i]'s source word into the site's scratch *)
+let gather_copy t site ~elem i =
+  let src = site.gs_addrs.(i) and dst = site.gs_scratch + i in
+  match (elem : Darray.elem) with
+  | Darray.Real -> Heap.set_real t.heap dst (Heap.get_real t.heap src)
+  | Darray.Int -> Heap.set_int t.heap dst (Heap.get_int t.heap src)
+
+(* One bulk fetch through the site's cached schedule, under the retry
+   rule: a successful attempt copies every slot into scratch at once; when
+   every attempt fails, scratch is left for the caller's per-element
+   fallback. *)
+let gather_fetch t site ~elem ~slots =
+  let fetched, retries =
+    retry (fun () ->
+        if Fault.fails (Memsys.faults t.mem) Fault.Gather_fetch then None
+        else Some ())
+  in
+  t.gather_retries <- t.gather_retries + retries;
+  match fetched with
+  | Some () ->
+      for i = 0 to slots - 1 do
+        gather_copy t site ~elem i
+      done;
+      { retries; fell_back = false }
+  | None ->
+      t.gather_fallbacks <- t.gather_fallbacks + 1;
+      { retries; fell_back = true }
 
 let read t ~addr ~elem =
   match (elem : Darray.elem) with

@@ -13,10 +13,18 @@ type redist = {
   round_words : int;
       (** sum over rounds of the round's largest transfer — what the cost
           model charges for the scheduled data movement *)
-  retries : int;  (** failed attempts before this outcome *)
+  retries : int;  (** failed attempts, under the retry rule *)
   fell_back : bool;
       (** every attempt failed; the old placement was kept — correct but
           without the performance benefit of the new distribution *)
+}
+
+(** The outcome of one bulk gather fetch ({!gather_fetch}). *)
+type fetch = {
+  retries : int;  (** failed attempts, under the retry rule *)
+  fell_back : bool;
+      (** every attempt failed; scratch was not filled and the caller
+          fetches per element *)
 }
 
 (** One inspector-executor gather site (a compiled [Stmt.Gather]): scratch
@@ -88,28 +96,19 @@ type t = {
   arrays : (string, Darray.t) Hashtbl.t;
   gathers : (string, gather_site) Hashtbl.t;
   mutable redist_pages : int;  (** pages moved by redistribute calls *)
-  mutable redist_attempts : int;
-      (** redistribute attempts made (feeds the fault plan's failure
-          schedule) *)
-  mutable redist_retries : int;  (** attempts that failed and were retried *)
+  mutable redist_retries : int;  (** failed redistribute attempts *)
   mutable redist_fallbacks : int;
       (** redistribute calls that exhausted retries and kept the old
           placement *)
-  mutable gather_fetches : int;
-      (** bulk gather fetches attempted (feeds the fault plan's
-          [gather-fail] schedule, 1-based) *)
   mutable gather_inspections : int;
       (** gather schedule (re)inspections — cache misses *)
-  mutable gather_retries : int;  (** failed bulk fetches that were retried *)
+  mutable gather_retries : int;  (** failed bulk fetch attempts *)
   mutable gather_fallbacks : int;
       (** gathers that exhausted retries and fell back to per-element
           fetches *)
   job_procs : int;
       (** processors this job runs on (<= machine size): the paper runs
           P-processor jobs on a fixed 128-processor Origin-2000 *)
-  mutable barriers : int;
-      (** barrier notes made so far (feeds the fault plan's drop-barrier
-          schedule) *)
   mutable observe : (event -> unit) option;
       (** the event stream's observer, set by the engine for the length
           of a profiled or sanitized run *)
@@ -119,17 +118,18 @@ val create :
   Config.t -> policy:Pagetable.policy -> heap_words:int ->
   ?job_procs:int -> ?fault:Ddsm_check.Fault.t -> unit -> t
 (** [fault] installs a deterministic fault plan on the simulated machine
-    (see {!Ddsm_machine.Memsys.create}) and drives the injected
-    redistribution failures consumed by {!redistribute}. *)
+    (see {!Ddsm_machine.Memsys.create}); its event counts
+    ({!Ddsm_machine.Memsys.faults}) also decide the injected failures of
+    {!redistribute}, {!gather_fetch} and {!note_barrier}. *)
 
 val nprocs : t -> int
 (** Job processor count (defaults to the machine size). *)
 
 val note_barrier : t -> proc:int -> now:int -> unit
 (** Announce processor [proc]'s arrival at a barrier as a [Barrier] event.
-    If the fault plan drops this note ({!Ddsm_check.Fault.barrier_dropped},
-    counted machine-wide, 1-based) the arrival is never published — the
-    seeded missing-synchronization bug the sanitizer must catch. Timing is
+    Each call counts one [Barrier_note] of the fault plan; if the plan
+    drops this one the arrival is never published — the seeded
+    missing-synchronization bug the sanitizer must catch. Timing is
     unaffected either way. *)
 
 (** Allocation entry points used by program elaboration. Arrays are
@@ -148,6 +148,14 @@ val declare_reshaped :
   t -> name:string -> elem:Darray.elem -> extents:int array ->
   ?lower:int array -> kinds:Kind.t array -> ?onto:int array -> unit -> Darray.t
 
+(** {2 The retry rule}
+
+    {!redistribute} and {!gather_fetch}, the bulk operations a fault plan
+    can fail, share one rule: at most 3 attempts per call. [retries]
+    counts the failed ones, and the caller charges one backoff
+    ([Costs.retry_backoff]) per retry; when all 3 fail the call falls
+    back. *)
+
 val redistribute :
   t -> name:string -> kinds:Kind.t array -> ?onto:int array -> ?procs:int ->
   unit -> (redist, string) result
@@ -158,10 +166,11 @@ val redistribute :
     machine size. The fault plan may inject retryable failures, either
     refusing a whole attempt ([redist-fail]) or failing a page migration
     mid-plan ([migrate-fail], rolled back by the machine layer): the call
-    retries (bounded) and, if every attempt fails, falls back to the old
-    placement with [fell_back = true] — the caller charges backoff cost
-    per retry but the program's results are unaffected. [Error] is
-    reserved for real misuse (unknown or plain arrays). *)
+    retries under the retry rule and, if every attempt fails, falls back
+    to the old placement with [fell_back = true] — the caller charges a
+    backoff per retry but the program's results are unaffected. [Error]
+    is reserved for real misuse (unknown or plain arrays), whatever the
+    fault plan. *)
 
 val int_of_real : float -> int option
 (** Checked real-to-integer element conversion: [None] for NaN and for
@@ -179,10 +188,19 @@ val alloc_gather_scratch : t -> src_array:string -> words:int -> int
     site, block-place its pages over the job's processors, announce the
     range as an [Alloc] of [src_array], and return the base word. *)
 
-val next_gather_fetch : t -> int
-(** Bump the machine-wide bulk-fetch counter and return this fetch's
-    0-based ordinal (consumed by
-    {!Ddsm_check.Fault.gather_fetch_fails}). *)
+val gather_fetch : t -> gather_site -> elem:Darray.elem -> slots:int -> fetch
+(** One bulk fetch of the site's first [slots] source words
+    ([gs_addrs]) into its scratch, shaped like {!redistribute}: each
+    attempt counts one [Gather_fetch] of the fault plan, and under the
+    retry rule the first that the plan does not fail copies every
+    slot. When all fail, [fell_back] is set and scratch is untouched: the
+    caller fetches each slot through timed loads and {!gather_copy}. The
+    caller charges a backoff per retry and, when fetched, the round
+    schedule. *)
+
+val gather_copy : t -> gather_site -> elem:Darray.elem -> int -> unit
+(** [gather_copy t site ~elem i] copies slot [i]'s source word into
+    scratch (no timing). *)
 
 val read : t -> addr:int -> elem:Darray.elem -> float
 (** Raw data read (no timing); integers are returned as floats for the VM's

@@ -52,6 +52,11 @@ let test_fault_random_deterministic () =
   done;
   check_bool "seeds vary the plan" true (Hashtbl.length distinct > 1)
 
+(* count [n] events of kind [ev] on fresh counts of [plan]: which fail *)
+let counted_in c ev n = List.init n (fun _ -> Fault.fails c ev)
+let counted plan ev n = counted_in (Fault.counts plan ~nprocs:1) ev n
+let check_fails = Alcotest.(check (list bool))
+
 let test_fault_queries () =
   let f =
     Fault.make
@@ -66,21 +71,45 @@ let test_fault_queries () =
   check_int "link a-b" 30 (Fault.link_extra f ~a:0 ~b:2);
   check_int "link symmetric" 30 (Fault.link_extra f ~a:2 ~b:0);
   check_int "self link free" 0 (Fault.link_extra f ~a:2 ~b:2);
-  check_bool "flush at period" true (Fault.tlb_flush_due f ~accesses:8);
-  check_bool "no flush off-period" false (Fault.tlb_flush_due f ~accesses:9);
-  check_bool "attempt 0 fails" true (Fault.redist_attempt_fails f ~attempt:0);
-  check_bool "attempt 2 ok" false (Fault.redist_attempt_fails f ~attempt:2);
-  let n = Fault.none in
-  check_bool "none never flushes" false (Fault.tlb_flush_due n ~accesses:64);
-  check_bool "none never fails" false (Fault.redist_attempt_fails n ~attempt:0)
+  (* redist-fail=2: attempts 1 and 2 fail, 3 succeeds *)
+  check_fails "redist attempts" [ true; true; false; false ]
+    (counted f Fault.Redist_attempt 4);
+  (* tlb=4: each processor's 4th and 8th translations flush, counted per
+     processor *)
+  let c = Fault.counts f ~nprocs:2 in
+  let p0 = List.init 8 (fun _ -> Fault.flush_tlb c ~proc:0) in
+  check_fails "proc 0 flushes at its 4th and 8th"
+    [ false; false; false; true; false; false; false; true ] p0;
+  check_fails "proc 1 counts its own" [ false; false; false; true ]
+    (List.init 4 (fun _ -> Fault.flush_tlb c ~proc:1));
+  let n = Fault.counts Fault.none ~nprocs:1 in
+  check_bool "none never flushes" false
+    (List.exists Fun.id (List.init 64 (fun _ -> Fault.flush_tlb n ~proc:0)));
+  check_bool "none never fails" false (Fault.fails n Fault.Redist_attempt);
+  let c = Fault.counts f ~nprocs:1 in
+  ignore (counted_in c Fault.Redist_attempt 4);
+  check_int "every attempt is counted" 4 (Fault.count c Fault.Redist_attempt)
+
+(* the first failing event of each persistent schedule: N = 2 lets the
+   first event through and fails the 2nd onward *)
+let test_fault_first_failure () =
+  check_fails "gather-fail=2" [ false; true; true; true ]
+    (counted (Fault.make ~gather_fail:2 ()) Fault.Gather_fetch 4);
+  check_fails "migrate-fail=2" [ false; true; true; true ]
+    (counted (Fault.make ~migrate_fail:2 ()) Fault.Migration 4);
+  check_fails "gather-fail=1 fails the first" [ true; true ]
+    (counted (Fault.make ~gather_fail:1 ()) Fault.Gather_fetch 2);
+  check_fails "lose-wakeup=3 loses only the 3rd" [ false; false; true; false ]
+    (counted (Fault.make ~lose_wakeup:3 ()) Fault.Wakeup 4);
+  check_fails "off: nothing fails" [ false; false ]
+    (counted Fault.none Fault.Migration 2)
 
 let test_fault_drop_barrier () =
   let f = Fault.make ~drop_barrier:2 () in
-  check_bool "2nd barrier dropped" true (Fault.barrier_dropped f ~barrier:2);
-  check_bool "1st barrier kept" false (Fault.barrier_dropped f ~barrier:1);
-  check_bool "3rd barrier kept" false (Fault.barrier_dropped f ~barrier:3);
-  check_bool "none never drops" false
-    (Fault.barrier_dropped Fault.none ~barrier:1);
+  check_fails "only the 2nd note dropped" [ false; true; false ]
+    (counted f Fault.Barrier_note 3);
+  check_fails "none never drops" [ false ]
+    (counted Fault.none Fault.Barrier_note 1);
   (match Fault.of_spec "drop-barrier=5" with
   | Ok f' -> check_int "spec parses" 5 f'.Fault.drop_barrier
   | Error e -> Alcotest.fail e);
@@ -197,6 +226,8 @@ let () =
             test_fault_random_deterministic;
           Alcotest.test_case "query semantics" `Quick test_fault_queries;
           Alcotest.test_case "drop-barrier" `Quick test_fault_drop_barrier;
+          Alcotest.test_case "first failing event" `Quick
+            test_fault_first_failure;
         ] );
       ( "diag",
         [ Alcotest.test_case "rendering" `Quick test_diag_rendering ] );

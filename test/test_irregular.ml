@@ -44,17 +44,21 @@ let build ?(flags = Flags.all_on) src =
           in
           Prog.create routines ~main:main.Sema.routine.Decl.rname)
 
-let run ?flags ?fault ?(nprocs = 4) src =
+let run ?flags ?fault ?observers ?(nprocs = 4) src =
   let prog = build ?flags src in
   let cfg = Config.scaled ~nprocs () in
   let rt =
     Rt.create cfg ~policy:Pagetable.First_touch ~heap_words:(1 lsl 20) ?fault ()
   in
-  match Engine.run prog ~rt ~checks:true ~bounds:true () with
+  match Engine.run prog ~rt ~checks:true ~bounds:true ?observers () with
   | Ok o -> (o, rt)
   | Error m -> Alcotest.failf "runtime error: %s" (Ddsm_check.Diag.to_string m)
 
 let prints o = String.concat "\n" o.Engine.prints
+
+(* bulk gather fetch attempts the run's fault counts saw *)
+let fetches rt =
+  Fault.count (Ddsm_machine.Memsys.faults rt.Rt.mem) Fault.Gather_fetch
 
 (* ------------------------------------------------------------------ *)
 (* the generated program: fill a and the index vector with literals,
@@ -193,7 +197,7 @@ c$doacross local(i) affinity(i) = data(y(i))
 let test_cache_reuse () =
   let o, rt = run (sweep_src ()) in
   check_int "one inspection across two sweeps" 1 rt.Rt.gather_inspections;
-  check_int "one bulk fetch per sweep" 2 rt.Rt.gather_fetches;
+  check_int "one bulk fetch per sweep" 2 (fetches rt);
   let naive, _ = run ~flags:naive_flags (sweep_src ()) in
   check_string "result matches naive" (prints naive) (prints o)
 
@@ -215,7 +219,7 @@ let test_redistribute_invalidates () =
   in
   let o, rt = run (sweep_src ~between ~sweeps:3 ()) in
   check_int "re-inspects after redistribute" 2 rt.Rt.gather_inspections;
-  check_int "three bulk fetches" 3 rt.Rt.gather_fetches;
+  check_int "three bulk fetches" 3 (fetches rt);
   let naive, _ = run ~flags:naive_flags (sweep_src ~between ~sweeps:3 ()) in
   check_string "result matches naive" (prints naive) (prints o)
 
@@ -224,20 +228,29 @@ let test_gather_fail_all () =
      bounded number of times, then falls back to per-element fetches --
      results and homes unchanged *)
   let fault = Fault.make ~gather_fail:1 () in
-  let o, rt = run ~fault (sweep_src ()) in
+  let fallbacks = ref [] in
+  let observe = function
+    | Rt.Gather { step = Rt.Fallback; retries; _ } ->
+        fallbacks := retries :: !fallbacks
+    | _ -> ()
+  in
+  let o, rt = run ~fault ~observers:[ observe ] (sweep_src ()) in
   let clean, _ = run (sweep_src ()) in
   check_string "fault-free result" (prints clean) (prints o);
   check_int "3 failed attempts per sweep" 6 rt.Rt.gather_retries;
-  check_int "per-element fallback each sweep" 2 rt.Rt.gather_fallbacks
+  check_int "per-element fallback each sweep" 2 rt.Rt.gather_fallbacks;
+  (* the retry rule: a fallback reports every failed attempt *)
+  Alcotest.(check (list int)) "each fallback reports 3 retries" [ 3; 3 ]
+    !fallbacks
 
 let test_gather_fail_later () =
   (* gather-fail=2: fetch 1 succeeds, everything later fails.  Sweep 2
-     burns its 3 attempts (ordinals 1..3) and falls back once. *)
+     burns its 3 attempts (fetches 2..4) and falls back once. *)
   let fault = Fault.make ~gather_fail:2 () in
   let o, rt = run ~fault (sweep_src ()) in
   let clean, _ = run (sweep_src ()) in
   check_string "fault-free result" (prints clean) (prints o);
-  check_int "4 fetch ordinals consumed" 4 rt.Rt.gather_fetches;
+  check_int "4 fetch attempts counted" 4 (fetches rt);
   check_int "3 retries" 3 rt.Rt.gather_retries;
   check_int "1 fallback" 1 rt.Rt.gather_fallbacks
 

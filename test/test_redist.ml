@@ -217,8 +217,15 @@ let test_migrate_fail_atomic () =
   | Error m -> Alcotest.failf "expected fallback, got error: %s" m
   | Ok { Rt.fell_back; retries; moved; _ } ->
       check_bool "fell back to old placement" true fell_back;
-      check_bool "counted failed attempts" true (retries >= 1);
+      (* the retry rule: a fallback reports all 3 failed attempts *)
+      check_int "every attempt failed" 3 retries;
       check_int "nothing moved" 0 moved);
+  (* migrate-fail=2: the first attempt's 1st migration goes through and
+     its 2nd is the first to fail; each retry fails at its first. The
+     rollback's moves are not counted. *)
+  check_int "migrations counted" 4
+    (Ddsm_check.Fault.count (Memsys.faults rt.Rt.mem)
+       Ddsm_check.Fault.Migration);
   Alcotest.(check (list (pair int (option int))))
     "page homes unchanged after failed attempts" before (page_homes rt a);
   check_int "audit clean" 0 (List.length (Rt.audit rt))

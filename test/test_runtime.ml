@@ -306,13 +306,12 @@ let test_redistribute_rejects_reshaped () =
     (Result.is_error (Rt.redistribute rt ~name:"nope" ~kinds:[| Kind.Cyclic |] ()))
 
 (* regression for the redistribution shootdown: migration gives every
-   remapped page a fresh frame, so stale per-proc TLB entries and
-   one-entry translation memos must be invalidated.  Random
-   access/redistribute/access interleavings must leave nothing the
-   machine audit (which cross-checks TLBs and memos against the page
-   table) can object to. *)
+   remapped page a fresh frame, so stale per-proc TLB entries must be
+   invalidated.  Random access/redistribute/access interleavings must
+   leave nothing the machine audit (which cross-checks TLBs against the
+   page table) can object to. *)
 let prop_redistribute_shootdown =
-  QCheck.Test.make ~count:50 ~name:"redistribute invalidates TLBs and memos"
+  QCheck.Test.make ~count:50 ~name:"redistribute invalidates TLBs on migration"
     QCheck.(
       make
         ~print:(fun (n, k1, k2, seed) ->
