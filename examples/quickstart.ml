@@ -46,4 +46,6 @@ let () =
           Printf.printf "\n1-processor cycles: %d  (parallel speedup %.1fx)\n"
             o1.Ddsm.Engine.cycles
             (float_of_int o1.Ddsm.Engine.cycles /. float_of_int o.Ddsm.Engine.cycles)
-      | Error e -> prerr_endline e)
+      | Error e ->
+          prerr_endline ("error: " ^ e);
+          exit 1)

@@ -46,8 +46,12 @@ type t = {
   violations : Audit.violation list;
 }
 
+val bare : ?phase:string -> reason -> t
+(** A diagnostic with no machine context ([phase] defaults to
+    ["execute"]). *)
+
 val user : ?phase:string -> string -> t
-(** A bare user-error diagnostic with no machine context. *)
+(** A bare user-error diagnostic. *)
 
 val internal : ?phase:string -> string -> t
 

@@ -11,6 +11,7 @@ module Dim_map = Ddsm_dist.Dim_map
 module Grid = Ddsm_dist.Grid
 module K = Ddsm_dist.Kind
 module Redist = Ddsm_dist.Redist
+module Diag = Ddsm_check.Diag
 
 type task = Sched.task
 
@@ -27,19 +28,17 @@ type g = {
   sched : Sched.t;
   checks : bool;
   bounds : bool;
-  static_abind : routine:string -> array:string -> Frame.abind option;
   print : string -> unit;
   entries : (string, k) Hashtbl.t;
 }
 
-let create prog ~rt ~sched ~checks ~bounds ~static_abind ~print =
+let create prog ~rt ~sched ~checks ~bounds ~print =
   {
     prog;
     rt;
     sched;
     checks;
     bounds;
-    static_abind;
     print;
     entries = Hashtbl.create 16;
   }
@@ -933,9 +932,12 @@ and compile_stmt renv (st : Stmt.t) : step =
               let a = ints t in
               let v = a.(slot) and hi = a.(hi_slot) in
               if if a.(step_slot) > 0 then v <= hi else v >= hi then begin
-                if t.Sched.clock > limit then raise (Eff.Cycle_limit limit);
-                charge Costs.loop_iter t;
-                !body_k t
+                if t.Sched.clock > limit then
+                  Sched.fail renv.g.sched t (Diag.Cycle_budget { limit })
+                else begin
+                  charge Costs.loop_iter t;
+                  !body_k t
+                end
               end
               else k t
             in
@@ -1270,11 +1272,11 @@ and compile_gather renv (gth : Stmt.gather) : step =
         let ival = Heap.get_int heap t.Sched.addr in
         let sub = (scale * ival) + off in
         let tab = w.w_tab in
-        let x = sub - tab.Frame.ab_lowers.(0) in
-        if bounds && (x < 0 || x >= tab.Frame.ab_extents.(0)) then
-          Eff.error "array %s: subscript %d out of bounds in dim %d" target sub
-            1;
-        let taddr = tab.Frame.ab_base + (x * tab.Frame.ab_strides.(0)) in
+        if bounds then check_subscript target tab 0 sub;
+        let taddr =
+          tab.Frame.ab_base
+          + ((sub - tab.Frame.ab_lowers.(0)) * tab.Frame.ab_strides.(0))
+        in
         w.w_site.Rt.gs_addrs.(w.w_slot) <- taddr;
         let home a =
           Option.value ~default:0
@@ -1517,6 +1519,39 @@ and compile_array_arg renv actual : Frame.arg cexp * int * step =
    frame and runs the body; the caller has already pushed the return
    point that the body's end (or a [Return]) pops. *)
 
+(* the static binding of a non-formal array of the routine of [env]; an
+   equivalenced array views its base's storage *)
+let static_abind g env array =
+  match Sema.find_array env array with
+  | None | Some { Sema.ai_formal = true; _ } -> None
+  | Some ai -> (
+      let target =
+        match ai.Sema.ai_equiv_base with Some b -> b | None -> array
+      in
+      match Rt.find_array g.rt (qualified env target) with
+      | None -> None
+      | Some d ->
+          let lowers, extents =
+            match ai.Sema.ai_const_shape with
+            | Some s -> s
+            | None -> (d.Darray.lower, d.Darray.extents)
+          in
+          let base =
+            match d.Darray.storage with
+            | Darray.Normal { base } -> base
+            | Darray.Reshaped { meta_base; _ } -> meta_base
+          in
+          Some
+            {
+              Frame.ab_darr =
+                (if ai.Sema.ai_equiv_base = None then Some d else None);
+              ab_base = base;
+              ab_lowers = lowers;
+              ab_strides = Frame.column_strides extents;
+              ab_extents = extents;
+              ab_ty = ai.Sema.ai_ty;
+            })
+
 let compile_routine g (name : string) (pr : Prog.routine) : k =
   let renv =
     {
@@ -1568,7 +1603,7 @@ let compile_routine g (name : string) (pr : Prog.routine) : k =
   Hashtbl.iter
     (fun aname slot ->
       if not (List.mem aname formals_set) then
-        match g.static_abind ~routine:name ~array:aname with
+        match static_abind g pr.Prog.env aname with
         | Some ab -> template.(slot) <- ab
         | None -> ())
     renv.aslots;

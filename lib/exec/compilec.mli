@@ -25,7 +25,10 @@
     (caller frame, successor, argument-check registrations) on the task;
     the callee's end and [Return] pop it. When checks are enabled, calls
     register reshaped actuals in the §6 hash table and entries validate
-    formals against it. *)
+    formals against it. A routine's non-formal arrays are bound when it
+    compiles, to the storage the engine declared in the runtime (an
+    equivalenced array to its base's). Past the cycle budget, a loop
+    iteration fails the run through {!Sched.fail} and stops the task. *)
 
 type g
 
@@ -40,7 +43,6 @@ val create :
   sched:Sched.t ->
   checks:bool ->
   bounds:bool ->
-  static_abind:(routine:string -> array:string -> Frame.abind option) ->
   print:(string -> unit) ->
   g
 

@@ -5,7 +5,6 @@ module Heap = Ddsm_runtime.Heap
 module Memsys = Ddsm_machine.Memsys
 module Counters = Ddsm_machine.Counters
 module Diag = Ddsm_check.Diag
-module Argcheck = Ddsm_runtime.Argcheck
 open Ddsm_ir
 
 type outcome = {
@@ -25,14 +24,14 @@ let elem_of_ty = function Types.Tint -> Darray.Int | Types.Treal -> Darray.Real
 let elaborate prog ~rt =
   let declare env name (ai : Sema.array_info) =
     let qname = Compilec.qualified env name in
+    let lowers, extents =
+      match ai.Sema.ai_const_shape with
+      | Some s -> s
+      | None -> Eff.error "array %s: non-constant shape" qname
+    in
     match Rt.find_array rt qname with
     | Some existing ->
         (* a common block member declared by several routines must agree *)
-        let lowers, extents =
-          match ai.Sema.ai_const_shape with
-          | Some s -> s
-          | None -> Eff.error "array %s: non-constant shape" qname
-        in
         if existing.Darray.extents <> extents || existing.Darray.lower <> lowers
         then
           Eff.error
@@ -40,11 +39,6 @@ let elaborate prog ~rt =
              routines"
             qname
     | None -> (
-        let lowers, extents =
-          match ai.Sema.ai_const_shape with
-          | Some s -> s
-          | None -> Eff.error "array %s: non-constant shape" qname
-        in
         let elem = elem_of_ty ai.Sema.ai_ty in
         match ai.Sema.ai_dist with
         | None ->
@@ -65,7 +59,7 @@ let elaborate prog ~rt =
   Prog.iter prog (fun _ pr ->
       let env = pr.Prog.env in
       (* equivalenced arrays share their base's storage: nothing to
-         allocate; binding happens in static_abind *)
+         allocate; Compilec binds them to it *)
       Hashtbl.fold
         (fun name sym acc ->
           match sym with
@@ -76,49 +70,14 @@ let elaborate prog ~rt =
         env.Sema.syms []
       |> List.iter (fun (n, ai) -> declare env n ai))
 
-(* static binding for a non-formal array of a routine *)
-let static_abind prog rt ~routine ~array =
-  match Prog.find prog routine with
-  | None -> None
-  | Some pr -> (
-      let env = pr.Prog.env in
-      match Sema.find_array env array with
-      | None | Some { Sema.ai_formal = true; _ } -> None
-      | Some ai -> (
-          let target =
-            match ai.Sema.ai_equiv_base with Some b -> b | None -> array
-          in
-          let qname = Compilec.qualified env target in
-          match Rt.find_array rt qname with
-          | None -> None
-          | Some d ->
-              let lowers, extents =
-                match ai.Sema.ai_const_shape with
-                | Some s -> s
-                | None -> (d.Darray.lower, d.Darray.extents)
-              in
-              let strides = Frame.column_strides extents in
-              let base =
-                match d.Darray.storage with
-                | Darray.Normal { base } -> base
-                | Darray.Reshaped { meta_base; _ } -> meta_base
-              in
-              Some
-                {
-                  Frame.ab_darr =
-                    (if ai.Sema.ai_equiv_base = None then Some d else None);
-                  ab_base = base;
-                  ab_lowers = lowers;
-                  ab_strides = strides;
-                  ab_extents = extents;
-                  ab_ty = ai.Sema.ai_ty;
-                }))
-
 (* ------------------------------------------------------------------ *)
 (* Scheduler *)
 
-(* raised inside the scheduler loop when the watchdog trips *)
-exception Stalled of int
+(* the reason a run ends when an exception escapes compiled code *)
+let reason_of_exn = function
+  | Eff.Runtime_error m | Heap.Out_of_memory m -> Diag.User m
+  | Invalid_argument m | Failure m -> Diag.Internal m
+  | e -> Diag.Internal (Printexc.to_string e)
 
 let rec view_of (t : Sched.task) =
   let st =
@@ -219,14 +178,6 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
       violations = [];
     }
   in
-  let classify = function
-    | Eff.Runtime_error m -> Diag.User m
-    | Eff.Cycle_limit limit -> Diag.Cycle_budget { limit }
-    | Heap.Out_of_memory m -> Diag.User m
-    | Stalled steps -> Diag.Watchdog_stall { steps }
-    | Invalid_argument m | Failure m -> Diag.Internal m
-    | e -> Diag.Internal (Printexc.to_string e)
-  in
   Fun.protect ~finally:detach_observers @@ fun () ->
   try
     elaborate prog ~rt;
@@ -243,22 +194,10 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
     phase := "compile";
     let g =
       Compilec.create prog ~rt ~sched:s ~checks ~bounds
-        ~static_abind:(fun ~routine ~array -> static_abind prog rt ~routine ~array)
         ~print:(fun s -> prints := s :: !prints)
     in
     Compilec.compile_all g;
     phase := "execute";
-    (* an exception ends the task's run, and the run: unregister the
-       argument checks of every call it was inside, innermost first *)
-    let abandon (t : Sched.task) e =
-      List.iter
-        (fun (r : Sched.ret) ->
-          List.iter
-            (fun addr -> ignore (Argcheck.unregister rt.Rt.argcheck ~addr))
-            r.Sched.registered)
-        t.Sched.calls;
-      Sched.fail s t e
-    in
     master.Sched.resume <- Compilec.run_main g;
     master.Sched.state <- Sched.Ready;
     Sched.push s master;
@@ -275,10 +214,8 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
       end
       else begin
         incr stalled;
-        if !stalled > stall_limit then begin
-          Sched.mark s Rt.Watchdog_stall ~proc:t.Sched.proc ~now:t.Sched.clock;
-          s.Sched.failure <- Some (Stalled !stalled)
-        end
+        if !stalled > stall_limit then
+          Sched.fail s t (Diag.Watchdog_stall { steps = !stalled })
       end
     in
     (* a popped task runs (its state reads [Done] meanwhile) until it
@@ -296,13 +233,13 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
               (match t.Sched.state with
               | Sched.Ready -> (
                   t.Sched.state <- Sched.Done;
-                  try t.Sched.resume t with e -> abandon t e)
+                  try t.Sched.resume t with e -> Sched.fail s t (reason_of_exn e))
               | Sched.Waiting | Sched.Done -> ());
               loop ())
     in
     loop ();
     match s.Sched.failure with
-    | Some e -> Error (diagnose (classify e))
+    | Some reason -> Error (diagnose reason)
     | None ->
         if master.Sched.state <> Sched.Done then Error (diagnose Diag.Deadlock)
         else begin
@@ -326,12 +263,10 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
                 }
         end
   with
-  | Eff.Runtime_error m -> Error (Diag.user ~phase:!phase m)
-  | Eff.Cycle_limit limit ->
-      Error (diagnose (Diag.Cycle_budget { limit }))
-  | Heap.Out_of_memory m -> Error (Diag.user ~phase:!phase m)
   (* elaborate/compile run outside the scheduler, so an Invalid_argument or
      Failure raised there (e.g. by Grid.assign on a malformed onto clause
      that slipped past sema) would otherwise escape as an uncaught
      exception instead of a structured diagnosis *)
-  | Invalid_argument m | Failure m -> Error (Diag.internal ~phase:!phase m)
+  | (Eff.Runtime_error _ | Heap.Out_of_memory _ | Invalid_argument _ | Failure _)
+    as e ->
+      Error (Diag.bare ~phase:!phase (reason_of_exn e))

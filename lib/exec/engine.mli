@@ -45,12 +45,14 @@ val run :
     Failures are structured diagnoses ({!Ddsm_check.Diag.t}): user errors,
     cycle-budget exhaustion, deadlock (with the blocked-task tree and
     per-processor clocks), watchdog stalls ([stall_limit] scheduler steps
-    without any clock advancing), and internal invariant violations —
-    [Invalid_argument]/[Failure] escaping a simulated task are reported as
-    [Internal], never disguised as user errors. The same exceptions raised
+    without any clock advancing), and internal invariant violations. A
+    failure is recorded as its {!Ddsm_check.Diag.reason} where it happens
+    ({!Sched.fail}). One rule maps an exception escaping compiled code to
+    its reason: {!Eff.Runtime_error} and heap exhaustion are [User];
+    [Invalid_argument], [Failure] and anything else are [Internal], never
+    disguised as user errors. The same rule covers those exceptions raised
     while elaborating storage or compiling routines, outside the scheduler,
-    are returned as [Internal] too, with [phase] ["elaborate"] or
-    ["compile"].
+    returned with [phase] ["elaborate"] or ["compile"].
 
     [audit] (default false) runs the full invariant audit ({!Rt.audit})
     after a successful run and fails with [Audit_failure] listing the

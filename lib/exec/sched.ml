@@ -2,6 +2,8 @@ module Memsys = Ddsm_machine.Memsys
 module Heap = Ddsm_runtime.Heap
 module Rt = Ddsm_runtime.Rt
 module Fault = Ddsm_check.Fault
+module Diag = Ddsm_check.Diag
+module Argcheck = Ddsm_runtime.Argcheck
 
 type state = Ready | Waiting | Done
 
@@ -36,7 +38,7 @@ type t = {
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;
-  mutable failure : exn option;
+  mutable failure : Diag.reason option;
 }
 
 let create ~rt ~max_cycles ~access_ev =
@@ -81,13 +83,22 @@ let mark s mark ~proc ~now =
   | None -> ()
   | Some observe -> observe (Rt.Mark { mark; proc; now })
 
-(* a task's failure; the cycle budget is checked after each access and by
-   loops inside the task, and either way is marked *)
-let fail s t e =
-  (match e with
-  | Eff.Cycle_limit _ -> mark s Rt.Cycle_budget ~proc:t.proc ~now:t.clock
+(* the run's failure, recorded where it happens: the failed task's run
+   ends, so the argument checks of every call it was inside are
+   unregistered, innermost first; a spent budget and a tripped watchdog
+   are also marked *)
+let fail s t reason =
+  List.iter
+    (fun r ->
+      List.iter
+        (fun addr -> ignore (Argcheck.unregister s.rt.Rt.argcheck ~addr))
+        r.registered)
+    t.calls;
+  (match reason with
+  | Diag.Cycle_budget _ -> mark s Rt.Cycle_budget ~proc:t.proc ~now:t.clock
+  | Diag.Watchdog_stall _ -> mark s Rt.Watchdog_stall ~proc:t.proc ~now:t.clock
   | _ -> ());
-  s.failure <- Some e
+  s.failure <- Some reason
 
 let access s t waddr write k =
   t.addr <- waddr;
@@ -97,7 +108,8 @@ let access s t waddr write k =
       ~now:t.clock
   in
   t.clock <- t.clock + lat;
-  if t.clock > s.max_cycles then fail s t (Eff.Cycle_limit s.max_cycles)
+  if t.clock > s.max_cycles then
+    fail s t (Diag.Cycle_budget { limit = s.max_cycles })
   else begin
     (* chaos fault: the completion wakeup is dropped and the task stays
        parked forever — the watchdog's deadlock report must name it *)

@@ -58,7 +58,8 @@ type t = {
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;
-  mutable failure : exn option;  (** set once; the scheduler loop stops *)
+  mutable failure : Ddsm_check.Diag.reason option;
+      (** set once, by {!fail}; the scheduler loop stops *)
 }
 
 val create :
@@ -83,8 +84,11 @@ val push : t -> task -> unit
 
 val mark : t -> Ddsm_runtime.Rt.mark -> proc:int -> now:int -> unit
 
-val fail : t -> task -> exn -> unit
-(** Record the run's failure ({!Eff.Cycle_limit} also marks the budget). *)
+val fail : t -> task -> Ddsm_check.Diag.reason -> unit
+(** Record the run's failure where it happens. The task's run ends, so the
+    argument checks of every call it was inside are unregistered; a
+    [Cycle_budget] or [Watchdog_stall] reason is also marked. The caller
+    returns without continuing the task. *)
 
 val access : t -> task -> int -> bool -> (task -> unit) -> unit
 (** [access s t waddr write k]: one-word access at [waddr]. Stores [waddr]

@@ -125,7 +125,9 @@ let run_leg prog (opts : options) (leg : leg) ~sanitize :
   | Error d -> Error d
 
 let diag_is_budget d =
-  match Diag.code d with "cycle-budget" | "watchdog-stall" -> true | _ -> false
+  match d.Diag.reason with
+  | Diag.Cycle_budget _ | Diag.Watchdog_stall _ -> true
+  | _ -> false
 
 let short s = if String.length s > 160 then String.sub s 0 160 ^ "..." else s
 
@@ -289,7 +291,7 @@ let analyse opts files =
     match (iref, direct) with
     | Error Interp.F_timeout, _ -> return Timeout
     | _, Error d when diag_is_budget d -> return Timeout
-    | Error (Interp.F_user _), Error d when Diag.code d = "user" ->
+    | Error (Interp.F_user _), Error ({ Diag.reason = Diag.User _; _ } as d) ->
         Fail (Diag.code d)
     | _, Error d when Diag.is_internal d ->
         return

@@ -136,6 +136,20 @@ let smash_line t ~victim ~phys_line =
   ignore (Cache.invalidate_range t.l1s.(victim) ~lo_addr:lo ~hi_addr:hi);
   Cache.invalidate l2 ~line:phys_line
 
+(* Invalidate every cached copy of [l2_line] but [proc]'s and count the
+   invalidations on both sides; returns how many sharers were hit. *)
+let invalidate_sharers t (c : Counters.t) ~proc ~l2_line =
+  let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
+  List.iter
+    (fun q ->
+      ignore (smash_line t ~victim:q ~phys_line:l2_line);
+      t.ctrs.(q).Counters.invals_received <-
+        t.ctrs.(q).Counters.invals_received + 1)
+    others;
+  let n = List.length others in
+  c.Counters.invals_sent <- c.Counters.invals_sent + n;
+  n
+
 (* Reserve the memory module of [node] for one line transfer arriving at
    [arrival]; returns the queueing delay. An injected slow-node fault
    stretches the module's service occupancy. *)
@@ -172,22 +186,30 @@ let handle_l2_eviction t ~proc ~now (ev : Cache.evicted option) =
         enqueue_writeback t ~node:(node_of_phys_line t ~phys_line:line) ~now
       end
 
-(* fill the machine's one event record and hand it to the probe *)
-let emit t probe ~proc ~addr ~write ~now ~tlb ~hit ~local ~remote ~contention
-    ~coherence ~tlb_flushed =
-  let e = t.event in
-  e.ev_proc <- proc;
-  e.ev_addr <- addr;
-  e.ev_write <- write;
-  e.ev_now <- now;
-  e.ev_tlb <- tlb;
-  e.ev_hit <- hit;
-  e.ev_local <- local;
-  e.ev_remote <- remote;
-  e.ev_contention <- contention;
-  e.ev_coherence <- coherence;
-  e.ev_tlb_flushed <- tlb_flushed;
-  probe e
+(* the one exit of [access]: charge the latency, the sum of its six cause
+   slices, and hand the slices to the probe in the machine's one event
+   record *)
+let charge t (c : Counters.t) ~proc ~addr ~write ~now ~tlb ~hit ~local ~remote
+    ~contention ~coherence ~tlb_flushed =
+  let lat = tlb + hit + local + remote + contention + coherence in
+  c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + lat;
+  (match t.probe with
+  | None -> ()
+  | Some probe ->
+      let e = t.event in
+      e.ev_proc <- proc;
+      e.ev_addr <- addr;
+      e.ev_write <- write;
+      e.ev_now <- now;
+      e.ev_tlb <- tlb;
+      e.ev_hit <- hit;
+      e.ev_local <- local;
+      e.ev_remote <- remote;
+      e.ev_contention <- contention;
+      e.ev_coherence <- coherence;
+      e.ev_tlb_flushed <- tlb_flushed;
+      probe e);
+  lat
 
 let rec access t ~proc ~addr ~write ~now =
   (* [proc] indexes every per-processor array and is engine-supplied and
@@ -222,37 +244,24 @@ let rec access t ~proc ~addr ~write ~now =
   let l1 = Array.unsafe_get t.l1s proc in
   let l1_line = phys_addr lsr t.l1_shift in
   let l1_hit = Cache.touch l1 ~line:l1_line in
-  if l1_hit && not write then begin
-    (* common case: L1 read hit — TLB, one cache probe, nothing else *)
-    let lat = tlb_c + t.l1_hit_cycles in
-    c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + lat;
-    (match t.probe with
-    | None -> ()
-    | Some probe ->
-        emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:t.l1_hit_cycles
-          ~local:0 ~remote:0 ~contention:0 ~coherence:0 ~tlb_flushed);
-    lat
+  let l2_line = phys_addr lsr t.l2_shift in
+  if
+    l1_hit
+    && ((not write) || Directory.exclusive_owner t.dir ~line:l2_line = proc)
+  then begin
+    (* the common cases: an L1 read hit (TLB, one cache probe, nothing
+       else), or an L1 write hit on an exclusively-held line (plus one
+       directory word) *)
+    if write then begin
+      Cache.set_dirty l1 ~line:l1_line;
+      Cache.set_dirty (Array.unsafe_get t.l2s proc) ~line:l2_line
+    end;
+    charge t c ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:t.l1_hit_cycles
+      ~local:0 ~remote:0 ~contention:0 ~coherence:0 ~tlb_flushed
   end
   else
-    let l2 = t.l2s.(proc) in
-    let l2_line = phys_addr lsr t.l2_shift in
-    if l1_hit && Directory.exclusive_owner t.dir ~line:l2_line = proc then begin
-      (* L1 write hit on an exclusively-held line: one directory word *)
-      Cache.set_dirty l1 ~line:l1_line;
-      Cache.set_dirty l2 ~line:l2_line;
-      let lat = tlb_c + t.l1_hit_cycles in
-      c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + lat;
-      (match t.probe with
-      | None -> ()
-      | Some probe ->
-          emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c
-            ~hit:t.l1_hit_cycles ~local:0 ~remote:0 ~contention:0
-            ~coherence:0 ~tlb_flushed);
-      lat
-    end
-    else
-      access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
-        ~l2 ~l1_line ~l2_line ~l1_hit
+    access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
+      ~l2:t.l2s.(proc) ~l1_line ~l2_line ~l1_hit
 
 (* everything below the L1 fast path: L2 hits, upgrades, directory
    transactions, fills. Charges and counters are identical to the
@@ -277,14 +286,7 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     end
     else if l2_hit (* && write && not exclusive: upgrade *) then begin
       c.Counters.upgrades <- c.Counters.upgrades + 1;
-      let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
-      List.iter
-        (fun q ->
-          ignore (smash_line t ~victim:q ~phys_line:l2_line);
-          t.ctrs.(q).Counters.invals_received <-
-            t.ctrs.(q).Counters.invals_received + 1)
-        others;
-      c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
+      let sharers = invalidate_sharers t c ~proc ~l2_line in
       let route =
         Topology.route_cycles t.topo ~from_node:my_node ~to_node:home
         + Fault.link_extra t.plan ~a:my_node ~b:home
@@ -292,7 +294,7 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
       let upgrade_coh =
         route
         + Fault.dir_extra t.plan ~home
-        + (t.cfg.Config.inval_cycles_per_sharer * List.length others)
+        + (t.cfg.Config.inval_cycles_per_sharer * sharers)
       in
       hit_c := !hit_c + t.cfg.Config.l2.Config.hit_cycles;
       coh_c := !coh_c + upgrade_coh;
@@ -332,10 +334,8 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
            node we already hold — no page-table re-derivation *)
         enqueue_writeback t ~node:home ~now:arrival;
         if write then begin
-          ignore (smash_line t ~victim:q ~phys_line:l2_line);
-          t.ctrs.(q).Counters.invals_received <-
-            t.ctrs.(q).Counters.invals_received + 1;
-          c.Counters.invals_sent <- c.Counters.invals_sent + 1;
+          (* the exclusive owner [q] is the line's one other sharer *)
+          ignore (invalidate_sharers t c ~proc ~l2_line);
           Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
         end
         else begin
@@ -356,16 +356,8 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
         fill_c := !fill_c + base_lat;
         cont_c := !cont_c + wait;
         if write then begin
-          let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
-          List.iter
-            (fun q ->
-              ignore (smash_line t ~victim:q ~phys_line:l2_line);
-              t.ctrs.(q).Counters.invals_received <-
-                t.ctrs.(q).Counters.invals_received + 1)
-            others;
-          c.Counters.invals_sent <- c.Counters.invals_sent + List.length others;
-          let inval = t.cfg.Config.inval_cycles_per_sharer * List.length others in
-          coh_c := !coh_c + inval;
+          let sharers = invalidate_sharers t c ~proc ~l2_line in
+          coh_c := !coh_c + (t.cfg.Config.inval_cycles_per_sharer * sharers);
           Directory.set_exclusive t.dir ~line:l2_line ~owner:proc
         end
         else if Directory.is_uncached t.dir ~line:l2_line then
@@ -388,17 +380,11 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     end
     else if write then Cache.set_dirty l1 ~line:l1_line
   end;
-  let lat = tlb_c + !hit_c + !fill_c + !cont_c + !coh_c in
-  c.Counters.mem_stall_cycles <- c.Counters.mem_stall_cycles + lat;
-  (match t.probe with
-  | None -> ()
-  | Some probe ->
-      let local = home = my_node in
-      emit t probe ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:!hit_c
-        ~local:(if local then !fill_c else 0)
-        ~remote:(if local then 0 else !fill_c)
-        ~contention:!cont_c ~coherence:!coh_c ~tlb_flushed);
-  lat
+  let local = home = my_node in
+  charge t c ~proc ~addr ~write ~now ~tlb:tlb_c ~hit:!hit_c
+    ~local:(if local then !fill_c else 0)
+    ~remote:(if local then 0 else !fill_c)
+    ~contention:!cont_c ~coherence:!coh_c ~tlb_flushed
 
 (* ------------------------------------------------------------------ *)
 (* Invariant auditor (on demand; scans are O(cache lines + directory +

@@ -25,6 +25,27 @@ let mk_do ?loc ~var ~lo ~hi ?step body =
          body;
        })
 
+(* the trip count max(0, (hi - lo + k) / k) of [do v = lo, hi, k] *)
+let trip_count ~lo ~hi ~k =
+  imax (int 0) (Expr.Idiv (Expr.Hw, add (sub hi lo) (int k), int k))
+
+(* worker [my]'s share of that loop, split into chunks of [chunk]
+   iterations: [lo + my*chunk*k, min(hi, lo + ((my+1)*chunk - 1)*k)] *)
+let my_range ~lo ~hi ~k ~my ~chunk =
+  ( add lo (mul (mul my chunk) (int k)),
+    imin hi (add lo (mul (sub (mul (add my (int 1)) chunk) (int 1)) (int k))) )
+
+(* the iterations v of [lo, hi] whose element s*v + n lies in block
+   [owner] of size [b]: max(lo, (owner*b - n) / s rounded up) and
+   min(hi, ((owner+1)*b - 1 - n) / s rounded down) *)
+let portion ~lo ~hi ~owner ~b ~n ~s =
+  let first = sub (mul owner b) (int n)
+  and last = sub (mul (add owner (int 1)) b) (int (n + 1)) in
+  if s = 1 then (imax lo first, imin hi last)
+  else
+    ( imax lo (Address.cdiv_e first (int s)),
+      imin hi (Expr.Idiv (Expr.Hw, last, int s)) )
+
 let is_array st name = Sema.find_array (Tctx.env st.ctx) name <> None
 
 let const_step (d : Stmt.do_) =
@@ -384,13 +405,9 @@ and tile st binds loc (d : Stmt.do_) ~primary ~bound =
   in
   let interior = xform_body st binds' d.Stmt.body in
   let prologue =
-    [
-      (* portion of iterations whose anchor element lies in tile pt:
-         tlo = max(lo, pt*b - na) ; thi = min(hi, (pt+1)*b - 1 - na) *)
-      assign tlo (imax lo_e (sub (mul (Expr.Var pt) b) (int na)));
-      assign thi
-        (imin hi_e (sub (mul (add (Expr.Var pt) (int 1)) b) (int (na + 1))));
-    ]
+    (* portion of iterations whose anchor element lies in tile pt *)
+    let plo, phi = portion ~lo:lo_e ~hi:hi_e ~owner:(Expr.Var pt) ~b ~n:na ~s:1 in
+    [ assign tlo plo; assign thi phi ]
   in
   let loops =
     if dh = 0 then
@@ -448,18 +465,16 @@ and schedule_simple_nest2 st binds loc (outer : Stmt.do_) (inner : Stmt.do_) =
   let mylo2 = f "mylo" and myhi2 = f "myhi" in
   let v x = Expr.Var x in
   let pre =
+    let mylo1_e, myhi1_e = my_range ~lo:lo1 ~hi:hi1 ~k:k1 ~my:(v my1) ~chunk:(v chunk1) in
     [
-      assign cnt1
-        (imax (int 0) (Expr.Idiv (Expr.Hw, add (sub hi1 lo1) (int k1), int k1)));
+      assign cnt1 (trip_count ~lo:lo1 ~hi:hi1 ~k:k1);
       assign p1 (imax (int 1) (Expr.Intrin ("min", [ np; v cnt1 ])));
       assign p2 (Expr.Idiv (Expr.Hw, np, v p1));
       assign my1 (Expr.Imod (Expr.Hw, myp, v p1));
       assign my2 (Expr.Idiv (Expr.Hw, myp, v p1));
       assign chunk1 (Address.cdiv_e (v cnt1) (v p1));
-      assign mylo1 (add lo1 (mul (mul (v my1) (v chunk1)) (int k1)));
-      assign myhi1
-        (imin hi1
-           (add lo1 (mul (sub (mul (add (v my1) (int 1)) (v chunk1)) (int 1)) (int k1))));
+      assign mylo1 mylo1_e;
+      assign myhi1 myhi1_e;
     ]
   in
   (* the inner loop's partition is computed per outer iteration (its bounds
@@ -467,14 +482,12 @@ and schedule_simple_nest2 st binds loc (outer : Stmt.do_) (inner : Stmt.do_) =
   let lo2 = rewrite_expr st binds inner.Stmt.lo in
   let hi2 = rewrite_expr st binds inner.Stmt.hi in
   let inner_pre =
+    let mylo2_e, myhi2_e = my_range ~lo:lo2 ~hi:hi2 ~k:k2 ~my:(v my2) ~chunk:(v chunk2) in
     [
-      assign cnt2
-        (imax (int 0) (Expr.Idiv (Expr.Hw, add (sub hi2 lo2) (int k2), int k2)));
+      assign cnt2 (trip_count ~lo:lo2 ~hi:hi2 ~k:k2);
       assign chunk2 (Address.cdiv_e (v cnt2) (v p2));
-      assign mylo2 (add lo2 (mul (mul (v my2) (v chunk2)) (int k2)));
-      assign myhi2
-        (imin hi2
-           (add lo2 (mul (sub (mul (add (v my2) (int 1)) (v chunk2)) (int 1)) (int k2))));
+      assign mylo2 mylo2_e;
+      assign myhi2 myhi2_e;
     ]
   in
   let inner' =
@@ -542,19 +555,15 @@ and schedule_simple_flat st binds loc (da : Stmt.doacross) =
         let chunk = Tctx.fresh st.ctx "chunk" in
         let mylo = Tctx.fresh st.ctx "mylo" in
         let myhi = Tctx.fresh st.ctx "myhi" in
+        let mylo_e, myhi_e =
+          my_range ~lo:lo_e ~hi:hi_e ~k ~my:myp ~chunk:(Expr.Var chunk)
+        in
         let pre =
           [
-            assign cnt
-              (imax (int 0)
-                 (Expr.Idiv (Expr.Hw, add (sub hi_e lo_e) (int k), int k)));
+            assign cnt (trip_count ~lo:lo_e ~hi:hi_e ~k);
             assign chunk (Address.cdiv_e (Expr.Var cnt) np);
-            assign mylo (add lo_e (mul (mul myp (Expr.Var chunk)) (int k)));
-            assign myhi
-              (imin hi_e
-                 (add lo_e
-                    (mul
-                       (sub (mul (add myp (int 1)) (Expr.Var chunk)) (int 1))
-                       (int k))));
+            assign mylo mylo_e;
+            assign myhi myhi_e;
           ]
         in
         let d' =
@@ -566,7 +575,7 @@ and schedule_simple_flat st binds loc (da : Stmt.doacross) =
 
 and schedule_affinity st binds loc (da : Stmt.doacross) nest aff =
   let a = Option.get (Tctx.distributed st.ctx aff.Stmt.aarray) in
-  let dynamic = Tctx.is_dynamic st.ctx a.Tctx.name in
+  let dynamic = a.Tctx.dynamic in
   let ndims = Array.length a.Tctx.kinds in
   (* grid decomposition of the worker id, first dimension fastest. For a
      redistributable array the set of distributed dimensions is a run-time
@@ -627,12 +636,6 @@ and schedule_affinity st binds loc (da : Stmt.doacross) nest aff =
   (* distributed dimensions not named by any affinity variable are pinned
      by their (constant) subscript: only workers whose owner component
      matches that coordinate's owner execute the nest *)
-  let generic_owner d i0 =
-    Expr.Imod
-      ( Expr.Hw,
-        Expr.Idiv (Expr.Hw, i0, Address.meta_block a ~dim:d),
-        Address.meta_procs a ~dim:d )
-  in
   let guards =
     List.filteri
       (fun d _ -> dynamic || K.is_distributed a.Tctx.kinds.(d))
@@ -648,11 +651,7 @@ and schedule_affinity st binds loc (da : Stmt.doacross) nest aff =
              match Expr.const_int (Expr.simplify sub) with
              | Some c ->
                  let i0 = int (c - a.Tctx.lowers.(d)) in
-                 let own =
-                   if dynamic then generic_owner d i0
-                   else Address.owner_expr a ~dim:d ~i0
-                 in
-                 Some (Expr.Rel (Expr.Eq, owners.(d), own))
+                 Some (Expr.Rel (Expr.Eq, owners.(d), Address.owner_expr a ~dim:d ~i0))
              | None -> None)
   in
   let body =
@@ -686,66 +685,48 @@ and schedule_one st binds loc (d : Stmt.do_) ~arr ~owner ~dv ~s ~c ~inner =
   let lo_e, lo_pre = atomize st binds "lo" d.Stmt.lo in
   let hi_e, hi_pre = atomize st binds "hi" d.Stmt.hi in
   let pr = Address.meta_procs arr ~dim:dv in
-  let guarded owner_of_i0 =
-    (* fallback: every worker scans the range, executing owned iterations *)
+  let guarded () =
+    (* fallback: every worker scans the range, executing owned iterations;
+       for a redistributable array [Address.owner_expr] is the kind-generic
+       owner (i0 / b) mod P *)
     let i0 = sub (add (mul (int s) (Expr.Var d.Stmt.var)) (int c)) (int lower) in
-    let guard = Expr.Rel (Expr.Eq, owner_of_i0 i0, owner) in
-    lo_pre @ hi_pre
-    @ [
-        mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step
-          [ Stmt.mk ~loc (Stmt.If (guard, inner binds, [])) ];
-      ]
+    let guard = Expr.Rel (Expr.Eq, Address.owner_expr arr ~dim:dv ~i0, owner) in
+    [
+      mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step
+        [ Stmt.mk ~loc (Stmt.If (guard, inner binds, [])) ];
+    ]
   in
-  let general_guarded () = guarded (fun i0 -> Address.owner_expr arr ~dim:dv ~i0) in
-  (* owner formula valid for every kind at runtime: (i0 / b) mod P, since
-     block has b = ceil(N/P), cyclic has b = 1, cyclic(k) has b = k, and a
-     star dimension has b = N with P = 1 *)
-  let kind_generic_owner i0 =
-    Expr.Imod
-      ( Expr.Hw,
-        Expr.Idiv (Expr.Hw, i0, Address.meta_block arr ~dim:dv),
-        Address.meta_procs arr ~dim:dv )
-  in
-  if Tctx.is_dynamic st.ctx arr.Tctx.name then
+  lo_pre @ hi_pre
+  @
+  if arr.Tctx.dynamic then
     (* redistributable array: the distribution kind is only known at run
        time, so schedule with the kind-generic guarded form *)
-    guarded kind_generic_owner
+    guarded ()
   else if s = 0 then
     (* every iteration touches the same element: its owner runs the loop *)
     let i0 = int (c - lower) in
     let guard = Expr.Rel (Expr.Eq, Address.owner_expr arr ~dim:dv ~i0, owner) in
-    lo_pre @ hi_pre
-    @ [
-        Stmt.mk ~loc
-          (Stmt.If
-             ( guard,
-               [ mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step (inner binds) ],
-               [] ));
-      ]
+    [
+      Stmt.mk ~loc
+        (Stmt.If
+           ( guard,
+             [ mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step (inner binds) ],
+             [] ));
+    ]
   else
     match arr.Tctx.kinds.(dv) with
     | K.Star ->
         (* a '*' dimension has a single owner, so the affinity constraint is
            vacuous: every worker runs the full range (its other nest
            variables remain constrained) *)
-        lo_pre @ hi_pre
-        @ [
-            mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step
-              (inner binds);
-          ]
+        [
+          mk_do ~loc ~var:d.Stmt.var ~lo:lo_e ~hi:hi_e ?step:d.Stmt.step
+            (inner binds);
+        ]
     | K.Block ->
         let b = Address.meta_block arr ~dim:dv in
         let tlo = Tctx.fresh st.ctx "tlo" and thi = Tctx.fresh st.ctx "thi" in
-        let raw_lo =
-          if s = 1 then sub (mul owner b) (int n_aff)
-          else Address.cdiv_e (sub (mul owner b) (int n_aff)) (int s)
-        in
-        let raw_hi =
-          if s = 1 then sub (mul (add owner (int 1)) b) (int (n_aff + 1))
-          else
-            Expr.Idiv
-              (Expr.Hw, sub (mul (add owner (int 1)) b) (int (n_aff + 1)), int s)
-        in
+        let plo, phi = portion ~lo:lo_e ~hi:hi_e ~owner ~b ~n:n_aff ~s in
         let align =
           if k = 1 then []
           else
@@ -755,12 +736,7 @@ and schedule_one st binds loc (d : Stmt.do_) ~arr ~owner ~dv ~s ~c ~inner =
                    (mul (Address.cdiv_e (sub (Expr.Var tlo) lo_e) (int k)) (int k)));
             ]
         in
-        let pre =
-          lo_pre @ hi_pre
-          @ [ assign tlo (imax lo_e raw_lo) ]
-          @ align
-          @ [ assign thi (imin hi_e raw_hi) ]
-        in
+        let pre = (assign tlo plo :: align) @ [ assign thi phi ] in
         (* strength-reduced bindings inside the scheduled loop (§7.1) *)
         if st.flags.Flags.tile && s = 1 then begin
           let cands = find_candidates st binds ~var:d.Stmt.var d.Stmt.body in
@@ -827,34 +803,32 @@ and schedule_one st binds loc (d : Stmt.do_) ~arr ~owner ~dv ~s ~c ~inner =
     | K.Cyclic when s = 1 && k = 1 ->
         (* Figure 2: do i = LB + ((p - LB - c) mod P), UB, P *)
         let tlo = Tctx.fresh st.ctx "tlo" in
-        lo_pre @ hi_pre
-        @ [
-            assign tlo
-              (add lo_e (Expr.Imod (Expr.Hw, sub (sub owner (int n_aff)) lo_e, pr)));
-            mk_do ~loc ~var:d.Stmt.var ~lo:(Expr.Var tlo) ~hi:hi_e ~step:pr
-              (inner binds);
-          ]
-    | K.Cyclic -> general_guarded ()
+        [
+          assign tlo
+            (add lo_e (Expr.Imod (Expr.Hw, sub (sub owner (int n_aff)) lo_e, pr)));
+          mk_do ~loc ~var:d.Stmt.var ~lo:(Expr.Var tlo) ~hi:hi_e ~step:pr
+            (inner binds);
+        ]
+    | K.Cyclic -> guarded ()
     | K.Cyclic_k ck when s = 1 && k = 1 && arr.Tctx.extents <> None ->
         (* triply nested form: outer loop over this worker's chunks *)
         let extent = (Option.get arr.Tctx.extents).(dv) in
         let nchunks = (extent + ck - 1) / ck in
         let ch = Tctx.fresh st.ctx "chunk" in
-        lo_pre @ hi_pre
-        @ [
-            mk_do ~loc ~var:ch ~lo:owner ~hi:(int (nchunks - 1)) ~step:pr
-              [
-                mk_do ~loc ~var:d.Stmt.var
-                  ~lo:(imax lo_e (sub (mul (Expr.Var ch) (int ck)) (int n_aff)))
-                  ~hi:
-                    (imin hi_e
-                       (sub
-                          (add (mul (Expr.Var ch) (int ck)) (int (ck - 1)))
-                          (int n_aff)))
-                  (inner binds);
-              ];
-          ]
-    | K.Cyclic_k _ -> general_guarded ()
+        [
+          mk_do ~loc ~var:ch ~lo:owner ~hi:(int (nchunks - 1)) ~step:pr
+            [
+              mk_do ~loc ~var:d.Stmt.var
+                ~lo:(imax lo_e (sub (mul (Expr.Var ch) (int ck)) (int n_aff)))
+                ~hi:
+                  (imin hi_e
+                     (sub
+                        (add (mul (Expr.Var ch) (int ck)) (int (ck - 1)))
+                        (int n_aff)))
+                (inner binds);
+            ];
+        ]
+    | K.Cyclic_k _ -> guarded ()
 
 (* ------------------------------------------------------------------ *)
 

@@ -16,7 +16,6 @@ type t = {
   env : Sema.env;
   fresh_names : Fresh.t;
   arrays : (string, arr) Hashtbl.t;
-  dynamic : (string, unit) Hashtbl.t;
 }
 
 let group_key ~kinds ~lowers ~extents ~onto =
@@ -69,9 +68,7 @@ let create env =
             }
       | _ -> ())
     env.Sema.syms;
-  { env; fresh_names = Fresh.create (); arrays; dynamic }
-
-let is_dynamic t name = Hashtbl.mem t.dynamic name
+  { env; fresh_names = Fresh.create (); arrays }
 
 let fresh t hint = Fresh.var t.fresh_names hint
 let env t = t.env

@@ -24,10 +24,6 @@ type t
 
 val create : Ddsm_sema.Sema.env -> t
 
-val is_dynamic : t -> string -> bool
-(** The array is the target of a [c$redistribute] somewhere in the routine,
-    so its distribution kind is not a compile-time constant and affinity
-    scheduling must use the kind-generic guarded form. *)
 
 val fresh : t -> string -> string
 val env : t -> Ddsm_sema.Sema.env

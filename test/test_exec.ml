@@ -740,6 +740,8 @@ let test_bounds_indirect_no_reload () =
       in
       Alcotest.(check int) "loads made" 7 loads
 
+(* the loop touches no memory, so the budget is caught by the loop's own
+   check, not by the one after an access; either way it is marked once *)
 let test_cycle_limit () =
   let prog =
     build {|
@@ -755,8 +757,14 @@ let test_cycle_limit () =
   in
   let cfg = Config.scaled ~nprocs:1 () in
   let rt = Rt.create cfg ~policy:Pagetable.First_touch ~heap_words:65536 () in
-  match Engine.run prog ~rt ~max_cycles:100_000 () with
+  let budget_marks = ref 0 in
+  let observe = function
+    | Rt.Mark { mark = Rt.Cycle_budget; _ } -> incr budget_marks
+    | _ -> ()
+  in
+  match Engine.run prog ~rt ~max_cycles:100_000 ~observers:[ observe ] () with
   | Error d -> (
+      check_int "one cycle-budget mark" 1 !budget_marks;
       match d.Ddsm_check.Diag.reason with
       | Ddsm_check.Diag.Cycle_budget { limit } ->
           check_int "budget echoed" 100_000 limit
