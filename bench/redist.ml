@@ -85,7 +85,8 @@ type point = {
 (* the unscheduled plan moves every cross word serially, paying the round
    setup once per transfer: a schedule of one transfer per round *)
 let naive_cycles ~cross_words ~transfers =
-  Costs.redistribute_scheduled ~rounds:transfers ~round_words:cross_words
+  Costs.scheduled ~round:Costs.redistribute_round ~rounds:transfers
+    ~round_words:cross_words
 
 let measure sweep nprocs =
   let src =
@@ -106,7 +107,8 @@ let measure sweep nprocs =
     rounds;
     round_words;
     naive_cycles = naive_cycles ~cross_words:s.Redist.cross_words ~transfers;
-    sched_cycles = Costs.redistribute_scheduled ~rounds ~round_words;
+    sched_cycles =
+      Costs.scheduled ~round:Costs.redistribute_round ~rounds ~round_words;
   }
 
 let run_sweep sweep =

@@ -99,6 +99,16 @@ let temp_float renv =
   renv.nf <- renv.nf + 1;
   renv.nf - 1
 
+(* a gather site's name in events and errors: ["routine#id"], so linker
+   clones are told apart *)
+let gather_label renv id = renv.rname ^ "#" ^ string_of_int id
+
+(* the frame slot that carries gather site [id]'s scratch base *)
+let gather_base_slot renv id =
+  match slot_for renv ("gather$" ^ string_of_int id) ~ty:Types.Tint with
+  | SInt i -> i
+  | SFloat _ -> assert false
+
 let arr_slot renv a =
   match Hashtbl.find_opt renv.aslots a with
   | Some i -> i
@@ -537,26 +547,19 @@ let rec compile renv (e : Expr.t) : value * int =
           },
         ca + cb + div_cost impl )
   | Expr.GatherBase id ->
-      (* scratch base of the gather site; defined once the dominating
-         [Stmt.Gather] has executed. Free: the executor's address math
-         around it is charged through the enclosing [AbsLoad]. *)
-      let key = renv.rname ^ "#" ^ string_of_int id in
-      let rt = renv.g.rt in
-      let site = ref None in
+      (* scratch base of the gather site, which its dominating
+         [Stmt.Gather] leaves in the frame as base + 1, so an unset slot
+         reads 0 (a fork copies it into the children). Free: the
+         executor's address math around it is charged through the
+         enclosing [AbsLoad]. *)
+      let label = gather_label renv id and slot = gather_base_slot renv id in
       ( I
-          (direct ~safe:false (fun _ ->
-               let s =
-                 match !site with
-                 | Some s -> s
-                 | None ->
-                     let s = Rt.gather_site rt ~key in
-                     site := Some s;
-                     s
-               in
-               if s.Rt.gs_scratch < 0 then
+          (direct ~safe:false (fun t ->
+               let b = (ints t).(slot) in
+               if b = 0 then
                  Eff.error "internal: gather site %s read before its inspector"
-                   key;
-               s.Rt.gs_scratch)),
+                   label;
+               b - 1)),
         0 )
   | Expr.Meta (name, field) ->
       let aslot = arr_slot renv name in
@@ -832,21 +835,21 @@ and compile_dsm renv nm args cost : value * int =
    last statement back, so every continuation exists before any code runs
    and a task that never parks runs in constant stack. *)
 
-(* per-execution state of a gather's inspector walk and per-element
-   fallback, captured by their continuations *)
-type walk = {
-  w_tab : Frame.abind;
-  w_iab : Frame.abind;
-  w_site : Rt.gather_site;
-  w_key : int * int * int array;
-  w_nslots : int;
-  w_los : int array;
-  w_his : int array;
-  w_cur : int array;  (** the loop variables' values at the current slot *)
-  w_saved : int array;  (** the loop variables before the walk *)
-  w_pairs : (int * int, int ref) Hashtbl.t;
-      (** (src node, dst node) -> words of that transfer *)
-  mutable w_slot : int;  (** next slot of the walk, then of the fallback *)
+(* One processor's state of a gather site: its scratch, the source word
+   of each iteration slot and the schedule cached under [gs_key]. Each
+   compiled [Stmt.Gather] makes one per processor of the job when it
+   compiles, and a task uses the one of its processor: tasks that run at
+   once run on different processors, so none reads another's scratch. *)
+type site = {
+  mutable gs_scratch : int;  (* scratch base word *)
+  mutable gs_addrs : int array;
+      (* iteration slot -> source word address; its length is the scratch
+         capacity *)
+  mutable gs_key : (int * int * int array) option;
+      (* (index version, target version, evaluated rectangle bounds) the
+         cached schedule was inspected under; [None] until inspected *)
+  mutable gs_rounds : int;  (* per-home rounds of the cached schedule *)
+  mutable gs_round_words : int;  (* sum over rounds of the largest transfer *)
 }
 
 (* charge [c], then run [pre] and continue at [k] *)
@@ -978,7 +981,8 @@ and compile_stmt renv (st : Stmt.t) : step =
                kept). *)
             charge
               ((retries * Costs.retry_backoff)
-              + Costs.redistribute_scheduled ~rounds ~round_words)
+              + Costs.scheduled ~round:Costs.redistribute_round ~rounds
+                  ~round_words)
               t;
             let { Sched.proc; clock = now; _ } = t in
             match renv.g.rt.Rt.observe with
@@ -1113,31 +1117,36 @@ and compile_store renv ~name ty ((addr : int cexp), ca) e ~bump : step =
   | Types.Tint, (I x, ce) -> int_store x ce
 
 (* ------------------------------------------------------------------ *)
-(* Inspector-executor gather (Stmt.Gather, serial context only).
+(* Inspector-executor gather (Stmt.Gather).
 
    On a schedule-cache miss — keyed on (index-array version, target
    version, evaluated rectangle bounds) — the inspector walks the
    iteration rectangle once, reads the index vector through ordinary
-   timed accesses, computes each referenced target address with the SAME
-   base/lower/stride arithmetic as the naive reference path (bit-faithful,
-   including the bounds-mode error), and bins the accesses by (source
-   home, scratch home) into an all-to-all round schedule.
+   timed accesses and computes each referenced target address with the
+   SAME base/lower/stride arithmetic as the naive reference path
+   (bit-faithful, including the bounds-mode error). Once the walk ends it
+   bins the recorded addresses by (source home, scratch home) into an
+   all-to-all round schedule: the walk itself touches only the index
+   array's pages, so it moves no target or scratch home.
 
    On EVERY execution the current target values move into scratch: one
    bulk fetch ({!Rt.gather_fetch}) charged by the round schedule, or —
    when the fault plan fails every attempt the retry rule allows — a
    per-element fallback through ordinary timed loads. Either way the
    scratch holds the same values, so results never depend on the fault
-   plan.
+   plan. The state is the running processor's {!site}; the scratch base
+   goes into the frame, where [Expr.GatherBase] reads it.
 
-   The walk and the fallback are resumable loops over a {!walk} record
-   made on entry, which their continuations capture; the walk drives the loop variables through the serial
-   frame in odometer order, the innermost dimension fastest. *)
+   The walk and the fallback are resumable loops whose state their
+   continuations capture, made only on a miss or a fallback; the walk
+   drives the loop variables through the frame in odometer order, the
+   innermost dimension fastest. *)
 
 and compile_gather renv (gth : Stmt.gather) : step =
   let g = renv.g in
   let s = g.sched in
-  let key = renv.rname ^ "#" ^ string_of_int gth.Stmt.g_id in
+  let label = gather_label renv gth.Stmt.g_id in
+  let bslot = gather_base_slot renv gth.Stmt.g_id in
   let tslot = arr_slot renv gth.Stmt.g_target in
   let islot = arr_slot renv gth.Stmt.g_index in
   let tq = qualified renv.env gth.Stmt.g_target in
@@ -1146,7 +1155,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
   let pure what (x, _) =
     match x.pre with
     | None -> x.f
-    | Some _ -> Eff.error "internal: gather %s %s reads memory" key what
+    | Some _ -> Eff.error "internal: gather %s %s reads memory" label what
   in
   let dims =
     Array.of_list
@@ -1175,120 +1184,135 @@ and compile_gather renv (gth : Stmt.gather) : step =
   in
   let rt = g.rt in
   let heap = rt.Rt.heap and mem = rt.Rt.mem in
-  let observe_gather w step ~retries (t : task) =
+  let sites =
+    Array.init (Rt.nprocs rt) (fun _ ->
+        {
+          gs_scratch = 0;
+          gs_addrs = [||];
+          gs_key = None;
+          gs_rounds = 0;
+          gs_round_words = 0;
+        })
+  in
+  let observe_gather site nslots step ~retries (t : task) =
     match rt.Rt.observe with
     | None -> ()
     | Some observe ->
         observe
           (Rt.Gather
              {
-               site = key;
+               site = label;
                step;
-               slots = w.w_nslots;
-               rounds = w.w_site.Rt.gs_rounds;
+               slots = nslots;
+               rounds = site.gs_rounds;
                retries;
                proc = t.Sched.proc;
                now = t.Sched.clock;
              })
   in
-  (* next slot of the rectangle: false once the walk is over *)
-  let rec advance w a d =
-    d >= 0
-    &&
-    if w.w_cur.(d) < w.w_his.(d) then begin
-      w.w_cur.(d) <- w.w_cur.(d) + 1;
-      a.(vslots.(d)) <- w.w_cur.(d);
-      true
-    end
-    else begin
-      w.w_cur.(d) <- w.w_los.(d);
-      a.(vslots.(d)) <- w.w_los.(d);
-      advance w a (d - 1)
-    end
+  let home a =
+    Option.value ~default:0 (Memsys.home_of_addr mem (Heap.byte_of_word a))
+  in
+  (* the cached schedule of the walk's recorded addresses *)
+  let schedule site nslots =
+    let pairs = Hashtbl.create 16 in
+    for i = 0 to nslots - 1 do
+      let pair = (home site.gs_addrs.(i), home (site.gs_scratch + i)) in
+      match Hashtbl.find_opt pairs pair with
+      | Some r -> incr r
+      | None -> Hashtbl.replace pairs pair (ref 1)
+    done;
+    let rounds =
+      Redist.rounds_of_moves
+        ~r:(Ddsm_machine.Config.nnodes (Memsys.config mem))
+        (Hashtbl.fold
+           (fun (src, dst) n acc -> { Redist.src; dst; words = !n } :: acc)
+           pairs [])
+    in
+    site.gs_rounds <- List.length rounds;
+    site.gs_round_words <- Redist.round_words rounds
   in
   fun k ->
     (* the per-element fallback: one timed load per slot *)
-    let fallback w ~retries t =
-      w.w_slot <- 0;
+    let fallback site nslots ~retries t =
+      let slot = ref 0 in
       let rec fall t =
-        if w.w_slot < w.w_nslots then
-          Sched.access s t w.w_site.Rt.gs_addrs.(w.w_slot) false fell
+        if !slot < nslots then
+          Sched.access s t site.gs_addrs.(!slot) false fell
         else begin
-          observe_gather w Rt.Fallback ~retries t;
+          observe_gather site nslots Rt.Fallback ~retries t;
           k t
         end
       and fell t =
-        Rt.gather_copy rt w.w_site ~elem w.w_slot;
-        w.w_slot <- w.w_slot + 1;
+        Rt.gather_copy rt ~elem ~src:site.gs_addrs.(!slot)
+          ~dst:(site.gs_scratch + !slot);
+        incr slot;
         fall t
       in
       fall t
     in
     (* every execution: move the CURRENT target values into scratch; each
        failed bulk attempt costs a backoff *)
-    let fetch w t =
-      let site = w.w_site in
+    let fetch site nslots t =
       let { Rt.retries; fell_back } =
-        Rt.gather_fetch rt site ~elem ~slots:w.w_nslots
+        Rt.gather_fetch rt ~elem ~addrs:site.gs_addrs ~scratch:site.gs_scratch
+          ~slots:nslots
       in
       charge (retries * Costs.retry_backoff) t;
-      if fell_back then fallback w ~retries t
+      if fell_back then fallback site nslots ~retries t
       else begin
         charge
-          (Costs.gather_scheduled ~rounds:site.Rt.gs_rounds
-             ~round_words:site.Rt.gs_round_words)
+          (Costs.scheduled ~round:Costs.gather_round ~rounds:site.gs_rounds
+             ~round_words:site.gs_round_words)
           t;
-        observe_gather w Rt.Fetch ~retries t;
+        observe_gather site nslots Rt.Fetch ~retries t;
         k t
       end
     in
-    let inspected w t =
-      (* the walk drove the loop variables through the serial frame;
-         restore them so the executor (and any read of the variables after
-         the nest) sees exactly the naive values *)
-      let a = ints t in
-      Array.iteri (fun d vslot -> a.(vslot) <- w.w_saved.(d)) vslots;
-      let site = w.w_site in
-      let rounds =
-        Redist.rounds_of_moves
-          ~r:(Ddsm_machine.Config.nnodes (Memsys.config mem))
-          (Hashtbl.fold
-             (fun (src, dst) n acc -> { Redist.src; dst; words = !n } :: acc)
-             w.w_pairs [])
-      in
-      site.Rt.gs_rounds <- List.length rounds;
-      site.Rt.gs_round_words <- Redist.round_words rounds;
-      site.Rt.gs_key <- Some w.w_key;
-      observe_gather w Rt.Inspect ~retries:0 t;
-      fetch w t
-    in
     (* the inspector walk: one timed index load per slot *)
-    let inspect w t =
+    let inspect site ~tab ~iab ~los ~his ~nslots ~key t =
+      let a = ints t in
+      let saved = Array.map (fun vslot -> a.(vslot)) vslots in
+      Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;
+      let cur = Array.copy los and slot = ref 0 in
+      (* next slot of the rectangle: false once the walk is over *)
+      let rec advance a d =
+        d >= 0
+        &&
+        if cur.(d) < his.(d) then begin
+          cur.(d) <- cur.(d) + 1;
+          a.(vslots.(d)) <- cur.(d);
+          true
+        end
+        else begin
+          cur.(d) <- los.(d);
+          a.(vslots.(d)) <- los.(d);
+          advance a (d - 1)
+        end
+      in
       let rec visit t =
         charge (Costs.gather_inspect + isubcost) t;
-        let iaddr = plain_addr ~bounds index w.w_iab isubfs t in
+        let iaddr = plain_addr ~bounds index iab isubfs t in
         Sched.access s t iaddr false visited
       and visited t =
         let ival = Heap.get_int heap t.Sched.addr in
         let sub = (scale * ival) + off in
-        let tab = w.w_tab in
         if bounds then check_subscript target tab 0 sub;
-        let taddr =
+        site.gs_addrs.(!slot) <-
           tab.Frame.ab_base
-          + ((sub - tab.Frame.ab_lowers.(0)) * tab.Frame.ab_strides.(0))
-        in
-        w.w_site.Rt.gs_addrs.(w.w_slot) <- taddr;
-        let home a =
-          Option.value ~default:0
-            (Memsys.home_of_addr mem (Heap.byte_of_word a))
-        in
-        let src = home taddr
-        and dst = home (w.w_site.Rt.gs_scratch + w.w_slot) in
-        (match Hashtbl.find_opt w.w_pairs (src, dst) with
-        | Some r -> incr r
-        | None -> Hashtbl.replace w.w_pairs (src, dst) (ref 1));
-        w.w_slot <- w.w_slot + 1;
-        if advance w (ints t) (ndims - 1) then visit t else inspected w t
+          + ((sub - tab.Frame.ab_lowers.(0)) * tab.Frame.ab_strides.(0));
+        incr slot;
+        if advance (ints t) (ndims - 1) then visit t else inspected t
+      and inspected t =
+        (* the walk drove the loop variables through the frame; restore
+           them so the executor (and any read of the variables after the
+           nest) sees exactly the naive values *)
+        let a = ints t in
+        Array.iteri (fun d vslot -> a.(vslot) <- saved.(d)) vslots;
+        schedule site nslots;
+        site.gs_key <- Some key;
+        observe_gather site nslots Rt.Inspect ~retries:0 t;
+        fetch site nslots t
       in
       visit t
     in
@@ -1315,50 +1339,33 @@ and compile_gather renv (gth : Stmt.gather) : step =
           nslots := !nslots * max 0 (hi - lo + 1))
         dims;
       let nslots = !nslots in
-      let site = Rt.gather_site rt ~key in
+      let site = sites.(t.Sched.proc) in
       if nslots = 0 then begin
         (* empty rectangle: the executor never runs, but its [GatherBase]
            is still compiled — leave a harmless base in place *)
-        if site.Rt.gs_scratch < 0 then site.Rt.gs_scratch <- 0;
+        (ints t).(bslot) <- site.gs_scratch + 1;
         k t
       end
       else begin
-        let keynow =
+        let key =
           (idd.Darray.version, td.Darray.version, Array.append los his)
         in
-        let w =
-          {
-            w_tab = tab;
-            w_iab = iab;
-            w_site = site;
-            w_key = keynow;
-            w_nslots = nslots;
-            w_los = los;
-            w_his = his;
-            w_cur = Array.copy los;
-            w_saved = Array.make ndims 0;
-            w_pairs = Hashtbl.create 16;
-            w_slot = 0;
-          }
-        in
-        match site.Rt.gs_key with
-        | Some k when k = keynow -> fetch w t
+        match site.gs_key with
+        | Some cached when cached = key ->
+            (ints t).(bslot) <- site.gs_scratch + 1;
+            fetch site nslots t
         | _ ->
             (* cache miss: inspect. The index vector is read through
                ordinary timed accesses — inspection is real work the
                benchmark must see; repeated sweeps then hit the cache. *)
             rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
-            if site.Rt.gs_cap < nslots then begin
-              site.Rt.gs_scratch <-
+            if Array.length site.gs_addrs < nslots then begin
+              site.gs_scratch <-
                 Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
-              site.Rt.gs_cap <- nslots
+              site.gs_addrs <- Array.make nslots 0
             end;
-            if Array.length site.Rt.gs_addrs < nslots then
-              site.Rt.gs_addrs <- Array.make nslots 0;
-            let a = ints t in
-            Array.iteri (fun d vslot -> w.w_saved.(d) <- a.(vslot)) vslots;
-            Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;
-            inspect w t
+            (ints t).(bslot) <- site.gs_scratch + 1;
+            inspect site ~tab ~iab ~los ~his ~nslots ~key t
       end
 
 (* ------------------------------------------------------------------ *)

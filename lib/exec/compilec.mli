@@ -28,7 +28,16 @@
     formals against it. A routine's non-formal arrays are bound when it
     compiles, to the storage the engine declared in the runtime (an
     equivalenced array to its base's). Past the cycle budget, a loop
-    iteration fails the run through {!Sched.fail} and stops the task. *)
+    iteration fails the run through {!Sched.fail} and stops the task.
+
+    A compiled inspector-executor gather ([Stmt.Gather]) owns its site's
+    state, made when it compiles: per processor of the job, the scratch,
+    each iteration slot's source address and the cached round schedule.
+    A task uses its processor's state, so workers of a [c$doacross] that
+    all call one subroutine gather never share scratch. The gather leaves
+    the scratch base in a frame slot, where [Expr.GatherBase] reads it;
+    the runtime ({!Ddsm_runtime.Rt}) only allocates scratch, fetches and
+    counts. *)
 
 type g
 

@@ -14,19 +14,9 @@ let argcheck_lookup = 25
    round-trip plus backoff wait before the next *)
 let retry_backoff = 400
 
-(* moving [words] data words of one transfer: each cache line is read and
-   written through memory *)
-let redistribute_words ~words = words / 4
-
 (* one all-to-all round of a scheduled redistribution: pairing up the
    senders/receivers and the round barrier *)
 let redistribute_round = 150
-
-(* a scheduled redistribution runs its rounds back to back; within a
-   round the transfers proceed in parallel, so the round costs its
-   LARGEST transfer ([round_words] is the sum of those maxima) *)
-let redistribute_scheduled ~rounds ~round_words =
-  (rounds * redistribute_round) + redistribute_words ~words:round_words
 
 (* inspector-executor gathers (irregular accesses through an index array):
    inspection classifies one referenced element per iteration slot — an
@@ -38,13 +28,11 @@ let gather_inspect = 2
    fill their scratch pages *)
 let gather_round = 100
 
-(* words of one gather transfer: same per-word bandwidth as redistribution *)
-let gather_words ~words = words / 4
-
-(* a scheduled gather runs its rounds back to back; within a round the
-   per-home transfers proceed in parallel, so a round costs its LARGEST
-   transfer ([round_words] is the sum of those maxima) *)
-let gather_scheduled ~rounds ~round_words =
-  (rounds * gather_round) + gather_words ~words:round_words
+(* a scheduled transfer (redistribution or gather) runs its rounds back to
+   back, each costing [round]; within a round the transfers proceed in
+   parallel, so the round moves its LARGEST transfer ([round_words] is the
+   sum of those maxima), and each cache line of it is read and written
+   through memory: a quarter cycle per word *)
+let scheduled ~round ~rounds ~round_words = (rounds * round) + (round_words / 4)
 
 let intrinsic = Ddsm_sema.Intrinsics.cycles

@@ -40,18 +40,22 @@ val argcheck_lookup : int
     OS round-trip plus backoff wait before the next attempt *)
 val retry_backoff : int
 
-(** a scheduled redistribution runs [rounds] rounds back to back; within
-    a round the transfers proceed in parallel so each round costs its
-    largest transfer ([round_words] is the sum of those maxima) *)
-val redistribute_scheduled : rounds:int -> round_words:int -> int
+(** setup and barrier of one all-to-all round of a scheduled
+    redistribution *)
+val redistribute_round : int
 
 (** per-iteration-slot inspection work of an inspector-executor gather:
     one address classification plus a bin insert *)
 val gather_inspect : int
 
-(** a scheduled bulk gather runs [rounds] rounds back to back; within a
-    round the per-home transfers proceed in parallel so each round costs
-    its largest transfer ([round_words] is the sum of those maxima) *)
-val gather_scheduled : rounds:int -> round_words:int -> int
+(** one all-to-all round of a scheduled bulk gather *)
+val gather_round : int
+
+(** [scheduled ~round ~rounds ~round_words]: a scheduled transfer —
+    redistribution or bulk gather — runs [rounds] rounds of [round]
+    cycles back to back; within a round the transfers proceed in parallel
+    so each round moves its largest transfer ([round_words] is the sum of
+    those maxima), at one per-word bandwidth for both *)
+val scheduled : round:int -> rounds:int -> round_words:int -> int
 
 val intrinsic : string -> int

@@ -33,7 +33,8 @@ and kind =
           rectangle once, reads the index array, and bulk-fetches the
           referenced target elements into a per-site scratch buffer keyed
           by iteration slot; the rewritten loop (executor) reads the
-          scratch via [Expr.GatherBase]. Serial context only. *)
+          scratch via [Expr.GatherBase]. Formed in serial context only;
+          the routine may still run on a [c$doacross] worker. *)
 
 and par = { pbody : t list }
 

@@ -10,20 +10,6 @@ type redist = {
   fell_back : bool;
 }
 
-(* One inspector-executor gather site (compiled [Stmt.Gather]): scratch
-   storage, the cached schedule and its cache key. Sites are keyed
-   "routine#id" so prelink clones get distinct state. *)
-type gather_site = {
-  mutable gs_scratch : int;  (* scratch base word; -1 until allocated *)
-  mutable gs_cap : int;  (* scratch capacity in words *)
-  mutable gs_key : (int * int * int array) option;
-      (* (index version, target version, evaluated rectangle bounds) the
-         cached schedule was inspected under *)
-  mutable gs_addrs : int array;  (* iteration slot -> source word address *)
-  mutable gs_rounds : int;
-  mutable gs_round_words : int;
-}
-
 type fetch = { retries : int; fell_back : bool }
 type access = { mutable region : string; ev : Memsys.access_event }
 type gather_step = Inspect | Fetch | Fallback
@@ -53,7 +39,6 @@ type t = {
   pools : Pools.t;
   argcheck : Argcheck.t;
   arrays : (string, Darray.t) Hashtbl.t;
-  gathers : (string, gather_site) Hashtbl.t;
   mutable redist_pages : int;
   mutable redist_retries : int;
   mutable redist_fallbacks : int;
@@ -82,7 +67,6 @@ let create cfg ~policy ~heap_words ?job_procs
     pools = Pools.create heap mem;
     argcheck = Argcheck.create ();
     arrays = Hashtbl.create 64;
-    gathers = Hashtbl.create 16;
     redist_pages = 0;
     redist_retries = 0;
     redist_fallbacks = 0;
@@ -215,24 +199,7 @@ let redistribute t ~name ~kinds ?onto ?procs () =
 let find_array t name = Hashtbl.find_opt t.arrays name
 
 (* ------------------------------------------------------------------ *)
-(* Inspector-executor gather sites *)
-
-let gather_site t ~key =
-  match Hashtbl.find_opt t.gathers key with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          gs_scratch = -1;
-          gs_cap = 0;
-          gs_key = None;
-          gs_addrs = [||];
-          gs_rounds = 0;
-          gs_round_words = 0;
-        }
-      in
-      Hashtbl.replace t.gathers key s;
-      s
+(* Inspector-executor gathers *)
 
 (* Scratch storage for a gather site: page-aligned and padded to whole
    pages, pages block-placed over the job's processors so executor reads
@@ -255,18 +222,17 @@ let alloc_gather_scratch t ~src_array ~words =
   announce_alloc t ~name:src_array ~word_ranges:[ (base, base + padded - 1) ];
   base
 
-(* copy iteration slot [i]'s source word into the site's scratch *)
-let gather_copy t site ~elem i =
-  let src = site.gs_addrs.(i) and dst = site.gs_scratch + i in
+(* copy one source word into a scratch word *)
+let gather_copy t ~elem ~src ~dst =
   match (elem : Darray.elem) with
   | Darray.Real -> Heap.set_real t.heap dst (Heap.get_real t.heap src)
   | Darray.Int -> Heap.set_int t.heap dst (Heap.get_int t.heap src)
 
-(* One bulk fetch through the site's cached schedule, under the retry
-   rule: a successful attempt copies every slot into scratch at once; when
-   every attempt fails, scratch is left for the caller's per-element
-   fallback. *)
-let gather_fetch t site ~elem ~slots =
+(* One bulk fetch of [addrs]' first [slots] words into the scratch at
+   [scratch], under the retry rule: a successful attempt copies every
+   slot at once; when every attempt fails, scratch is left for the
+   caller's per-element fallback. *)
+let gather_fetch t ~elem ~addrs ~scratch ~slots =
   let fetched, retries =
     retry (fun () ->
         if Fault.fails (Memsys.faults t.mem) Fault.Gather_fetch then None
@@ -276,7 +242,7 @@ let gather_fetch t site ~elem ~slots =
   match fetched with
   | Some () ->
       for i = 0 to slots - 1 do
-        gather_copy t site ~elem i
+        gather_copy t ~elem ~src:addrs.(i) ~dst:(scratch + i)
       done;
       { retries; fell_back = false }
   | None ->

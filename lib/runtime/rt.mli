@@ -27,22 +27,6 @@ type fetch = {
           fetches per element *)
 }
 
-(** One inspector-executor gather site (a compiled [Stmt.Gather]): scratch
-    storage plus the cached schedule and its cache key. Sites are keyed
-    ["routine#id"] so linker clones get distinct state. All fields are
-    owned by the VM's gather execution. *)
-type gather_site = {
-  mutable gs_scratch : int;  (** scratch base word; [-1] until allocated *)
-  mutable gs_cap : int;  (** scratch capacity in words *)
-  mutable gs_key : (int * int * int array) option;
-      (** (index version, target version, evaluated rectangle bounds) the
-          cached schedule was inspected under; [None] = never inspected *)
-  mutable gs_addrs : int array;  (** iteration slot -> source word address *)
-  mutable gs_rounds : int;  (** per-home rounds of the cached schedule *)
-  mutable gs_round_words : int;
-      (** sum over rounds of the largest transfer *)
-}
-
 (** {2 The observer event stream}
 
     Everything the profiler, the sanitizer and the Chrome trace observe.
@@ -94,7 +78,6 @@ type t = {
   pools : Pools.t;
   argcheck : Argcheck.t;
   arrays : (string, Darray.t) Hashtbl.t;
-  gathers : (string, gather_site) Hashtbl.t;
   mutable redist_pages : int;  (** pages moved by redistribute calls *)
   mutable redist_retries : int;  (** failed redistribute attempts *)
   mutable redist_fallbacks : int;
@@ -180,27 +163,31 @@ val int_of_real : float -> int option
 
 val find_array : t -> string -> Darray.t option
 
-val gather_site : t -> key:string -> gather_site
-(** Find or create the gather site state for ["routine#id"]. *)
+(** {2 Inspector-executor gathers}
+
+    A compiled [Stmt.Gather] owns its site's state, one per processor:
+    scratch, source addresses and the cached schedule. The runtime keeps
+    what needs the heap, the machine or the fault plan. *)
 
 val alloc_gather_scratch : t -> src_array:string -> words:int -> int
 (** Allocate (page-aligned, whole pages) scratch storage for a gather
     site, block-place its pages over the job's processors, announce the
     range as an [Alloc] of [src_array], and return the base word. *)
 
-val gather_fetch : t -> gather_site -> elem:Darray.elem -> slots:int -> fetch
-(** One bulk fetch of the site's first [slots] source words
-    ([gs_addrs]) into its scratch, shaped like {!redistribute}: each
-    attempt counts one [Gather_fetch] of the fault plan, and under the
-    retry rule the first that the plan does not fail copies every
-    slot. When all fail, [fell_back] is set and scratch is untouched: the
-    caller fetches each slot through timed loads and {!gather_copy}. The
-    caller charges a backoff per retry and, when fetched, the round
-    schedule. *)
+val gather_fetch :
+  t -> elem:Darray.elem -> addrs:int array -> scratch:int -> slots:int ->
+  fetch
+(** One bulk fetch of the source words [addrs.(0 .. slots-1)] into the
+    scratch words [scratch + 0 .. scratch + slots-1], shaped like
+    {!redistribute}: each attempt counts one [Gather_fetch] of the fault
+    plan, and under the retry rule the first that the plan does not fail
+    copies every slot. When all fail, [fell_back] is set and scratch is
+    untouched: the caller fetches each slot through timed loads and
+    {!gather_copy}. The caller charges a backoff per retry and, when
+    fetched, the round schedule. *)
 
-val gather_copy : t -> gather_site -> elem:Darray.elem -> int -> unit
-(** [gather_copy t site ~elem i] copies slot [i]'s source word into
-    scratch (no timing). *)
+val gather_copy : t -> elem:Darray.elem -> src:int -> dst:int -> unit
+(** Copy the word at [src] into the scratch word [dst] (no timing). *)
 
 val read : t -> addr:int -> elem:Darray.elem -> float
 (** Raw data read (no timing); integers are returned as floats for the VM's
