@@ -815,18 +815,13 @@ and schedule_one st binds loc (d : Stmt.do_) ~arr ~owner ~dv ~s ~c ~inner =
         let extent = (Option.get arr.Tctx.extents).(dv) in
         let nchunks = (extent + ck - 1) / ck in
         let ch = Tctx.fresh st.ctx "chunk" in
+        let clo, chi =
+          portion ~lo:lo_e ~hi:hi_e ~owner:(Expr.Var ch) ~b:(int ck) ~n:n_aff
+            ~s:1
+        in
         [
           mk_do ~loc ~var:ch ~lo:owner ~hi:(int (nchunks - 1)) ~step:pr
-            [
-              mk_do ~loc ~var:d.Stmt.var
-                ~lo:(imax lo_e (sub (mul (Expr.Var ch) (int ck)) (int n_aff)))
-                ~hi:
-                  (imin hi_e
-                     (sub
-                        (add (mul (Expr.Var ch) (int ck)) (int (ck - 1)))
-                        (int n_aff)))
-                (inner binds);
-            ];
+            [ mk_do ~loc ~var:d.Stmt.var ~lo:clo ~hi:chi (inner binds) ];
         ]
     | K.Cyclic_k _ -> guarded ()
 
