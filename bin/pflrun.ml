@@ -64,35 +64,19 @@ let fail_diag d =
   Printf.eprintf "runtime error: %s\n" (Diag.to_string d);
   exit (if Diag.is_internal d then 3 else 2)
 
-let config_of_machine ~machine ~nprocs =
-  let module Config = Ddsm_machine.Config in
-  match machine with
-  | Ddsm.Origin2000 -> Config.origin2000 ~nprocs
-  | Ddsm.Scaled factor -> Config.scaled ~nprocs ~factor ()
-
 (* One configured run of the linked image; a fresh machine every time.
    Machine-shape rejections (hypercube dimension bound, geometry
    invariants) surface as a structured Diag located at the configuration
    phase, naming the offending parameter, not an uncaught exception. *)
 let run_once linked ~nprocs ~policy ~machine ~heap_words ~checks ~bounds
     ~max_cycles ~audit ~fault ?profile ?sanitize () =
-  let module Config = Ddsm_machine.Config in
-  match Config.validate (config_of_machine ~machine ~nprocs) with
+  match Ddsm_machine.Config.validate (Ddsm.config_of_machine machine ~nprocs) with
   | Error e -> Error (Diag.user ~phase:"config" e)
   | Ok () ->
       let prog = Ddsm.prog_of_linked linked in
       let rt = Ddsm.make_rt ~machine ~policy ~heap_words ~fault ~nprocs () in
       Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ?profile ?sanitize
         ()
-
-(* the sanitizer classifies false sharing with the simulated machine's own
-   L2-line/page geometry, so build it from the same config make_rt uses *)
-let make_sanitizer ~machine ~nprocs =
-  let module Config = Ddsm_machine.Config in
-  let cfg = config_of_machine ~machine ~nprocs in
-  Ddsm.Sanitize.create ~nprocs
-    ~line_bytes:cfg.Config.l2.Config.line_bytes
-    ~page_bytes:cfg.Config.page_bytes ()
 
 let describe_report (r : Ddsm.Sanitize.report) =
   let acc w = if w then "write" else "read" in
@@ -222,7 +206,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
             in
             let san =
               if race || race_json <> None then
-                Some (make_sanitizer ~machine ~nprocs)
+                Some (Ddsm.make_sanitizer machine ~nprocs)
               else None
             in
             (* written on every path, failed runs included: their last

@@ -41,15 +41,21 @@ let link objs =
   | Error es -> Error es
   | Ok l -> Ok (prog_of_linked l, l)
 
+let config_of_machine machine ~nprocs =
+  match machine with
+  | Origin2000 -> Config.origin2000 ~nprocs
+  | Scaled factor -> Config.scaled ~nprocs ~factor ()
+
 let make_rt ?(machine = Scaled 64) ?(policy = Pagetable.First_touch)
     ?(heap_words = 1 lsl 24) ?machine_procs ?fault ~nprocs () =
   let hw = match machine_procs with Some m -> max m nprocs | None -> nprocs in
-  let cfg =
-    match machine with
-    | Origin2000 -> Config.origin2000 ~nprocs:hw
-    | Scaled factor -> Config.scaled ~nprocs:hw ~factor ()
-  in
-  Rt.create cfg ~policy ~heap_words ~job_procs:nprocs ?fault ()
+  Rt.create (config_of_machine machine ~nprocs:hw) ~policy ~heap_words
+    ~job_procs:nprocs ?fault ()
+
+let make_sanitizer machine ~nprocs =
+  let cfg = config_of_machine machine ~nprocs in
+  Sanitize.create ~nprocs ~line_bytes:cfg.Config.l2.Config.line_bytes
+    ~page_bytes:cfg.Config.page_bytes ()
 
 let run prog ~rt ?checks ?bounds ?max_cycles ?audit ?stall_limit ?profile
     ?sanitize () =

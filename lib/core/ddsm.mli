@@ -59,6 +59,11 @@ val link :
   Ddsm_linker.Objfile.t list ->
   (Ddsm_exec.Prog.t * Ddsm_linker.Prelink.linked, string list) result
 
+val config_of_machine : machine -> nprocs:int -> Ddsm_machine.Config.t
+(** The machine configuration a preset denotes for [nprocs] processors:
+    {!Ddsm_machine.Config.origin2000} or {!Ddsm_machine.Config.scaled} by
+    the factor. Not validated ({!Ddsm_machine.Config.validate}). *)
+
 val make_rt :
   ?machine:machine -> ?policy:Ddsm_machine.Pagetable.policy ->
   ?heap_words:int -> ?machine_procs:int -> ?fault:Fault.t -> nprocs:int ->
@@ -67,7 +72,13 @@ val make_rt :
     is the job's processor count; [machine_procs] (>= nprocs) sizes the
     simulated machine itself, so P-processor jobs can run on a larger fixed
     machine as in the paper's evaluation. [fault] installs a deterministic
-    fault plan on the simulated machine. *)
+    fault plan on the simulated machine. The machine is
+    [config_of_machine machine ~nprocs:(max machine_procs nprocs)]. *)
+
+val make_sanitizer : machine -> nprocs:int -> Sanitize.t
+(** A happens-before sanitizer for an [nprocs]-processor run on the
+    preset: it classifies false sharing with the preset's own L2-line and
+    page sizes, the ones {!make_rt} simulates. *)
 
 val run :
   Ddsm_exec.Prog.t -> rt:Ddsm_runtime.Rt.t -> ?checks:bool -> ?bounds:bool ->

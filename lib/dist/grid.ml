@@ -55,14 +55,11 @@ let assign ~nprocs ~kinds ~onto =
 let linear t owner =
   if Array.length owner <> Array.length t.per_dim then
     invalid_arg "Grid.linear: tuple arity mismatch";
-  let p = ref 0 and stride = ref 1 in
   Array.iteri
     (fun d o ->
-      if o < 0 || o >= t.per_dim.(d) then invalid_arg "Grid.linear: owner out of range";
-      p := !p + (o * !stride);
-      stride := !stride * t.per_dim.(d))
+      if o < 0 || o >= t.per_dim.(d) then invalid_arg "Grid.linear: owner out of range")
     owner;
-  !p
+  Intmath.linear ~radices:t.per_dim owner
 
 let delinear t p =
   if p < 0 || p >= t.total then invalid_arg "Grid.delinear: proc out of range";

@@ -31,3 +31,12 @@ let egcd a b =
 let gcd a b =
   let g, _, _ = egcd a b in
   g
+
+(* Horner from the last (slowest) dimension: the same sum of
+   idx.(d) * radices.(0) * ... * radices.(d-1), one multiply per digit. *)
+let linear ~radices idx =
+  let lin = ref 0 in
+  for d = Array.length idx - 1 downto 0 do
+    lin := (!lin * radices.(d)) + idx.(d)
+  done;
+  !lin

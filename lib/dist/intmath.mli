@@ -24,3 +24,12 @@ val egcd : int -> int -> int * int * int
 val gcd : int -> int -> int
 (** Non-negative gcd; [gcd 0 0 = 0]. Same [min_int] restriction as
     {!egcd}. *)
+
+val linear : radices:int array -> int array -> int
+(** [linear ~radices idx] is the mixed-radix (column-major, first digit
+    fastest) number of the digits [idx]:
+    [idx.(0) + radices.(0) * (idx.(1) + radices.(1) * (...))]. It is the
+    one rule for a processor number over a grid, an element's offset in
+    column-major storage and its offset in a reshaped portion's storage
+    box. No range check: each caller checks its digits against its own
+    radices. *)

@@ -33,9 +33,19 @@ val storage_extents : t -> int array
 (** Uniform per-processor storage shape used by the reshaped-storage manager
     (every processor's offsets fit in this box). *)
 
+val iter_box : (int * int) list array -> (int array -> unit) -> unit
+(** [iter_box ranges f] calls [f] on every index tuple of the box whose
+    dimension [d] takes the values of the inclusive ranges [ranges.(d)], in
+    order, first dimension fastest (column-major). A dimension with no
+    range (or only empty ones) makes the box empty; zero dimensions make
+    one call with [[||]]. [f] receives a reused buffer; copy if retained.
+    The one index walk of the runtime: portions, contiguous runs and whole
+    arrays (the fuzz image reader) all go through it. *)
+
 val iter_portion : t -> proc:int -> (int array -> unit) -> unit
 (** Iterate all global element tuples owned by [proc], first dimension
-    fastest. The callback receives a reused buffer; copy if retained. *)
+    fastest ({!iter_box} over the portion's per-dimension ranges). The
+    callback receives a reused buffer; copy if retained. *)
 
 val contiguous_ranges : t -> proc:int -> elem_bytes:int -> (int * int) list
 (** Maximal contiguous byte ranges [(lo_byte, hi_byte)] (inclusive) of the

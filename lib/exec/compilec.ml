@@ -845,9 +845,11 @@ type site = {
   mutable gs_addrs : int array;
       (* iteration slot -> source word address; its length is the scratch
          capacity *)
-  mutable gs_key : (int * int * int array) option;
-      (* (index version, target version, evaluated rectangle bounds) the
-         cached schedule was inspected under; [None] until inspected *)
+  gs_key : int array;
+      (* index version, target version, the evaluated lower bounds, then
+         the upper bounds: what the cached schedule was inspected under,
+         compared in place on every execution. Index version -1 until
+         inspected (versions start at 0). *)
   mutable gs_rounds : int;  (* per-home rounds of the cached schedule *)
   mutable gs_round_words : int;  (* sum over rounds of the largest transfer *)
 }
@@ -1189,7 +1191,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
         {
           gs_scratch = 0;
           gs_addrs = [||];
-          gs_key = None;
+          gs_key = Array.make (2 + (2 * ndims)) (-1);
           gs_rounds = 0;
           gs_round_words = 0;
         })
@@ -1244,7 +1246,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
           k t
         end
       and fell t =
-        Rt.gather_copy rt ~elem ~src:site.gs_addrs.(!slot)
+        Darray.copy_elem heap elem ~src:site.gs_addrs.(!slot)
           ~dst:(site.gs_scratch + !slot);
         incr slot;
         fall t
@@ -1270,7 +1272,7 @@ and compile_gather renv (gth : Stmt.gather) : step =
       end
     in
     (* the inspector walk: one timed index load per slot *)
-    let inspect site ~tab ~iab ~los ~his ~nslots ~key t =
+    let inspect site ~tab ~iab ~los ~his ~nslots ~iver ~tver t =
       let a = ints t in
       let saved = Array.map (fun vslot -> a.(vslot)) vslots in
       Array.iteri (fun d vslot -> a.(vslot) <- los.(d)) vslots;
@@ -1310,7 +1312,11 @@ and compile_gather renv (gth : Stmt.gather) : step =
         let a = ints t in
         Array.iteri (fun d vslot -> a.(vslot) <- saved.(d)) vslots;
         schedule site nslots;
-        site.gs_key <- Some key;
+        let key = site.gs_key in
+        key.(0) <- iver;
+        key.(1) <- tver;
+        Array.blit los 0 key 2 ndims;
+        Array.blit his 0 key (2 + ndims) ndims;
         observe_gather site nslots Rt.Inspect ~retries:0 t;
         fetch site nslots t
       in
@@ -1329,43 +1335,48 @@ and compile_gather renv (gth : Stmt.gather) : step =
         | Some d -> d
         | None -> Eff.error "internal: gather index %s has no descriptor" index
       in
-      let los = Array.make (max 1 ndims) 0 and his = Array.make (max 1 ndims) 0 in
-      let nslots = ref 1 in
-      Array.iteri
-        (fun d (_, flo, fhi) ->
-          let lo = flo t and hi = fhi t in
-          los.(d) <- lo;
-          his.(d) <- hi;
-          nslots := !nslots * max 0 (hi - lo + 1))
-        dims;
-      let nslots = !nslots in
       let site = sites.(t.Sched.proc) in
+      let key = site.gs_key in
+      let iver = idd.Darray.version and tver = td.Darray.version in
+      (* evaluate the bounds and compare them with the cached key in
+         place: a cache hit allocates nothing *)
+      let hit = ref (key.(0) = iver && key.(1) = tver) and nslots = ref 1 in
+      for d = 0 to ndims - 1 do
+        let _, flo, fhi = dims.(d) in
+        let lo = flo t and hi = fhi t in
+        if lo <> key.(2 + d) || hi <> key.(2 + ndims + d) then hit := false;
+        nslots := !nslots * max 0 (hi - lo + 1)
+      done;
+      let nslots = !nslots in
       if nslots = 0 then begin
         (* empty rectangle: the executor never runs, but its [GatherBase]
            is still compiled — leave a harmless base in place *)
         (ints t).(bslot) <- site.gs_scratch + 1;
         k t
       end
+      else if !hit then begin
+        (ints t).(bslot) <- site.gs_scratch + 1;
+        fetch site nslots t
+      end
       else begin
-        let key =
-          (idd.Darray.version, td.Darray.version, Array.append los his)
-        in
-        match site.gs_key with
-        | Some cached when cached = key ->
-            (ints t).(bslot) <- site.gs_scratch + 1;
-            fetch site nslots t
-        | _ ->
-            (* cache miss: inspect. The index vector is read through
-               ordinary timed accesses — inspection is real work the
-               benchmark must see; repeated sweeps then hit the cache. *)
-            rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
-            if Array.length site.gs_addrs < nslots then begin
-              site.gs_scratch <-
-                Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
-              site.gs_addrs <- Array.make nslots 0
-            end;
-            (ints t).(bslot) <- site.gs_scratch + 1;
-            inspect site ~tab ~iab ~los ~his ~nslots ~key t
+        (* cache miss: inspect. The index vector is read through ordinary
+           timed accesses — inspection is real work the benchmark must
+           see; repeated sweeps then hit the cache. The bounds are pure,
+           so evaluating them again for the walk reads the same values. *)
+        let los = Array.make (max 1 ndims) 0 and his = Array.make (max 1 ndims) 0 in
+        Array.iteri
+          (fun d (_, flo, fhi) ->
+            los.(d) <- flo t;
+            his.(d) <- fhi t)
+          dims;
+        rt.Rt.gather_inspections <- rt.Rt.gather_inspections + 1;
+        if Array.length site.gs_addrs < nslots then begin
+          site.gs_scratch <-
+            Rt.alloc_gather_scratch rt ~src_array:tq ~words:nslots;
+          site.gs_addrs <- Array.make nslots 0
+        end;
+        (ints t).(bslot) <- site.gs_scratch + 1;
+        inspect site ~tab ~iab ~los ~his ~nslots ~iver ~tver t
       end
 
 (* ------------------------------------------------------------------ *)

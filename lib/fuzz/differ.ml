@@ -6,9 +6,9 @@ module Diag = Ddsm_check.Diag
 module Fault = Ddsm_check.Fault
 module Rt = Ddsm_runtime.Rt
 module Darray = Ddsm_runtime.Darray
+module Layout = Ddsm_dist.Layout
 module Counters = Ddsm_machine.Counters
 module Pagetable = Ddsm_machine.Pagetable
-module Config = Ddsm_machine.Config
 module Jobs = Ddsm_util.Jobs
 module Sanitize = Ddsm_sanitize.Sanitize
 
@@ -17,7 +17,6 @@ type options = {
   race : bool;
   jobs : int;
   max_cycles : int;
-  step_budget : int;
   case_seed : int;
 }
 
@@ -27,7 +26,6 @@ let default ~seed =
     race = false;
     jobs = 2;
     max_cycles = 60_000_000;
-    step_budget = 2_000_000;
     case_seed = seed;
   }
 
@@ -63,24 +61,13 @@ type engine_out = {
 
 (* the final value of every element in Fortran (column-major) order *)
 let bits_of_darray rt (d : Darray.t) =
-  let n = Darray.element_count d in
-  let nd = Array.length d.Darray.extents in
-  let out = Array.make n 0L in
-  let idx = Array.copy d.Darray.lower in
-  for i = 0 to n - 1 do
-    let addr = Darray.word_addr d idx in
-    out.(i) <- Int64.bits_of_float (Rt.read rt ~addr ~elem:d.Darray.elem);
-    let rec bump k =
-      if k < nd then begin
-        idx.(k) <- idx.(k) + 1;
-        if idx.(k) - d.Darray.lower.(k) >= d.Darray.extents.(k) then begin
-          idx.(k) <- d.Darray.lower.(k);
-          bump (k + 1)
-        end
-      end
-    in
-    bump 0
-  done;
+  let out = Array.make (Darray.element_count d) 0L and i = ref 0 in
+  Layout.iter_box
+    (Array.mapi (fun k lo -> [ (lo, lo + d.Darray.extents.(k) - 1) ]) d.Darray.lower)
+    (fun idx ->
+      let addr = Darray.word_addr d idx in
+      out.(!i) <- Int64.bits_of_float (Rt.read rt ~addr ~elem:d.Darray.elem);
+      incr i);
   out
 
 (* Clone routines get fresh qualified names for their locals, so the
@@ -103,10 +90,13 @@ let image_of_rt rt ~main =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
   |> comparable_image ~main
 
+(* every leg and the sanitizer simulate this preset *)
+let machine = Ddsm.Scaled 64
+
 let run_leg prog (opts : options) (leg : leg) ~sanitize :
     (engine_out, Diag.t) result =
   let rt =
-    Ddsm.make_rt ~policy:leg.l_policy
+    Ddsm.make_rt ~machine ~policy:leg.l_policy
       ~heap_words:(1 lsl 18)
       ?fault:leg.l_fault ~nprocs:leg.l_nprocs ()
   in
@@ -200,7 +190,7 @@ let analyse opts files =
             | Ok envs -> (fname, envs)))
       files
   in
-  let iref = Interp.run ~budget:opts.step_budget envs in
+  let iref = Interp.run envs in
   (match iref with
   | Error (Interp.F_unsupported m) ->
       return (Reject ("interpreter: unsupported: " ^ short m))
@@ -228,12 +218,7 @@ let analyse opts files =
     ]
   in
   let sanitizer =
-    if opts.race then
-      let cfg = Config.scaled ~nprocs:base.l_nprocs () in
-      Some
-        (Sanitize.create ~nprocs:base.l_nprocs
-           ~line_bytes:cfg.Config.l2.Config.line_bytes
-           ~page_bytes:cfg.Config.page_bytes ())
+    if opts.race then Some (Ddsm.make_sanitizer machine ~nprocs:base.l_nprocs)
     else None
   in
   let direct = run_leg prog opts base ~sanitize:sanitizer in

@@ -28,12 +28,12 @@ type options = {
   race : bool;
   jobs : int;  (** domains for the [Jobs] fast-path leg *)
   max_cycles : int;  (** per-leg simulated-cycle budget *)
-  step_budget : int;  (** reference-interpreter statement budget *)
   case_seed : int;  (** seeds the fault plans; echo of the generator seed *)
 }
 
 val default : seed:int -> options
-(** [fault:false race:false jobs:2 max_cycles:60M steps:2M]. *)
+(** [fault:false race:false jobs:2 max_cycles:60M]. The reference
+    interpreter's statement budget is {!Interp.run}'s fixed 2M. *)
 
 type verdict =
   | Pass

@@ -46,7 +46,6 @@ type glob = {
   routines : (string * Sema.env) list;
   stores : (string, decl_rec) Hashtbl.t;
   prints : string list ref;
-  budget : int;
   mutable steps : int;
 }
 
@@ -57,9 +56,12 @@ type frame = {
   views : (string, view) Hashtbl.t;
 }
 
+(* statement executions before a run is a timeout *)
+let max_steps = 2_000_000
+
 let step g =
   g.steps <- g.steps + 1;
-  if g.steps > g.budget then raise Timeout
+  if g.steps > max_steps then raise Timeout
 
 (* ------------------------------------------------------------------ *)
 (* Typing: the type Compilec.compile gives each node, recomputed top-down
@@ -639,7 +641,7 @@ let final_image g : image =
   in
   { arrays; prints = List.rev !(g.prints) }
 
-let run ?(budget = 2_000_000) (files : (string * Sema.env list) list) :
+let run (files : (string * Sema.env list) list) :
     (image, failure) result =
   let routines =
     List.concat_map
@@ -652,7 +654,6 @@ let run ?(budget = 2_000_000) (files : (string * Sema.env list) list) :
       routines;
       stores = Hashtbl.create 16;
       prints = ref [];
-      budget;
       steps = 0;
     }
   in

@@ -29,9 +29,7 @@ type image = {
 }
 
 val run :
-  ?budget:int ->
-  (string * Ddsm_sema.Sema.env list) list ->
-  (image, failure) result
+  (string * Ddsm_sema.Sema.env list) list -> (image, failure) result
 (** Interpret the program given per-file post-sema environments (pre-link:
-    original routine names, original bodies).  [budget] bounds the number
-    of statement executions (default 2,000,000). *)
+    original routine names, original bodies).  A run that executes more
+    than 2,000,000 statements is an [F_timeout]. *)

@@ -270,13 +270,16 @@ let candidates t =
       };
   List.rev !out
 
-let minimize ?(max_attempts = 300) ~still_fails t0 =
+(* predicate evaluations one minimization may spend *)
+let attempt_limit = 300
+
+let minimize ~still_fails t0 =
   let attempts = ref 0 in
   let rec go t =
     let rec try_ = function
       | [] -> t
       | c :: rest ->
-          if !attempts >= max_attempts then t
+          if !attempts >= attempt_limit then t
           else if weight c < weight t then begin
             incr attempts;
             if still_fails c then go c else try_ rest

@@ -10,11 +10,9 @@
     bucket" — and the process restarts from it until a fixpoint or the
     attempt budget is hit. *)
 
-val minimize :
-  ?max_attempts:int -> still_fails:(Spec.t -> bool) -> Spec.t -> Spec.t
-(** [max_attempts] bounds the number of predicate evaluations (default
-    300); the given spec is assumed failing and is returned if nothing
-    smaller still fails. *)
+val minimize : still_fails:(Spec.t -> bool) -> Spec.t -> Spec.t
+(** At most 300 evaluations of [still_fails]; the given spec is assumed
+    failing and is returned if nothing smaller still fails. *)
 
 (* Test-only: tests check that a minimized spec is no heavier. *)
 val weight : Spec.t -> int

@@ -117,24 +117,29 @@ let regular_page_homes mem layout ~base_word =
   done;
   homes
 
+(* Write a layout's distribution parameters (procs, block, storage
+   extent of every dimension) into the descriptor block at [meta_base]. *)
+let fill_meta heap ~meta_base layout =
+  let stor = Layout.storage_extents layout in
+  Array.iteri
+    (fun d (dm : Dim_map.t) ->
+      Heap.set_int heap (meta_base + Meta.procs_off ~dim:d) dm.Dim_map.procs;
+      Heap.set_int heap (meta_base + Meta.block_off ~dim:d) dm.Dim_map.block;
+      Heap.set_int heap (meta_base + Meta.stor_off ~dim:d) stor.(d))
+    layout.Layout.dims
+
 (* Allocate and fill the descriptor block (distribution parameters and,
    for reshaped arrays, the processor-pointer slots) for a layout. Returns
    the block address and the guard words planted around it. *)
 let alloc_meta heap ~name layout =
   let ndims = Array.length layout.Layout.extents in
   let np = Layout.nprocs layout in
-  let stor = Layout.storage_extents layout in
   let pre = plant heap ~name ~k:2 (Heap.alloc heap ~words:1 ~align_words:1) in
   let meta_base =
     Heap.alloc heap ~words:(Meta.size ~ndims ~nprocs:np) ~align_words:1
   in
   let post = plant heap ~name ~k:3 (Heap.alloc heap ~words:1 ~align_words:1) in
-  Array.iteri
-    (fun d (dm : Dim_map.t) ->
-      Heap.set_int heap (meta_base + Meta.procs_off ~dim:d) dm.Dim_map.procs;
-      Heap.set_int heap (meta_base + Meta.block_off ~dim:d) dm.Dim_map.block;
-      Heap.set_int heap (meta_base + Meta.stor_off ~dim:d) stor.(d))
-    layout.Layout.dims;
+  fill_meta heap ~meta_base layout;
   (meta_base, [ pre; post ])
 
 let alloc_regular heap mem ~name ~elem ~extents ?lower ~kinds ?onto ~nprocs () =
@@ -238,17 +243,17 @@ let portion_words t ~proc =
       portion_words
   | Normal _ -> invalid_arg "Darray.portion_words: not reshaped"
 
-let refill_meta heap t layout =
-  match t.meta with
-  | None -> ()
-  | Some meta_base ->
-      let stor = Layout.storage_extents layout in
-      Array.iteri
-        (fun d (dm : Dim_map.t) ->
-          Heap.set_int heap (meta_base + Meta.procs_off ~dim:d) dm.Dim_map.procs;
-          Heap.set_int heap (meta_base + Meta.block_off ~dim:d) dm.Dim_map.block;
-          Heap.set_int heap (meta_base + Meta.stor_off ~dim:d) stor.(d))
-        layout.Layout.dims
+(* The word of a reshaped element (0-based [idx0]) owned by [owner]: the
+   owner's portion base plus the column-major offset of its local offsets
+   inside the storage box [stor] (the layout's {!Layout.storage_extents},
+   passed in so a loop over elements computes it once). *)
+let reshaped_word layout ~stor ~bases ~owner idx0 =
+  bases.(owner) + Intmath.linear ~radices:stor (Layout.offsets layout idx0)
+
+let copy_elem heap elem ~src ~dst =
+  match elem with
+  | Real -> Heap.set_real heap dst (Heap.get_real heap src)
+  | Int -> Heap.set_int heap dst (Heap.get_int heap src)
 
 (* ------------------------------------------------------------------ *)
 (* [c$redistribute]: transition the array to new distribution kinds (and
@@ -258,9 +263,6 @@ let refill_meta heap t layout =
 type outcome = {
   pages_moved : int;
   words_moved : int;  (** data words that change home processor/node *)
-  total_words : int;  (** words touched at all (reshaped copies include
-                          the same-owner words; page moves touch nothing
-                          else) *)
   rounds : int;
   round_words : int;  (** sum over rounds of the largest transfer — the
                           scheduled-time proxy the cost model charges *)
@@ -315,13 +317,12 @@ let redistribute_regular t heap mem ~base ~layout =
   | Error _ -> Ok Busy
   | Ok moved ->
       t.layout <- Some layout;
-      refill_meta heap t layout;
+      Option.iter (fun meta_base -> fill_meta heap ~meta_base layout) t.meta;
       Ok
         (Moved
            {
              pages_moved = moved;
              words_moved = moved * page_words;
-             total_words = moved * page_words;
              rounds = List.length rounds;
              round_words = Redist.round_words rounds;
            })
@@ -340,27 +341,13 @@ let redistribute_reshaped t heap pools ~old_layout ~old_bases ~layout =
   in
   let old_stor = Layout.storage_extents old_layout in
   let new_stor = Layout.storage_extents layout in
-  let loclin stor offs =
-    let lin = ref 0 and stride = ref 1 in
-    Array.iteri
-      (fun d off ->
-        lin := !lin + (off * !stride);
-        stride := !stride * stor.(d))
-      offs;
-    !lin
-  in
-  let copy =
-    match t.elem with
-    | Real -> fun src dst -> Heap.set_real heap dst (Heap.get_real heap src)
-    | Int -> fun src dst -> Heap.set_int heap dst (Heap.get_int heap src)
-  in
   for p = 0 to Layout.nprocs layout - 1 do
     Layout.iter_portion layout ~proc:p (fun idx0 ->
-        let src =
-          old_bases.(Layout.owner old_layout idx0)
-          + loclin old_stor (Layout.offsets old_layout idx0)
-        in
-        copy src (bases.(p) + loclin new_stor (Layout.offsets layout idx0)))
+        copy_elem heap t.elem
+          ~src:
+            (reshaped_word old_layout ~stor:old_stor ~bases:old_bases
+               ~owner:(Layout.owner old_layout idx0) idx0)
+          ~dst:(reshaped_word layout ~stor:new_stor ~bases ~owner:p idx0))
   done;
   (* install: one host-side swap; old portions and descriptor stay valid
      (and guarded) for any reader still holding the old addresses *)
@@ -373,7 +360,6 @@ let redistribute_reshaped t heap pools ~old_layout ~old_bases ~layout =
        {
          pages_moved = 0;
          words_moved = sched.Redist.cross_words;
-         total_words = sched.Redist.total_words;
          rounds = Redist.nrounds sched;
          round_words = Redist.round_words sched.Redist.rounds;
        })
@@ -402,14 +388,7 @@ let redistribute t heap mem ?pools ~kinds ?onto ~nprocs () =
 let portion_run t idx =
   let idx0 = zero_based t idx in
   match t.layout with
-  | None ->
-      let lin = ref 0 and stride = ref 1 in
-      Array.iteri
-        (fun d i ->
-          lin := !lin + (i * !stride);
-          stride := !stride * t.extents.(d))
-        idx0;
-      element_count t - !lin
+  | None -> element_count t - Intmath.linear ~radices:t.extents idx0
   | Some l -> (
       let i0 = idx0.(0) in
       let dm = l.Layout.dims.(0) in
@@ -433,23 +412,8 @@ let word_addr t idx =
              (i + t.lower.(d)) (d + 1)))
     idx0;
   match (t.storage, t.layout) with
-  | Normal { base }, _ ->
-      let addr = ref base and stride = ref 1 in
-      Array.iteri
-        (fun d i ->
-          addr := !addr + (i * !stride);
-          stride := !stride * t.extents.(d))
-        idx0;
-      !addr
-  | Reshaped _, Some layout ->
-      let p = Layout.owner layout idx0 in
-      let offs = Layout.offsets layout idx0 in
-      let stor = Layout.storage_extents layout in
-      let loclin = ref 0 and stride = ref 1 in
-      Array.iteri
-        (fun d off ->
-          loclin := !loclin + (off * !stride);
-          stride := !stride * stor.(d))
-        offs;
-      portion_base t ~proc:p + !loclin
+  | Normal { base }, _ -> base + Intmath.linear ~radices:t.extents idx0
+  | Reshaped { bases; _ }, Some layout ->
+      reshaped_word layout ~stor:(Layout.storage_extents layout) ~bases
+        ~owner:(Layout.owner layout idx0) idx0
   | Reshaped _, None -> assert false

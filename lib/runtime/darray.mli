@@ -98,10 +98,6 @@ val alloc_reshaped :
 type outcome = {
   pages_moved : int;  (** regular arrays: pages migrated; reshaped: 0 *)
   words_moved : int;  (** data words that change home processor/node *)
-  total_words : int;
-      (** words touched at all: a reshaped relayout copies every element
-          (same-owner ones included); a regular one touches only the
-          migrated pages *)
   rounds : int;  (** all-to-all rounds of the communication schedule *)
   round_words : int;
       (** sum over rounds of the round's largest transfer — the
@@ -132,13 +128,26 @@ val redistribute :
 
     Reshaped arrays: the new portions and descriptor block are built
     aside while readers keep resolving addresses through the old
-    descriptor, every element is copied under the schedule, and the new
-    storage is installed with one host-side swap (RCU). Requires
-    [pools]. Errors on plain (undistributed) arrays. *)
+    descriptor, every element is copied ({!copy_elem}) from its old word
+    to its new one under the schedule, and the new storage is installed
+    with one host-side swap (RCU). Both words come from the same reshaped
+    element rule as {!word_addr}. Requires [pools]. Errors on plain
+    (undistributed) arrays. *)
 
 val word_addr : t -> int array -> int
-(** Word address of an element (Fortran indices). For reshaped arrays this
-    is the runtime oracle for the compiled Table 1 address computation. *)
+(** Word address of an element (Fortran indices); raises
+    [Invalid_argument] naming the array, index and dimension when an index
+    is out of bounds. Plain and regular arrays: the base plus the
+    column-major offset ({!Ddsm_dist.Intmath.linear} over the extents).
+    Reshaped arrays: the owner's portion base plus the column-major offset
+    of the element's local offsets inside the storage box — the runtime
+    oracle for the compiled Table 1 address computation, and the rule a
+    relayout copies by. *)
+
+val copy_elem : Heap.t -> elem -> src:int -> dst:int -> unit
+(** Copy one element word from [src] to [dst] in the heap plane of [elem]
+    (no timing): the one element copy of a reshaped relayout, a gather's
+    bulk fetch and its per-element fallback. *)
 
 val element_count : t -> int
 

@@ -222,12 +222,6 @@ let alloc_gather_scratch t ~src_array ~words =
   announce_alloc t ~name:src_array ~word_ranges:[ (base, base + padded - 1) ];
   base
 
-(* copy one source word into a scratch word *)
-let gather_copy t ~elem ~src ~dst =
-  match (elem : Darray.elem) with
-  | Darray.Real -> Heap.set_real t.heap dst (Heap.get_real t.heap src)
-  | Darray.Int -> Heap.set_int t.heap dst (Heap.get_int t.heap src)
-
 (* One bulk fetch of [addrs]' first [slots] words into the scratch at
    [scratch], under the retry rule: a successful attempt copies every
    slot at once; when every attempt fails, scratch is left for the
@@ -242,7 +236,7 @@ let gather_fetch t ~elem ~addrs ~scratch ~slots =
   match fetched with
   | Some () ->
       for i = 0 to slots - 1 do
-        gather_copy t ~elem ~src:addrs.(i) ~dst:(scratch + i)
+        Darray.copy_elem t.heap elem ~src:addrs.(i) ~dst:(scratch + i)
       done;
       { retries; fell_back = false }
   | None ->

@@ -183,11 +183,8 @@ val gather_fetch :
     plan, and under the retry rule the first that the plan does not fail
     copies every slot. When all fail, [fell_back] is set and scratch is
     untouched: the caller fetches each slot through timed loads and
-    {!gather_copy}. The caller charges a backoff per retry and, when
+    {!Darray.copy_elem}. The caller charges a backoff per retry and, when
     fetched, the round schedule. *)
-
-val gather_copy : t -> elem:Darray.elem -> src:int -> dst:int -> unit
-(** Copy the word at [src] into the scratch word [dst] (no timing). *)
 
 val read : t -> addr:int -> elem:Darray.elem -> float
 (** Raw data read (no timing); integers are returned as floats for the VM's

@@ -254,6 +254,54 @@ let test_gather_fail_later () =
   check_int "3 retries" 3 rt.Rt.gather_retries;
   check_int "1 fallback" 1 rt.Rt.gather_fallbacks
 
+(* A cache hit allocates no key: a serial sweep re-runs a one-slot,
+   three-dimensional gather [sweeps] times, so the key (two versions and
+   six bounds) would weigh more than the executor's one scratch load.
+   Minor words per sweep, over the whole run (compile, elaboration,
+   execution); the bound sits about 10% above the value measured with
+   OCaml 5.1.1 (beside it). A key built on every hit (bound arrays and a
+   tuple) costs about 29 words per sweep, far past it. *)
+let test_hit_allocates_no_key () =
+  let sweeps = 20_000 in
+  let src =
+    Printf.sprintf
+      {|      program t
+      integer i, j, k, s, n, m
+      integer a(8), ix(4)
+c$distribute a(block)
+      do i = 1, 8
+        a(i) = i
+      enddo
+      do i = 1, 4
+        ix(i) = 9 - (2 * i)
+      enddo
+      n = 0
+      do s = 1, %d
+        m = s
+        do k = 1, 1
+          do j = 1, 1
+            do i = 1, 1
+              n = n + a(ix(i))
+            enddo
+          enddo
+        enddo
+      enddo
+      print *, n
+      end
+|}
+      sweeps
+  in
+  let before = Gc.minor_words () in
+  let o, rt = run ~nprocs:1 src in
+  let per_sweep = (Gc.minor_words () -. before) /. float_of_int sweeps in
+  check_string "sum" (string_of_int (7 * sweeps)) (String.trim (prints o));
+  check_int "one inspection" 1 rt.Rt.gather_inspections;
+  check_int "one bulk fetch per sweep" sweeps (fetches rt);
+  let bound = 25.5 (* 23.2 *) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f words per sweep (bound %.2f)" per_sweep bound)
+    true (per_sweep <= bound)
+
 let test_fault_spec_roundtrip () =
   let t = Fault.make ~gather_fail:3 () in
   match Fault.of_spec (Fault.to_spec t) with
@@ -273,6 +321,8 @@ let () =
             test_index_write_invalidates;
           Alcotest.test_case "redistribute invalidates" `Quick
             test_redistribute_invalidates;
+          Alcotest.test_case "a hit allocates no key" `Quick
+            test_hit_allocates_no_key;
         ] );
       ( "gather-fail",
         [

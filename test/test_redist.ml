@@ -280,6 +280,111 @@ let test_reshaped_rcu_preserves_values () =
   readback "values after regrow";
   check_int "audit clean after RCU installs" 0 (List.length (Rt.audit rt))
 
+(* Reshaped relayouts in 1-3 dimensions: a distinct value in every
+   element, one or two redistributions (any kinds, [*] included, random
+   onto weights and grid resizes) on 1-16 job processors, and every
+   element read back through [Darray.word_addr] -- so the storage-box
+   strides of the old and the new layout both take part -- with a clean
+   audit. Two elements sharing a word would lose one value. *)
+
+type relayout = {
+  r_nprocs : int;
+  r_elem : Darray.elem;
+  r_extents : int array;
+  r_dists : (Kind.t array * int array option * int option) list;
+      (** the declared distribution first, then each redistribution:
+          kinds, onto weights, [~procs] resize (unused on the first) *)
+}
+
+let gen_any_kind =
+  QCheck.Gen.(frequency [ (1, return Kind.Star); (4, gen_kind) ])
+
+let gen_relayout =
+  QCheck.Gen.(
+    let* nd = int_range 1 3 in
+    let emax = [| 40; 12; 6 |].(nd - 1) in
+    let* r_extents = array_size (return nd) (int_range 1 emax) in
+    let gen_dist =
+      let* kinds = array_size (return nd) gen_any_kind in
+      let ndist =
+        Array.fold_left
+          (fun n k -> if Kind.is_distributed k then n + 1 else n)
+          0 kinds
+      in
+      let* onto =
+        if ndist = 0 then return None
+        else opt (array_size (return ndist) (int_range 1 4))
+      in
+      let* procs = opt (int_range 1 20) in
+      return (kinds, onto, procs)
+    in
+    let* r_dists = list_size (int_range 2 3) gen_dist in
+    let* r_nprocs = int_range 1 16 in
+    let* r_elem = oneofl [ Darray.Real; Darray.Int ] in
+    return { r_nprocs; r_elem; r_extents; r_dists })
+
+let print_relayout r =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "{nprocs=%d; %s; extents=(%s); dists=[%s]}" r.r_nprocs
+    (match r.r_elem with Darray.Real -> "real" | Darray.Int -> "int")
+    (ints r.r_extents)
+    (String.concat "; "
+       (List.map
+          (fun (kinds, onto, procs) ->
+            Printf.sprintf "(%s)%s%s"
+              (String.concat ","
+                 (Array.to_list (Array.map (Format.asprintf "%a" Kind.pp) kinds)))
+              (match onto with None -> "" | Some w -> " onto(" ^ ints w ^ ")")
+              (match procs with
+              | None -> ""
+              | Some p -> Printf.sprintf " procs=%d" p))
+          r.r_dists))
+
+(* every Fortran index tuple of the extents, first dimension fastest *)
+let all_indices extents =
+  let n = Array.fold_left ( * ) 1 extents in
+  List.init n (fun lin ->
+      let rest = ref lin in
+      Array.map
+        (fun e ->
+          let i = !rest mod e in
+          rest := !rest / e;
+          i + 1)
+        extents)
+
+let prop_reshaped_relayout_values =
+  QCheck.Test.make ~count:200
+    ~name:"reshaped relayouts keep every value (1-3 dims)"
+    (QCheck.make ~print:print_relayout gen_relayout)
+    (fun r ->
+      let rt = mk ~nprocs:r.r_nprocs () in
+      let kinds, onto, _ = List.hd r.r_dists in
+      let a =
+        Rt.declare_reshaped rt ~name:"R" ~elem:r.r_elem ~extents:r.r_extents
+          ~kinds ?onto ()
+      in
+      let idxs = all_indices r.r_extents in
+      let value k = float_of_int ((7 * k) + 3) in
+      List.iteri
+        (fun k idx ->
+          Rt.write rt ~addr:(Darray.word_addr a idx) ~elem:r.r_elem (value k))
+        idxs;
+      List.for_all
+        (fun (kinds, onto, procs) ->
+          match Rt.redistribute rt ~name:"R" ~kinds ?onto ?procs () with
+          | Error m -> QCheck.Test.fail_reportf "redistribute: %s" m
+          | Ok { Rt.fell_back = true; _ } ->
+              QCheck.Test.fail_report "fell back without a fault plan"
+          | Ok _ ->
+              List.for_all Fun.id
+                (List.mapi
+                   (fun k idx ->
+                     Rt.read rt ~addr:(Darray.word_addr a idx) ~elem:r.r_elem
+                     = value k)
+                   idxs))
+        (List.tl r.r_dists)
+      && Rt.audit rt = [])
+
 (* ------------------------------------------------------------------ *)
 (* checked real->int element conversion *)
 
@@ -326,6 +431,7 @@ let () =
         [
           Alcotest.test_case "values survive redistribute + resize" `Quick
             test_reshaped_rcu_preserves_values;
+          QCheck_alcotest.to_alcotest ~long:false prop_reshaped_relayout_values;
         ] );
       ( "int-elements",
         [ Alcotest.test_case "checked real->int rule" `Quick test_int_of_real ] );
