@@ -29,7 +29,8 @@ val linear : radices:int array -> int array -> int
 (** [linear ~radices idx] is the mixed-radix (column-major, first digit
     fastest) number of the digits [idx]:
     [idx.(0) + radices.(0) * (idx.(1) + radices.(1) * (...))]. It is the
-    one rule for a processor number over a grid, an element's offset in
-    column-major storage and its offset in a reshaped portion's storage
-    box. No range check: each caller checks its digits against its own
+    rule for a processor number over a grid and an element's offset in
+    column-major storage; {!Layout.owner} and {!Layout.local} fold an
+    element's owner and storage-box digits by the same rule as they
+    compute them, without the digit array. No range check: each caller checks its digits against its own
     radices. *)

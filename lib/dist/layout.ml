@@ -23,15 +23,20 @@ let nprocs t = t.grid.Grid.total
 let check_tuple t idx =
   if Array.length idx <> ndims t then invalid_arg "Layout: index arity mismatch"
 
-let owner_tuple t idx =
+(* The one per-element digit fold: [digit] of each dimension's map at the
+   element's index, folded mixed-radix over [radices] with the first
+   dimension fastest ({!Intmath.linear} without building the digit tuple,
+   so an element's owner or local offset allocates nothing). *)
+let fold_digits t ~radices digit idx =
   check_tuple t idx;
-  Array.mapi (fun d i -> Dim_map.owner t.dims.(d) i) idx
+  let n = ref 0 in
+  for d = Array.length idx - 1 downto 0 do
+    n := (!n * radices.(d)) + digit t.dims.(d) idx.(d)
+  done;
+  !n
 
-let owner t idx = Grid.linear t.grid (owner_tuple t idx)
-
-let offsets t idx =
-  check_tuple t idx;
-  Array.mapi (fun d i -> Dim_map.offset t.dims.(d) i) idx
+let owner t idx = fold_digits t ~radices:t.grid.Grid.per_dim Dim_map.owner idx
+let local t ~stor idx = fold_digits t ~radices:stor Dim_map.offset idx
 
 let storage_extents t = Array.map Dim_map.storage_extent t.dims
 

@@ -24,10 +24,16 @@ val make :
 val nprocs : t -> int
 
 val owner : t -> int array -> int
-(** Linear processor owning an element. *)
+(** Linear processor owning an element (0-based index tuple): the
+    per-dimension owners folded over the processor grid, first dimension
+    fastest, without building the owner tuple. *)
 
-val offsets : t -> int array -> int array
-(** Per-dimension local offsets of an element within its owner's portion. *)
+val local : t -> stor:int array -> int array -> int
+(** [local t ~stor idx] is the word offset of an element (0-based index
+    tuple) inside its owner's storage box: the per-dimension local offsets
+    (Table 1 [mod] row) folded column-major over [stor], which must be
+    {!storage_extents}[ t] (passed in so a caller holding the box, such as
+    a reshaped array's storage record, does not rebuild it per element). *)
 
 val storage_extents : t -> int array
 (** Uniform per-processor storage shape used by the reshaped-storage manager

@@ -16,6 +16,10 @@
       block (distribution parameters and the processor-pointer array) that
       compiled code loads when computing Table 1 addresses.
 
+    The {!storage} variant is the one record of an array's class: each
+    case carries exactly what its class has, so a distributed array's
+    layout and descriptor block cannot disagree with its storage.
+
     Indices passed to this module are Fortran-style (respecting each
     dimension's lower bound, usually 1). *)
 
@@ -37,10 +41,21 @@ module Meta : sig
 end
 
 type storage =
-  | Normal of { base : int }  (** column-major at this word address *)
+  | Plain of { base : int }  (** column-major at this word address *)
+  | Regular of {
+      base : int;  (** column-major at this word address *)
+      layout : Layout.t;
+      meta : int;
+          (** word address of the descriptor block, so compiled affinity
+              scheduling can load [P] and [b] at run time *)
+    }
   | Reshaped of {
-      meta_base : int;  (** word address of the descriptor block *)
+      layout : Layout.t;
+      meta : int;  (** word address of the descriptor block *)
       bases : int array;  (** host-side copy of the processor-pointer array *)
+      stor : int array;
+          (** the storage box, {!Ddsm_dist.Layout.storage_extents} of
+              [layout], computed once *)
       portion_words : int;  (** per-processor storage-box size *)
     }
 
@@ -49,16 +64,10 @@ type t = {
   elem : elem;
   extents : int array;
   lower : int array;  (** per-dimension lower bounds *)
-  mutable layout : Layout.t option;  (** [Some] iff distributed *)
-  reshaped : bool;
   mutable storage : storage;
-      (** mutable for the RCU install of {!redistribute}: a reshaped
-          relayout builds new portions and descriptor aside, then swaps
-          them in here in one step *)
-  mutable meta : int option;
-      (** word address of the descriptor block; present for every
-          distributed array (regular or reshaped) so compiled affinity
-          scheduling can load [P] and [b] at runtime *)
+      (** mutable for {!redistribute}: a relayout installs its new layout
+          (and, reshaped, the portions and descriptor built aside) with
+          one write of this field *)
   mutable canaries : (int * int) list;
       (** guard words [(addr, pattern)] planted around every allocation
           this array owns (storage, descriptor block, reshaped portions);
@@ -91,7 +100,7 @@ val alloc_regular :
 (** Regular distribution: plain storage plus explicit page placement. *)
 
 val alloc_reshaped :
-  Heap.t -> Ddsm_machine.Memsys.t -> Pools.t -> name:string -> elem:elem ->
+  Heap.t -> Pools.t -> name:string -> elem:elem ->
   extents:int array -> ?lower:int array -> kinds:Kind.t array ->
   ?onto:int array -> nprocs:int -> unit -> t
 
@@ -105,17 +114,10 @@ type outcome = {
           transfers within a round parallel) *)
 }
 
-type progress =
-  | Moved of outcome
-  | Busy
-      (** an injected page-migration failure aborted the attempt; every
-          already-applied move was rolled back, so placement, layout and
-          descriptor are all still the OLD state — retryable *)
-
 val redistribute :
-  t -> Heap.t -> Ddsm_machine.Memsys.t -> ?pools:Pools.t ->
+  t -> Heap.t -> Ddsm_machine.Memsys.t -> Pools.t ->
   kinds:Kind.t array -> ?onto:int array -> nprocs:int -> unit ->
-  (progress, string) result
+  outcome option
 (** [c$redistribute]: transition a distributed array to new distribution
     kinds — and possibly a new processor count [nprocs] (resizable
     onto-grid) — under the minimal-communication schedule of
@@ -124,25 +126,30 @@ val redistribute :
     Regular arrays: every page move is planned first, ordered by the
     round schedule, and applied through the bulk machine entry
     ({!Ddsm_machine.Memsys.migrate_pages}); pages, layout and descriptor
-    commit together or not at all.
+    commit together or not at all. [None] when an injected page-migration
+    failure aborted the attempt: every already-applied move was rolled
+    back, so placement, layout and descriptor are all still the old state
+    — retryable.
 
     Reshaped arrays: the new portions and descriptor block are built
-    aside while readers keep resolving addresses through the old
-    descriptor, every element is copied ({!copy_elem}) from its old word
-    to its new one under the schedule, and the new storage is installed
-    with one host-side swap (RCU). Both words come from the same reshaped
-    element rule as {!word_addr}. Requires [pools]. Errors on plain
-    (undistributed) arrays. *)
+    aside (in [pools]) while readers keep resolving addresses through the
+    old descriptor, every element is copied ({!copy_elem}) from its old
+    word to its new one under the schedule, and the new storage is
+    installed with one write of [storage] (RCU). Both words come from the
+    same element rule as {!word_addr}.
+
+    Raises [Invalid_argument] on a plain (undistributed) array: callers
+    reject those first. *)
 
 val word_addr : t -> int array -> int
 (** Word address of an element (Fortran indices); raises
     [Invalid_argument] naming the array, index and dimension when an index
     is out of bounds. Plain and regular arrays: the base plus the
     column-major offset ({!Ddsm_dist.Intmath.linear} over the extents).
-    Reshaped arrays: the owner's portion base plus the column-major offset
-    of the element's local offsets inside the storage box — the runtime
+    Reshaped arrays: the owner's portion base plus the element's offset
+    inside the storage box ({!Ddsm_dist.Layout.local}) — the runtime
     oracle for the compiled Table 1 address computation, and the rule a
-    relayout copies by. *)
+    relayout copies by. Allocates only the 0-based index tuple. *)
 
 val copy_elem : Heap.t -> elem -> src:int -> dst:int -> unit
 (** Copy one element word from [src] to [dst] in the heap plane of [elem]

@@ -112,7 +112,7 @@ let declare_regular t ~name ~elem ~extents ?lower ~kinds ?onto () =
 
 let declare_reshaped t ~name ~elem ~extents ?lower ~kinds ?onto () =
   register t
-    (Darray.alloc_reshaped t.heap t.mem t.pools ~name ~elem ~extents ?lower
+    (Darray.alloc_reshaped t.heap t.pools ~name ~elem ~extents ?lower
        ~kinds ?onto ~nprocs:t.job_procs ())
 
 (* The one retry rule for bulk operations the fault plan can fail
@@ -135,7 +135,7 @@ let retry attempt =
 let redistribute t ~name ~kinds ?onto ?procs () =
   match Hashtbl.find_opt t.arrays name with
   | None -> Error (Printf.sprintf "redistribute: unknown array %s" name)
-  | Some a when Option.is_none a.Darray.layout ->
+  | Some { Darray.storage = Darray.Plain _; _ } ->
       Error (Printf.sprintf "redistribute: %s is not a distributed array" name)
   | Some a -> (
       (* onto-grid resize: the requested processor count is clamped to the
@@ -151,14 +151,7 @@ let redistribute t ~name ~kinds ?onto ?procs () =
          (migrate-fail) *)
       let attempt () =
         if Fault.fails (Memsys.faults t.mem) Fault.Redist_attempt then None
-        else
-          match
-            Darray.redistribute a t.heap t.mem ~pools:t.pools ~kinds ?onto
-              ~nprocs ()
-          with
-          | Ok (Darray.Moved o) -> Some o
-          | Ok Darray.Busy -> None
-          | Error m -> invalid_arg ("Rt.redistribute: " ^ m)
+        else Darray.redistribute a t.heap t.mem t.pools ~kinds ?onto ~nprocs ()
       in
       let moved, retries = retry attempt in
       t.redist_retries <- t.redist_retries + retries;
@@ -183,9 +176,11 @@ let redistribute t ~name ~kinds ?onto ?procs () =
           Darray.bump_version a;
           (* a reshaped relayout installs new portions; a regular one moves
              pages, not addresses *)
-          if a.Darray.reshaped then
-            announce_alloc t ~name:a.Darray.name
-              ~word_ranges:(Darray.word_ranges a);
+          (match a.Darray.storage with
+          | Darray.Reshaped _ ->
+              announce_alloc t ~name:a.Darray.name
+                ~word_ranges:(Darray.word_ranges a)
+          | Darray.Plain _ | Darray.Regular _ -> ());
           Ok
             {
               moved = o.Darray.pages_moved;

@@ -424,11 +424,24 @@ let prop_layout_roundtrip =
     layout_arb (fun l ->
       let ok = ref true in
       let total = ref 0 in
+      let stor = Layout.storage_extents l in
+      let box = Array.fold_left ( * ) 1 stor in
       for p = 0 to Layout.nprocs l - 1 do
         Layout.iter_portion l ~proc:p (fun idx ->
             incr total;
             if Layout.owner l idx <> p then ok := false;
-            let offs = Layout.offsets l idx in
+            let lin = Layout.local l ~stor idx in
+            if lin < 0 || lin >= box then ok := false;
+            (* de-linearise over the storage box, first dimension fastest *)
+            let rest = ref lin in
+            let offs =
+              Array.map
+                (fun n ->
+                  let o = !rest mod n in
+                  rest := !rest / n;
+                  o)
+                stor
+            in
             let back = global_of l ~proc:p ~offsets:offs in
             if back <> idx then ok := false)
       done;

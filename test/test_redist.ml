@@ -386,6 +386,64 @@ let prop_reshaped_relayout_values =
       && Rt.audit rt = [])
 
 (* ------------------------------------------------------------------ *)
+(* host allocation of reshaped addressing and relayouts: the storage
+   record carries the layout and its storage box, so an element's word
+   address allocates only its 0-based index tuple (3 words in 2 dims) and
+   a relayout's copy allocates nothing per element *)
+
+let mk_origin ~nprocs =
+  Rt.create (Config.origin2000 ~nprocs) ~policy:Pagetable.First_touch
+    ~heap_words:(1 lsl 20) ()
+
+let test_word_addr_allocation () =
+  let rt = mk_origin ~nprocs:16 in
+  let a =
+    Rt.declare_reshaped rt ~name:"A" ~elem:Darray.Real ~extents:[| 96; 96 |]
+      ~kinds:[| Kind.Block; Kind.Cyclic_k 5 |] ()
+  in
+  let idx = [| 0; 0 |] in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for j = 1 to 96 do
+    for i = 1 to 96 do
+      idx.(0) <- i;
+      idx.(1) <- j;
+      sum := !sum + Darray.word_addr a idx
+    done
+  done;
+  let per = (Gc.minor_words () -. before) /. float_of_int (96 * 96) in
+  check_bool "addresses computed" true (!sum > 0);
+  check_bool
+    (Printf.sprintf "word_addr: %.2f minor words per call (bound 3)" per)
+    true (per <= 3.0)
+
+let test_relayout_allocation () =
+  let rt = mk_origin ~nprocs:16 in
+  let extents = [| 40; 30; 20 |] in
+  let _ =
+    Rt.declare_reshaped rt ~name:"R" ~elem:Darray.Real ~extents
+      ~kinds:[| Kind.Block; Kind.Cyclic; Kind.Star |] ()
+  in
+  let kinds =
+    [| [| Kind.Cyclic; Kind.Block; Kind.Star |];
+       [| Kind.Block; Kind.Cyclic; Kind.Star |] |]
+  in
+  let relayouts = 6 in
+  let before = Gc.minor_words () in
+  for r = 0 to relayouts - 1 do
+    match Rt.redistribute rt ~name:"R" ~kinds:kinds.(r mod 2) () with
+    | Ok { Rt.fell_back = false; _ } -> ()
+    | Ok _ -> Alcotest.fail "fell back without a fault plan"
+    | Error m -> Alcotest.failf "redistribute: %s" m
+  done;
+  let elements = relayouts * Array.fold_left ( * ) 1 extents in
+  let per = (Gc.minor_words () -. before) /. float_of_int elements in
+  check_bool
+    (Printf.sprintf "relayout: %.2f minor words per element copied (bound 5)"
+       per)
+    true (per <= 5.0)
+
+(* ------------------------------------------------------------------ *)
 (* checked real->int element conversion *)
 
 let test_int_of_real () =
@@ -432,6 +490,13 @@ let () =
           Alcotest.test_case "values survive redistribute + resize" `Quick
             test_reshaped_rcu_preserves_values;
           QCheck_alcotest.to_alcotest ~long:false prop_reshaped_relayout_values;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "word_addr at most 3 words per call" `Quick
+            test_word_addr_allocation;
+          Alcotest.test_case "relayout at most 5 words per element" `Quick
+            test_relayout_allocation;
         ] );
       ( "int-elements",
         [ Alcotest.test_case "checked real->int rule" `Quick test_int_of_real ] );

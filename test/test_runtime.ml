@@ -158,13 +158,18 @@ let test_regular_row_dist_collapses () =
 (* ------------------------------------------------------------------ *)
 (* Darray: reshaped storage *)
 
+let layout_of (a : Darray.t) =
+  match a.Darray.storage with
+  | Darray.Regular { layout; _ } | Darray.Reshaped { layout; _ } -> layout
+  | Darray.Plain _ -> Alcotest.failf "array %s is not distributed" a.Darray.name
+
 let test_reshaped_addresses_local () =
   let rt = mk () in
   let a =
     Rt.declare_reshaped rt ~name:"A" ~elem:Darray.Real ~extents:[| 64; 8 |]
       ~kinds:[| Kind.Block; Kind.Star |] ()
   in
-  let layout = Option.get a.Darray.layout in
+  let layout = layout_of a in
   (* every element's word address must live on the owner's node *)
   for j = 1 to 8 do
     for i = 1 to 64 do
@@ -191,7 +196,7 @@ let test_reshaped_injective () =
       check_bool "address unique" false (Hashtbl.mem seen addr);
       Hashtbl.replace seen addr (i, j);
       (* and within the owner's portion box *)
-      let layout = Option.get a.Darray.layout in
+      let layout = layout_of a in
       let p = Layout.owner layout [| i - 1; j - 1 |] in
       let base = Darray.portion_base a ~proc:p in
       let words = Darray.portion_words a ~proc:p in
