@@ -78,15 +78,6 @@ let run_once linked ~nprocs ~policy ~machine ~heap_words ~checks ~bounds
       Ddsm.run prog ~rt ~checks ~bounds ?max_cycles ~audit ?profile ?sanitize
         ()
 
-let describe_report (r : Ddsm.Sanitize.report) =
-  let acc w = if w then "write" else "read" in
-  Printf.sprintf "array %s: p%d %s (%s) unordered with p%d %s (%s) at byte %d"
-    r.Ddsm.Sanitize.rep_array r.Ddsm.Sanitize.rep_first_proc
-    (acc r.Ddsm.Sanitize.rep_first_write)
-    r.Ddsm.Sanitize.rep_first_region r.Ddsm.Sanitize.rep_second_proc
-    (acc r.Ddsm.Sanitize.rep_second_write)
-    r.Ddsm.Sanitize.rep_second_region r.Ddsm.Sanitize.rep_addr
-
 (* --differential N: the transparency oracle. The same image runs under N
    extra configurations with randomized placement policy, processor count
    and fault plan; since directives (and faults) may affect only
@@ -272,7 +263,7 @@ let run image nprocs policy machine heap_words stats no_checks bounds
                               List.map
                                 (fun r ->
                                   Ddsm.Audit.v "data-race" "%s"
-                                    (describe_report r))
+                                    (Ddsm.Sanitize.describe r))
                                 races;
                           });
                 if stats then begin

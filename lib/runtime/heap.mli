@@ -6,9 +6,12 @@
     (array descriptors, processor-pointer arrays). Word address [w]
     corresponds to byte address [8*w] in the machine.
 
-    A simple bump allocator: the Fortran programs we run allocate everything
-    at startup and never free (common blocks and local arrays with program
-    lifetime), so no free list is needed. *)
+    A simple bump allocator with no free list. Static storage (common
+    blocks and local arrays with program lifetime) is allocated at
+    start-up, but a reshaped relayout allocates new portions and a new
+    descriptor block at run time, and so does each gather's scratch
+    buffer; nothing frees either yet (ROADMAP item 12: reclaim the
+    storage a relayout leaves behind). *)
 
 type t
 

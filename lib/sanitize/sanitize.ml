@@ -477,6 +477,14 @@ let report_json t =
       ("reports", Json.List (List.map report_obj (races t @ false_sharing t)));
     ]
 
+let describe r =
+  Printf.sprintf "array %s: p%d %s (%s) unordered with p%d %s (%s) at byte %d"
+    r.rep_array r.rep_first_proc
+    (access_desc r.rep_first_write)
+    r.rep_first_region r.rep_second_proc
+    (access_desc r.rep_second_write)
+    r.rep_second_region r.rep_addr
+
 let pp_one ppf r =
   let what =
     match r.rep_kind with
@@ -484,12 +492,7 @@ let pp_one ppf r =
     | Line_sharing -> "false sharing (cache line)"
     | Page_sharing -> "false sharing (page)"
   in
-  Format.fprintf ppf "%s: array %s: p%d %s (%s) unordered with p%d %s (%s) at byte %d"
-    what r.rep_array r.rep_first_proc
-    (access_desc r.rep_first_write)
-    r.rep_first_region r.rep_second_proc
-    (access_desc r.rep_second_write)
-    r.rep_second_region r.rep_addr
+  Format.fprintf ppf "%s: %s" what (describe r)
 
 let pp_report ppf t =
   Format.fprintf ppf "sanitizer: %d data race(s), %d false-sharing pair(s)%s@."

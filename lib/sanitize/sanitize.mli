@@ -50,6 +50,10 @@ type report = {
   rep_second_region : string;
 }
 
+val describe : report -> string
+(** One line naming the array, the two accesses (processor, read or write,
+    region) and the byte address: the text of every printed report. *)
+
 type t
 
 val create : nprocs:int -> line_bytes:int -> page_bytes:int -> unit -> t

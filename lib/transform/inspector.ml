@@ -180,22 +180,6 @@ let body_admissible stmts =
 
 (* ---- the pass ----------------------------------------------------- *)
 
-type site = {
-  st_id : int;
-  st_target : string;
-  st_index : string;
-  st_scale : int;
-  st_off : int;
-  st_isubs : Expr.t list;
-  st_ty : Types.ty;
-}
-
-let site_matches s ~target ~index ~scale ~off ~isubs =
-  s.st_target = target && s.st_index = index && s.st_scale = scale
-  && s.st_off = off
-  && List.length s.st_isubs = List.length isubs
-  && List.for_all2 Expr.equal s.st_isubs isubs
-
 (* iteration slot of the current loop-variable values: Horner over the
    rectangle extents, innermost dimension fastest -- the same
    linearization [Stmt.Gather]'s inspection walk uses *)
@@ -247,6 +231,9 @@ let routine tctx (r : Decl.routine) : Decl.routine =
           let isub_var_ok v =
             List.mem v nest_vars || not (List.mem v assigned)
           in
+          (* a reference the nest can gather: the gather it needs (its
+             [g_id] set when the site is first seen) and the target's
+             element type *)
           let candidate e =
             match e with
             | Expr.Ref (target, [ sub ]) -> (
@@ -272,34 +259,32 @@ let routine tctx (r : Decl.routine) : Decl.routine =
                              && iai.Sema.ai_ty = Types.Tint
                              && List.length iai.Sema.ai_los
                                 = List.length isubs ->
-                          Some (scale, index, isubs, off, tai.Sema.ai_ty)
+                          Some
+                            ( {
+                                Stmt.g_id = -1;
+                                g_target = target;
+                                g_index = index;
+                                g_scale = scale;
+                                g_off = off;
+                                g_dims = dims;
+                                g_isubs = isubs;
+                              },
+                              tai.Sema.ai_ty )
                       | _ -> None)
                     else None)
             | _ -> None
           in
           let sites = ref [] in
-          let site_for target scale index isubs off ty =
+          let site_id (g : Stmt.gather) =
             match
-              List.find_opt
-                (site_matches ~target ~index ~scale ~off ~isubs)
-                !sites
+              List.find_opt (fun s -> { s with Stmt.g_id = -1 } = g) !sites
             with
-            | Some s -> s
+            | Some s -> s.Stmt.g_id
             | None ->
-                let s =
-                  {
-                    st_id = !next_id;
-                    st_target = target;
-                    st_index = index;
-                    st_scale = scale;
-                    st_off = off;
-                    st_isubs = isubs;
-                    st_ty = ty;
-                  }
-                in
+                let id = !next_id in
                 incr next_id;
-                sites := s :: !sites;
-                s
+                sites := { g with Stmt.g_id = id } :: !sites;
+                id
           in
           let slot = slot_expr dims in
           let rewrite_expr e =
@@ -307,18 +292,12 @@ let routine tctx (r : Decl.routine) : Decl.routine =
               (fun node ->
                 match candidate node with
                 | None -> node
-                | Some (scale, index, isubs, off, ty) ->
-                    let target =
-                      match node with
-                      | Expr.Ref (t, _) -> t
-                      | _ -> assert false
-                    in
-                    let s = site_for target scale index isubs off ty in
+                | Some (g, ty) ->
                     Expr.simplify
                       (Expr.AbsLoad
-                         ( s.st_ty,
+                         ( ty,
                            Expr.Bin
-                             (Expr.Add, Expr.GatherBase s.st_id, slot) )))
+                             (Expr.Add, Expr.GatherBase (site_id g), slot) )))
               e
           in
           (* only top-level assignments of the innermost body: a reference
@@ -342,18 +321,7 @@ let routine tctx (r : Decl.routine) : Decl.routine =
           else
             let gathers =
               List.rev_map
-                (fun s ->
-                  Stmt.mk ~loc:root.Stmt.loc
-                    (Stmt.Gather
-                       {
-                         Stmt.g_id = s.st_id;
-                         g_target = s.st_target;
-                         g_index = s.st_index;
-                         g_scale = s.st_scale;
-                         g_off = s.st_off;
-                         g_dims = dims;
-                         g_isubs = s.st_isubs;
-                       }))
+                (fun g -> Stmt.mk ~loc:root.Stmt.loc (Stmt.Gather g))
                 !sites
             in
             Some (gathers @ [ rebuild_root (rebuild body') ])
