@@ -135,6 +135,7 @@ let counts plan ~nprocs =
   { plan; translations = Array.make nprocs 0; seen = Array.make 5 0 }
 
 let count c ev = c.seen.(slot ev)
+let translations c ~proc = c.translations.(proc)
 
 (* Every count is 1-based: the event being counted is number [n]. *)
 let fails c ev =
@@ -151,6 +152,15 @@ let fails c ev =
   | Redist_attempt -> n <= p.redist_fail
   | Wakeup -> n = p.lose_wakeup
   | Barrier_note -> n = p.drop_barrier
+
+let schedules c ev =
+  let p = c.plan in
+  match ev with
+  | Migration -> p.migrate_fail > 0
+  | Gather_fetch -> p.gather_fail > 0
+  | Redist_attempt -> p.redist_fail > 0
+  | Wakeup -> p.lose_wakeup > 0
+  | Barrier_note -> p.drop_barrier > 0
 
 (* translations are counted only under a flush period: nothing else reads
    them *)

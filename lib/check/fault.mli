@@ -84,7 +84,12 @@ val random : seed:int -> nnodes:int -> t
     sometimes periodic TLB flushes and a few redistribution failures.
     Never includes [lose_wakeup]. Same seed, same plan. *)
 
-(** {2 Queries made by the machine model} *)
+(** {2 Queries made by the machine model}
+
+    Each folds one of the plan's lists, allocating a closure, so none is
+    asked per access: the machine looks [mem_extra] and [dir_extra] up
+    once per node when it is created, and asks [link_extra] only when the
+    plan names a slow link. *)
 
 val mem_extra : t -> node:int -> int
 (** Extra service cycles at [node]'s memory module. *)
@@ -126,13 +131,24 @@ val fails : counts -> event -> bool
 (** Count one more [event], machine-wide, and say whether the plan makes
     this one fail (for [Wakeup]: lost; for [Barrier_note]: dropped). *)
 
+val schedules : counts -> event -> bool
+(** Whether the plan makes any [event] fail at all. A caller on the
+    per-access path asks {!fails} only when it does, so under a plan that
+    schedules none of them such events are not counted — the rule
+    {!flush_tlb} follows for translations. The scheduler asks [Wakeup]
+    this way. *)
+
 val flush_tlb : counts -> proc:int -> bool
 (** Count one more translation by [proc] and say whether its TLB is
     flushed first: every [tlb_flush_period]-th translation of each
-    processor. Without a period nothing is counted. *)
+    processor. Without a period nothing is counted, and the machine does
+    not ask. *)
 
 (* Test-only: tests read how many events of a kind were counted. *)
 val count : counts -> event -> int
+
+(* Test-only: tests read how many translations [proc] counted. *)
+val translations : counts -> proc:int -> int
 
 (** {2 Parsing and printing} *)
 

@@ -40,21 +40,24 @@ let local t ~stor idx = fold_digits t ~radices:stor Dim_map.offset idx
 
 let storage_extents t = Array.map Dim_map.storage_extent t.dims
 
+(* First dimension fastest: recurse from the last dimension down. The
+   walk is top-level and takes its state as arguments, so it allocates no
+   closure per row. *)
+let rec box_dim ranges buf f d =
+  if d < 0 then f buf else box_ranges ranges buf f d ranges.(d)
+
+and box_ranges ranges buf f d = function
+  | [] -> ()
+  | (lo, hi) :: rest ->
+      for i = lo to hi do
+        buf.(d) <- i;
+        box_dim ranges buf f (d - 1)
+      done;
+      box_ranges ranges buf f d rest
+
 let iter_box ranges f =
   let buf = Array.make (Array.length ranges) 0 in
-  (* First dimension fastest: recurse from the last dimension down. *)
-  let rec outer_rev d =
-    if d < 0 then f buf
-    else
-      List.iter
-        (fun (lo, hi) ->
-          for i = lo to hi do
-            buf.(d) <- i;
-            outer_rev (d - 1)
-          done)
-        ranges.(d)
-  in
-  outer_rev (Array.length ranges - 1)
+  box_dim ranges buf f (Array.length ranges - 1)
 
 let portion_ranges t ~proc =
   let ow = Grid.delinear t.grid proc in

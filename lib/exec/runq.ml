@@ -122,6 +122,13 @@ let push t ~key v =
   end;
   if t.min_ok && key < t.min then t.min <- key
 
+(* first set bucket in whole words [w0 + i], [w0 + i + 1], ... round the
+   ring; top-level, so a scan allocates no closure *)
+let rec scan_words bits w0 i =
+  let w = (w0 + i) land (nwords - 1) in
+  let x = Array.unsafe_get bits w in
+  if x <> 0 then (w lsl 5) + ctz32 x else scan_words bits w0 (i + 1)
+
 (* key of the first non-empty bucket at or after the floor's (ring
    non-empty): the floor's word with the bits below it masked off, then
    whole words round the ring; the last of those is the floor's word
@@ -130,16 +137,7 @@ let scan t =
   let b0 = t.floor land mask in
   let w0 = b0 lsr 5 in
   let x = Array.unsafe_get t.bits w0 land (-1 lsl (b0 land 31)) in
-  let b =
-    if x <> 0 then (w0 lsl 5) + ctz32 x
-    else
-      let rec go i =
-        let w = (w0 + i) land (nwords - 1) in
-        let x = Array.unsafe_get t.bits w in
-        if x <> 0 then (w lsl 5) + ctz32 x else go (i + 1)
-      in
-      go 1
-  in
+  let b = if x <> 0 then (w0 lsl 5) + ctz32 x else scan_words t.bits w0 1 in
   t.floor + ((b - b0) land mask)
 
 let min_key t =

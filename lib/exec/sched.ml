@@ -35,6 +35,7 @@ type t = {
   runq : task Runq.t;
   max_cycles : int;
   access_ev : Rt.access;
+  loses_wakeup : bool; (* the fault plan drops a wakeup: count them *)
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;
@@ -49,6 +50,7 @@ let create ~rt ~max_cycles ~access_ev =
     runq = Runq.create ();
     max_cycles;
     access_ev;
+    loses_wakeup = Fault.schedules (Memsys.faults mem) Fault.Wakeup;
     parks = 0;
     direct_continues = 0;
     forks = 0;
@@ -112,8 +114,9 @@ let access s t waddr write k =
     fail s t (Diag.Cycle_budget { limit = s.max_cycles })
   else begin
     (* chaos fault: the completion wakeup is dropped and the task stays
-       parked forever — the watchdog's deadlock report must name it *)
-    if Fault.fails (Memsys.faults s.mem) Fault.Wakeup then begin
+       parked forever — the watchdog's deadlock report must name it.
+       Wakeups are counted only under a plan that drops one. *)
+    if s.loses_wakeup && Fault.fails (Memsys.faults s.mem) Fault.Wakeup then begin
       t.state <- Ready;
       t.resume <- k;
       t.lost_wakeup <- true;

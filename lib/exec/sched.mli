@@ -55,6 +55,9 @@ type t = {
   access_ev : Ddsm_runtime.Rt.access;
       (** the observers' access event; its region is set before every
           access *)
+  loses_wakeup : bool;
+      (** the fault plan drops a wakeup, so every access counts one
+          ({!Ddsm_check.Fault.schedules}); otherwise none is counted *)
   mutable parks : int;
   mutable direct_continues : int;
   mutable forks : int;

@@ -18,8 +18,6 @@ let make_iarr n v =
   Bigarray.Array1.fill a v;
   a
 
-type evicted = { line : int; dirty : bool }
-
 let is_pow2 x = x > 0 && x land (x - 1) = 0
 
 let log2 x =
@@ -50,16 +48,18 @@ let create (cfg : Config.cache_cfg) =
 
 let set_of_line t line = line land t.set_mask
 
-(* [s + w] stays inside [tags] by construction (set index is masked, way
-   bounded by assoc), so the probe loop can elide bounds checks *)
+(* the probe loop is top-level, so a probe allocates no closure; [tags]
+   is annotated so the load compiles inline instead of calling the
+   generic Bigarray accessor. [i] stays inside [tags] by construction
+   (set index masked, way bounded by assoc), so bounds checks are elided *)
+let rec find_from (tags : iarr) line i stop =
+  if i >= stop then -1
+  else if Bigarray.Array1.unsafe_get tags i = line then i
+  else find_from tags line (i + 1) stop
+
 let find_way t line =
   let s = (line land t.set_mask) * t.assoc in
-  let rec go w =
-    if w >= t.assoc then -1
-    else if Bigarray.Array1.unsafe_get t.tags (s + w) = line then s + w
-    else go (w + 1)
-  in
-  go 0
+  find_from t.tags line s (s + t.assoc)
 
 let probe t ~line = find_way t line >= 0
 
@@ -71,6 +71,12 @@ let touch t ~line =
     true
   end
   else false
+
+(* the victim packed into an int: [(line lsl 1) lor dirty], or
+   [no_victim]; line ids are non-negative, so -1 is free *)
+let no_victim = -1
+let victim_line v = v lsr 1
+let victim_dirty v = v land 1 = 1
 
 let insert t ~line ~dirty =
   let s = set_of_line t line * t.assoc in
@@ -94,16 +100,12 @@ let insert t ~line ~dirty =
     done
   end;
   let idx = !victim in
+  let old = Bigarray.Array1.unsafe_get t.tags idx in
   let ev =
-    if Bigarray.Array1.unsafe_get t.tags idx = -1 then None
-    else
-      Some
-        {
-          line = Bigarray.Array1.unsafe_get t.tags idx;
-          dirty = Bytes.unsafe_get t.dirty idx <> '\000';
-        }
+    if old = -1 then no_victim
+    else (old lsl 1) lor Char.code (Bytes.unsafe_get t.dirty idx)
   in
-  if ev = None then t.resident <- t.resident + 1;
+  if old = -1 then t.resident <- t.resident + 1;
   Bigarray.Array1.unsafe_set t.tags idx line;
   Bytes.unsafe_set t.dirty idx (if dirty then '\001' else '\000');
   Bigarray.Array1.unsafe_set t.age idx t.clock;

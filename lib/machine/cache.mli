@@ -8,8 +8,6 @@
 
 type t
 
-type evicted = { line : int; dirty : bool }
-
 val create : Config.cache_cfg -> t
 
 val probe : t -> line:int -> bool
@@ -18,9 +16,21 @@ val probe : t -> line:int -> bool
 val touch : t -> line:int -> bool
 (** Hit test that refreshes LRU on a hit. *)
 
-val insert : t -> line:int -> dirty:bool -> evicted option
+val insert : t -> line:int -> dirty:bool -> int
 (** Bring [line] in (it must not be present), evicting the set's LRU way if
-    the set is full. Returns the evicted line, if any. *)
+    the set is full. Returns the victim packed into an int,
+    [(line lsl 1) lor dirty], or {!no_victim} when a free way took the
+    line: a fill allocates nothing. Decode it with {!victim_line} and
+    {!victim_dirty}. *)
+
+val no_victim : int
+(** [-1]: the fill evicted nothing. *)
+
+val victim_line : int -> int
+(** The evicted line of a packed victim (not {!no_victim}). *)
+
+val victim_dirty : int -> bool
+(** Whether the evicted line of a packed victim was dirty. *)
 
 val set_dirty : t -> line:int -> unit
 (** Mark a resident line dirty. No-op if absent. *)

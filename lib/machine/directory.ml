@@ -44,17 +44,17 @@ let create ~nprocs =
     size = 0;
   }
 
+(* linear probe from slot [i]; top-level, so a query allocates no
+   closure *)
+let rec probe keys line mask i =
+  let k = Array.unsafe_get keys i in
+  if k = line || k < 0 then i else probe keys line mask ((i + 1) land mask)
+
 (* fibonacci hashing: top [lb] bits of the wrapped product spread the
    correlated low bits of line ids *)
 let slot_of t line =
   let mask = (1 lsl t.lb) - 1 in
-  let i = ref ((line * 0x9E3779B97F4A7C1) lsr (63 - t.lb)) in
-  i := !i land mask;
-  let rec probe i =
-    let k = Array.unsafe_get t.keys i in
-    if k = line || k < 0 then i else probe ((i + 1) land mask)
-  in
-  probe !i
+  probe t.keys line mask (((line * 0x9E3779B97F4A7C1) lsr (63 - t.lb)) land mask)
 
 let grow t =
   let okeys = t.keys and ost = t.st and osh = t.sh and onw = t.nwords in
@@ -160,27 +160,35 @@ let drop t ~line ~proc =
     end
   end
 
-(* highest-processor-first (the order is observable only through
-   trace/event interleaving, never through counters) *)
-let sharers_except t ~line ~proc =
+(* highest processor first (the order is observable only through
+   trace/event interleaving, never through counters); walks the sharer
+   words in place, a word with no sharer skipped *)
+let iter_sharers_except t ~line ~proc f x =
   let s = slot_of t line in
-  if t.keys.(s) < 0 then []
+  if t.keys.(s) < 0 then 0
   else
     let w = t.st.(s) in
-    if w = 0 then []
-    else if w land 1 = 1 then if w lsr 1 = proc then [] else [ w lsr 1 ]
+    if w = 0 then 0
+    else if w land 1 = 1 then
+      if w lsr 1 = proc then 0
+      else begin
+        f x ~line (w lsr 1);
+        1
+      end
     else begin
-      (* lowest first, each prepended; a word with no sharer is skipped *)
-      let acc = ref [] in
-      for k = 0 to t.nwords - 1 do
+      let n = ref 0 in
+      for k = t.nwords - 1 downto 0 do
         let word = t.sh.((s * t.nwords) + k) in
         if word <> 0 then
-          for b = 0 to min wbits (t.nprocs - (k * wbits)) - 1 do
+          for b = min wbits (t.nprocs - (k * wbits)) - 1 downto 0 do
             let p = (k * wbits) + b in
-            if p <> proc && word land (1 lsl b) <> 0 then acc := p :: !acc
+            if p <> proc && word land (1 lsl b) <> 0 then begin
+              f x ~line p;
+              incr n
+            end
           done
       done;
-      !acc
+      !n
     end
 
 let iter t f =

@@ -9,7 +9,8 @@
 
     The table is flat (open addressing over packed int arrays): the hot
     path asks only {!exclusive_owner}/{!is_uncached}, which read one packed
-    state word without allocating. The test-only [test/directory_ref.ml]
+    state word, and walks sharers with {!iter_sharers_except}; none of
+    them allocates. The test-only [test/directory_ref.ml]
     keeps the original map-based implementation as the differential-oracle
     reference. *)
 
@@ -38,8 +39,13 @@ val add_sharer : t -> line:int -> proc:int -> unit
 val drop : t -> line:int -> proc:int -> unit
 (** Remove [proc] from the line's sharers/ownership (cache eviction). *)
 
-val sharers_except : t -> line:int -> proc:int -> int list
-(** Processors, other than [proc], currently holding the line. *)
+val iter_sharers_except :
+  t -> line:int -> proc:int -> ('a -> line:int -> int -> unit) -> 'a -> int
+(** [iter_sharers_except t ~line ~proc f x] calls [f x ~line q] for each
+    processor [q], other than [proc], currently holding the line, highest
+    processor first, and returns how many it visited. It walks the sharer
+    bits in place: with [f] a top-level function, the walk allocates
+    nothing. [f] must not change the directory. *)
 
 val iter : t -> (line:int -> state -> unit) -> unit
 (** Visit every directory entry (including [Uncached] ones left behind by

@@ -35,7 +35,14 @@ type t = {
   l2_shift : int; (* log2 L2 line bytes *)
   l1_hit_cycles : int;
   tlb_miss_cycles : int;
+  node_of : int array; (* processor -> node *)
   plan : Fault.t;
+  (* the plan's extra cycles, looked up once per node here instead of
+     folding its lists on every access *)
+  mem_extra : int array; (* node -> extra memory-module service *)
+  dir_extra : int array; (* home node -> extra directory cycles *)
+  slow_links : bool; (* the plan names a link: ask [Fault.link_extra] *)
+  tlb_flush : bool; (* the plan flushes TLBs: ask [Fault.flush_tlb] *)
   faults : Fault.counts; (* the plan's event counts for this machine *)
   mutable probe : (access_event -> unit) option;
   event : access_event; (* refilled in place for every probe call *)
@@ -50,6 +57,7 @@ let create cfg ~policy ?(fault = Fault.none) () =
   | Ok () -> ()
   | Error e -> invalid_arg ("Memsys.create: " ^ e));
   let n = cfg.Config.nprocs in
+  let nnodes = Config.nnodes cfg in
   {
     cfg;
     topo = Topology.create cfg;
@@ -58,7 +66,7 @@ let create cfg ~policy ?(fault = Fault.none) () =
     l1s = Array.init n (fun _ -> Cache.create cfg.Config.l1);
     l2s = Array.init n (fun _ -> Cache.create cfg.Config.l2);
     dir = Directory.create ~nprocs:n;
-    busy_until = Array.make (Config.nnodes cfg) 0;
+    busy_until = Array.make nnodes 0;
     ctrs = Array.init n (fun _ -> Counters.create ());
     page_shift = log2 cfg.Config.page_bytes;
     page_mask = cfg.Config.page_bytes - 1;
@@ -66,7 +74,12 @@ let create cfg ~policy ?(fault = Fault.none) () =
     l2_shift = log2 cfg.Config.l2.Config.line_bytes;
     l1_hit_cycles = cfg.Config.l1.Config.hit_cycles;
     tlb_miss_cycles = cfg.Config.tlb_miss_cycles;
+    node_of = Array.init n (Config.node_of_proc cfg);
     plan = fault;
+    mem_extra = Array.init nnodes (fun node -> Fault.mem_extra fault ~node);
+    dir_extra = Array.init nnodes (fun home -> Fault.dir_extra fault ~home);
+    slow_links = fault.Fault.slow_links <> [];
+    tlb_flush = fault.Fault.tlb_flush_period > 0;
     faults = Fault.counts fault ~nprocs:n;
     probe = None;
     event =
@@ -136,28 +149,29 @@ let smash_line t ~victim ~phys_line =
   ignore (Cache.invalidate_range t.l1s.(victim) ~lo_addr:lo ~hi_addr:hi);
   Cache.invalidate l2 ~line:phys_line
 
-(* Invalidate every cached copy of [l2_line] but [proc]'s and count the
-   invalidations on both sides; returns how many sharers were hit. *)
+(* one sharer's side of an invalidation; top-level, so the directory's
+   sharer walk allocates no closure *)
+let smash_sharer t ~line q =
+  ignore (smash_line t ~victim:q ~phys_line:line);
+  t.ctrs.(q).Counters.invals_received <- t.ctrs.(q).Counters.invals_received + 1
+
+(* Invalidate every cached copy of [l2_line] but [proc]'s, highest
+   processor first, and count the invalidations on both sides; returns how
+   many sharers were hit. *)
 let invalidate_sharers t (c : Counters.t) ~proc ~l2_line =
-  let others = Directory.sharers_except t.dir ~line:l2_line ~proc in
-  List.iter
-    (fun q ->
-      ignore (smash_line t ~victim:q ~phys_line:l2_line);
-      t.ctrs.(q).Counters.invals_received <-
-        t.ctrs.(q).Counters.invals_received + 1)
-    others;
-  let n = List.length others in
+  let n = Directory.iter_sharers_except t.dir ~line:l2_line ~proc smash_sharer t in
   c.Counters.invals_sent <- c.Counters.invals_sent + n;
   n
+
+(* extra cycles of a congested link between nodes [a] and [b] *)
+let link_extra t ~a ~b = if t.slow_links then Fault.link_extra t.plan ~a ~b else 0
 
 (* Reserve the memory module of [node] for one line transfer arriving at
    [arrival]; returns the queueing delay. An injected slow-node fault
    stretches the module's service occupancy. *)
 let module_service t ~node ~arrival =
   let start = max arrival t.busy_until.(node) in
-  let occupancy =
-    t.cfg.Config.mem_occupancy_cycles + Fault.mem_extra t.plan ~node
-  in
+  let occupancy = t.cfg.Config.mem_occupancy_cycles + t.mem_extra.(node) in
   t.busy_until.(node) <- start + occupancy;
   start - arrival
 
@@ -170,21 +184,22 @@ let enqueue_writeback t ~node ~now = ignore (module_service t ~node ~arrival:now
 let node_of_phys_line t ~phys_line =
   Pagetable.node_of_frame t.pt ((phys_line lsl t.l2_shift) lsr t.page_shift)
 
-let handle_l2_eviction t ~proc ~now (ev : Cache.evicted option) =
-  match ev with
-  | None -> ()
-  | Some { line; dirty } ->
-      (* inclusion: drop the L1 lines under the evicted L2 line *)
-      let lo = line lsl t.l2_shift in
-      let hi = lo + t.cfg.Config.l2.Config.line_bytes - 1 in
-      ignore (Cache.invalidate_range t.l1s.(proc) ~lo_addr:lo ~hi_addr:hi);
-      Directory.drop t.dir ~line ~proc;
-      if dirty then begin
-        t.ctrs.(proc).Counters.writebacks <- t.ctrs.(proc).Counters.writebacks + 1;
-        (* the victim line's home is not the current access's home: decode
-           it from the frame id (pure arithmetic, no table lookup) *)
-        enqueue_writeback t ~node:(node_of_phys_line t ~phys_line:line) ~now
-      end
+(* [victim] is the packed result of [Cache.insert] on [proc]'s L2 *)
+let handle_l2_eviction t ~proc ~now victim =
+  if victim <> Cache.no_victim then begin
+    let line = Cache.victim_line victim in
+    (* inclusion: drop the L1 lines under the evicted L2 line *)
+    let lo = line lsl t.l2_shift in
+    let hi = lo + t.cfg.Config.l2.Config.line_bytes - 1 in
+    ignore (Cache.invalidate_range t.l1s.(proc) ~lo_addr:lo ~hi_addr:hi);
+    Directory.drop t.dir ~line ~proc;
+    if Cache.victim_dirty victim then begin
+      t.ctrs.(proc).Counters.writebacks <- t.ctrs.(proc).Counters.writebacks + 1;
+      (* the victim line's home is not the current access's home: decode
+         it from the frame id (pure arithmetic, no table lookup) *)
+      enqueue_writeback t ~node:(node_of_phys_line t ~phys_line:line) ~now
+    end
+  end
 
 (* the one exit of [access]: charge the latency, the sum of its six cause
    slices, and hand the slices to the probe in the machine's one event
@@ -219,8 +234,9 @@ let rec access t ~proc ~addr ~write ~now =
   else c.Counters.loads <- c.Counters.loads + 1;
   let page = addr lsr t.page_shift in
   (* injected TLB-shootdown fault: periodically drop this processor's
-     translations (costs only the refill misses) *)
-  let tlb_flushed = Fault.flush_tlb t.faults ~proc in
+     translations (costs only the refill misses); translations are counted
+     only under a plan that flushes *)
+  let tlb_flushed = t.tlb_flush && Fault.flush_tlb t.faults ~proc in
   if tlb_flushed then Tlb.flush t.tlbs.(proc);
   (* 1. address translation: TLB (the only part that costs cycles), then
      the flat page table *)
@@ -234,8 +250,7 @@ let rec access t ~proc ~addr ~write ~now =
     end
   in
   let packed =
-    Pagetable.translate t.pt ~page
-      ~faulting_node:(Config.node_of_proc t.cfg proc)
+    Pagetable.translate t.pt ~page ~faulting_node:(Array.unsafe_get t.node_of proc)
   in
   let home = Pagetable.packed_node packed in
   let phys_addr =
@@ -268,18 +283,20 @@ let rec access t ~proc ~addr ~write ~now =
    pre-fast-path implementation. *)
 and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     ~l2 ~l1_line ~l2_line ~l1_hit =
-  let my_node = Config.node_of_proc t.cfg proc in
+  let my_node = Array.unsafe_get t.node_of proc in
   (* cause-tagged slices of the latency, reported to the probe (profiler):
      they partition it, so the latency is their sum *)
   let hit_c = ref 0
   and fill_c = ref 0
   and cont_c = ref 0
   and coh_c = ref 0 in
-  let exclusive_mine () = Directory.exclusive_owner t.dir ~line:l2_line = proc in
   begin
     if not l1_hit then c.Counters.l1_misses <- c.Counters.l1_misses + 1;
     let l2_hit = Cache.touch l2 ~line:l2_line in
-    if l2_hit && ((not write) || exclusive_mine ()) then begin
+    if
+      l2_hit
+      && ((not write) || Directory.exclusive_owner t.dir ~line:l2_line = proc)
+    then begin
       (* L2 hit (or write to an exclusively-held line) *)
       hit_c := !hit_c + t.cfg.Config.l2.Config.hit_cycles;
       if write then Cache.set_dirty l2 ~line:l2_line
@@ -289,11 +306,11 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
       let sharers = invalidate_sharers t c ~proc ~l2_line in
       let route =
         Topology.route_cycles t.topo ~from_node:my_node ~to_node:home
-        + Fault.link_extra t.plan ~a:my_node ~b:home
+        + link_extra t ~a:my_node ~b:home
       in
       let upgrade_coh =
         route
-        + Fault.dir_extra t.plan ~home
+        + t.dir_extra.(home)
         + (t.cfg.Config.inval_cycles_per_sharer * sharers)
       in
       hit_c := !hit_c + t.cfg.Config.l2.Config.hit_cycles;
@@ -308,8 +325,8 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
       let arrival = now + tlb_c + !hit_c + !fill_c + !cont_c + !coh_c in
       let base_lat =
         Topology.mem_latency t.topo ~proc_node:my_node ~home_node:home
-        + Fault.link_extra t.plan ~a:my_node ~b:home
-        + Fault.dir_extra t.plan ~home
+        + link_extra t ~a:my_node ~b:home
+        + t.dir_extra.(home)
       in
       (* who supplies the data? *)
       let dirty_owner =
@@ -322,11 +339,11 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
         (* cache-to-cache: owner forwards; its copy is written back (read)
            or invalidated (write) *)
         c.Counters.dirty_fetches <- c.Counters.dirty_fetches + 1;
-        let q_node = Config.node_of_proc t.cfg q in
+        let q_node = t.node_of.(q) in
         let c2c =
           t.cfg.Config.dirty_transfer_extra_cycles
           + Topology.route_cycles t.topo ~from_node:q_node ~to_node:my_node
-          + Fault.link_extra t.plan ~a:q_node ~b:my_node
+          + link_extra t ~a:q_node ~b:my_node
         in
         fill_c := !fill_c + base_lat;
         coh_c := !coh_c + c2c;
@@ -371,12 +388,12 @@ and access_slow t ~proc ~addr ~write ~now ~c ~tlb_c ~tlb_flushed ~home ~l1
     end;
     (* refill L1 (unless it was an L1 hit that merely needed an upgrade) *)
     if not l1_hit then begin
-      match Cache.insert l1 ~line:l1_line ~dirty:write with
-      | Some { line = evl; dirty = true } ->
-          (* L1 victim writeback folds into L2 (on-chip, free); convert the
-             L1 line id to the covering L2 line id *)
-          Cache.set_dirty l2 ~line:((evl lsl t.l1_shift) lsr t.l2_shift)
-      | _ -> ()
+      let victim = Cache.insert l1 ~line:l1_line ~dirty:write in
+      if victim <> Cache.no_victim && Cache.victim_dirty victim then
+        (* L1 victim writeback folds into L2 (on-chip, free); convert the
+           L1 line id to the covering L2 line id *)
+        Cache.set_dirty l2
+          ~line:((Cache.victim_line victim lsl t.l1_shift) lsr t.l2_shift)
     end
     else if write then Cache.set_dirty l1 ~line:l1_line
   end;

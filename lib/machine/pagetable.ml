@@ -89,39 +89,37 @@ let frame_stride t = (t.capacity + 4) * t.colors
 
 let node_of_frame t f = min (t.nnodes - 1) (f / frame_stride t)
 
-(* Allocate a colored frame on [node] for virtual page [page], spilling to
-   following nodes when full. If the whole machine is full, keep
-   over-allocating on the preferred node (the simulator does not model
-   swapping). The local frame is congruent to the page's color, so the
-   physically indexed cache sees the virtual layout's conflict pattern. *)
-let alloc_frame t node ~page =
-  let color = page mod t.colors in
-  let take n =
-    let round = t.color_next.(n).(color) in
-    t.color_next.(n).(color) <- round + 1;
-    t.used.(n) <- t.used.(n) + 1;
-    (n, (n * frame_stride t) + color + (round * t.colors))
-  in
-  let rec go n tries =
-    if tries >= t.nnodes then begin
-      (* whole machine full: frames come from a dedicated overflow region
-         above every node's range (no swapping is modelled), colored like
-         normal allocations *)
-      let f = t.overflow in
-      t.overflow <- f + 1;
-      ( node,
-        (t.nnodes * frame_stride t)
-        + color
-        + (f * t.colors) )
-    end
-    else if t.used.(n) < t.capacity then take n
-    else go ((n + 1) mod t.nnodes) (tries + 1)
-  in
-  go node 0
+(* the packed word of a fresh frame of [color] on node [n] *)
+let take t n color =
+  let round = t.color_next.(n).(color) in
+  t.color_next.(n).(color) <- round + 1;
+  t.used.(n) <- t.used.(n) + 1;
+  pack ~node:n ~frame:((n * frame_stride t) + color + (round * t.colors))
 
-let place_new t ~page ~node =
-  let actual, frame = alloc_frame t node ~page in
-  store t page (pack ~node:actual ~frame)
+(* try node [n], then the following ones; top-level, so a first touch
+   allocates nothing *)
+let rec alloc_from t ~node ~color n tries =
+  if tries >= t.nnodes then begin
+    (* whole machine full: frames come from a dedicated overflow region
+       above every node's range (no swapping is modelled), colored like
+       normal allocations *)
+    let f = t.overflow in
+    t.overflow <- f + 1;
+    pack ~node ~frame:((t.nnodes * frame_stride t) + color + (f * t.colors))
+  end
+  else if t.used.(n) < t.capacity then take t n color
+  else alloc_from t ~node ~color ((n + 1) mod t.nnodes) (tries + 1)
+
+(* Allocate a colored frame on [node] for virtual page [page], spilling to
+   following nodes when full, and return its packed word. If the whole
+   machine is full, keep over-allocating on the preferred node (the
+   simulator does not model swapping). The local frame is congruent to the
+   page's color, so the physically indexed cache sees the virtual layout's
+   conflict pattern. *)
+let alloc_frame t node ~page =
+  alloc_from t ~node ~color:(page mod t.colors) node 0
+
+let place_new t ~page ~node = store t page (alloc_frame t node ~page)
 
 let place t ~page ~node =
   if find t page < 0 then place_new t ~page ~node
@@ -149,9 +147,7 @@ let home_opt t ~page =
   let p = find t page in
   if p < 0 then None else Some (packed_node p)
 
-let migrate t ~page ~node =
-  let actual, frame = alloc_frame t node ~page in
-  store t page (pack ~node:actual ~frame)
+let migrate t ~page ~node = store t page (alloc_frame t node ~page)
 
 let frame t ~page =
   let p = find t page in

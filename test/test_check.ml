@@ -216,6 +216,47 @@ let test_lost_wakeup_diagnosed_as_deadlock () =
       check_bool "dump names blocked tasks" true
         (String.length dump > String.length (Diag.headline d))
 
+(* Events are counted only under a plan that schedules them: a fault-free
+   run counts no wakeup and no translation, while under lose-wakeup=3 the
+   third wakeup, the one after the third access, is still the one lost *)
+let test_fault_counts_only_scheduled () =
+  let mem (rt : Rt.t) = Ddsm_machine.Memsys.faults rt.Rt.mem in
+  (match run_structured ~nprocs:4 src_sum with
+  | Ok o, rt ->
+      check_bool "the run made accesses" true
+        (Ddsm_machine.Counters.accesses o.Ddsm.Engine.counters > 0);
+      check_int "no wakeup counted" 0 (Fault.count (mem rt) Fault.Wakeup);
+      for proc = 0 to 3 do
+        check_int
+          (Printf.sprintf "no translation counted on p%d" proc)
+          0
+          (Fault.translations (mem rt) ~proc)
+      done
+  | Error d, _ -> Alcotest.fail (Diag.to_string d));
+  let prog =
+    match Ddsm.compile_source ~fname:"t.pf" src_sum with
+    | Error es -> Alcotest.failf "compile: %s" (String.concat "; " es)
+    | Ok obj -> (
+        match Ddsm.link [ obj ] with
+        | Error es -> Alcotest.failf "link: %s" (String.concat "; " es)
+        | Ok (prog, _) -> prog)
+  in
+  let rt = Ddsm.make_rt ~fault:(Fault.make ~lose_wakeup:3 ()) ~nprocs:1 () in
+  let accesses = ref 0 and lost_after = ref [] in
+  let observe = function
+    | Rt.Access _ -> incr accesses
+    | Rt.Mark { mark = Rt.Wakeup_lost; _ } -> lost_after := !accesses :: !lost_after
+    | _ -> ()
+  in
+  (match Ddsm.Engine.run prog ~rt ~observers:[ observe ] () with
+  | Ok _ -> Alcotest.fail "expected an induced deadlock"
+  | Error d -> check_bool "deadlock" true (d.Diag.reason = Diag.Deadlock));
+  Alcotest.(check (list int)) "one wakeup lost, after the 3rd access" [ 3 ]
+    !lost_after;
+  check_int "counting stopped with the lost one" 3
+    (Fault.count (mem rt) Fault.Wakeup);
+  check_int "still no translation counted" 0 (Fault.translations (mem rt) ~proc:0)
+
 let () =
   Alcotest.run "check"
     [
@@ -228,6 +269,8 @@ let () =
           Alcotest.test_case "drop-barrier" `Quick test_fault_drop_barrier;
           Alcotest.test_case "first failing event" `Quick
             test_fault_first_failure;
+          Alcotest.test_case "only scheduled events counted" `Quick
+            test_fault_counts_only_scheduled;
         ] );
       ( "diag",
         [ Alcotest.test_case "rendering" `Quick test_diag_rendering ] );

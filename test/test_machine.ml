@@ -123,9 +123,9 @@ let l2cfg : Config.cache_cfg =
 let test_cache_hit_miss () =
   let c = Cache.create l2cfg in
   check_bool "cold" false (Cache.touch c ~line:0);
-  check_bool "insert then hit" true
-    (ignore (Cache.insert c ~line:0 ~dirty:false);
-     Cache.touch c ~line:0);
+  check_int "a free way evicts nothing" Cache.no_victim
+    (Cache.insert c ~line:0 ~dirty:false);
+  check_bool "insert then hit" true (Cache.touch c ~line:0);
   check_int "resident" 1 (Cache.resident_lines c)
 
 let test_cache_lru_eviction () =
@@ -134,13 +134,17 @@ let test_cache_lru_eviction () =
   ignore (Cache.insert c ~line:0 ~dirty:false);
   ignore (Cache.insert c ~line:2 ~dirty:true);
   ignore (Cache.touch c ~line:0);
-  (match Cache.insert c ~line:4 ~dirty:false with
-  | Some { line; dirty } ->
-      check_int "LRU victim" 2 line;
-      check_bool "victim was dirty" true dirty
-  | None -> Alcotest.fail "expected an eviction");
+  let v = Cache.insert c ~line:4 ~dirty:false in
+  check_int "victim packed as (line lsl 1) lor dirty" ((2 lsl 1) lor 1) v;
+  check_int "LRU victim" 2 (Cache.victim_line v);
+  check_bool "victim was dirty" true (Cache.victim_dirty v);
   check_bool "line 0 survived" true (Cache.probe c ~line:0);
-  check_bool "line 2 gone" false (Cache.probe c ~line:2)
+  check_bool "line 2 gone" false (Cache.probe c ~line:2);
+  (* line 0 is now LRU, and clean *)
+  let v = Cache.insert c ~line:6 ~dirty:true in
+  check_int "clean LRU victim" 0 (Cache.victim_line v);
+  check_bool "victim was clean" false (Cache.victim_dirty v);
+  check_int "resident stays at capacity" 2 (Cache.resident_lines c)
 
 let test_cache_sets_independent () =
   let c = Cache.create l2cfg in
@@ -233,6 +237,17 @@ let test_pagetable_unique_frames () =
 (* ------------------------------------------------------------------ *)
 (* Directory *)
 
+(* the sharers of [line] but [proc], in visiting order; the count the
+   iterator returns must match *)
+let sharers_except d ~line ~proc =
+  let acc = ref [] in
+  let n =
+    Directory.iter_sharers_except d ~line ~proc (fun acc ~line:_ q -> acc := q :: !acc)
+      acc
+  in
+  check_int "visited count" (List.length !acc) n;
+  List.rev !acc
+
 let test_directory_transitions () =
   let d = Directory.create ~nprocs:4 in
   check_bool "uncached" true (Directory.state d ~line:1 = Directory.Uncached);
@@ -243,12 +258,19 @@ let test_directory_transitions () =
   | _ -> Alcotest.fail "expected Shared");
   Directory.add_sharer d ~line:1 ~proc:2;
   Alcotest.(check (list int)) "sharers except 2" [ 0 ]
-    (Directory.sharers_except d ~line:1 ~proc:2);
+    (sharers_except d ~line:1 ~proc:2);
+  Directory.add_sharer d ~line:1 ~proc:3;
+  Alcotest.(check (list int)) "highest first" [ 3; 2; 0 ]
+    (sharers_except d ~line:1 ~proc:1);
   Directory.set_exclusive d ~line:1 ~owner:3;
   check_bool "exclusive" true (Directory.state d ~line:1 = Directory.Exclusive 3);
+  Alcotest.(check (list int)) "the owner alone" [ 3 ]
+    (sharers_except d ~line:1 ~proc:0);
+  Alcotest.(check (list int)) "the owner excepted" []
+    (sharers_except d ~line:1 ~proc:3);
   Directory.add_sharer d ~line:1 ~proc:1;
   Alcotest.(check (list int)) "exclusive then sharer" [ 3 ]
-    (List.sort compare (Directory.sharers_except d ~line:1 ~proc:1));
+    (sharers_except d ~line:1 ~proc:1);
   Directory.drop d ~line:1 ~proc:3;
   Directory.drop d ~line:1 ~proc:1;
   check_bool "back to uncached" true (Directory.state d ~line:1 = Directory.Uncached)

@@ -2,17 +2,20 @@
    performance"): random operation sequences must make the flat [Pagetable]
    and [Directory] bit-identical to their Hashtbl-based reference
    implementations ([Pagetable_ref]/[Directory_ref]) on every observable,
-   the scheduler's calendar run queue [Runq] pop exactly what the
+   the indexed [Tlb] hit, miss and evict exactly as the scanning one it
+   replaced ([Tlb_ref]), the scheduler's calendar run queue [Runq] pop
+   exactly what the
    binary heap it replaced ([Heapq_ref]) pops, and the sanitizer report
    exactly what its Hashtbl-shadow predecessor ([Sanitize_ref]) reports on
    random event streams and on every example program.
    Plus determinism tests for the [Jobs] domain pool: a parallel map must
    return exactly what the sequential one does, including which exception
-   is re-raised. *)
+   is re-raised, and a pin that [Memsys.access] allocates nothing. *)
 
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
 module Directory = Ddsm_machine.Directory
+module Tlb = Ddsm_machine.Tlb
 module Bitset = Ddsm_machine.Bitset
 module Runq = Ddsm_exec.Runq
 module Jobs = Ddsm_util.Jobs
@@ -157,14 +160,28 @@ let pp_dir_op = function
   | Add_sharer (l, p) -> Printf.sprintf "add_sharer %d + %d" l p
   | Drop (l, p) -> Printf.sprintf "drop %d - %d" l p
   | State l -> Printf.sprintf "state %d" l
-  | Sharers_except (l, p) -> Printf.sprintf "sharers_except %d \\ %d" l p
+  | Sharers_except (l, p) -> Printf.sprintf "iter_sharers_except %d \\ %d" l p
+
+(* the flat directory's sharers of [line] but [proc], in the iterator's
+   own order (highest first), checked against the count it returns *)
+let flat_sharers t ~line ~proc =
+  let acc = ref [] in
+  let n =
+    Directory.iter_sharers_except t ~line ~proc (fun acc ~line:_ q -> acc := q :: !acc)
+      acc
+  in
+  let l = List.rev !acc in
+  if n <> List.length l then
+    Alcotest.failf "line %d: iter_sharers_except visited %d, returned %d" line
+      (List.length l) n;
+  l
 
 let canon_flat_state t line =
   match Directory.state t ~line with
   | Directory.Uncached -> "U"
   | Directory.Exclusive p -> Printf.sprintf "E%d" p
   | Directory.Shared _ ->
-      let l = List.sort compare (Directory.sharers_except t ~line ~proc:(-1)) in
+      let l = List.sort compare (flat_sharers t ~line ~proc:(-1)) in
       "S" ^ String.concat "," (List.map string_of_int l)
 
 let canon_ref_state t line =
@@ -195,9 +212,13 @@ let apply_dir (flat, ref_) op =
       ("", "")
   | State line -> (canon_flat_state flat line, canon_ref_state ref_ line)
   | Sharers_except (line, proc) ->
-      let s l = String.concat "," (List.map string_of_int (List.sort compare l)) in
-      ( s (Directory.sharers_except flat ~line ~proc),
-        s (Directory_ref.sharers_except ref_ ~line ~proc) )
+      (* the reference set, highest first, against the iterator's order *)
+      let s l = String.concat "," (List.map string_of_int l) in
+      ( s (flat_sharers flat ~line ~proc),
+        s
+          (List.sort
+             (fun a b -> compare b a)
+             (Directory_ref.sharers_except ref_ ~line ~proc)) )
 
 let test_directory_oracle () =
   for seed = 1 to 60 do
@@ -569,6 +590,109 @@ let test_sanitize_oracle_examples () =
     files
 
 (* ------------------------------------------------------------------ *)
+(* TLB oracle: the indexed TLB against the scanning one it replaced *)
+
+let tlb_pages resident =
+  let l = ref [] in
+  resident (fun ~page -> l := page :: !l);
+  List.sort compare !l
+
+let test_tlb_oracle () =
+  for seed = 1 to 60 do
+    let rand = rng (3000 + seed) in
+    let module G = QCheck.Gen in
+    let entries = G.generate1 ~rand (G.oneofl [ 1; 2; 3; 4; 16; 64 ]) in
+    (* pages from a range a few times the capacity, so hits, misses and
+       evictions all occur *)
+    let npages = G.generate1 ~rand (G.oneofl [ entries + 1; 2 * entries; 4 * entries + 3 ]) in
+    let nops = G.generate1 ~rand (G.int_range 100 3000) in
+    let flat = Tlb.create ~entries and ref_ = Tlb_ref.create ~entries in
+    for k = 1 to nops do
+      let page = G.generate1 ~rand (G.int_range 0 (npages - 1)) in
+      let op = G.generate1 ~rand (G.int_range 0 99) in
+      let what, a, b =
+        if op < 85 then
+          ("access", Tlb.access flat ~page, Tlb_ref.access ref_ ~page)
+        else if op < 98 then begin
+          Tlb.invalidate flat ~page;
+          Tlb_ref.invalidate ref_ ~page;
+          ("invalidate", true, true)
+        end
+        else begin
+          Tlb.flush flat;
+          Tlb_ref.flush ref_;
+          ("flush", true, true)
+        end
+      in
+      if a <> b then
+        Alcotest.failf "seed %d op %d (%s %d, %d entries): indexed=%b ref=%b"
+          seed k what page entries a b;
+      let pa = tlb_pages (Tlb.iter_resident flat)
+      and pb = tlb_pages (Tlb_ref.iter_resident ref_) in
+      if pa <> pb || Tlb.resident flat <> Tlb_ref.resident ref_ then
+        Alcotest.failf "seed %d op %d (%s %d): resident pages differ" seed k
+          what page
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Memsys allocation: each kernel's probe stream at 8 procs, recorded from
+   a whole run and replayed through [Memsys.access] on a fresh machine
+   with the same static placement, allocates nothing per access. The
+   replay must reproduce the run's counters, so the words measured are
+   those of the run's own accesses. Minor words are deterministic for a
+   given compiler and program: with OCaml 5.1.1 each replay, of 323,379 to
+   592,551 accesses, allocates no word at all, and the bound is that. *)
+
+let test_replay_allocation () =
+  List.iter
+    (fun name ->
+      let prog =
+        match Ddsm.compile_path ("../examples/programs/" ^ name ^ ".pf") with
+        | Error es -> Alcotest.failf "%s: %s" name (String.concat "\n" es)
+        | Ok obj -> (
+            match Ddsm.link [ obj ] with
+            | Error es -> Alcotest.failf "%s: %s" name (String.concat "\n" es)
+            | Ok (prog, _) -> prog)
+      in
+      let procs = ref [] and addrs = ref [] and writes = ref [] and nows = ref [] in
+      let rt = Ddsm.make_rt ~nprocs:8 () in
+      Memsys.set_probe rt.Rt.mem
+        (Some
+           (fun e ->
+             procs := e.Memsys.ev_proc :: !procs;
+             addrs := e.Memsys.ev_addr :: !addrs;
+             writes := e.Memsys.ev_write :: !writes;
+             nows := e.Memsys.ev_now :: !nows));
+      (match Ddsm.run prog ~rt () with
+      | Ok _ -> ()
+      | Error d -> Alcotest.failf "%s: %s" name (Ddsm.Diag.to_string d));
+      let arr l = Array.of_list (List.rev l) in
+      let procs = arr !procs and addrs = arr !addrs
+      and writes = arr !writes and nows = arr !nows in
+      let n = Array.length procs in
+      let rt' = Ddsm.make_rt ~nprocs:8 () in
+      Ddsm.Engine.elaborate prog ~rt:rt';
+      let mem = rt'.Rt.mem in
+      let before = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        ignore
+          (Memsys.access mem ~proc:procs.(i) ~addr:addrs.(i) ~write:writes.(i)
+             ~now:nows.(i))
+      done;
+      let words = Gc.minor_words () -. before in
+      let counters m = Ddsm_machine.Counters.to_assoc (Memsys.total_counters m) in
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": the replay reproduces the run")
+        (counters rt.Rt.mem) (counters mem);
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%s -p 8 replay: %.0f words over %d accesses (bound 0)" name
+           words n)
+        true (words = 0.))
+    [ "transpose"; "lu"; "conv" ]
+
+(* ------------------------------------------------------------------ *)
 (* jobs determinism *)
 
 let test_jobs_order () =
@@ -637,6 +761,7 @@ let () =
             test_pagetable_oracle;
           Alcotest.test_case "directory flat = reference" `Quick
             test_directory_oracle;
+          Alcotest.test_case "tlb indexed = reference" `Quick test_tlb_oracle;
         ] );
       ( "sanitize",
         [
@@ -644,6 +769,11 @@ let () =
             test_sanitize_oracle_streams;
           Alcotest.test_case "examples flat = reference" `Quick
             test_sanitize_oracle_examples;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "memsys replay words per access" `Quick
+            test_replay_allocation;
         ] );
       ( "runq",
         [

@@ -389,7 +389,10 @@ let prop_reshaped_relayout_values =
 (* host allocation of reshaped addressing and relayouts: the storage
    record carries the layout and its storage box, so an element's word
    address allocates only its 0-based index tuple (3 words in 2 dims) and
-   a relayout's copy allocates nothing per element *)
+   a relayout's copy allocates nothing per element. What a relayout still
+   allocates, about 1.16 words per element copied for real and integer
+   elements alike with OCaml 5.1.1, is the {!Redist} schedule it builds;
+   the bound sits about 10% above it. *)
 
 let mk_origin ~nprocs =
   Rt.create (Config.origin2000 ~nprocs) ~policy:Pagetable.First_touch
@@ -418,30 +421,34 @@ let test_word_addr_allocation () =
     true (per <= 3.0)
 
 let test_relayout_allocation () =
-  let rt = mk_origin ~nprocs:16 in
-  let extents = [| 40; 30; 20 |] in
-  let _ =
-    Rt.declare_reshaped rt ~name:"R" ~elem:Darray.Real ~extents
-      ~kinds:[| Kind.Block; Kind.Cyclic; Kind.Star |] ()
-  in
-  let kinds =
-    [| [| Kind.Cyclic; Kind.Block; Kind.Star |];
-       [| Kind.Block; Kind.Cyclic; Kind.Star |] |]
-  in
-  let relayouts = 6 in
-  let before = Gc.minor_words () in
-  for r = 0 to relayouts - 1 do
-    match Rt.redistribute rt ~name:"R" ~kinds:kinds.(r mod 2) () with
-    | Ok { Rt.fell_back = false; _ } -> ()
-    | Ok _ -> Alcotest.fail "fell back without a fault plan"
-    | Error m -> Alcotest.failf "redistribute: %s" m
-  done;
-  let elements = relayouts * Array.fold_left ( * ) 1 extents in
-  let per = (Gc.minor_words () -. before) /. float_of_int elements in
-  check_bool
-    (Printf.sprintf "relayout: %.2f minor words per element copied (bound 5)"
-       per)
-    true (per <= 5.0)
+  List.iter
+    (fun (elem, what) ->
+      let rt = mk_origin ~nprocs:16 in
+      let extents = [| 40; 30; 20 |] in
+      let _ =
+        Rt.declare_reshaped rt ~name:"R" ~elem ~extents
+          ~kinds:[| Kind.Block; Kind.Cyclic; Kind.Star |] ()
+      in
+      let kinds =
+        [| [| Kind.Cyclic; Kind.Block; Kind.Star |];
+           [| Kind.Block; Kind.Cyclic; Kind.Star |] |]
+      in
+      let relayouts = 6 in
+      let before = Gc.minor_words () in
+      for r = 0 to relayouts - 1 do
+        match Rt.redistribute rt ~name:"R" ~kinds:kinds.(r mod 2) () with
+        | Ok { Rt.fell_back = false; _ } -> ()
+        | Ok _ -> Alcotest.fail "fell back without a fault plan"
+        | Error m -> Alcotest.failf "redistribute: %s" m
+      done;
+      let elements = relayouts * Array.fold_left ( * ) 1 extents in
+      let per = (Gc.minor_words () -. before) /. float_of_int elements in
+      check_bool
+        (Printf.sprintf
+           "%s relayout: %.3f minor words per element copied (bound 1.28)"
+           what per)
+        true (per <= 1.28))
+    [ (Darray.Real, "real"); (Darray.Int, "int") ]
 
 (* ------------------------------------------------------------------ *)
 (* checked real->int element conversion *)
@@ -495,7 +502,7 @@ let () =
         [
           Alcotest.test_case "word_addr at most 3 words per call" `Quick
             test_word_addr_allocation;
-          Alcotest.test_case "relayout at most 5 words per element" `Quick
+          Alcotest.test_case "relayout at most 2 words per element" `Quick
             test_relayout_allocation;
         ] );
       ( "int-elements",
