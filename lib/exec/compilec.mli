@@ -1,21 +1,24 @@
 (** Closure compilation of lowered routines.
 
     Each routine compiles once into continuation-passing OCaml closures
-    over a typed slot frame. Every statement charges its static instruction
-    cost (ALU ops, div/mod at the §7.3-dependent price, intrinsics,
-    addressing) to the executing task's clock and ends by calling its
-    successor, a continuation fixed when the routine is linked. Every
-    memory reference — array elements, [AbsLoad]/[AbsStore] addresses,
-    descriptor ([Meta]) and processor-base ([BaseOf]) loads — goes through
-    {!Sched.access}, which commits it to the simulated memory system and
-    then continues or parks the task at the access's continuation; the
-    heap read or write happens after the commit. Values that live across an
-    access (evaluated operands, a store's value, a load's result) sit in
-    frame temporaries. Accesses happen in the order direct-style
-    evaluation gives: binary operands and function arguments right to
-    left, [let] sequences, [let ... and ...] and list walks left to right,
-    and a store's value before its address. [Par] regions fork through
-    {!Sched.fork}.
+    over a typed slot frame. Each expression compiles into one value of
+    its kind (integer or real) that carries its static cost, and only
+    five primitives, which match the kind when they build a closure, tell
+    the frame's integer and real slots apart. Every statement charges its
+    static instruction cost (ALU ops, div/mod at the §7.3-dependent price,
+    intrinsics, addressing) to the executing task's clock and ends by
+    calling its successor, a continuation fixed when the routine is
+    linked. Every memory reference — array elements, [AbsLoad]/[AbsStore]
+    addresses, descriptor ([Meta]) and processor-base ([BaseOf]) loads —
+    goes through {!Sched.access}, which commits it to the simulated
+    memory system and then continues or parks the task at the access's
+    continuation; the heap read or write happens after the commit. Values
+    that live across an access (evaluated operands, a store's value, a
+    load's result) sit in frame temporaries. Accesses happen in the order
+    direct-style evaluation gives: binary operands and function arguments
+    right to left, [let] sequences, [let ... and ...] and list walks left
+    to right, and a store's value before its address. [Par] regions fork
+    through {!Sched.fork}.
 
     Subroutine calls implement the Fortran conventions: arrays by
     reference (whole arrays carry their descriptor; elements of reshaped
