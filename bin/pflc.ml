@@ -184,7 +184,8 @@ let dump_cmd =
     | Ok obj ->
         List.iter
           (fun (u : Ddsm_linker.Objfile.unit_) ->
-            Format.printf "%a@.@." Ddsm_ir.Decl.pp_routine u.Ddsm_linker.Objfile.lowered)
+            Format.printf "%a@.@." Ddsm_ir.Decl.pp_routine
+              u.Ddsm_linker.Objfile.env.Ddsm_sema.Sema.routine)
           obj.Ddsm_linker.Objfile.units;
         print_string (Ddsm_linker.Shadow.to_string obj.Ddsm_linker.Objfile.shadow)
   in

@@ -32,9 +32,7 @@ let compile_path ?flags path =
   with Sys_error e -> Error [ e ]
 
 let prog_of_linked (l : Prelink.linked) =
-  Prog.create
-    (List.map (fun (n, env, code) -> (n, { Prog.env; code })) l.Prelink.routines)
-    ~main:l.Prelink.main
+  Prog.create l.Prelink.routines ~main:l.Prelink.main
 
 let link objs =
   match Prelink.link objs with

@@ -56,8 +56,7 @@ let elaborate prog ~rt =
                 (Rt.declare_regular rt ~name:qname ~elem ~extents ~lower:lowers
                    ~kinds ?onto ()))
   in
-  Prog.iter prog (fun _ pr ->
-      let env = pr.Prog.env in
+  Prog.iter prog (fun _ env ->
       (* equivalenced arrays share their base's storage: nothing to
          allocate; Compilec binds them to it *)
       Hashtbl.fold

@@ -1,7 +1,4 @@
-open Ddsm_ir
-
-type routine = { env : Ddsm_sema.Sema.env; code : Decl.routine }
-type t = { routines : (string, routine) Hashtbl.t; main : string }
+type t = { routines : (string, Ddsm_sema.Sema.env) Hashtbl.t; main : string }
 
 let create list ~main =
   let routines = Hashtbl.create 16 in

@@ -8,7 +8,10 @@
    truncated, stale or foreign files are plain [Error]s. *)
 
 let magic = "DDSMBIN1"
-let format_version = 2 (* v1 = the headerless bare-Marshal era *)
+(* v1: the headerless bare-Marshal era; v2: units held an analysed and a
+   lowered routine, and shadows carried clone requests. Marshal is not
+   type-checked, so every change to a persisted type bumps this. *)
+let format_version = 3
 
 let save ~kind ~path v =
   if String.exists (fun c -> c = ' ' || c = '\n') kind then

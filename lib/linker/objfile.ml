@@ -3,7 +3,7 @@ module Sema = Ddsm_sema.Sema
 module Flags = Ddsm_transform.Flags
 module Pipeline = Ddsm_transform.Pipeline
 
-type unit_ = { uname : string; env : Sema.env; lowered : Decl.routine }
+type unit_ = { uname : string; env : Sema.env }
 
 type t = {
   src : Decl.file;
@@ -24,15 +24,21 @@ let call_signature env args =
       | _ -> None)
     args
 
-let scan_calls env shadow (stmts : Stmt.t list) =
+(* first occurrences, in order *)
+let distinct l =
+  List.rev (List.fold_left (fun acc e -> if List.mem e acc then acc else e :: acc) [] l)
+
+(* reshaped call signatures of a body, in source order *)
+let reshaped_calls env (stmts : Stmt.t list) =
   Stmt.fold
-    (fun () t ->
+    (fun acc t ->
       match t.Stmt.s with
       | Stmt.Call (n, args) ->
           let sg = call_signature env args in
-          if not (Sig_.is_trivial sg) then Shadow.add_call shadow n sg
-      | _ -> ())
-    () stmts
+          if Sig_.is_trivial sg then acc else (n, sg) :: acc
+      | _ -> acc)
+    [] stmts
+  |> List.rev
 
 let common_members env members =
   let off = ref 0 in
@@ -76,35 +82,40 @@ let formal_sig (env : Sema.env) =
       | _ -> None)
     env.Sema.routine.Decl.rparams
 
-let build_shadow units =
-  let shadow = Shadow.empty () in
-  List.iter
-    (fun u ->
-      Shadow.add_def shadow u.uname (formal_sig u.env);
-      scan_calls u.env shadow u.env.Sema.routine.Decl.rbody;
-      List.iter
-        (fun (blk, members) ->
-          Shadow.add_common shadow ~block:blk ~routine:u.uname
-            (common_members u.env members))
-        u.env.Sema.routine.Decl.rcommons)
-    units;
-  shadow
+(* built from the analysed bodies: lowering copies loop bodies (peeling),
+   which could reorder the call lines *)
+let build_shadow (envs : Sema.env list) =
+  let name (env : Sema.env) = env.Sema.routine.Decl.rname in
+  {
+    Shadow.defs = distinct (List.map (fun env -> (name env, formal_sig env)) envs);
+    calls =
+      distinct
+        (List.concat_map
+           (fun (env : Sema.env) -> reshaped_calls env env.Sema.routine.Decl.rbody)
+           envs);
+    commons =
+      List.concat_map
+        (fun (env : Sema.env) ->
+          List.map
+            (fun (blk, members) -> (blk, name env, common_members env members))
+            env.Sema.routine.Decl.rcommons)
+        envs;
+  }
+
+let lower flags (env : Sema.env) = { env with Sema.routine = Pipeline.run flags env }
 
 let compile ?(flags = Flags.all_on) (file : Decl.file) =
   match Sema.analyse_file file with
   | Error es -> Error es
   | Ok envs ->
+      let shadow = build_shadow envs in
       let units =
         List.map
           (fun (env : Sema.env) ->
-            {
-              uname = env.Sema.routine.Decl.rname;
-              env;
-              lowered = Pipeline.run flags env;
-            })
+            { uname = env.Sema.routine.Decl.rname; env = lower flags env })
           envs
       in
-      Ok { src = file; flags; units; shadow = build_shadow units }
+      Ok { src = file; flags; units; shadow }
 
 let compile_clone t ~original ~clone ~sig_ =
   match Decl.find_routine t.src original with
@@ -145,13 +156,8 @@ let compile_clone t ~original ~clone ~sig_ =
             rdists = List.filter keep_dist r.Decl.rdists @ new_dists;
           }
         in
-        match Sema.analyse_routine ~allow_formal_dists:true clone_r with
-        | Error es -> Error es
-        | Ok env ->
-            let u = { uname = clone; env; lowered = Pipeline.run t.flags env } in
-            Shadow.add_def t.shadow clone sig_;
-            Shadow.remove_request t.shadow original sig_;
-            Ok u
+        Sema.analyse_routine ~allow_formal_dists:true clone_r
+        |> Result.map (fun env -> { uname = clone; env = lower t.flags env })
       end
 
 (* Objects ride the hardened Binfile container: magic/kind/version header,

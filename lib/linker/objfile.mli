@@ -1,17 +1,17 @@
 (** Compiled object files.
 
-    One object corresponds to one source file: the analysed and lowered
-    routines, the retained source AST (the pre-linker re-invokes compilation
-    on the defining file to instantiate clone requests, §5), the
-    optimization flags used, and the shadow data. [save]/[load] give the
-    on-disk [.pfo] format. *)
+    One object corresponds to one source file: each routine in its lowered
+    form only, the retained source AST (the pre-linker re-invokes
+    compilation on the defining file to instantiate clones, §5), the
+    optimization flags used, and the shadow, built once from the analysed
+    routines. Linking reads an object and never changes it. [save]/[load]
+    give the on-disk [.pfo] format. *)
 
 open Ddsm_ir
 
 type unit_ = {
   uname : string;
-  env : Ddsm_sema.Sema.env;
-  lowered : Decl.routine;
+  env : Ddsm_sema.Sema.env;  (** [env.routine] is the lowered routine *)
 }
 
 type t = {
@@ -26,12 +26,16 @@ val compile :
 (** Analyse and lower every routine of a parsed file, and derive the shadow
     entries (defs, reshaped call signatures, common declarations). *)
 
+val lower : Ddsm_transform.Flags.t -> Ddsm_sema.Sema.env -> Ddsm_sema.Sema.env
+(** The analysed environment with its routine replaced by the lowered and
+    optimized one ({!Ddsm_transform.Pipeline.run}). *)
+
 val compile_clone :
   t -> original:string -> clone:string -> sig_:Sig_.t -> (unit_, string list) result
 (** Re-invoke compilation on this object's source to instantiate a clone of
     [original] named [clone], with the signature's distribute-reshape
-    directives added to its formal parameters (§5). The object's shadow is
-    updated with the new definition and the request is consumed. *)
+    directives added to its formal parameters (§5). The object is not
+    changed: the clone exists only in the returned unit. *)
 
 val call_signature : Ddsm_sema.Sema.env -> Expr.t list -> Sig_.t
 (** Signature of a call site: per argument, the reshape distribution when

@@ -24,5 +24,4 @@ val of_string : string -> (t, string) result
 (** Parse one complete JSON value (the RFC 8259 grammar; [\uXXXX] escapes
     are decoded to UTF-8). Numeric literals without ['.']/['e'] that fit
     an OCaml [int] parse as [Int], all other numbers as [Float]. Trailing
-    non-whitespace after the value is an error — exactly what a
-    line-framed protocol wants. Never raises. *)
+    non-whitespace after the value is an error. Never raises. *)

@@ -38,9 +38,9 @@ let render build =
           Format.fprintf ppf "main %s, %d recompilation(s)@." l.main
             l.recompilations;
           List.iter
-            (fun (name, _, r) ->
+            (fun (name, (env : Ddsm_sema.Sema.env)) ->
               Format.fprintf ppf "-- routine %s@.%a@." name
-                Ddsm_ir.Decl.pp_routine r)
+                Ddsm_ir.Decl.pp_routine env.routine)
             l.routines;
           Format.fprintf ppf "-- clones@.";
           List.iter

@@ -15,6 +15,7 @@ open Ddsm_exec
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
 module Rt = Ddsm_runtime.Rt
+module Objfile = Ddsm_linker.Objfile
 module Fault = Ddsm_check.Fault
 
 let check_int = Alcotest.(check int)
@@ -32,8 +33,7 @@ let build ?(flags = Flags.all_on) src =
           let routines =
             List.map
               (fun (env : Sema.env) ->
-                let code = Pipeline.run flags env in
-                (env.Sema.routine.Decl.rname, { Prog.env; code }))
+                (env.Sema.routine.Decl.rname, Objfile.lower flags env))
               envs
           in
           let main =

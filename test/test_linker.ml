@@ -45,10 +45,7 @@ let link_err ~expect objs =
         (List.exists (fun e -> has_sub e expect) es)
 
 let run_linked ?(nprocs = 4) l =
-  let routines =
-    List.map (fun (n, env, code) -> (n, { Prog.env; code })) l.Prelink.routines
-  in
-  let prog = Prog.create routines ~main:l.Prelink.main in
+  let prog = Prog.create l.Prelink.routines ~main:l.Prelink.main in
   let cfg = Config.scaled ~nprocs () in
   let rt = Rt.create cfg ~policy:Pagetable.First_touch ~heap_words:(1 lsl 20) () in
   match Engine.run prog ~rt ~bounds:true () with
@@ -135,17 +132,22 @@ let with_dir f =
 (* the shadow is a section of the object: every entry kind survives the
    object's save and load, and prints the same text *)
 let test_shadow_roundtrip () =
-  let s = Shadow.empty () in
-  Shadow.add_def s "main" [];
-  Shadow.add_def s "sub" [ None; None ];
-  Shadow.add_call s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
-  Shadow.add_request s "sub" [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ];
-  Shadow.add_common s ~block:"blk" ~routine:"main"
-    [
-      { Shadow.cm_name = "a"; cm_offset = 0; cm_shape = [ 10; 10 ];
-        cm_dist = Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None } };
-      { Shadow.cm_name = "b"; cm_offset = 100; cm_shape = [ 50 ]; cm_dist = None };
-    ];
+  let s =
+    {
+      Shadow.defs = [ ("main", []); ("sub", [ None; None ]) ];
+      calls = [ ("sub", [ Some { Sig_.kinds = [ K.Block ]; onto = None }; None ]) ];
+      commons =
+        [
+          ( "blk",
+            "main",
+            [
+              { Shadow.cm_name = "a"; cm_offset = 0; cm_shape = [ 10; 10 ];
+                cm_dist = Some { Sig_.kinds = [ K.Block; K.Star ]; onto = None } };
+              { Shadow.cm_name = "b"; cm_offset = 100; cm_shape = [ 50 ]; cm_dist = None };
+            ] );
+        ];
+    }
+  in
   with_dir (fun dir ->
       let path = Filename.concat dir "x.pfo" in
       Objfile.save { (obj "main.pf" main_src) with Objfile.shadow = s } ~path;
@@ -155,7 +157,6 @@ let test_shadow_roundtrip () =
           let s' = o.Objfile.shadow in
           check_int "defs" 2 (List.length s'.Shadow.defs);
           check_int "calls" 1 (List.length s'.Shadow.calls);
-          check_int "requests" 1 (List.length s'.Shadow.requests);
           check_int "commons" 1 (List.length s'.Shadow.commons);
           let _, _, ms = List.hd s'.Shadow.commons in
           check_int "members" 2 (List.length ms);
@@ -188,8 +189,7 @@ let test_objfile_shadow_contents () =
         (match sg with
         | [ Some _; Some _; None; None ] -> true
         | _ -> false)
-  | _ -> Alcotest.fail "expected one recorded call");
-  check_int "no requests yet" 0 (List.length s.Shadow.requests)
+  | _ -> Alcotest.fail "expected one recorded call")
 
 let test_objfile_save_load () =
   with_dir (fun dir ->
@@ -212,7 +212,7 @@ let test_clone_created_and_runs () =
   check_str "of daxpy" "daxpy" orig;
   check_bool "mangled name" true (clone <> "daxpy");
   check_bool "clone linked" true
-    (List.exists (fun (n, _, _) -> n = clone) l.Prelink.routines);
+    (List.exists (fun (n, _) -> n = clone) l.Prelink.routines);
   check_bool "recompilation counted" true (l.Prelink.recompilations >= 1);
   (* b(k) = k + 2*1 summed over 1..128 = 8256 + 256 = 8512 *)
   check_str "linked program computes correctly" "8512" (run_linked l)
@@ -242,17 +242,37 @@ let test_clone_made_in_final_sweep () =
     | [ ("daxpy", clone) ] -> clone
     | _ -> Alcotest.fail "expected exactly one clone, of daxpy"
   in
-  let linked n = List.filter (fun (m, _, _) -> m = n) l.Prelink.routines in
+  let linked n = List.filter (fun (m, _) -> m = n) l.Prelink.routines in
   List.iter
     (fun n -> check_int (n ^ " linked once") 1 (List.length (linked n)))
     [ "p"; "orphan"; "daxpy"; clone ];
   (match linked "orphan" with
-  | [ (_, _, r) ] ->
+  | [ (_, env) ] ->
       check_bool "orphan calls the clone" true
-        (Ddsm_ir.Stmt.calls_made r.Ddsm_ir.Decl.rbody = [ clone ])
+        (Ddsm_ir.Stmt.calls_made env.Sema.routine.Ddsm_ir.Decl.rbody = [ clone ])
   | _ -> ());
   check_int "one recompilation" 1 l.Prelink.recompilations;
   check_str "program runs" "1" (run_linked l)
+
+(* linking only reads its objects: each object marshals to the same bytes
+   before and after, and a second link of the same objects gives the same
+   result *)
+let test_link_leaves_objects_unchanged () =
+  let gen =
+    Ddsm_fuzz.Spec.render
+      (Ddsm_fuzz.Gen.generate ~size:(Ddsm_fuzz.Gen.of_level 24) ~seed:15 ())
+    |> List.map (fun (name, src) -> obj name src)
+  in
+  List.iter
+    (fun objs ->
+      let bytes () = List.map (fun o -> Marshal.to_string o []) objs in
+      let before = bytes () in
+      let l = link_ok objs in
+      check_bool "a clone is made" true (l.Prelink.clones <> []);
+      check_bool "objects unchanged" true (bytes () = before);
+      check_bool "second link equal" true
+        (Marshal.to_string (link_ok objs) [] = Marshal.to_string l []))
+    [ [ obj "main.pf" main_src; obj "lib.pf" lib_src ]; gen ]
 
 let test_two_distributions_two_clones () =
   let main2 =
@@ -411,19 +431,6 @@ c$distribute_reshape b(block, block) onto(1, 2)
   check_int "two clones (onto differs)" 2 (List.length l.Prelink.clones);
   (* 256 * (0.5 + 1.0) = 384 *)
   check_str "result" "384" (run_linked ~nprocs:8 l)
-
-let test_stale_request_pruned () =
-  (* a request left in the shadow by a previous link whose call site has
-     been removed must be dropped (§5) *)
-  let lib = obj "lib.pf" lib_src in
-  let stale_sig : Sig_.t =
-    [ Some { Sig_.kinds = [ K.Cyclic ]; onto = None }; None; None; None ]
-  in
-  Shadow.add_request lib.Objfile.shadow "daxpy" stale_sig;
-  let main = obj "main.pf" main_src in
-  let _ = link_ok [ main; lib ] in
-  check_bool "stale request removed" true
-    (not (List.mem ("daxpy", stale_sig) lib.Objfile.shadow.Shadow.requests))
 
 let test_unresolved_routine () =
   link_err ~expect:"unresolved"
@@ -589,15 +596,22 @@ let test_binfile_foreign_and_empty () =
       check_error_mentions "empty file" "empty file"
         (load_sample ~kind:"test" ~path))
 
+(* every retired format version: 1 (headerless era) and 2 (units with a
+   second copy of each routine, shadows with clone requests) *)
 let test_binfile_stale_version () =
   with_file (tmpfile ()) (fun path ->
       let payload = Marshal.to_string sample [] in
-      write_file path
-        (Printf.sprintf "DDSMBIN1 test 1 %d %s\n%s" (String.length payload)
-           (Digest.to_hex (Digest.string payload))
-           payload);
-      check_error_mentions "stale version" "stale format version 1"
-        (load_sample ~kind:"test" ~path))
+      List.iter
+        (fun v ->
+          write_file path
+            (Printf.sprintf "DDSMBIN1 test %d %d %s\n%s" v
+               (String.length payload)
+               (Digest.to_hex (Digest.string payload))
+               payload);
+          check_error_mentions "stale version"
+            (Printf.sprintf "stale format version %d" v)
+            (load_sample ~kind:"test" ~path))
+        [ 1; 2 ])
 
 let test_binfile_truncated () =
   with_file (tmpfile ()) (fun path ->
@@ -753,13 +767,14 @@ let () =
           Alcotest.test_case "two distributions, two clones" `Quick test_two_distributions_two_clones;
           Alcotest.test_case "propagation down the chain" `Quick test_propagation_down_chain;
           Alcotest.test_case "shared clone" `Quick test_same_signature_shares_clone;
+          Alcotest.test_case "link leaves objects unchanged" `Quick
+            test_link_leaves_objects_unchanged;
           Alcotest.test_case "clone made in final sweep" `Quick
             test_clone_made_in_final_sweep;
         ] );
       ( "link errors",
         [
           Alcotest.test_case "unresolved routine" `Quick test_unresolved_routine;
-          Alcotest.test_case "stale requests pruned" `Quick test_stale_request_pruned;
           Alcotest.test_case "onto in clone signature" `Quick test_clone_with_onto_signature;
           Alcotest.test_case "program unit count" `Quick test_no_or_multiple_mains;
           Alcotest.test_case "duplicate routine" `Quick test_duplicate_routine;

@@ -12,6 +12,7 @@ module K = Ddsm_dist.Kind
 module Config = Ddsm_machine.Config
 module Pagetable = Ddsm_machine.Pagetable
 module Rt = Ddsm_runtime.Rt
+module Objfile = Ddsm_linker.Objfile
 module Fault = Ddsm_check.Fault
 
 (* ------------------------------------------------------------------ *)
@@ -162,8 +163,7 @@ let build ~flags src =
           let routines =
             List.map
               (fun (env : Sema.env) ->
-                let code = Pipeline.run flags env in
-                (env.Sema.routine.Ddsm_ir.Decl.rname, { Prog.env; code }))
+                (env.Sema.routine.Ddsm_ir.Decl.rname, Objfile.lower flags env))
               envs
           in
           Ok
