@@ -169,18 +169,20 @@ let () =
   (* the tentpole's acceptance bar: at >= 32 processors the scheduled plan
      must win on both the communication-volume proxy and total cycles *)
   let big p = p.nprocs >= 32 in
-  List.iter
-    (fun (s, pts) ->
-      let bigs = List.filter big pts in
-      ignore
-        (H.check ppf
-           (Printf.sprintf "%s: scheduled cycles < naive at >= 32 procs" s.label)
-           (List.for_all (fun p -> p.sched_cycles < p.naive_cycles) bigs));
-      ignore
-        (H.check ppf
-           (Printf.sprintf "%s: round volume < serial cross volume" s.label)
-           (List.for_all (fun p -> p.round_words < p.cross_words) bigs)))
-    results;
+  let ok =
+    List.concat_map
+      (fun (s, pts) ->
+        let bigs = List.filter big pts in
+        [
+          H.check ppf
+            (Printf.sprintf "%s: scheduled cycles < naive at >= 32 procs" s.label)
+            (List.for_all (fun p -> p.sched_cycles < p.naive_cycles) bigs);
+          H.check ppf
+            (Printf.sprintf "%s: round volume < serial cross volume" s.label)
+            (List.for_all (fun p -> p.round_words < p.cross_words) bigs);
+        ])
+      results
+  in
   let open H.Json in
   H.write_json ppf ~path:"BENCH_redist.json"
     (Obj
@@ -217,4 +219,5 @@ let () =
                 (fun (p, c) ->
                   Obj [ ("nprocs", Int p); ("cycles", Int c) ])
                 engine) );
-       ])
+       ]);
+  if not (List.for_all Fun.id ok) then exit 1
