@@ -1,7 +1,13 @@
-(* Measurement helpers for the figure/table reproductions. *)
+(* Measurement helpers for the paper-check driver (main.ml) and the
+   experiments it runs; each experiment module opens this one. *)
 
 module Ddsm = Ddsm_core.Ddsm
 module Flags = Ddsm_core.Ddsm.Flags
+module W = Workloads
+
+let ppf = Format.std_formatter
+let section title = Format.fprintf ppf "@.==== %s ====@.@." title
+let all_versions = [ W.First_touch; W.Round_robin; W.Regular; W.Reshaped ]
 
 type setup = {
   machine_procs : int;  (** fixed machine size the jobs run on *)
@@ -25,7 +31,7 @@ let compile ?(flags = Flags.all_on) src =
       | Ok (prog, _) -> prog)
 
 let run_prog ?profile ~setup ~version ~nprocs prog =
-  let policy = Workloads.policy_of version in
+  let policy = W.policy_of version in
   let module Config = Ddsm_machine.Config in
   let cfg =
     Config.scaled ~nprocs:(max setup.machine_procs nprocs) ~factor:setup.factor ()
@@ -43,38 +49,20 @@ let run_prog ?profile ~setup ~version ~nprocs prog =
   | Ok o -> o
   | Error m -> failwith ("bench run failed: " ^ Ddsm.Diag.to_string m)
 
-(* Cycles of the iterated phase alone: run with T and with 2T iterations of
-   the measured loop and difference the totals, cancelling initialization
-   and start-up exactly (the simulator is deterministic). *)
-let phase_cycles ?flags ~setup ~version ~nprocs ~(mk : iters:int -> string)
-    ~iters () =
-  let c1 =
-    (run_prog ~setup ~version ~nprocs (compile ?flags (mk ~iters))).Ddsm.Engine.cycles
-  in
-  let c2 =
-    (run_prog ~setup ~version ~nprocs (compile ?flags (mk ~iters:(2 * iters))))
-      .Ddsm.Engine.cycles
-  in
-  max 1 (c2 - c1)
-
-(* Cycles of the FIRST (cold) execution of the iterated phase: difference
-   of a 1-iteration and a 0-iteration run, isolating the phase with its
-   compulsory misses — how the paper measures the single-sweep kernels. *)
-let cold_phase_cycles ?flags ~setup ~version ~nprocs ~(mk : iters:int -> string)
-    () =
-  let c0 =
-    (run_prog ~setup ~version ~nprocs (compile ?flags (mk ~iters:0))).Ddsm.Engine.cycles
-  in
-  let c1 =
-    (run_prog ~setup ~version ~nprocs (compile ?flags (mk ~iters:1))).Ddsm.Engine.cycles
-  in
-  max 1 (c1 - c0)
-
-let total_cycles ?flags ~setup ~version ~nprocs src =
-  (run_prog ~setup ~version ~nprocs (compile ?flags src)).Ddsm.Engine.cycles
-
 let outcome ?flags ~setup ~version ~nprocs src =
   run_prog ~setup ~version ~nprocs (compile ?flags src)
+
+(* Cycles of the measured phase alone: the difference of two runs, with
+   [lo] and [hi] iterations of the measured loop, cancels initialization and
+   start-up exactly (the simulator is deterministic). (T, 2T) times a warm
+   phase; (0, 1) isolates the FIRST (cold) execution with its compulsory
+   misses, which is how the paper measures the single-sweep kernels. *)
+let phase_cycles ?flags ~setup ~version ~nprocs ~(mk : iters:int -> string)
+    (lo, hi) =
+  let cycles iters =
+    (outcome ?flags ~setup ~version ~nprocs (mk ~iters)).Ddsm.Engine.cycles
+  in
+  max 1 (cycles hi - cycles lo)
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_*.json snapshots: machine-readable counters + cycle attribution
@@ -95,12 +83,20 @@ let version_snapshot ?flags ~setup ~version ~nprocs src =
   let o = run_prog ~profile ~setup ~version ~nprocs (compile ?flags src) in
   Json.Obj
     [
-      ("version", Json.Str (Workloads.version_label version));
+      ("version", Json.Str (W.version_label version));
       ("nprocs", Json.Int nprocs);
       ("cycles", Json.Int o.Ddsm.Engine.cycles);
       ("counters", json_of_counters o.Ddsm.Engine.counters);
       ("attribution", Ddsm.Profile.attribution_json profile);
     ]
+
+(* the four versions' snapshots at [nprocs], one iteration of [mk] each *)
+let version_snapshots ~setup ~nprocs mk =
+  Json.List
+    (List.map
+       (fun version ->
+         version_snapshot ~setup ~version ~nprocs (mk version ~iters:1))
+       all_versions)
 
 let json_of_series series =
   Json.List
@@ -124,7 +120,7 @@ let json_of_series series =
 
 (* an unwritable working directory downgrades the snapshot to a warning —
    the measurements themselves have already been printed *)
-let write_json ppf ~path j =
+let write_json ~path j =
   try
     let oc = open_out path in
     Fun.protect
@@ -140,6 +136,12 @@ let speedup_series ~label ~baseline measurements =
   Series.speedup ~baseline:(float_of_int baseline) ~label
     (List.map (fun (p, c) -> (p, float_of_int c)) measurements)
 
-let check ppf name ok =
-  Format.fprintf ppf "  [%s] %s@." (if ok then "ok" else "MISS") name;
-  ok
+(* print one [ok]/[MISS] line per paper claim, in order, and return the
+   verdicts: each experiment returns them and the driver alone decides the
+   exit status *)
+let check claims =
+  List.map
+    (fun (name, ok) ->
+      Format.fprintf ppf "  [%s] %s@." (if ok then "ok" else "MISS") name;
+      ok)
+    claims

@@ -9,16 +9,12 @@
    executor reads the scratch locally.  The sweep compares the two at
    8..128 simulated processors on the same machine model; a second leg
    differences per-sweep cycles to show the cached gather schedule makes
-   warm sweeps cheaper than the first. *)
+   warm sweeps cheaper than the first. The driver (main.ml) runs it as
+   `irregular`. *)
 
-module Ddsm = Ddsm_core.Ddsm
-module Flags = Ddsm_core.Ddsm.Flags
+open Harness
 module Counters = Ddsm_machine.Counters
-module H = Harness
-module W = Workloads
 
-let ppf = Format.std_formatter
-let section title = Format.fprintf ppf "@.==== %s ====@.@." title
 let naive_flags = { Flags.all_on with Flags.inspector = false }
 
 (* ELL spmv: k nonzeros per row, column indices scattered over the whole
@@ -97,7 +93,7 @@ c$doacross local(e) affinity(e) = data(contrib(e))
 |}
     n m sweeps
 
-let setup = H.mk_setup ~machine_procs:128 ~factor:64 ~heap_words:(1 lsl 22) ()
+let setup = mk_setup ~machine_procs:128 ~factor:64 ~heap_words:(1 lsl 22) ()
 let procs = [ 8; 16; 32; 64; 128 ]
 let counter k c = List.assoc k (Counters.to_assoc c)
 
@@ -117,15 +113,13 @@ let run_variants ~label src =
   Format.fprintf ppf "%s@." label;
   Format.fprintf ppf "  %6s %12s %12s %14s %14s %8s@." "procs" "naive_cyc"
     "insp_cyc" "naive_remote" "insp_remote" "same";
-  let naive_prog = H.compile ~flags:naive_flags src in
-  let insp_prog = H.compile src in
+  let naive_prog = compile ~flags:naive_flags src in
+  let insp_prog = compile src in
   let pts =
     List.map
       (fun nprocs ->
-        let naive =
-          H.run_prog ~setup ~version:W.Regular ~nprocs naive_prog
-        in
-        let insp = H.run_prog ~setup ~version:W.Regular ~nprocs insp_prog in
+        let naive = run_prog ~setup ~version:W.Regular ~nprocs naive_prog in
+        let insp = run_prog ~setup ~version:W.Regular ~nprocs insp_prog in
         Format.fprintf ppf "  %6d %12d %12d %14d %14d %8s@." nprocs
           naive.Ddsm.Engine.cycles insp.Ddsm.Engine.cycles (remote_cost naive)
           (remote_cost insp)
@@ -141,8 +135,7 @@ let run_variants ~label src =
    inspection, later sweeps reuse the cached schedule *)
 let reuse_leg ~nprocs =
   let cycles sweeps =
-    (H.run_prog ~setup ~version:W.Regular ~nprocs
-       (H.compile (spmv_src ~n:2048 ~k:4 ~sweeps)))
+    (outcome ~setup ~version:W.Regular ~nprocs (spmv_src ~n:2048 ~k:4 ~sweeps))
       .Ddsm.Engine.cycles
   in
   let c0 = cycles 0 and c1 = cycles 1 and c2 = cycles 2 in
@@ -152,7 +145,7 @@ let reuse_leg ~nprocs =
     nprocs cold warm;
   (cold, warm)
 
-let () =
+let run () =
   section "Irregular access: naive vs. inspector-executor";
   let spmv_pts = run_variants ~label:"spmv (ELL, n=2048, k=4, 2 sweeps)"
       (spmv_src ~n:2048 ~k:4 ~sweeps:2) in
@@ -161,22 +154,19 @@ let () =
   let cold, warm = reuse_leg ~nprocs:32 in
   Format.pp_print_newline ppf ();
   let big = List.filter (fun p -> p.nprocs >= 32) spmv_pts in
-  let ok1 =
-    H.check ppf "spmv: inspector remote fills + contention < naive at >= 32 procs"
-      (List.for_all (fun p -> remote_cost p.insp < remote_cost p.naive) big)
+  let verdicts =
+    check
+      [
+        ( "spmv: inspector remote fills + contention < naive at >= 32 procs",
+          List.for_all (fun p -> remote_cost p.insp < remote_cost p.naive) big );
+        ("spmv: warm sweep (cached schedule) cheaper than cold sweep", warm < cold);
+        ( "spmv + graph: outputs identical with and without inspector",
+          List.for_all
+            (fun p -> p.naive.Ddsm.Engine.prints = p.insp.Ddsm.Engine.prints)
+            (spmv_pts @ graph_pts) );
+      ]
   in
-  let ok2 =
-    H.check ppf "spmv: warm sweep (cached schedule) cheaper than cold sweep"
-      (warm < cold)
-  in
-  let ok3 =
-    H.check ppf "spmv + graph: outputs identical with and without inspector"
-      (List.for_all
-         (fun p -> p.naive.Ddsm.Engine.prints = p.insp.Ddsm.Engine.prints)
-         (spmv_pts @ graph_pts))
-  in
-  let ok = [ ok1; ok2; ok3 ] in
-  let open H.Json in
+  let open Json in
   let json_point p =
     let side (o : Ddsm.Engine.outcome) =
       Obj
@@ -190,7 +180,7 @@ let () =
     Obj
       [ ("nprocs", Int p.nprocs); ("naive", side p.naive); ("inspector", side p.insp) ]
   in
-  H.write_json ppf ~path:"BENCH_irregular.json"
+  write_json ~path:"BENCH_irregular.json"
     (Obj
        [
          ("experiment", Str "irregular");
@@ -199,4 +189,4 @@ let () =
          ( "schedule_reuse",
            Obj [ ("cold_sweep_cycles", Int cold); ("warm_sweep_cycles", Int warm) ] );
        ]);
-  if not (List.for_all Fun.id ok) then exit 1
+  verdicts

@@ -1,5 +1,6 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§8) on the simulated Origin-2000.
+(* The paper-check driver: regenerates every table and figure of the
+   paper's evaluation (§8) on the simulated Origin-2000, and runs the two
+   sweeps that check this reproduction's extensions.
 
      table2 — Table 2: effect of the reshape optimizations on LU, 1 processor
      fig4   — Figure 4: NAS-LU speedups, 4 placement versions
@@ -7,22 +8,18 @@
      fig6   — Figure 6: 2-D convolution (small input), 1- and 2-level
      fig7   — Figure 7: 2-D convolution (large input), 1- and 2-level
      ablate — per-optimization contribution on the reshaped LU kernel
+     redist — naive vs. scheduled redistribution plans (redist.ml)
+     irregular — naive vs. inspector-executor indirect access (irregular.ml)
 
-   Problem sizes are scaled down (DESIGN.md §2) with machine capacities
-   scaled alongside, so each experiment runs in the same regime (data vs.
-   cache, portion vs. page) as the paper's full-size runs. Absolute numbers
-   differ; the harness checks the paper's qualitative claims explicitly. *)
+   `all` (or no name) runs the six §8 experiments. Problem sizes are scaled
+   down (DESIGN.md §2) with machine capacities scaled alongside, so each
+   experiment runs in the same regime (data vs. cache, portion vs. page) as
+   the paper's full-size runs. Absolute numbers differ; each experiment
+   checks the paper's qualitative claims explicitly and returns the
+   verdicts. A missed claim exits 1, except under --quick: at quick sizes
+   not every governing ratio holds, and those runs feed the snapshot diffs. *)
 
-module Ddsm = Ddsm_core.Ddsm
-module Flags = Ddsm_core.Ddsm.Flags
-module Stats = Ddsm_report.Stats
-module W = Workloads
-module H = Harness
-
-let ppf = Format.std_formatter
-let section title = Format.fprintf ppf "@.==== %s ====@.@." title
-
-let all_versions = [ W.First_touch; W.Round_robin; W.Regular; W.Reshaped ]
+open Harness
 
 (* ------------------------------------------------------------------ *)
 (* Table 2 *)
@@ -30,10 +27,10 @@ let all_versions = [ W.First_touch; W.Round_robin; W.Regular; W.Reshaped ]
 let table2 ~quick =
   section "Table 2: Effect of Reshape Optimizations (LU kernel, 1 processor)";
   let n = if quick then 10 else 26 in
-  let setup = H.mk_setup ~machine_procs:8 ~factor:64 ~heap_words:(1 lsl 22) () in
+  let setup = mk_setup ~machine_procs:8 ~factor:64 ~heap_words:(1 lsl 22) () in
   let mk version ~iters = W.lu ~n ~iters version in
   let measure ?flags version =
-    H.phase_cycles ?flags ~setup ~version ~nprocs:1 ~mk:(mk version) ~iters:1 ()
+    phase_cycles ?flags ~setup ~version ~nprocs:1 ~mk:(mk version) (1, 2)
   in
   let configs =
     [
@@ -57,17 +54,20 @@ let table2 ~quick =
     rows;
   Format.pp_print_newline ppf ();
   let cyc i = (fun (_, c, _) -> c) (List.nth rows i) in
-  ignore (H.check ppf "tiling+peeling is a large improvement (>= 1.3x)"
-            (float_of_int (cyc 0) /. float_of_int (cyc 1) >= 1.3));
-  ignore (H.check ppf "hoisting improves further" (cyc 2 < cyc 1));
-  ignore
-    (H.check ppf "fully optimized reshaped code within 15% of original"
-       (float_of_int (cyc 2) /. float_of_int base < 1.15));
-  ignore
-    (H.check ppf "unoptimized reshaped code much slower than original (>= 1.5x)"
-       (float_of_int (cyc 0) /. float_of_int base >= 1.5));
-  let open H.Json in
-  H.write_json ppf ~path:"BENCH_table2.json"
+  let verdicts =
+    check
+      [
+        ( "tiling+peeling is a large improvement (>= 1.3x)",
+          float_of_int (cyc 0) /. float_of_int (cyc 1) >= 1.3 );
+        ("hoisting improves further", cyc 2 < cyc 1);
+        ( "fully optimized reshaped code within 15% of original",
+          float_of_int (cyc 2) /. float_of_int base < 1.15 );
+        ( "unoptimized reshaped code much slower than original (>= 1.5x)",
+          float_of_int (cyc 0) /. float_of_int base >= 1.5 );
+      ]
+  in
+  let open Json in
+  write_json ~path:"BENCH_table2.json"
     (Obj
        [
          ("experiment", Str "table2");
@@ -82,20 +82,20 @@ let table2 ~quick =
                       ("phase_cycles", Int cycles);
                       ("paper_seconds", Float paper);
                       ( "snapshot",
-                        H.version_snapshot ~flags ~setup ~version:v ~nprocs:1
+                        version_snapshot ~flags ~setup ~version:v ~nprocs:1
                           (mk v ~iters:1) );
                     ])
                 rows configs) );
-       ])
+       ]);
+  verdicts
 
 (* ------------------------------------------------------------------ *)
 (* generic speedup experiment *)
 
-let speedup_experiment ?(cold = false) ?(jobs = 1) ~setup ~procs ~mk ~iters () =
+(* [runs] are the two iteration counts [phase_cycles] differences *)
+let speedup_experiment ~jobs ~setup ~procs ~mk runs =
   let measure (version, nprocs) =
-    if cold then
-      H.cold_phase_cycles ~setup ~version ~nprocs ~mk:(mk version) ()
-    else H.phase_cycles ~setup ~version ~nprocs ~mk:(mk version) ~iters ()
+    phase_cycles ~setup ~version ~nprocs ~mk:(mk version) runs
   in
   (* the serial baseline (the undistributed code on one processor) and the
      full version x P grid are independent jobs — each builds its own
@@ -108,15 +108,12 @@ let speedup_experiment ?(cold = false) ?(jobs = 1) ~setup ~procs ~mk ~iters () =
   | [] -> assert false
   | baseline :: cycles ->
       let np = List.length procs in
-      let series =
-        List.mapi
-          (fun i version ->
-            let mine = List.filteri (fun j _ -> j / np = i) cycles in
-            let pts = List.map2 (fun p c -> (p, c)) procs mine in
-            (version, H.speedup_series ~label:(W.version_label version) ~baseline pts))
-          all_versions
-      in
-      (baseline, series)
+      List.mapi
+        (fun i version ->
+          let mine = List.filteri (fun j _ -> j / np = i) cycles in
+          let pts = List.map2 (fun p c -> (p, c)) procs mine in
+          (version, speedup_series ~label:(W.version_label version) ~baseline pts))
+        all_versions
 
 let value_at series version p =
   let s = List.assq version series in
@@ -140,56 +137,57 @@ let fig4 ~quick ~jobs =
   let n = if quick then 12 else 24 in
   let procs = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 4; 8; 16; 32; 64 ] in
   let setup =
-    H.mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:256
+    mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:256
       ~heap_words:(1 lsl 22) ()
   in
   let mk version ~iters = W.lu ~n ~iters version in
-  let _, series = speedup_experiment ~jobs ~setup ~procs ~mk ~iters:1 () in
+  let series = speedup_experiment ~jobs ~setup ~procs ~mk (1, 2) in
   print_series ~title:(Printf.sprintf "LU (5,%d,%d,%d), dist (*,block,block,*)" n n n) ~series;
   let pmax = List.fold_left max 1 procs in
   let v = value_at series in
   Format.pp_print_newline ppf ();
-  ignore
-    (H.check ppf "all four versions scale (speedup >= P/3 at max P)"
-       (List.for_all
-          (fun ver -> v ver pmax >= float_of_int pmax /. 3.0)
-          all_versions));
-  ignore
-    (H.check ppf "reshaped is best or near-best at max P"
-       (v W.Reshaped pmax >= 0.9 *. List.fold_left (fun m x -> Float.max m (v x pmax)) 0.0 all_versions));
-  ignore
-    (H.check ppf "first-touch benefits from parallel initialization (>= round-robin)"
-       (v W.First_touch pmax >= 0.9 *. v W.Round_robin pmax));
+  let verdicts =
+    check
+      [
+        ( "all four versions scale (speedup >= P/3 at max P)",
+          List.for_all
+            (fun ver -> v ver pmax >= float_of_int pmax /. 3.0)
+            all_versions );
+        ( "reshaped is best or near-best at max P",
+          v W.Reshaped pmax
+          >= 0.9 *. List.fold_left (fun m x -> Float.max m (v x pmax)) 0.0 all_versions );
+        ( "first-touch benefits from parallel initialization (>= round-robin)",
+          v W.First_touch pmax >= 0.9 *. v W.Round_robin pmax );
+      ]
+  in
   (* the paper's hardware-counter observation: total L2 misses drop sharply
      from 1 to 16 processors thanks to the growing aggregate cache *)
-  if not quick then begin
-    let misses p =
-      let o =
-        H.outcome ~setup ~version:W.Reshaped ~nprocs:p (W.lu ~n ~iters:2 W.Reshaped)
+  let l2_verdict =
+    if quick then []
+    else begin
+      let misses p =
+        let o =
+          outcome ~setup ~version:W.Reshaped ~nprocs:p (W.lu ~n ~iters:2 W.Reshaped)
+        in
+        o.Ddsm.Engine.counters.Ddsm_machine.Counters.l2_misses
       in
-      o.Ddsm.Engine.counters.Ddsm_machine.Counters.l2_misses
-    in
-    let m1 = misses 1 and m32 = misses 32 in
-    Format.fprintf ppf
-      "  L2 misses: %d (P=1) -> %d (P=32), factor %.1f (paper: ~3x from 1 to 16)@."
-      m1 m32 (float_of_int m1 /. float_of_int (max 1 m32));
-    ignore (H.check ppf "aggregate cache cuts misses (>= 1.3x)" (m1 * 10 >= m32 * 13))
-  end;
-  let open H.Json in
-  H.write_json ppf ~path:"BENCH_fig4.json"
+      let m1 = misses 1 and m32 = misses 32 in
+      Format.fprintf ppf
+        "  L2 misses: %d (P=1) -> %d (P=32), factor %.1f (paper: ~3x from 1 to 16)@."
+        m1 m32 (float_of_int m1 /. float_of_int (max 1 m32));
+      check [ ("aggregate cache cuts misses (>= 1.3x)", m1 * 10 >= m32 * 13) ]
+    end
+  in
+  let open Json in
+  write_json ~path:"BENCH_fig4.json"
     (Obj
        [
          ("experiment", Str "fig4");
          ("quick", Bool quick);
-         ("series", H.json_of_series series);
-         ( "snapshots",
-           List
-             (List.map
-                (fun ver ->
-                  H.version_snapshot ~setup ~version:ver ~nprocs:pmax
-                    (W.lu ~n ~iters:1 ver))
-                all_versions) );
-       ])
+         ("series", json_of_series series);
+         ("snapshots", version_snapshots ~setup ~nprocs:pmax mk);
+       ]);
+  verdicts @ l2_verdict
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: transpose *)
@@ -199,11 +197,11 @@ let fig5 ~quick ~jobs =
   let n = if quick then 160 else 512 in
   let procs = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 4; 8; 16; 32; 64; 96 ] in
   let setup =
-    H.mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:256
+    mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:256
       ~page_bytes:4096 ~heap_words:(1 lsl 23) ()
   in
   let mk version ~iters = W.transpose ~n ~iters version in
-  let _, series = speedup_experiment ~jobs ~setup ~procs ~mk ~iters:1 () in
+  let series = speedup_experiment ~jobs ~setup ~procs ~mk (1, 2) in
   print_series
     ~title:(Printf.sprintf "Transpose %dx%d, A(*,block) B(block,*), serial init" n n)
     ~series;
@@ -211,43 +209,40 @@ let fig5 ~quick ~jobs =
   let pmid = if quick then 4 else 32 in
   let v = value_at series in
   Format.pp_print_newline ppf ();
-  ignore
-    (H.check ppf "reshaped wins clearly at moderate P (>= 1.3x round-robin)"
-       (v W.Reshaped pmid >= 1.3 *. v W.Round_robin pmid));
-  ignore
-    (H.check ppf "round-robin beats first-touch and regular (hot-node bottleneck)"
-       (v W.Round_robin pmid >= v W.First_touch pmid
-       && v W.Round_robin pmid >= v W.Regular pmid));
-  ignore
-    (H.check ppf "first-touch and regular collapse (speedup < P/3 at max P)"
-       (v W.First_touch pmax < float_of_int pmax /. 3.0
-       && v W.Regular pmax < float_of_int pmax /. 3.0));
+  let verdicts =
+    check
+      [
+        ( "reshaped wins clearly at moderate P (>= 1.3x round-robin)",
+          v W.Reshaped pmid >= 1.3 *. v W.Round_robin pmid );
+        ( "round-robin beats first-touch and regular (hot-node bottleneck)",
+          v W.Round_robin pmid >= v W.First_touch pmid
+          && v W.Round_robin pmid >= v W.Regular pmid );
+        ( "first-touch and regular collapse (speedup < P/3 at max P)",
+          v W.First_touch pmax < float_of_int pmax /. 3.0
+          && v W.Regular pmax < float_of_int pmax /. 3.0 );
+      ]
+  in
   (* §8.2's TLB observation: reshaping uses all the data in a page, so it
      spends a much smaller fraction of its time in TLB misses *)
   let tlb version p =
-    let o = H.outcome ~setup ~version ~nprocs:p (W.transpose ~n ~iters:2 version) in
+    let o = outcome ~setup ~version ~nprocs:p (W.transpose ~n ~iters:2 version) in
     o.Ddsm.Engine.counters.Ddsm_machine.Counters.tlb_misses
   in
   let rr = tlb W.Round_robin pmax and rs = tlb W.Reshaped pmax in
   Format.fprintf ppf
     "  TLB misses at P=%d: round-robin %d, reshaped %d (paper: reshaping less than half the TLB time)@."
     pmax rr rs;
-  ignore (H.check ppf "reshaping reduces TLB misses" (rs < rr));
-  let open H.Json in
-  H.write_json ppf ~path:"BENCH_fig5.json"
+  let tlb_verdict = check [ ("reshaping reduces TLB misses", rs < rr) ] in
+  let open Json in
+  write_json ~path:"BENCH_fig5.json"
     (Obj
        [
          ("experiment", Str "fig5");
          ("quick", Bool quick);
-         ("series", H.json_of_series series);
-         ( "snapshots",
-           List
-             (List.map
-                (fun ver ->
-                  H.version_snapshot ~setup ~version:ver ~nprocs:pmax
-                    (W.transpose ~n ~iters:1 ver))
-                all_versions) );
-       ])
+         ("series", json_of_series series);
+         ("snapshots", version_snapshots ~setup ~nprocs:pmax mk);
+       ]);
+  verdicts @ tlb_verdict
 
 (* ------------------------------------------------------------------ *)
 (* Figures 6 and 7: 2-D convolution *)
@@ -255,66 +250,61 @@ let fig5 ~quick ~jobs =
 let conv_figure ~tag ~name ~n ~procs ~setup ~quick ~jobs =
   let pmax = List.fold_left max 1 procs in
   let pmid = if quick then 4 else if List.mem 32 procs then 32 else 16 in
-  (* one level of parallelism: ( *, block ) *)
+  (* one level of parallelism: ( *, block ); each point times the cold
+     single sweep, the (0, 1) difference *)
   let mk1 version ~iters = W.convolution ~n ~iters ~two_level:false version in
-  let _, s1 = speedup_experiment ~cold:true ~jobs ~setup ~procs ~mk:mk1 ~iters:1 () in
+  let s1 = speedup_experiment ~jobs ~setup ~procs ~mk:mk1 (0, 1) in
   print_series
     ~title:(Printf.sprintf "%s: %dx%d, (*,block), one level of parallelism" name n n)
     ~series:s1;
   (* two levels: (block, block) *)
   let mk2 version ~iters = W.convolution ~n ~iters ~two_level:true version in
-  let _, s2 = speedup_experiment ~cold:true ~jobs ~setup ~procs ~mk:mk2 ~iters:1 () in
+  let s2 = speedup_experiment ~jobs ~setup ~procs ~mk:mk2 (0, 1) in
   print_series
     ~title:(Printf.sprintf "%s: %dx%d, (block,block), two levels of parallelism" name n n)
     ~series:s2;
   Format.pp_print_newline ppf ();
   let v1 = value_at s1 and v2 = value_at s2 in
-  ignore
-    (H.check ppf "one level: serial init makes first-touch worst"
-       (v1 W.First_touch pmid
-       <= List.fold_left (fun m x -> Float.min m (v1 x pmid)) infinity all_versions
-          +. 0.01));
-  ignore
-    (H.check ppf "one level: reshaped at or near the top at moderate P"
-       (v1 W.Reshaped pmid
-       >= 0.9 *. List.fold_left (fun m x -> Float.max m (v1 x pmid)) 0.0 all_versions));
-  ignore
-    (H.check ppf
-       "two levels: reshaped clearly beats first-touch/regular (page+line false sharing)"
-       (v2 W.Reshaped pmax >= 1.2 *. v2 W.First_touch pmax
-       && v2 W.Reshaped pmax >= 1.2 *. v2 W.Regular pmax));
-  ignore
-    (H.check ppf "two levels: round-robin is the best non-reshaped option"
-       (v2 W.Round_robin pmax >= v2 W.First_touch pmax
-       && v2 W.Round_robin pmax >= v2 W.Regular pmax));
-  let open H.Json in
-  H.write_json ppf
+  let verdicts =
+    check
+      [
+        ( "one level: serial init makes first-touch worst",
+          v1 W.First_touch pmid
+          <= List.fold_left (fun m x -> Float.min m (v1 x pmid)) infinity all_versions
+             +. 0.01 );
+        ( "one level: reshaped at or near the top at moderate P",
+          v1 W.Reshaped pmid
+          >= 0.9 *. List.fold_left (fun m x -> Float.max m (v1 x pmid)) 0.0 all_versions );
+        ( "two levels: reshaped clearly beats first-touch/regular (page+line false sharing)",
+          v2 W.Reshaped pmax >= 1.2 *. v2 W.First_touch pmax
+          && v2 W.Reshaped pmax >= 1.2 *. v2 W.Regular pmax );
+        ( "two levels: round-robin is the best non-reshaped option",
+          v2 W.Round_robin pmax >= v2 W.First_touch pmax
+          && v2 W.Round_robin pmax >= v2 W.Regular pmax );
+      ]
+  in
+  let open Json in
+  write_json
     ~path:(Printf.sprintf "BENCH_%s.json" tag)
     (Obj
        [
          ("experiment", Str tag);
          ("quick", Bool quick);
-         ("series_one_level", H.json_of_series s1);
-         ("series_two_level", H.json_of_series s2);
-         ( "snapshots",
-           List
-             (List.map
-                (fun ver ->
-                  H.version_snapshot ~setup ~version:ver ~nprocs:pmax
-                    (W.convolution ~n ~iters:1 ~two_level:false ver))
-                all_versions) );
+         ("series_one_level", json_of_series s1);
+         ("series_two_level", json_of_series s2);
+         ("snapshots", version_snapshots ~setup ~nprocs:pmax mk1);
        ]);
-  (v1, v2)
+  (v1, verdicts)
 
 let fig6 ~quick ~jobs =
   section "Figure 6: 2-D Convolution, small input";
   let n = if quick then 96 else 256 in
   let procs = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 4; 8; 16; 32; 64; 96 ] in
   let setup =
-    H.mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:64
+    mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:64
       ~page_bytes:4096 ~heap_words:(1 lsl 22) ()
   in
-  ignore
+  snd
     (conv_figure ~tag:"fig6" ~name:"Fig 6 (scaled 1000x1000)" ~n ~procs ~setup
        ~quick ~jobs)
 
@@ -323,20 +313,22 @@ let fig7 ~quick ~jobs =
   let n = if quick then 160 else 640 in
   let procs = if quick then [ 1; 2; 4; 8 ] else [ 1; 4; 16; 48; 96 ] in
   let setup =
-    H.mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:64
+    mk_setup ~machine_procs:(List.fold_left max 1 procs) ~factor:64
       ~page_bytes:4096 ~heap_words:(1 lsl 24) ()
   in
-  let v1, _ =
+  let v1, verdicts =
     conv_figure ~tag:"fig7" ~name:"Fig 7 (scaled 5000x5000)" ~n ~procs ~setup
       ~quick ~jobs
   in
   (* §8.4: on the large input, regular distribution is perfectly adequate
      for ( *, block ): portions are much larger than a page *)
   let pmid = if quick then 4 else 16 in
-  ignore
-    (H.check ppf
-       "large input, one level: regular within 20% of reshaped (portions >> page)"
-       (v1 W.Regular pmid >= 0.8 *. v1 W.Reshaped pmid))
+  verdicts
+  @ check
+      [
+        ( "large input, one level: regular within 20% of reshaped (portions >> page)",
+          v1 W.Regular pmid >= 0.8 *. v1 W.Reshaped pmid );
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation study: contribution of each §7 optimization *)
@@ -344,9 +336,9 @@ let fig7 ~quick ~jobs =
 let ablate ~quick =
   section "Ablation: per-optimization contribution (reshaped LU kernel, 1 proc)";
   let n = if quick then 8 else 14 in
-  let setup = H.mk_setup ~machine_procs:8 ~factor:64 ~heap_words:(1 lsl 21) () in
+  let setup = mk_setup ~machine_procs:8 ~factor:64 ~heap_words:(1 lsl 21) () in
   let mk ~iters = W.lu ~n ~iters W.Reshaped in
-  let measure flags = H.phase_cycles ~flags ~setup ~version:W.Reshaped ~nprocs:1 ~mk ~iters:1 () in
+  let measure flags = phase_cycles ~flags ~setup ~version:W.Reshaped ~nprocs:1 ~mk (1, 2) in
   let full = measure Flags.all_on in
   let none = measure Flags.all_off in
   Format.fprintf ppf "all optimizations: %d cycles;  none: %d cycles (%.2fx)@.@."
@@ -382,8 +374,8 @@ let ablate ~quick =
     full;
   Format.fprintf ppf
     " 'alone' = all_off plus the flag, vs. the unoptimized %d.)@." none;
-  let open H.Json in
-  H.write_json ppf ~path:"BENCH_ablate.json"
+  let open Json in
+  write_json ~path:"BENCH_ablate.json"
     (Obj
        [
          ("experiment", Str "ablate");
@@ -402,9 +394,10 @@ let ablate ~quick =
                     ])
                 measured) );
          ( "snapshot",
-           H.version_snapshot ~flags:Flags.all_on ~setup ~version:W.Reshaped
+           version_snapshot ~flags:Flags.all_on ~setup ~version:W.Reshaped
              ~nprocs:1 (mk ~iters:1) );
-       ])
+       ]);
+  []
 
 (* ------------------------------------------------------------------ *)
 
@@ -444,6 +437,8 @@ let () =
       ("fig6", fun () -> fig6 ~quick ~jobs);
       ("fig7", fun () -> fig7 ~quick ~jobs);
       ("ablate", fun () -> ablate ~quick);
+      ("redist", Redist.run);
+      ("irregular", Irregular.run);
     ]
   in
   let all = [ "table2"; "fig4"; "fig5"; "fig6"; "fig7"; "ablate" ] in
@@ -455,12 +450,11 @@ let () =
         match List.assoc_opt exp experiments with
         | Some run -> run
         | None ->
-            user_error
-              "unknown experiment %s \
-               (table2|fig4|fig5|fig6|fig7|ablate|all)"
-              exp)
+            user_error "unknown experiment %s (%s|all)" exp
+              (String.concat "|" (List.map fst experiments)))
       chosen
   in
   let t0 = Unix.gettimeofday () in
-  List.iter (fun run -> run ()) runs;
-  Format.fprintf ppf "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0)
+  let verdicts = List.concat_map (fun run -> run ()) runs in
+  Format.fprintf ppf "@.total wall time: %.1fs@." (Unix.gettimeofday () -. t0);
+  if List.mem false verdicts && not quick then exit 1

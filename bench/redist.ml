@@ -14,18 +14,13 @@
    numbers line up with what `c$redistribute` costs in a simulated run; an
    end-to-end leg runs a real redistribute program through the engine over
    the processor sweep as a cross-check that the scheduled path executes at
-   every machine size. *)
+   every machine size. The driver (main.ml) runs it as `redist`. *)
 
-module Ddsm = Ddsm_core.Ddsm
+open Harness
 module Redist = Ddsm_dist.Redist
 module Layout = Ddsm_dist.Layout
 module Kind = Ddsm_dist.Kind
 module Costs = Ddsm_exec.Costs
-module H = Harness
-module W = Workloads
-
-let ppf = Format.std_formatter
-let section title = Format.fprintf ppf "@.==== %s ====@.@." title
 
 type sweep = {
   label : string;
@@ -151,40 +146,39 @@ c$redistribute a(block)
 let engine_leg () =
   Format.fprintf ppf "end-to-end engine cycles (cyclic(3)->cyclic(5)->block, n=4096):@.";
   let setup =
-    H.mk_setup ~machine_procs:128 ~factor:64 ~heap_words:(1 lsl 22) ()
+    mk_setup ~machine_procs:128 ~factor:64 ~heap_words:(1 lsl 22) ()
   in
-  let prog = H.compile (redist_prog 4096) in
+  let prog = compile (redist_prog 4096) in
   List.map
     (fun p ->
-      let o = H.run_prog ~setup ~version:W.Regular ~nprocs:p prog in
+      let o = run_prog ~setup ~version:W.Regular ~nprocs:p prog in
       Format.fprintf ppf "  %6d procs: %10d cycles@." p o.Ddsm.Engine.cycles;
       (p, o.Ddsm.Engine.cycles))
     procs
 
-let () =
+let run () =
   section "Redistribution: naive vs. scheduled plans";
   let results = List.map (fun s -> (s, run_sweep s)) sweeps in
   let engine = engine_leg () in
   Format.pp_print_newline ppf ();
-  (* the tentpole's acceptance bar: at >= 32 processors the scheduled plan
+  (* the sweep's claims: at >= 32 processors the scheduled plan
      must win on both the communication-volume proxy and total cycles *)
   let big p = p.nprocs >= 32 in
-  let ok =
-    List.concat_map
-      (fun (s, pts) ->
-        let bigs = List.filter big pts in
-        [
-          H.check ppf
-            (Printf.sprintf "%s: scheduled cycles < naive at >= 32 procs" s.label)
-            (List.for_all (fun p -> p.sched_cycles < p.naive_cycles) bigs);
-          H.check ppf
-            (Printf.sprintf "%s: round volume < serial cross volume" s.label)
-            (List.for_all (fun p -> p.round_words < p.cross_words) bigs);
-        ])
-      results
+  let verdicts =
+    check
+      (List.concat_map
+         (fun (s, pts) ->
+           let bigs = List.filter big pts in
+           [
+             ( Printf.sprintf "%s: round volume < serial cross volume" s.label,
+               List.for_all (fun p -> p.round_words < p.cross_words) bigs );
+             ( Printf.sprintf "%s: scheduled cycles < naive at >= 32 procs" s.label,
+               List.for_all (fun p -> p.sched_cycles < p.naive_cycles) bigs );
+           ])
+         results)
   in
-  let open H.Json in
-  H.write_json ppf ~path:"BENCH_redist.json"
+  let open Json in
+  write_json ~path:"BENCH_redist.json"
     (Obj
        [
          ("experiment", Str "redist");
@@ -220,4 +214,4 @@ let () =
                   Obj [ ("nprocs", Int p); ("cycles", Int c) ])
                 engine) );
        ]);
-  if not (List.for_all Fun.id ok) then exit 1
+  verdicts

@@ -146,12 +146,16 @@ let link (objs : Objfile.t list) =
     (fun (o : Objfile.t) ->
       List.iter
         (fun (u : Objfile.unit_) ->
-          if Hashtbl.mem table u.Objfile.uname then
-            errors :=
-              Printf.sprintf "routine %s defined in more than one file"
-                u.Objfile.uname
-              :: !errors
-          else Hashtbl.replace table u.Objfile.uname (o, u))
+          match Hashtbl.find_opt table u.Objfile.uname with
+          | Some (_, u0) ->
+              let loc (u : Objfile.unit_) =
+                Loc.to_string u.Objfile.env.Sema.routine.Decl.rloc
+              in
+              errors :=
+                Printf.sprintf "routine %s defined in more than one file: %s and %s"
+                  u.Objfile.uname (loc u0) (loc u)
+                :: !errors
+          | None -> Hashtbl.replace table u.Objfile.uname (o, u))
         o.Objfile.units)
     objs;
   let clones = ref [] in

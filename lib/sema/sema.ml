@@ -670,10 +670,28 @@ let analyse_routine ?(allow_formal_dists = false) (r : Decl.routine) =
          (fun (loc, m) -> Printf.sprintf "%s: %s" (Loc.to_string loc) m)
          ctx.errs)
 
+(* a name defined twice in one file: each later definition, located, with
+   the first one's location *)
+let duplicate_routines (f : Decl.file) =
+  let first = Hashtbl.create 16 in
+  List.filter_map
+    (fun (r : Decl.routine) ->
+      match Hashtbl.find_opt first r.Decl.rname with
+      | Some (r0 : Decl.routine) ->
+          Some
+            (Printf.sprintf "%s: routine %s defined twice in one file (first at %s)"
+               (Loc.to_string r.Decl.rloc) r.Decl.rname
+               (Loc.to_string r0.Decl.rloc))
+      | None ->
+          Hashtbl.replace first r.Decl.rname r;
+          None)
+    f.Decl.routines
+
 let analyse_file ?(allow_formal_dists = false) (f : Decl.file) =
   let results = List.map (analyse_routine ~allow_formal_dists) f.Decl.routines in
   let errs =
-    List.concat_map (function Error es -> es | Ok _ -> []) results
+    duplicate_routines f
+    @ List.concat_map (function Error es -> es | Ok _ -> []) results
   in
   if errs = [] then
     Ok (List.map (function Ok e -> e | Error _ -> assert false) results)

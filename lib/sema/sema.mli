@@ -12,7 +12,11 @@
       or the other "for the duration of the program");
     - reshaped arrays must not be equivalenced (§3.2.1/§6 compile-time
       check);
-    - [c$redistribute] only applies to regular distributed arrays (§3.3);
+    - [c$redistribute] applies to a distributed array that is not a formal
+      argument, regular or reshaped (the paper's §3.3 allows regular arrays
+      only; DESIGN.md §11 lifts that), with one kind per dimension and a
+      well-formed [onto]/[procs] clause;
+    - no routine name is defined twice in one file;
     - [affinity(i) = data(A(s*i+c))] demands a distributed array and literal
       [s >= 0] and [c] (§3.4);
     - [nest] clauses require a perfect loop nest matching the named
@@ -49,7 +53,9 @@ val analyse_routine :
 
 val analyse_file :
   ?allow_formal_dists:bool -> Decl.file -> (env list, string list) result
-(** Analyses every routine; errors from all routines are concatenated. *)
+(** Analyses every routine; errors from all routines are concatenated,
+    after one error per repeated definition of a routine name in the file
+    (naming it and the first definition). *)
 
 val find_sym : env -> string -> sym option
 val find_array : env -> string -> array_info option

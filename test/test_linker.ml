@@ -449,6 +449,13 @@ let test_duplicate_routine () =
     [ obj "a.pf" lib_src; obj "b.pf" lib_src;
       obj "m.pf" "      program p\n      print *, 0\n      end\n" ]
 
+(* the cross-file duplicate names where each definition is *)
+let test_duplicate_routine_located () =
+  let s = "      subroutine s(n)\n      integer n\n      end\n" in
+  link_err ~expect:"routine s defined in more than one file: a.pf:1 and b.pf:1"
+    [ obj "a.pf" s; obj "b.pf" s;
+      obj "m.pf" "      program p\n      call s(1)\n      end\n" ]
+
 let common_decl =
   Printf.sprintf
     {|
@@ -778,6 +785,8 @@ let () =
           Alcotest.test_case "onto in clone signature" `Quick test_clone_with_onto_signature;
           Alcotest.test_case "program unit count" `Quick test_no_or_multiple_mains;
           Alcotest.test_case "duplicate routine" `Quick test_duplicate_routine;
+          Alcotest.test_case "duplicate routine located" `Quick
+            test_duplicate_routine_located;
           Alcotest.test_case "reshaped common consistency" `Quick test_common_consistency;
           Alcotest.test_case "reshaped common shape" `Quick test_common_shape_mismatch;
           Alcotest.test_case "plain commons tolerated" `Quick test_plain_common_mismatch_tolerated;

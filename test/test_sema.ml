@@ -419,6 +419,17 @@ let test_multiple_errors_reported () =
   | Ok _ -> Alcotest.fail "expected errors"
   | Error es -> check_int "all three reported" 3 (List.length es)
 
+(* one file, two bodies for s: rejected at the second, naming the first *)
+let test_routine_defined_twice () =
+  let body = "      subroutine s(n)\n      integer n\n      end\n" in
+  match analyse ("      program p\n      call s(1)\n      end\n" ^ body ^ body) with
+  | Ok _ -> Alcotest.fail "expected a duplicate-routine error"
+  | Error es ->
+      Alcotest.(check (list string))
+        "both locations"
+        [ "t.pf:7: routine s defined twice in one file (first at t.pf:4)" ]
+        es
+
 (* Table-driven directive/storage rejections.  Each snippet is a complete
    program that must be rejected with a located message containing the
    expected fragment — the same diagnostics pflc surfaces on exit 2 and
@@ -491,6 +502,7 @@ let () =
           Alcotest.test_case "assignment targets" `Quick test_assign_to_const_or_array;
           Alcotest.test_case "type_of" `Quick test_type_of;
           Alcotest.test_case "multiple errors" `Quick test_multiple_errors_reported;
+          Alcotest.test_case "routine defined twice" `Quick test_routine_defined_twice;
         ] );
       ( "directives",
         [
