@@ -1,4 +1,4 @@
-type task_state = Ready | Waiting of int | Blocked_mem | Done
+type task_state = Ready | Waiting of int | Held | Blocked_mem | Done
 
 type task_view = {
   tv_proc : int;
@@ -60,6 +60,7 @@ let headline t =
 let pp_state ppf = function
   | Ready -> Format.pp_print_string ppf "ready"
   | Waiting n -> Format.fprintf ppf "waiting(%d children)" n
+  | Held -> Format.pp_print_string ppf "held at a barrier"
   | Blocked_mem -> Format.pp_print_string ppf "blocked on memory wakeup"
   | Done -> Format.pp_print_string ppf "done"
 

@@ -10,6 +10,7 @@
 type task_state =
   | Ready  (** runnable: queued, waiting only for its turn *)
   | Waiting of int  (** blocked joining this many unfinished children *)
+  | Held  (** held at a barrier until its siblings arrive *)
   | Blocked_mem
       (** parked on a memory access whose completion wakeup never arrived
           (only possible under the [lose-wakeup] chaos fault) *)

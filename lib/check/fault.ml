@@ -116,7 +116,12 @@ let link_extra t ~a ~b =
 (* ------------------------------------------------------------------ *)
 (* One machine's event counts *)
 
-type event = Migration | Redist_attempt | Gather_fetch | Wakeup | Barrier_note
+type event =
+  | Migration
+  | Redist_attempt
+  | Gather_fetch
+  | Wakeup
+  | Barrier_arrival
 
 type counts = {
   plan : t;
@@ -129,7 +134,7 @@ let slot = function
   | Redist_attempt -> 1
   | Gather_fetch -> 2
   | Wakeup -> 3
-  | Barrier_note -> 4
+  | Barrier_arrival -> 4
 
 let counts plan ~nprocs =
   { plan; translations = Array.make nprocs 0; seen = Array.make 5 0 }
@@ -151,7 +156,7 @@ let fails c ev =
   | Gather_fetch -> p.gather_fail > 0 && n >= p.gather_fail
   | Redist_attempt -> n <= p.redist_fail
   | Wakeup -> n = p.lose_wakeup
-  | Barrier_note -> n = p.drop_barrier
+  | Barrier_arrival -> n = p.drop_barrier
 
 let schedules c ev =
   let p = c.plan in
@@ -160,7 +165,7 @@ let schedules c ev =
   | Gather_fetch -> p.gather_fail > 0
   | Redist_attempt -> p.redist_fail > 0
   | Wakeup -> p.lose_wakeup > 0
-  | Barrier_note -> p.drop_barrier > 0
+  | Barrier_arrival -> p.drop_barrier > 0
 
 (* translations are counted only under a flush period: nothing else reads
    them *)

@@ -53,10 +53,12 @@ type t = {
       (** chaos (not performance-side): drop the Nth memory-completion
           wakeup so the program deadlocks; 0 = off. For watchdog tests. *)
   drop_barrier : int;
-      (** chaos (not performance-side): skip the Nth barrier note
-          (machine-wide) so one processor's barrier arrival is lost — the
-          classic missing-synchronization bug; 0 = off. For sanitizer
-          tests; never chosen by {!random}. *)
+      (** chaos (not performance-side): the Nth arrival of a worker at an
+          in-region barrier (machine-wide) runs on without waiting and is
+          not counted among the workers the barrier releases — the classic
+          missing-synchronization bug; 0 = off. Barriers in serial code or
+          in an inline nested region wait for no one and count no
+          arrival. For sanitizer tests; never chosen by {!random}. *)
 }
 
 val none : t
@@ -117,10 +119,11 @@ type event =
       (** a bulk gather fetch: fails from the [gather_fail]-th on *)
   | Wakeup
       (** a memory-completion wakeup: the [lose_wakeup]-th is lost *)
-  | Barrier_note
-      (** a barrier note: the [drop_barrier]-th is dropped, so one
-          processor's arrival is never published — the sanitizer should
-          report the resulting races *)
+  | Barrier_arrival
+      (** a worker's arrival at an in-region barrier: the
+          [drop_barrier]-th neither waits nor is released with the others,
+          so its accesses on either side are unordered with theirs — the
+          sanitizer should report the resulting races *)
 
 type counts
 
@@ -129,7 +132,7 @@ val counts : t -> nprocs:int -> counts
 
 val fails : counts -> event -> bool
 (** Count one more [event], machine-wide, and say whether the plan makes
-    this one fail (for [Wakeup]: lost; for [Barrier_note]: dropped). *)
+    this one fail (for [Wakeup]: lost; for [Barrier_arrival]: dropped). *)
 
 val schedules : counts -> event -> bool
 (** Whether the plan makes any [event] fail at all. A caller on the

@@ -69,7 +69,12 @@ type renv = {
   mutable nf : int;
   aslots : (string, int) Hashtbl.t;
   mutable na : int;
-  mutable in_par : bool;  (** compiling the body of a [Par] *)
+  mutable region : string option;
+      (** compiling the body of the [Par] with this label *)
+  mutable in_addr : bool;
+      (** compiling an address: its adds, subtracts, multiplies and
+          negations are free, folded into address generation; the paper's
+          reshaping overhead is the div/mods and indirect loads (§4.3/§7) *)
 }
 
 (* a fresh frame slot of [kind]; a temporary holds a value that lives
@@ -236,30 +241,10 @@ let oracle_cost (l : Layout.t) =
   let nd = List.length (List.filter K.is_distributed (Array.to_list l.Layout.kinds)) in
   (nd * 2 * Costs.int_div) + Costs.addressing + 1
 
-(* Plain add/sub/mul/neg inside an *address* expression is free: real
-   hardware folds base+offset arithmetic into address-generation, and the
-   paper's measured reshaping overhead is exactly the div/mod operations and
-   indirect loads, not the adds (§4.3/§7). Only the nodes the address's own
-   compile charges are counted: a nested [Ref] or [AbsLoad] discounted its
-   address itself, and the arguments of a [dsm_*] inquiry are never
-   charged. Each counted node charged at least [Costs.alu]. *)
-let rec alu_discount (e : Expr.t) =
-  match e with
-  | Expr.Bin ((Expr.Add | Expr.Sub | Expr.Mul), a, b) ->
-      Costs.alu + alu_discount a + alu_discount b
-  | Expr.Neg a -> Costs.alu + alu_discount a
-  | Expr.Ref _ | Expr.AbsLoad _ -> 0
-  | Expr.Intrin (nm, _) when String.starts_with ~prefix:"dsm_" nm -> 0
-  | Expr.Bin (_, a, b) | Expr.Rel (_, a, b) | Expr.Log (_, a, b)
-  | Expr.Idiv (_, a, b) | Expr.Imod (_, a, b) ->
-      alu_discount a + alu_discount b
-  | Expr.Not a | Expr.BaseOf (_, a) -> alu_discount a
-  | Expr.Intrin (_, args) -> List.fold_left (fun n a -> n + alu_discount a) 0 args
-  | Expr.Int _ | Expr.Real _ | Expr.Str _ | Expr.Var _ | Expr.Meta _
-  | Expr.GatherBase _ ->
-      0
-
 let charge c (t : task) = t.Sched.clock <- t.Sched.clock + c
+
+(* the cost of an add, subtract, multiply or negation here *)
+let alu renv = if renv.in_addr then 0 else Costs.alu
 
 (* ------------------------------------------------------------------ *)
 (* Expression compilation: each node is compiled once, into code of its
@@ -444,10 +429,10 @@ let rec compile renv (e : Expr.t) : value =
       match compile renv a with
       | V (Int, x) ->
           let f = x.f in
-          V (Int, { x with f = (fun t -> -f t); cost = x.cost + Costs.alu })
+          V (Int, { x with f = (fun t -> -f t); cost = x.cost + alu renv })
       | V (Real, x) ->
           let f = x.f in
-          V (Real, { x with f = (fun t -> -.f t); cost = x.cost + Costs.alu }))
+          V (Real, { x with f = (fun t -> -.f t); cost = x.cost + alu renv }))
   | Expr.Bin (op, a, b) -> (
       let va = compile renv a in
       let vb = compile renv b in
@@ -463,7 +448,7 @@ let rec compile renv (e : Expr.t) : value =
                 | Expr.Sub -> fun t -> fa t - fb t
                 | _ -> fun t -> fa t * fb t
               in
-              V (Int, { pre; f; safe = xa.safe && xb.safe; cost = cost + Costs.alu })
+              V (Int, { pre; f; safe = xa.safe && xb.safe; cost = cost + alu renv })
           | Expr.Div ->
               let xb =
                 checked xb (fun d -> d = 0) (fun _ ->
@@ -496,9 +481,9 @@ let rec compile renv (e : Expr.t) : value =
           let pre, fa, fb = rl renv Real xa xb in
           let f, c =
             match op with
-            | Expr.Add -> ((fun t -> fa t +. fb t), Costs.alu)
-            | Expr.Sub -> ((fun t -> fa t -. fb t), Costs.alu)
-            | Expr.Mul -> ((fun t -> fa t *. fb t), Costs.alu)
+            | Expr.Add -> ((fun t -> fa t +. fb t), alu renv)
+            | Expr.Sub -> ((fun t -> fa t -. fb t), alu renv)
+            | Expr.Mul -> ((fun t -> fa t *. fb t), alu renv)
             | Expr.Div -> ((fun t -> fa t /. fb t), Costs.real_div)
             | Expr.Pow -> ((fun t -> Float.pow (fa t) (fb t)), Costs.pow)
           in
@@ -646,10 +631,13 @@ and compile_float renv e = coerce Real (compile renv e)
 
 and div_cost = function Expr.Hw -> Costs.int_div | Expr.Fp -> Costs.fp_div
 
-(* an integer address expression, its adds and multiplies discounted *)
+(* an integer address expression, its adds and multiplies free *)
 and compile_addr renv e =
+  let outer = renv.in_addr in
+  renv.in_addr <- true;
   let x = compile_int renv e in
-  { x with cost = x.cost - alu_discount e }
+  renv.in_addr <- outer;
+  x
 
 and subscripts renv subs = Array.of_list (List.map (compile_addr renv) subs)
 
@@ -952,10 +940,14 @@ and compile_stmt renv (st : Stmt.t) : step =
         k t
   | Stmt.Gather gth -> compile_gather renv gth
   | Stmt.Continue -> fun k -> k
-  | Stmt.Barrier ->
-      fun k t ->
-        Rt.note_barrier renv.g.rt ~proc:t.Sched.proc ~now:t.Sched.clock;
-        k t
+  | Stmt.Barrier -> (
+      let s = renv.g.sched in
+      match renv.region with
+      | None -> fun k t -> Sched.barrier s t k
+      | Some region ->
+          (* only the workers this [Par] forked wait: where it ran inline
+             (nested), the task belongs to another region *)
+          fun k t -> if t.Sched.region == region then Sched.barrier s t k else k t)
   | Stmt.Return -> fun _ -> return_ renv.g
   | Stmt.Print items ->
       let compiled =
@@ -997,10 +989,11 @@ and compile_stmt renv (st : Stmt.t) : step =
       let myp_slot = int_slot renv "myp$" ~what:"internal: slot" in
       let np_slot = int_slot renv "np$" ~what:"internal: slot" in
       (* a [Par] inside a [Par] body always runs at depth > 0 *)
-      let nested = renv.in_par in
-      renv.in_par <- true;
+      let outer = renv.region in
+      let nested = outer <> None in
+      renv.region <- Some region;
       let body = compile_body renv p.Stmt.pbody in
-      renv.in_par <- nested;
+      renv.region <- outer;
       let s = renv.g.sched and n = Rt.nprocs renv.g.rt in
       fun k ->
         (* nested parallelism runs single-worker (documented) *)
@@ -1510,7 +1503,8 @@ let compile_routine g (name : string) (env : Sema.env) : k =
       nf = 0;
       aslots = Hashtbl.create 8;
       na = 0;
-      in_par = false;
+      region = None;
+      in_addr = false;
     }
   in
   let r = env.Sema.routine in

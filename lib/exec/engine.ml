@@ -83,7 +83,9 @@ let rec view_of (t : Sched.task) =
     match t.Sched.state with
     | _ when t.Sched.lost_wakeup -> Diag.Blocked_mem
     | Sched.Ready -> Diag.Ready
-    | Sched.Waiting -> Diag.Waiting t.Sched.pending
+    | Sched.Waiting ->
+        Diag.Waiting (t.Sched.pending + List.length t.Sched.held)
+    | Sched.Held -> Diag.Held
     | Sched.Done -> Diag.Done
   in
   {
@@ -233,7 +235,7 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
               | Sched.Ready -> (
                   t.Sched.state <- Sched.Done;
                   try t.Sched.resume t with e -> Sched.fail s t (reason_of_exn e))
-              | Sched.Waiting | Sched.Done -> ());
+              | Sched.Waiting | Sched.Held | Sched.Done -> ());
               loop ())
     in
     loop ();

@@ -10,7 +10,8 @@
     with a plain call of its resume point; compiled code runs until it
     parks at an access, forks, finishes or fails. A [Par] region forks one
     task per simulated processor and joins at the maximum child clock —
-    the doacross's implicit barrier. *)
+    the doacross's implicit barrier. A [c$barrier] inside the region
+    holds each worker until its siblings arrive ({!Sched.barrier}). *)
 
 type outcome = {
   cycles : int;  (** program-unit completion time in simulated cycles *)
@@ -60,7 +61,8 @@ val run :
 
     [observers] (default none) subscribe to the run's typed event stream
     ({!Ddsm_runtime.Rt.event}): every memory access tagged with its
-    parallel region, storage allocation, region fork and join, barriers,
+    parallel region, storage allocation, region fork and join, barrier
+    releases,
     redistributions, gathers, and run marks (begin, end, cycle budget,
     lost wakeup, watchdog stall). Each event reaches every subscriber, in
     list order. The engine installs the runtime's observer and one

@@ -5,7 +5,7 @@ module Fault = Ddsm_check.Fault
 module Diag = Ddsm_check.Diag
 module Argcheck = Ddsm_runtime.Argcheck
 
-type state = Ready | Waiting | Done
+type state = Ready | Waiting | Held | Done
 
 type task = {
   proc : int;
@@ -22,6 +22,7 @@ type task = {
   mutable state : state;
   mutable children : task list;
   mutable pending : int;
+  mutable held : task list;
   mutable maxchild : int;
   mutable forked_region : string option;
   mutable lost_wakeup : bool;
@@ -73,6 +74,7 @@ let task ~proc ~clock ~depth ~region ~parent ~frame ~resume =
     state = Ready;
     children = [];
     pending = 0;
+    held = [];
     maxchild = 0;
     forked_region = None;
     lost_wakeup = false;
@@ -164,6 +166,41 @@ let fork s t ~n ~region ~myp ~np ~body ~k =
     push s child
   done
 
+(* Every unfinished child of [p] is held at its barrier: they resume
+   together at the latest of their clocks and [now], the clock of the task
+   that completed the release. That task's clock is at or after the last
+   popped key, so the pushes keep the run queue's keys monotone. *)
+let release s p ~now =
+  let held = List.rev p.held in
+  p.held <- [];
+  let now = List.fold_left (fun m c -> max m c.clock) now held in
+  (match s.rt.Rt.observe with
+  | None -> ()
+  | Some observe ->
+      observe (Rt.Barrier { procs = List.map (fun c -> c.proc) held; now }));
+  List.iter
+    (fun c ->
+      c.clock <- now;
+      c.state <- Ready;
+      p.pending <- p.pending + 1;
+      push s c)
+    held
+
+let barrier s t k =
+  match t.parent with
+  | None -> k t
+  | Some p ->
+      (* chaos fault: the arrival is dropped, so this worker runs on and
+         its accesses on either side stay unordered with its siblings' *)
+      if Fault.fails (Memsys.faults s.mem) Fault.Barrier_arrival then k t
+      else begin
+        t.state <- Held;
+        t.resume <- k;
+        p.held <- t :: p.held;
+        p.pending <- p.pending - 1;
+        if p.pending = 0 then release s p ~now:t.clock
+      end
+
 let finish s t =
   t.state <- Done;
   match t.parent with
@@ -171,7 +208,9 @@ let finish s t =
   | Some p ->
       p.pending <- p.pending - 1;
       p.maxchild <- max p.maxchild t.clock;
-      if p.pending = 0 then begin
+      if p.pending > 0 then ()
+      else if p.held <> [] then release s p ~now:t.clock
+      else begin
         p.children <- [];
         p.clock <- p.maxchild;
         (match (p.forked_region, s.rt.Rt.observe) with

@@ -12,6 +12,7 @@
 type state =
   | Ready  (** queued, or parked on a lost wakeup *)
   | Waiting  (** joining its children *)
+  | Held  (** held at a barrier until its siblings arrive *)
   | Done  (** finished, or running right now *)
 
 type task = {
@@ -30,7 +31,9 @@ type task = {
   mutable calls : ret list;  (** return points, innermost first *)
   mutable state : state;
   mutable children : task list;
-  mutable pending : int;  (** children still running *)
+  mutable pending : int;  (** children neither finished nor held *)
+  mutable held : task list;
+      (** children held at a barrier, latest arrival first *)
   mutable maxchild : int;
   mutable forked_region : string option;
       (** label of the region this task is waiting on *)
@@ -46,7 +49,7 @@ and ret = {
 type t = {
   rt : Ddsm_runtime.Rt.t;
       (** its [observe] field is the run's one observer; the scheduler
-          delivers fork, join and mark events through it *)
+          delivers fork, join, barrier and mark events through it *)
   mem : Ddsm_machine.Memsys.t;  (** [rt]'s machine *)
   runq : task Runq.t;
   max_cycles : int;
@@ -118,6 +121,17 @@ val fork :
     resuming at [body]. The task waits for them; [k] is its resume point
     after the join. Children are queued from [n - 1] down to [0]. *)
 
+val barrier : t -> task -> (task -> unit) -> unit
+(** [barrier s t k]: [t] reached [c$barrier] and continues at [k]. A
+    forked worker is held; the barrier releases when every unfinished
+    worker of its fork is held (a finished worker counts as arrived), and
+    the released workers resume together at the latest clock among them
+    and the task that completed the release, announced as one
+    [Rt.Barrier] event. A serial task continues at once. Each held arrival
+    counts one [Barrier_arrival] of the fault plan; the one the plan drops
+    continues at once and is not among the released workers. *)
+
 val finish : t -> task -> unit
-(** The task is done; the last child of a fork queues its parent at the
+(** The task is done. The last unfinished child of a fork releases its
+    held siblings, or, when none is held, queues its parent at the
     children's maximum clock. *)

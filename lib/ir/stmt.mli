@@ -21,8 +21,8 @@ and kind =
   | Return
   | Print of Expr.t list
   | Barrier
-      (** surface [c$barrier] (an explicit synchronization point inside a
-          parallel region) and compiler-internal barriers *)
+      (** surface [c$barrier]: an explicit synchronization point inside a
+          parallel region (no pass inserts one) *)
   | Par of par
       (** compiler-internal SPMD region produced by scheduling a
           [c$doacross]: every processor executes [pbody] with the reserved

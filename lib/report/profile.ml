@@ -149,7 +149,8 @@ let observe t = function
       event t ~name:region ~cat:"ddsm" Begin ~tid:proc ~ts:now
   | Rt.Join { region; proc; now } ->
       event t ~name:region ~cat:"ddsm" End ~tid:proc ~ts:now
-  | Rt.Barrier { proc; now } -> runtime t ~name:"barrier" ~proc ~now ()
+  | Rt.Barrier { procs; now } ->
+      List.iter (fun proc -> runtime t ~name:"barrier" ~proc ~now ()) procs
   | Rt.Redistribute
       { array; result = { moved; rounds; retries; fell_back; _ }; proc; now }
     ->

@@ -32,7 +32,8 @@ val observe : t -> Ddsm_runtime.Rt.event -> unit
     extends the allocation map; [Access] attributes the access's cycle
     breakdown to its region and to whichever array owns the byte address
     (or to ["(unattributed)"]); every other event, and an [Access] that
-    fired an injected TLB flush, is appended to the trace. *)
+    fired an injected TLB flush, is appended to the trace. A barrier
+    release is one instant per released processor. *)
 
 (* Test-only: tests check that attribution sums to the stall cycles. *)
 val total_stall : t -> int

@@ -20,7 +20,7 @@ type event =
   | Alloc of { name : string; word_ranges : (int * int) list }
   | Fork of { region : string; nprocs : int; proc : int; now : int }
   | Join of { region : string; proc : int; now : int }
-  | Barrier of { proc : int; now : int }
+  | Barrier of { procs : int list; now : int }
   | Redistribute of { array : string; result : redist; proc : int; now : int }
   | Gather of {
       site : string;
@@ -76,15 +76,6 @@ let create cfg ~policy ~heap_words ?job_procs
     job_procs;
     observe = None;
   }
-
-let note_barrier t ~proc ~now =
-  (* a dropped note models the missing-synchronization bug: the arrival is
-     never published, so observers (the sanitizer) see the processors on
-     either side of the barrier as unordered *)
-  let dropped = Fault.fails (Memsys.faults t.mem) Fault.Barrier_note in
-  match t.observe with
-  | Some observe when not dropped -> observe (Barrier { proc; now })
-  | _ -> ()
 
 let announce_alloc t ~name ~word_ranges =
   match t.observe with

@@ -59,7 +59,9 @@ type event =
   | Fork of { region : string; nprocs : int; proc : int; now : int }
   | Join of { region : string; proc : int; now : int }
       (** [now] is the join time, the latest child clock *)
-  | Barrier of { proc : int; now : int }  (** [proc] arrived at a barrier *)
+  | Barrier of { procs : int list; now : int }
+      (** one barrier release: the held processors [procs], in arrival
+          order, resume together at [now] *)
   | Redistribute of { array : string; result : redist; proc : int; now : int }
   | Gather of {
       site : string;  (** ["routine#id"] *)
@@ -103,17 +105,11 @@ val create :
 (** [fault] installs a deterministic fault plan on the simulated machine
     (see {!Ddsm_machine.Memsys.create}); its event counts
     ({!Ddsm_machine.Memsys.faults}) also decide the injected failures of
-    {!redistribute}, {!gather_fetch} and {!note_barrier}. *)
+    {!redistribute} and {!gather_fetch}, and the scheduler's dropped
+    barrier arrivals. *)
 
 val nprocs : t -> int
 (** Job processor count (defaults to the machine size). *)
-
-val note_barrier : t -> proc:int -> now:int -> unit
-(** Announce processor [proc]'s arrival at a barrier as a [Barrier] event.
-    Each call counts one [Barrier_note] of the fault plan; if the plan
-    drops this one the arrival is never published — the seeded
-    missing-synchronization bug the sanitizer must catch. Timing is
-    unaffected either way. *)
 
 (** Allocation entry points used by program elaboration. Arrays are
     registered by name; re-declaring a name is an error (the frontend

@@ -7,17 +7,13 @@
    concurrent). Epochs compress a (clock, proc) pair into one int so the
    common shadow states are a single word.
 
-   Phase alignment. The engine schedules workers by minimum local clock, so
-   the access stream is ordered by simulated time, not by barrier phase: a
-   worker can stream post-barrier accesses while a sibling is still short of
-   the barrier. Accesses by a worker that has passed a not-yet-complete
-   barrier are therefore buffered (packed ints plus a sentinel per further
-   barrier crossing) and replayed when the barrier generation completes —
-   i.e. when every expected worker has arrived. A generation that never
-   completes (a worker with no iterations, or a dropped barrier) is closed
-   at region join over the workers that did arrive: the latecomer's accesses
-   keep their stale clocks, which is precisely what makes a dropped barrier
-   observable as a race. *)
+   Barriers. The scheduler holds a worker at a barrier until the barrier
+   releases, so the access stream never shows a worker's post-barrier
+   access before a sibling's pre-barrier one, and a release joins the
+   clocks of exactly the processors it released. A worker whose arrival a
+   fault plan drops is not among them: its accesses on either side keep
+   their stale clocks, which is what makes a dropped barrier observable as
+   a race. *)
 
 module Memsys = Ddsm_machine.Memsys
 module Rt = Ddsm_runtime.Rt
@@ -58,10 +54,6 @@ type report = {
 let word_stride = 4
 let unit_stride = 6
 
-(* per-processor replay buffer: (byte addr lsl 1) lor write and the region
-   id per event, or -1 and -1 for a barrier sentinel *)
-type pbuf = { mutable evs : int array; mutable len : int; mutable head : int }
-
 type t = {
   nprocs : int;
   proc_bits : int;
@@ -75,11 +67,7 @@ type t = {
   mutable rvecs : int array; (* nprocs ints per read vector *)
   mutable rvec_count : int; (* vectors in the pool, free ones included *)
   mutable rvec_free : int; (* free vector chained through its slot 0; -1 none *)
-  bufs : pbuf array;
-  passed : int array; (* barrier arrivals per proc in the current region *)
-  mutable completed : int; (* completed barrier generations *)
-  mutable in_par : bool;
-  mutable width : int; (* processors of the current region *)
+  mutable width : int; (* processors of the current region; 0 serial *)
   mutable races : report list; (* reverse detection order *)
   mutable sharing : report list;
   mutable n_races : int;
@@ -117,10 +105,6 @@ let create ~nprocs ~line_bytes ~page_bytes () =
     rvecs = [||];
     rvec_count = 0;
     rvec_free = -1;
-    bufs = Array.init nprocs (fun _ -> { evs = Array.make 128 0; len = 0; head = 0 });
-    passed = Array.make nprocs 0;
-    completed = 0;
-    in_par = false;
     width = 0;
     races = [];
     sharing = [];
@@ -303,40 +287,11 @@ let process t ~p ~addr ~write ~region =
   check_unit t Page_sharing t.pages pi ~p ~sub:line ~write ~region ~addr ~myvc
 
 (* ------------------------------------------------------------------ *)
-(* Replay buffers *)
-
-let push_buf b ev region =
-  if b.len + 2 > Array.length b.evs then begin
-    let evs = Array.make (2 * Array.length b.evs) 0 in
-    Array.blit b.evs 0 evs 0 b.len;
-    b.evs <- evs
-  end;
-  b.evs.(b.len) <- ev;
-  b.evs.(b.len + 1) <- region;
-  b.len <- b.len + 2
-
-(* replay one barrier phase: everything up to (and consuming) the next
-   sentinel, with [p]'s freshly advanced clock *)
-let drain_segment t p =
-  let b = t.bufs.(p) in
-  let stop = ref false in
-  while (not !stop) && b.head < b.len do
-    let ev = b.evs.(b.head) and region = b.evs.(b.head + 1) in
-    b.head <- b.head + 2;
-    if ev < 0 then stop := true
-    else process t ~p ~addr:(ev lsr 1) ~write:(ev land 1 = 1) ~region
-  done;
-  if b.head = b.len then begin
-    b.head <- 0;
-    b.len <- 0
-  end
-
-let blocked t p = t.in_par && t.passed.(p) > t.completed
-
-(* ------------------------------------------------------------------ *)
 (* Structural events *)
 
-let complete_generation t procs =
+(* the processors [procs] synchronize: each takes the join of their
+   clocks and starts a new epoch *)
+let sync t procs =
   let j = Array.make t.nprocs 0 in
   List.iter
     (fun p ->
@@ -349,23 +304,7 @@ let complete_generation t procs =
     (fun p ->
       Array.blit j 0 t.vc.(p) 0 t.nprocs;
       t.vc.(p).(p) <- j.(p) + 1)
-    procs;
-  t.completed <- t.completed + 1;
-  List.iter (fun p -> drain_segment t p) procs
-
-let all_procs t = List.init t.width Fun.id
-
-let try_complete t =
-  let all_arrived () =
-    let ok = ref true in
-    for p = 0 to t.width - 1 do
-      if t.passed.(p) <= t.completed then ok := false
-    done;
-    !ok
-  in
-  while t.in_par && all_arrived () do
-    complete_generation t (all_procs t)
-  done
+    procs
 
 let on_fork t ~nprocs =
   let n = min nprocs t.nprocs in
@@ -374,67 +313,28 @@ let on_fork t ~nprocs =
     Array.blit m 0 t.vc.(p) 0 t.nprocs;
     t.vc.(p).(p) <- m.(p) + 1
   done;
-  t.in_par <- true;
-  t.width <- n;
-  t.completed <- 0;
-  Array.fill t.passed 0 t.nprocs 0
+  t.width <- n
 
+(* the master (slot 0) takes the join of every worker's clock *)
 let on_join t =
-  (* close generations that never completed machine-wide over whoever did
-     arrive; latecomers keep their stale clocks (that is the bug report) *)
-  let rec close () =
-    let subset = ref [] in
-    for p = t.width - 1 downto 0 do
-      if t.passed.(p) > t.completed then subset := p :: !subset
-    done;
-    match !subset with
-    | [] -> ()
-    | ps ->
-        complete_generation t ps;
-        close ()
-  in
-  if t.in_par then begin
-    close ();
-    for p = 0 to t.width - 1 do
-      drain_segment t p
-    done;
-    let m = Array.make t.nprocs 0 in
-    for p = 0 to t.width - 1 do
-      let v = t.vc.(p) in
-      for i = 0 to t.nprocs - 1 do
-        if v.(i) > m.(i) then m.(i) <- v.(i)
-      done
-    done;
-    Array.blit m 0 t.vc.(0) 0 t.nprocs;
-    t.vc.(0).(0) <- m.(0) + 1;
-    t.in_par <- false;
-    t.width <- 0;
-    t.completed <- 0;
-    Array.fill t.passed 0 t.nprocs 0
+  if t.width > 0 then begin
+    sync t (List.init t.width Fun.id);
+    t.width <- 0
   end
 
-(* The sanitizer's subscription to the event stream. An in-region
-   redistribution synchronizes like a barrier: every processor's preceding
-   accesses are ordered before every processor's subsequent ones. *)
+(* The sanitizer's subscription to the event stream. *)
 let observe t = function
   | Rt.Access { region; ev = { Memsys.ev_proc = p; ev_addr; ev_write; _ } } ->
-      if p < t.nprocs then begin
-        let region = Addrmap.Names.id t.regions region in
-        if blocked t p then
-          push_buf t.bufs.(p) ((ev_addr lsl 1) lor Bool.to_int ev_write) region
-        else process t ~p ~addr:ev_addr ~write:ev_write ~region
-      end
+      if p < t.nprocs then
+        process t ~p ~addr:ev_addr ~write:ev_write
+          ~region:(Addrmap.Names.id t.regions region)
   | Rt.Alloc { name; word_ranges } ->
       Addrmap.add t.owners ~word_ranges (Addrmap.Names.id t.arrays name)
   | Rt.Fork { nprocs; _ } -> on_fork t ~nprocs
   | Rt.Join _ -> on_join t
-  | Rt.Barrier { proc; _ } | Rt.Redistribute { proc; _ } ->
-      if t.in_par && proc < t.width then begin
-        if blocked t proc then push_buf t.bufs.(proc) (-1) (-1);
-        t.passed.(proc) <- t.passed.(proc) + 1;
-        try_complete t
-      end
-  | Rt.Gather _ | Rt.Mark _ -> ()
+  | Rt.Barrier { procs; _ } ->
+      sync t (List.filter (fun p -> p < t.width) procs)
+  | Rt.Redistribute _ | Rt.Gather _ | Rt.Mark _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Results *)

@@ -8,9 +8,11 @@
       before every worker;
     - [Join] orders every worker's accesses before the master's subsequent
       ones;
-    - [Barrier] (and [Redistribute], which an in-region redistribution
-      synchronizes like a barrier) orders each arriving processor's
-      preceding accesses before every other arriver's subsequent ones.
+    - [Barrier], one per release, orders each released processor's
+      preceding accesses before every released processor's subsequent
+      ones. A [Redistribute] orders nothing: sema rejects one inside a
+      doacross body, and one reached through a call from a body is not
+      synchronized.
 
     Two conflicting accesses (same word, two processors, at least one
     write) with neither ordered before the other are a **data race**.
@@ -22,10 +24,10 @@
     layout is slow" stay distinct diagnoses.
 
     Determinism: the detector consumes the simulator's deterministic
-    access stream and keeps its own phase alignment (accesses raced ahead
-    of an incomplete barrier are buffered per processor and replayed when
-    the barrier completes), so a given program + configuration always
-    yields the same report. The disabled path costs nothing: no probe is
+    access stream in order. The scheduler holds workers at a barrier, so no
+    worker's post-barrier access precedes a sibling's pre-barrier one in
+    the stream, and a given program + configuration always yields the same
+    report. The disabled path costs nothing: no probe is
     installed unless a sanitizer is attached. *)
 
 type kind =
@@ -62,13 +64,12 @@ val create : nprocs:int -> line_bytes:int -> page_bytes:int -> unit -> t
     used to classify false sharing (both powers of two). *)
 
 val observe : t -> Ddsm_runtime.Rt.event -> unit
-(** Feed one event. [Alloc] names the array reports land on. An [Access]
-    by a processor that has passed a not-yet-complete barrier is buffered
-    and replayed when the barrier completes, or at [Join], with stale
-    clocks, if it never does — which is how a dropped barrier is detected.
-    [Barrier] and [Redistribute] are ignored outside a parallel region,
-    where program order already orders accesses. [Gather] and [Mark]
-    carry no ordering.
+(** Feed one event. [Alloc] names the array reports land on. A
+    [Barrier] joins the clocks of the processors it released; a worker
+    whose arrival was dropped is not among them and keeps its stale clock,
+    which is how a dropped barrier is detected. A [Barrier] outside a
+    parallel region is ignored. [Redistribute], [Gather] and [Mark] carry
+    no ordering.
 
     Shadow state is flat arrays indexed by word, line and page, grown to
     the highest index touched, and labels are interned: an access

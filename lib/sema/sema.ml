@@ -33,6 +33,7 @@ type ctx = {
   syms : (string, sym) Hashtbl.t;
   mutable errs : (Loc.t * string) list;
   allow_formal_dists : bool;
+  mutable in_par : bool;  (** checking a [c$doacross] body *)
 }
 
 let errf ctx loc fmt =
@@ -82,7 +83,13 @@ let rec ty_of ctx (e : Expr.t) : Types.ty option =
 
 let type_of env e =
   let ctx =
-    { r = env.routine; syms = env.syms; errs = []; allow_formal_dists = true }
+    {
+      r = env.routine;
+      syms = env.syms;
+      errs = [];
+      allow_formal_dists = true;
+      in_par = false;
+    }
   in
   match ty_of ctx e with
   | Some ty -> ty
@@ -418,6 +425,14 @@ let check_const_step ctx ~loc (d : Stmt.do_) =
           errf ctx loc "do %s: step must be an integer constant" d.Stmt.var;
           1)
 
+(* [f x], checked as a [c$doacross] body *)
+let in_par ctx f x =
+  let outer = ctx.in_par in
+  ctx.in_par <- true;
+  let y = f x in
+  ctx.in_par <- outer;
+  y
+
 let rec check_stmt ctx (t : Stmt.t) : Stmt.t =
   let loc = t.Stmt.loc in
   let s =
@@ -453,6 +468,13 @@ let rec check_stmt ctx (t : Stmt.t) : Stmt.t =
         Stmt.Call (n, List.map (check_expr ctx ~loc ~bare_ok:true) args)
     | Stmt.Doacross da -> Stmt.Doacross (check_doacross ctx ~loc da)
     | Stmt.Redistribute rd ->
+        (* every iteration would relayout the shared array under its
+           siblings' accesses *)
+        if ctx.in_par then
+          errf ctx loc
+            "c$redistribute %s inside a c$doacross body: redistribute \
+             before or after the parallel loop"
+            rd.Stmt.rarray;
         (match Hashtbl.find_opt ctx.syms rd.Stmt.rarray with
         | Some (SArray ai) -> (
             match ai.ai_dist with
@@ -646,14 +668,20 @@ and check_doacross ctx ~loc (da : Stmt.doacross) =
           a.Stmt.avars;
         Some { a with Stmt.asubs }
   in
-  { da with Stmt.affinity; loop = check_do ctx ~loc da.Stmt.loop }
+  { da with Stmt.affinity; loop = in_par ctx (check_do ctx ~loc) da.Stmt.loop }
 
 (* ------------------------------------------------------------------ *)
 
 let analyse_routine ?(allow_formal_dists = false) (r : Decl.routine) =
   let consts, cerrs = fold_consts r in
   let ctx =
-    { r; syms = Hashtbl.create 64; errs = List.rev cerrs; allow_formal_dists }
+    {
+      r;
+      syms = Hashtbl.create 64;
+      errs = List.rev cerrs;
+      allow_formal_dists;
+      in_par = false;
+    }
   in
   build_symtab ctx consts;
   (* substitute parameters throughout the body, then check *)

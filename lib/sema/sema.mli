@@ -15,7 +15,8 @@
     - [c$redistribute] applies to a distributed array that is not a formal
       argument, regular or reshaped (the paper's §3.3 allows regular arrays
       only; DESIGN.md §11 lifts that), with one kind per dimension and a
-      well-formed [onto]/[procs] clause;
+      well-formed [onto]/[procs] clause, and never inside a [c$doacross]
+      body;
     - no routine name is defined twice in one file;
     - [affinity(i) = data(A(s*i+c))] demands a distributed array and literal
       [s >= 0] and [c] (§3.4);

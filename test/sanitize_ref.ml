@@ -48,14 +48,6 @@ type unit_shadow = {
   mutable ur_region : string;
 }
 
-(* growable per-processor replay buffer; -1 entries are barrier sentinels *)
-type pbuf = {
-  mutable evs : int array; (* (byte addr lsl 1) lor write, or -1 *)
-  mutable regs : string array; (* region label per event ("" for sentinels) *)
-  mutable len : int;
-  mutable head : int;
-}
-
 type t = {
   nprocs : int;
   proc_bits : int;
@@ -66,11 +58,7 @@ type t = {
   words : (int, shadow) Hashtbl.t;
   lines : (int, unit_shadow) Hashtbl.t;
   pages : (int, unit_shadow) Hashtbl.t;
-  bufs : pbuf array;
-  passed : int array; (* barrier arrivals per proc in the current region *)
-  mutable completed : int; (* completed barrier generations *)
-  mutable in_par : bool;
-  mutable width : int; (* processors of the current region *)
+  mutable width : int; (* processors of the current region; 0 serial *)
   mutable races : report list; (* reverse detection order *)
   mutable sharing : report list;
   mutable n_races : int;
@@ -101,12 +89,6 @@ let create ~nprocs ~line_bytes ~page_bytes () =
     words = Hashtbl.create 4096;
     lines = Hashtbl.create 1024;
     pages = Hashtbl.create 256;
-    bufs =
-      Array.init nprocs (fun _ ->
-          { evs = Array.make 64 0; regs = Array.make 64 ""; len = 0; head = 0 });
-    passed = Array.make nprocs 0;
-    completed = 0;
-    in_par = false;
     width = 0;
     races = [];
     sharing = [];
@@ -260,44 +242,11 @@ let process t ~p ~addr ~write ~region =
     ~write ~region ~addr ~myvc
 
 (* ------------------------------------------------------------------ *)
-(* Replay buffers *)
-
-let push_buf b ev region =
-  if b.len = Array.length b.evs then begin
-    let evs = Array.make (2 * b.len) 0 and regs = Array.make (2 * b.len) "" in
-    Array.blit b.evs 0 evs 0 b.len;
-    Array.blit b.regs 0 regs 0 b.len;
-    b.evs <- evs;
-    b.regs <- regs
-  end;
-  b.evs.(b.len) <- ev;
-  b.regs.(b.len) <- region;
-  b.len <- b.len + 1
-
-(* replay one barrier phase: everything up to (and consuming) the next
-   sentinel, with [p]'s freshly advanced clock *)
-let drain_segment t p =
-  let b = t.bufs.(p) in
-  let stop = ref false in
-  while (not !stop) && b.head < b.len do
-    let ev = b.evs.(b.head) in
-    let region = b.regs.(b.head) in
-    b.regs.(b.head) <- ""; (* release the string *)
-    b.head <- b.head + 1;
-    if ev < 0 then stop := true
-    else process t ~p ~addr:(ev lsr 1) ~write:(ev land 1 = 1) ~region
-  done;
-  if b.head = b.len then begin
-    b.head <- 0;
-    b.len <- 0
-  end
-
-let blocked t p = t.in_par && t.passed.(p) > t.completed
-
-(* ------------------------------------------------------------------ *)
 (* Structural events *)
 
-let complete_generation t procs =
+(* the processors [procs] synchronize: each takes the join of their
+   clocks and starts a new epoch *)
+let sync t procs =
   let j = Array.make t.nprocs 0 in
   List.iter
     (fun p ->
@@ -310,23 +259,7 @@ let complete_generation t procs =
     (fun p ->
       Array.blit j 0 t.vc.(p) 0 t.nprocs;
       t.vc.(p).(p) <- j.(p) + 1)
-    procs;
-  t.completed <- t.completed + 1;
-  List.iter (fun p -> drain_segment t p) procs
-
-let all_procs t = List.init t.width Fun.id
-
-let try_complete t =
-  let all_arrived () =
-    let ok = ref true in
-    for p = 0 to t.width - 1 do
-      if t.passed.(p) <= t.completed then ok := false
-    done;
-    !ok
-  in
-  while t.in_par && all_arrived () do
-    complete_generation t (all_procs t)
-  done
+    procs
 
 let on_fork t ~nprocs =
   let n = min nprocs t.nprocs in
@@ -335,64 +268,23 @@ let on_fork t ~nprocs =
     Array.blit m 0 t.vc.(p) 0 t.nprocs;
     t.vc.(p).(p) <- m.(p) + 1
   done;
-  t.in_par <- true;
-  t.width <- n;
-  t.completed <- 0;
-  Array.fill t.passed 0 t.nprocs 0
+  t.width <- n
 
 let on_join t =
-  (* close generations that never completed machine-wide over whoever did
-     arrive; latecomers keep their stale clocks (that is the bug report) *)
-  let rec close () =
-    let subset = ref [] in
-    for p = t.width - 1 downto 0 do
-      if t.passed.(p) > t.completed then subset := p :: !subset
-    done;
-    match !subset with
-    | [] -> ()
-    | ps ->
-        complete_generation t ps;
-        close ()
-  in
-  if t.in_par then begin
-    close ();
-    for p = 0 to t.width - 1 do
-      drain_segment t p
-    done;
-    let m = Array.make t.nprocs 0 in
-    for p = 0 to t.width - 1 do
-      let v = t.vc.(p) in
-      for i = 0 to t.nprocs - 1 do
-        if v.(i) > m.(i) then m.(i) <- v.(i)
-      done
-    done;
-    Array.blit m 0 t.vc.(0) 0 t.nprocs;
-    t.vc.(0).(0) <- m.(0) + 1;
-    t.in_par <- false;
-    t.width <- 0;
-    t.completed <- 0;
-    Array.fill t.passed 0 t.nprocs 0
+  if t.width > 0 then begin
+    sync t (List.init t.width Fun.id);
+    t.width <- 0
   end
 
-(* The sanitizer's subscription to the event stream. An in-region
-   redistribution synchronizes like a barrier: every processor's preceding
-   accesses are ordered before every processor's subsequent ones. *)
 let observe t = function
   | Rt.Access { region; ev = { Memsys.ev_proc = p; ev_addr; ev_write; _ } } ->
-      if p < t.nprocs then
-        if blocked t p then
-          push_buf t.bufs.(p) ((ev_addr lsl 1) lor Bool.to_int ev_write) region
-        else process t ~p ~addr:ev_addr ~write:ev_write ~region
+      if p < t.nprocs then process t ~p ~addr:ev_addr ~write:ev_write ~region
   | Rt.Alloc { name; word_ranges } -> Addrmap.add t.owners ~word_ranges name
   | Rt.Fork { nprocs; _ } -> on_fork t ~nprocs
   | Rt.Join _ -> on_join t
-  | Rt.Barrier { proc; _ } | Rt.Redistribute { proc; _ } ->
-      if t.in_par && proc < t.width then begin
-        if blocked t proc then push_buf t.bufs.(proc) (-1) "";
-        t.passed.(proc) <- t.passed.(proc) + 1;
-        try_complete t
-      end
-  | Rt.Gather _ | Rt.Mark _ -> ()
+  | Rt.Barrier { procs; _ } ->
+      sync t (List.filter (fun p -> p < t.width) procs)
+  | Rt.Redistribute _ | Rt.Gather _ | Rt.Mark _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Results *)

@@ -33,12 +33,9 @@ val create : nprocs:int -> line_bytes:int -> page_bytes:int -> unit -> t
     used to classify false sharing (both powers of two). *)
 
 val observe : t -> Ddsm_runtime.Rt.event -> unit
-(** Feed one event. [Alloc] names the array reports land on. An [Access]
-    by a processor that has passed a not-yet-complete barrier is buffered
-    and replayed when the barrier completes, or at [Join], with stale
-    clocks, if it never does — which is how a dropped barrier is detected.
-    [Barrier] and [Redistribute] are ignored outside a parallel region,
-    where program order already orders accesses. [Gather] and [Mark]
+(** Feed one event. [Alloc] names the array reports land on. A
+    [Barrier] joins the clocks of the processors it released; one outside
+    a parallel region is ignored. [Redistribute], [Gather] and [Mark]
     carry no ordering. *)
 
 val races : t -> report list

@@ -106,10 +106,10 @@ let test_fault_first_failure () =
 
 let test_fault_drop_barrier () =
   let f = Fault.make ~drop_barrier:2 () in
-  check_fails "only the 2nd note dropped" [ false; true; false ]
-    (counted f Fault.Barrier_note 3);
+  check_fails "only the 2nd arrival dropped" [ false; true; false ]
+    (counted f Fault.Barrier_arrival 3);
   check_fails "none never drops" [ false ]
-    (counted Fault.none Fault.Barrier_note 1);
+    (counted Fault.none Fault.Barrier_arrival 1);
   (match Fault.of_spec "drop-barrier=5" with
   | Ok f' -> check_int "spec parses" 5 f'.Fault.drop_barrier
   | Error e -> Alcotest.fail e);

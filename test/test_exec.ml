@@ -1077,6 +1077,169 @@ let test_counters_populated () =
    (DESIGN.md §8) and how many regions forked. A run-queue change that
    keeps every cycle but reorders a tie, or loses a fast continue, moves
    these. Values taken with the binary-heap scheduler. *)
+(* ------------------------------------------------------------------ *)
+(* Barriers and equivalence at run time *)
+
+(* n = P iterations: each writes its own element, waits at the barrier,
+   then reads its right neighbour's (wrapping). Only a barrier that holds
+   every worker until all have written gives sum(a) = 10 * n(n+1)/2. *)
+let exchange_src ?(barrier = "c$barrier") n =
+  Printf.sprintf
+    {|
+      program xch
+      integer n, i
+      parameter (n = %d)
+      real*8 a(n), b(n), s
+c$distribute a(block), b(block)
+      do i = 1, n
+        a(i) = 0.0
+      enddo
+c$doacross local(i)
+      do i = 1, n
+        a(i) = i * 10.0
+%s
+        b(i) = a(mod(i, n) + 1)
+      enddo
+      s = 0.0
+      do i = 1, n
+        s = s + b(i)
+      enddo
+      print *, 'sum:', s
+      end
+      subroutine sync
+c$barrier
+      end
+|}
+    n barrier
+
+let test_barrier_exchange () =
+  List.iter
+    (fun (p, want) ->
+      Alcotest.(check string)
+        (Printf.sprintf "-p %d" p) want
+        (prints_of (run_ok ~nprocs:p (exchange_src p)));
+      (* a barrier reached through a call waits with the caller's region *)
+      Alcotest.(check string)
+        (Printf.sprintf "-p %d, barrier in a callee" p) want
+        (prints_of (run_ok ~nprocs:p (exchange_src ~barrier:"        call sync" p))))
+    [ (4, "sum: 100"); (8, "sum: 360"); (32, "sum: 5280") ]
+
+let test_barrier_serial_and_nested () =
+  (* a barrier in serial code and one in a region that runs inline (its
+     routine is called from a doacross body) wait for no one *)
+  let src =
+    {|
+      program p
+      integer i
+      real*8 a(8)
+      common /c/ a
+      do i = 1, 8
+        a(i) = 0.0
+      enddo
+c$barrier
+c$doacross local(i)
+      do i = 1, 8
+        call bump(i)
+      enddo
+      print *, a(1), a(8)
+      end
+      subroutine bump(k)
+      integer k, j
+      real*8 a(8)
+      common /c/ a
+c$doacross local(j)
+      do j = 1, 1
+        a(k) = a(k) + k
+c$barrier
+        a(k) = a(k) * 2.0
+      enddo
+      end
+|}
+  in
+  List.iter
+    (fun p ->
+      Alcotest.(check string)
+        (Printf.sprintf "-p %d" p) "2 16"
+        (prints_of (run_ok ~nprocs:p src)))
+    [ 1; 4 ]
+
+let test_held_workers_in_deadlock_view () =
+  (* the 5th wakeup is proc 3's, before the barrier: its siblings are
+     held there when the run deadlocks *)
+  let module Diag = Ddsm_check.Diag in
+  let prog = build (exchange_src 4) in
+  let rt =
+    Rt.create (Config.scaled ~nprocs:4 ()) ~policy:Pagetable.First_touch
+      ~heap_words:(1 lsl 20)
+      ~fault:(Ddsm_check.Fault.make ~lose_wakeup:5 ())
+      ()
+  in
+  match Engine.run prog ~rt () with
+  | Ok _ -> Alcotest.fail "expected a deadlock"
+  | Error d ->
+      check_bool "deadlock" true (d.Diag.reason = Diag.Deadlock);
+      let states =
+        List.concat_map
+          (fun (v : Diag.task_view) ->
+            List.map
+              (fun (c : Diag.task_view) ->
+                Printf.sprintf "p%d %s" c.Diag.tv_proc
+                  (match c.Diag.tv_state with
+                  | Diag.Held -> "held"
+                  | Diag.Blocked_mem -> "blocked-mem"
+                  | Diag.Ready | Diag.Waiting _ | Diag.Done -> "other"))
+              v.Diag.tv_children)
+          d.Diag.blocked
+      in
+      Alcotest.(check (list string))
+        "workers"
+        [
+          "p3 blocked-mem"; "p2 held"; "p1 held"; "p0 held";
+        ]
+        states
+
+(* one storage, two names of different shapes: a store through either
+   name is read back through the other, serially and from a doacross *)
+let test_equivalence_at_run_time () =
+  let src ty =
+    Printf.sprintf
+      {|
+      program p
+      integer i, j
+      %s a(8), b(2, 4), s
+      equivalence (a, b)
+c$doacross local(i)
+      do i = 1, 8
+        a(i) = i * i
+      enddo
+      s = 0
+      do j = 1, 4
+        do i = 1, 2
+          s = s + b(i, j) * (i + 2 * (j - 1))
+        enddo
+      enddo
+      print *, b(1, 2), b(2, 4), s
+c$doacross local(i, j)
+      do j = 1, 4
+        do i = 1, 2
+          b(i, j) = b(i, j) + 1
+        enddo
+      enddo
+      print *, a(5), a(8)
+      end
+|}
+      ty
+  in
+  List.iter
+    (fun (ty, want) ->
+      List.iter
+        (fun p ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s -p %d" ty p) want
+            (prints_of (run_ok ~nprocs:p (src ty))))
+        [ 1; 4 ])
+    [ ("real*8", "9 64 1296\n26 65"); ("integer", "9 64 1296\n26 65") ]
+
 let test_schedule_pinned () =
   let example name =
     In_channel.with_open_bin
@@ -1133,6 +1296,7 @@ let test_watchdog_stall_pinned () =
           (match v.Diag.tv_state with
           | Diag.Ready -> "ready"
           | Diag.Waiting n -> Printf.sprintf "waiting(%d)" n
+          | Diag.Held -> "held"
           | Diag.Blocked_mem -> "blocked-mem"
           | Diag.Done -> "done")
         :: List.concat_map (render (indent ^ "  ")) v.Diag.tv_children
@@ -1276,5 +1440,16 @@ let () =
           Alcotest.test_case "dsm portion bounds" `Quick test_dsm_portion_bounds;
           Alcotest.test_case "heap exhaustion" `Quick test_heap_exhaustion_reported;
           Alcotest.test_case "scalars pass by value" `Quick test_scalar_args_by_value;
+        ] );
+      ( "parallel regions",
+        [
+          Alcotest.test_case "barrier exchange at n = P" `Quick
+            test_barrier_exchange;
+          Alcotest.test_case "barrier in serial and nested code" `Quick
+            test_barrier_serial_and_nested;
+          Alcotest.test_case "held workers in the deadlock view" `Quick
+            test_held_workers_in_deadlock_view;
+          Alcotest.test_case "equivalence at run time" `Quick
+            test_equivalence_at_run_time;
         ] );
     ]

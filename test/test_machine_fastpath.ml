@@ -449,10 +449,9 @@ let access_ev ~proc ~addr ~write : Memsys.access_event =
 
 (* An event stream shaped like the engine's: serial accesses by processor
    0, forks of width 1..nprocs, accesses by the region's workers (rarely
-   one beyond the sanitizer's processors), barrier and redistribute
-   arrivals by random workers (so some generations complete, some close
-   partially at join, and post-barrier accesses get buffered), allocations
-   that leave gaps unattributed, and events that carry no ordering.
+   one beyond the sanitizer's processors), barrier releases of random
+   subsets of the workers (some outside any region), allocations that
+   leave gaps unattributed, and events that carry no ordering.
    Addresses mix a handful of hot words (same-word races, read-vector
    promotion) with a small window (line and page false sharing). Region
    labels come from a pool of 2 to 120; a third of the time the label is a
@@ -500,7 +499,9 @@ let gen_san_stream rand ~nprocs ~nevents =
           width := pick 1 nprocs;
           Rt.Fork { region = label (); nprocs = !width; proc = 0; now }
         end
-    | n when n < 9 -> Rt.Barrier { proc = worker (); now }
+    | n when n < 9 ->
+        let procs = List.init (pick 0 4) (fun _ -> worker ()) in
+        Rt.Barrier { procs = List.sort_uniq compare procs; now }
     | n when n < 10 ->
         let result =
           { Rt.moved = 1; words = 8; rounds = 1; round_words = 8; retries = 0;

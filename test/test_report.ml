@@ -137,7 +137,7 @@ let test_profile_matrix () =
 let test_profile_ring_bounded () =
   let p = Profile.create ~trace_cap:4 () in
   for i = 1 to 10 do
-    Profile.observe p (Ddsm_runtime.Rt.Barrier { proc = 0; now = i })
+    Profile.observe p (Ddsm_runtime.Rt.Barrier { procs = [ 0 ]; now = i })
   done;
   check_int "dropped" 6 (Profile.trace_dropped p)
 

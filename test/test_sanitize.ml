@@ -1,8 +1,7 @@
 (* Tests for the happens-before sanitizer: vector-clock ordering through
-   fork/join/barriers, the FastTrack read-epoch/read-vector promotion,
-   phase-aligned replay of accesses that raced ahead of a barrier, and the
-   race vs line/page false-sharing classification — plus end-to-end runs
-   through the engine with a seeded barrier drop. *)
+   fork/join/barrier releases, the FastTrack read-epoch/read-vector
+   promotion, and the race vs line/page false-sharing classification —
+   plus end-to-end runs through the engine with a seeded barrier drop. *)
 
 open Ddsm_machine
 module Sanitize = Ddsm_sanitize.Sanitize
@@ -46,7 +45,8 @@ let fork t ~nprocs =
   Sanitize.observe t (Rt.Fork { region = "par"; nprocs; proc = 0; now = 0 })
 
 let join t = Sanitize.observe t (Rt.Join { region = "par"; proc = 0; now = 0 })
-let barrier t ~proc = Sanitize.observe t (Rt.Barrier { proc; now = 0 })
+(* a barrier release of the processors [procs] *)
+let release t procs = Sanitize.observe t (Rt.Barrier { procs; now = 0 })
 
 let alloc t ~name ~word_ranges =
   Sanitize.observe t (Rt.Alloc { name; word_ranges })
@@ -128,60 +128,69 @@ let test_barrier_orders_phases () =
   fork t ~nprocs:2;
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  barrier t ~proc:0;
-  barrier t ~proc:1;
+  release t [ 0; 1 ];
   (* cross reads of the other's phase-1 write *)
   acc t ~proc:0 ~addr:8 ~write:false;
   acc t ~proc:1 ~addr:0 ~write:false;
   join t;
   check_int "barrier orders phase 1 before phase 2" 0 (n_races t)
 
-let test_buffered_replay_across_barrier () =
-  (* the engine's stream can deliver one worker's post-barrier accesses
-     before a sibling reaches the barrier; they must be buffered and
-     replayed with post-barrier clocks, not checked early *)
-  let t = mk ~nprocs:2 () in
-  fork t ~nprocs:2;
-  acc t ~proc:0 ~addr:0 ~write:true;
-  barrier t ~proc:0;
-  (* proc 0 races ahead: this read is buffered (barrier incomplete) *)
-  acc t ~proc:0 ~addr:8 ~write:false;
-  (* proc 1 still in phase 1 *)
-  acc t ~proc:1 ~addr:8 ~write:true;
-  barrier t ~proc:1;
-  acc t ~proc:1 ~addr:0 ~write:false;
-  join t;
-  check_int "buffered accesses replay ordered" 0 (n_races t)
-
 let test_dropped_barrier_detected () =
-  (* proc 0's arrival is never seen: its phase-2 read keeps phase-1
-     clocks and must race with proc 1's phase-1 write *)
+  (* proc 0's arrival was dropped, so the release names only proc 1: proc
+     0's phase-2 read keeps phase-1 clocks and must race with proc 1's
+     phase-1 write *)
   let t = mk ~nprocs:2 () in
   fork t ~nprocs:2;
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  (* proc 0's barrier arrival is dropped *)
-  barrier t ~proc:1;
   acc t ~proc:0 ~addr:8 ~write:false;
+  release t [ 1 ];
   acc t ~proc:1 ~addr:0 ~write:false;
   join t;
   check_bool "dropped barrier yields a race" true (n_races t >= 1)
 
 let test_partial_barrier_at_join () =
-  (* a worker with no loop iterations never reaches the barrier; the
-     generation closes over the arrivers at join and their phases stay
-     ordered — no false positive *)
+  (* a worker with no loop iterations finishes without reaching the
+     barrier, which then releases the workers that did: their phases stay
+     ordered and the idle ones add no false positive *)
   let t = mk ~nprocs:4 () in
   fork t ~nprocs:4;
   (* only procs 0 and 1 have work; 2 and 3 are idle *)
   acc t ~proc:0 ~addr:0 ~write:true;
   acc t ~proc:1 ~addr:8 ~write:true;
-  barrier t ~proc:0;
-  barrier t ~proc:1;
+  release t [ 1; 0 ];
   acc t ~proc:0 ~addr:8 ~write:false;
   acc t ~proc:1 ~addr:0 ~write:false;
   join t;
   check_int "idle workers don't fake races" 0 (n_races t)
+
+let test_release_orders_only_the_released () =
+  (* a processor left out of a release stays unordered with the released
+     ones *)
+  let t = mk ~nprocs:3 () in
+  fork t ~nprocs:3;
+  acc t ~proc:2 ~addr:16 ~write:true;
+  release t [ 0; 1 ];
+  acc t ~proc:0 ~addr:16 ~write:false;
+  join t;
+  check_int "proc 2 was not released with proc 0" 1 (n_races t);
+  let t = mk ~nprocs:2 () in
+  fork t ~nprocs:2;
+  acc t ~proc:0 ~addr:0 ~write:true;
+  (* a redistribution orders nothing *)
+  Sanitize.observe t
+    (Rt.Redistribute
+       {
+         array = "a";
+         result =
+           { Rt.moved = 0; words = 0; rounds = 0; round_words = 0; retries = 0;
+             fell_back = false };
+         proc = 0;
+         now = 0;
+       });
+  acc t ~proc:1 ~addr:0 ~write:false;
+  join t;
+  check_int "a redistribution is no barrier" 1 (n_races t)
 
 (* ------------------------------------------------------------------ *)
 (* Race vs false-sharing classification *)
@@ -232,8 +241,7 @@ let test_ordered_neighbours_no_sharing () =
   acc t ~proc:0 ~addr:8 ~write:true;
   fork t ~nprocs:2;
   acc t ~proc:0 ~addr:16 ~write:true;
-  barrier t ~proc:0;
-  barrier t ~proc:1;
+  release t [ 0; 1 ];
   acc t ~proc:1 ~addr:24 ~write:true;
   join t;
   check_int "ordered neighbour writes are clean" 0 (n_fs t)
@@ -335,7 +343,8 @@ let test_engine_seeded_race () =
   let san, o = run_relax ~fault ~nprocs:8 () in
   check_bool "dropping one barrier arrival is detected" true
     (List.length (Sanitize.races san) >= 1);
-  (* the fault drops only an observer note: values are untouched *)
+  (* the dropped arrival runs on early; relax's values do not depend on
+     it *)
   Alcotest.(check (list string))
     "output identical under the fault" [ "sum: 44" ] o.Ddsm.Engine.prints;
   let r = List.hd (Sanitize.races san) in
@@ -343,8 +352,9 @@ let test_engine_seeded_race () =
     (String.length r.Sanitize.rep_first_region > 0)
 
 let test_engine_fewer_iterations_than_procs () =
-  (* 8 iterations, 16 processors: half the workers never reach the
-     barrier — the partial-barrier close at join must not fabricate races *)
+  (* 8 iterations, 16 processors: half the workers finish without
+     reaching the barrier, which counts them as arrived — no deadlock and
+     no fabricated races *)
   let san, _ = run_relax ~nprocs:16 () in
   check_int "idle processors: still clean" 0
     (List.length (Sanitize.races san))
@@ -384,12 +394,12 @@ let () =
             test_read_vector_catches_all_readers;
           Alcotest.test_case "barrier orders phases" `Quick
             test_barrier_orders_phases;
-          Alcotest.test_case "buffered replay" `Quick
-            test_buffered_replay_across_barrier;
           Alcotest.test_case "dropped barrier detected" `Quick
             test_dropped_barrier_detected;
           Alcotest.test_case "partial barrier at join" `Quick
             test_partial_barrier_at_join;
+          Alcotest.test_case "release orders only the released" `Quick
+            test_release_orders_only_the_released;
         ] );
       ( "classification",
         [

@@ -170,6 +170,21 @@ c$distribute a(block)
 c$redistribute a(cyclic) procs(3)
 |}))
 
+let test_redistribute_in_doacross () =
+  (* every iteration would relayout the shared array: rejected at the
+     directive's line; before and after the loop it is legal *)
+  let body redist_at =
+    Printf.sprintf
+      "      integer i\n      real*8 a(64)\nc$distribute a(block)\n%s\
+       c$doacross local(i), shared(a)\n      do i = 1, 64\n%s\
+      \        a(i) = i\n      enddo\n"
+      (if redist_at = `Before then "c$redistribute a(cyclic)\n" else "")
+      (if redist_at = `Inside then "c$redistribute a(cyclic)\n" else "")
+  in
+  analyse_err ~expect:"t.pf:7: c$redistribute a inside a c$doacross body"
+    (wrap (body `Inside));
+  ignore (analyse_ok (wrap (body `Before)))
+
 let test_affinity_legality () =
   (* good: literal affine form *)
   ignore
@@ -509,6 +524,8 @@ let () =
           Alcotest.test_case "distribute legality" `Quick test_dist_legality;
           Alcotest.test_case "reshaped equivalence rejected" `Quick test_equivalence_reshape_error;
           Alcotest.test_case "redistribute legality" `Quick test_redistribute_legality;
+          Alcotest.test_case "redistribute in a doacross body" `Quick
+            test_redistribute_in_doacross;
           Alcotest.test_case "affinity legality" `Quick test_affinity_legality;
           Alcotest.test_case "affinity negative offset" `Quick
             test_affinity_negative_offset;
