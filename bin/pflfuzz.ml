@@ -1,7 +1,7 @@
 (* pflfuzz — end-to-end compiler fuzzing: a typed random program generator
    feeding a three-way differential harness (reference interpreter,
    sequential engine, Jobs-parallel fast path over several machine
-   configurations).
+   configurations and §7 flag sets).
 
    A campaign generates [--count] programs from consecutive seeds, runs
    each through the differential driver, triages failures into root-cause
@@ -151,9 +151,9 @@ let fault_t =
     value & flag
     & info [ "fault" ]
         ~doc:
-          "Inject deterministic performance-fault plans on variant legs \
-           (values must not change) and lost-wakeup chaos legs (a \
-           structured diagnosis is required, never an uncaught exception).")
+          "Inject deterministic performance-fault plans on the variant and \
+           flags legs (values must not change) and lost-wakeup chaos legs \
+           (which must end ok, in a deadlock or in a watchdog stall).")
 
 let race_t =
   Arg.(

@@ -11,8 +11,8 @@
     Faults never corrupt values — they only stretch latencies or force the
     runtime down its degradation paths — so any program must produce
     byte-identical output under any plan (the paper's "directives affect
-    only the performance, not the correctness" contract, which
-    [pflrun --differential] mechanizes).
+    only the performance, not the correctness" contract, which the
+    fuzzing differential driver [Ddsm_fuzz.Differ] mechanizes).
 
     The one exception is {!field-lose_wakeup}, a chaos fault that drops a
     scheduler wakeup to *induce a deadlock on purpose*; it exists to

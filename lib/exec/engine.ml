@@ -175,6 +175,8 @@ let run prog ~rt ?(checks = true) ?(bounds = false)
       counters =
         ("redist_retries", rt.Rt.redist_retries)
         :: ("redist_fallbacks", rt.Rt.redist_fallbacks)
+        :: ("gather_retries", rt.Rt.gather_retries)
+        :: ("gather_fallbacks", rt.Rt.gather_fallbacks)
         :: Counters.to_assoc (Memsys.total_counters mem);
       violations = [];
     }

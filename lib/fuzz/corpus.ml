@@ -28,8 +28,11 @@ let header_re line prefix =
                             (String.length line - String.length prefix)))
   else None
 
+(* a file without a [seed=] header is seeded by its name, so that every
+   such file picks its own flags leg, the same one on every load *)
 let parse_case ~path source =
-  let seed = ref 0 and expect = ref "ok" in
+  let seed = ref (Hashtbl.hash (Filename.basename path))
+  and expect = ref "ok" in
   List.iter
     (fun line ->
       (match header_re line "c pflfuzz corpus:" with

@@ -12,7 +12,9 @@ c expect: ok
 
     [expect] is matched as a prefix of {!Differ.kind_of}, so ["diverged"]
     matches any divergence kind and ["ok"] demands a clean pass.  Corpus
-    files found by a campaign are replayed forever by the test suite. *)
+    files found by a campaign are replayed forever by the test suite, and
+    any directory of plain [.pf] programs replays as a corpus of
+    headerless cases (the examples do, in [@fuzz]). *)
 
 type case = { path : string; seed : int; expect : string; source : string }
 
@@ -23,8 +25,10 @@ val write_case :
 
 val load : dir:string -> case list
 (** All corpus cases in [dir], sorted by filename; missing directory is an
-    empty corpus.  Files without headers get [seed = 0] and
-    [expect = "ok"]. *)
+    empty corpus.  A file without a [seed=] header gets
+    [Hashtbl.hash] of its basename as its seed — distinct files get
+    distinct flags legs, and each gets the same one on every load — and a
+    file without an [expect:] header gets [expect = "ok"]. *)
 
 val replay : Differ.options -> case -> (unit, string) result
 (** Run the case through the differential driver and check the verdict

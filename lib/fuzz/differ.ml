@@ -9,6 +9,7 @@ module Darray = Ddsm_runtime.Darray
 module Layout = Ddsm_dist.Layout
 module Counters = Ddsm_machine.Counters
 module Pagetable = Ddsm_machine.Pagetable
+module Flags = Ddsm_transform.Flags
 module Jobs = Ddsm_util.Jobs
 module Sanitize = Ddsm_sanitize.Sanitize
 
@@ -162,21 +163,51 @@ let check_prints ~kind a b =
                (List.length b);
          })
 
-let analyse opts files =
-  (* 1. compile + link; any refusal is a Reject *)
+(* compile and link every file with one flag set *)
+let compile_link ?flags files =
   let objs, errs =
     List.fold_left
       (fun (objs, errs) (fname, src) ->
-        match Ddsm.compile_source ~fname src with
+        match Ddsm.compile_source ?flags ~fname src with
         | Ok o -> (o :: objs, errs)
         | Error es -> (objs, errs @ es))
       ([], []) files
   in
-  if errs <> [] then return (Reject (short (String.concat "; " errs)));
-  let prog =
+  if errs <> [] then Error (short (String.concat "; " errs))
+  else
     match Ddsm.link (List.rev objs) with
-    | Ok (prog, _) -> prog
-    | Error es -> return (Reject (short (String.concat "; " es)))
+    | Ok (prog, _) -> Ok prog
+    | Error es -> Error (short (String.concat "; " es))
+
+(* The flags leg's §7 flag set and processor count, both read off the case
+   seed so that shrinking and corpus replay rerun the same leg. *)
+let leg_flags seed =
+  match seed land 3 with
+  | 0 -> Flags.all_off
+  | 1 -> Flags.tile_peel
+  | 2 -> { Flags.all_on with Flags.peel = false }
+  | _ ->
+      let bits = Hashtbl.hash seed in
+      let on k = (bits lsr k) land 1 = 1 in
+      {
+        Flags.tile = on 0;
+        peel = on 1;
+        skew = on 2;
+        hoist = on 3;
+        cse = on 4;
+        fp_divmod = on 5;
+        interchange = on 6;
+        inspector = on 7;
+      }
+
+let leg_nprocs seed = [| 1; 3; 5; 6; 7 |].((seed lsr 2) mod 5)
+
+let analyse opts files =
+  (* 1. compile + link; any refusal is a Reject *)
+  let prog =
+    match compile_link files with
+    | Ok prog -> prog
+    | Error e -> return (Reject e)
   in
   (* 2. reference interpretation over the unlowered post-sema IR *)
   let envs =
@@ -199,22 +230,40 @@ let analyse opts files =
          legs so the campaign keeps moving *)
       return Timeout
   | _ -> ());
-  (* 3. engine legs: in-process base + Jobs-dispatched duplicate/variants *)
+  (* 3. engine legs: in-process base + Jobs-dispatched duplicate, variants
+     and the flags leg, which runs the files compiled with another §7 flag
+     set *)
   let base = { l_nprocs = 4; l_policy = Pagetable.First_touch; l_fault = None } in
   let vfault k nprocs =
     if opts.fault then
       Some (Fault.random ~seed:(opts.case_seed + k) ~nnodes:(max 1 (nprocs / 2)))
     else None
   in
-  let variants =
+  let fprog =
+    match compile_link ~flags:(leg_flags opts.case_seed) files with
+    | Ok p -> p
+    | Error e -> return (Diverged { kind = "flags"; detail = "refused: " ^ e })
+  in
+  let fnprocs = leg_nprocs opts.case_seed in
+  let flags_leg =
+    {
+      l_nprocs = fnprocs;
+      l_policy =
+        (if (opts.case_seed lsr 2) land 1 = 0 then Pagetable.First_touch
+         else Pagetable.Round_robin);
+      l_fault = vfault 3 fnprocs;
+    }
+  in
+  let legs =
     [
-      base;
-      {
-        l_nprocs = 2;
-        l_policy = Pagetable.Round_robin;
-        l_fault = vfault 1 2;
-      };
-      { l_nprocs = 8; l_policy = Pagetable.First_touch; l_fault = vfault 2 8 };
+      (prog, base);
+      ( prog,
+        { l_nprocs = 2; l_policy = Pagetable.Round_robin; l_fault = vfault 1 2 }
+      );
+      ( prog,
+        { l_nprocs = 8; l_policy = Pagetable.First_touch; l_fault = vfault 2 8 }
+      );
+      (fprog, flags_leg);
     ]
   in
   let sanitizer =
@@ -224,12 +273,12 @@ let analyse opts files =
   let direct = run_leg prog opts base ~sanitize:sanitizer in
   let jobs_out =
     Jobs.map ~jobs:opts.jobs
-      (fun leg -> run_leg prog opts leg ~sanitize:None)
-      variants
+      (fun (prog, leg) -> run_leg prog opts leg ~sanitize:None)
+      legs
   in
-  let dup, v1, v2 =
+  let dup, v1, v2, vf =
     match jobs_out with
-    | [ a; b; c ] -> (a, b, c)
+    | [ a; b; c; d ] -> (a, b, c, d)
     | _ -> return (Diverged { kind = "fastpath"; detail = "jobs arity" })
   in
   (* 3a. fast path must be bit-identical to the in-process run *)
@@ -309,51 +358,38 @@ let analyse opts files =
         check_images ~kind:"values" iarr e.e_image;
         Pass
   in
-  (* 3d. variant legs agree with the base on values and prints *)
-  (match direct with
-  | Ok b ->
-      List.iter
-        (fun v ->
-          match v with
-          | Ok (v : engine_out) ->
-              check_images ~kind:"variant" b.e_image v.e_image;
-              check_prints ~kind:"variant" b.e_prints v.e_prints
-          | Error d when diag_is_budget d -> return Timeout
-          | Error d when Diag.is_internal d ->
-              return
-                (Diverged
-                   {
-                     kind = "engine-internal";
-                     detail = short (Diag.to_string d);
-                   })
-          | Error d ->
-              return
-                (Diverged
-                   {
-                     kind = "variant";
-                     detail = "base ok vs " ^ short (Diag.to_string d);
-                   }))
-        [ v1; v2 ]
-  | Error bd ->
-      List.iter
-        (fun v ->
-          match v with
-          | Error d when Diag.code d = Diag.code bd -> ()
-          | Error d when diag_is_budget d || diag_is_budget bd -> ()
-          | Error d ->
-              return
-                (Diverged
-                   {
-                     kind = "variant";
-                     detail = Diag.code bd ^ " vs " ^ Diag.code d;
-                   })
-          | Ok _ ->
-              return
-                (Diverged
-                   { kind = "variant"; detail = Diag.code bd ^ " vs ok" }))
-        [ v1; v2 ]);
-  (* 3e. chaos leg: a lost wakeup may deadlock or stall the run, but it must
-     come back as a structured diagnosis, not an exception *)
+  (* 3d. variant and flags legs agree with the base on values and prints,
+     or fail as it does *)
+  let agree ~kind leg =
+    match (direct, leg) with
+    | Ok b, Ok (v : engine_out) ->
+        check_images ~kind b.e_image v.e_image;
+        check_prints ~kind b.e_prints v.e_prints
+    | Ok _, Error d when diag_is_budget d -> return Timeout
+    | Ok _, Error d when Diag.is_internal d ->
+        return
+          (Diverged
+             { kind = "engine-internal"; detail = short (Diag.to_string d) })
+    | Ok _, Error d ->
+        return
+          (Diverged
+             { kind; detail = "base ok vs " ^ short (Diag.to_string d) })
+    | Error bd, Error d
+      when Diag.code d = Diag.code bd || diag_is_budget d || diag_is_budget bd
+      ->
+        ()
+    | Error bd, Error d ->
+        return
+          (Diverged { kind; detail = Diag.code bd ^ " vs " ^ Diag.code d })
+    | Error bd, Ok _ ->
+        return (Diverged { kind; detail = Diag.code bd ^ " vs ok" })
+  in
+  agree ~kind:"variant" v1;
+  agree ~kind:"variant" v2;
+  agree ~kind:"flags" vf;
+  (* 3e. chaos leg: a lost wakeup may end the run in a deadlock or a
+     watchdog stall, or not at all; a program that fails on its own may
+     fail the same way first. Anything else is the engine's fault. *)
   if opts.fault && opts.case_seed mod 4 = 0 then begin
     let chaos =
       {
@@ -364,7 +400,16 @@ let analyse opts files =
       }
     in
     match run_leg prog opts chaos ~sanitize:None with
-    | Ok _ | Error _ -> ()
+    | Ok _ -> ()
+    | Error { Diag.reason = Diag.Deadlock | Diag.Watchdog_stall _; _ } -> ()
+    | Error { Diag.reason = Diag.User _; _ } when verdict_base <> Pass -> ()
+    | Error d ->
+        return
+          (Diverged
+             {
+               kind = "engine-internal";
+               detail = "chaos leg: " ^ short (Diag.to_string d);
+             })
   end;
   verdict_base
 

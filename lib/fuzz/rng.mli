@@ -1,8 +1,8 @@
 (** Deterministic pseudo-random stream for the program generator.
 
-    A splittable 48-bit LCG (same recurrence as the differential harness in
-    [pflrun]): the generated program is a pure function of the seed, so every
-    campaign case can be replayed from its seed alone. *)
+    A splittable 48-bit LCG: the generated program is a pure function of
+    the seed, so every campaign case can be replayed from its seed
+    alone. *)
 
 type t
 

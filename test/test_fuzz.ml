@@ -83,6 +83,18 @@ let test_differ_fail_agreement () =
   in
   check_str "agreed runtime error is fail" "fail" (Differ.kind_of (run_src src))
 
+let test_differ_chaos_failure () =
+  (* seed 0 under --fault runs the chaos leg; this program fails before
+     its first memory access, so no wakeup is lost and the chaos leg ends
+     in the program's own error, which is no fault of the engine *)
+  let src =
+    "      program main\n      integer i, j\n      i = 0\n\
+     \      j = 7 / i\n      print *, j\n      end\n"
+  in
+  let opts = { (Differ.default ~seed:0) with Differ.fault = true } in
+  check_str "chaos leg keeps an agreed failure" "fail"
+    (Differ.kind_of (Differ.run opts [ ("t.pf", src) ]))
+
 let test_differ_timeout () =
   let src =
     "      program main\n      integer i, j, k, n, m\n\
@@ -172,6 +184,28 @@ let test_corpus_roundtrip () =
       Sys.rmdir dir
   | cs -> Alcotest.failf "expected 1 corpus case, got %d" (List.length cs)
 
+(* A file without a seed header is seeded by its name: two such files get
+   distinct seeds (so distinct flags legs), the same ones on every load. *)
+let test_corpus_headerless_seeds () =
+  let dir = Filename.temp_file "pflfuzz" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let src = "      program main\n      print *, 1\n      end\n" in
+  List.iter
+    (fun f ->
+      let oc = open_out (Filename.concat dir f) in
+      output_string oc src;
+      close_out oc)
+    [ "a.pf"; "b.pf" ];
+  let seeds () = List.map (fun c -> c.Corpus.seed) (Corpus.load ~dir) in
+  let first = seeds () in
+  (match first with
+  | [ a; b ] -> check_bool "distinct seeds" true (a <> b)
+  | l -> Alcotest.failf "expected 2 corpus cases, got %d" (List.length l));
+  Alcotest.(check (list int)) "same seeds on a second load" first (seeds ());
+  List.iter (fun f -> Sys.remove (Filename.concat dir f)) [ "a.pf"; "b.pf" ];
+  Sys.rmdir dir
+
 (* ------------------------------------------------------------------ *)
 (* Diag.code stability: triage buckets key on these strings, so renaming
    one silently splits or merges historical corpora. *)
@@ -197,6 +231,8 @@ let () =
           Alcotest.test_case "pass" `Quick test_differ_pass;
           Alcotest.test_case "reject" `Quick test_differ_reject;
           Alcotest.test_case "agreed failure" `Quick test_differ_fail_agreement;
+          Alcotest.test_case "agreed failure, chaos leg" `Quick
+            test_differ_chaos_failure;
           Alcotest.test_case "timeout" `Quick test_differ_timeout;
         ] );
       ( "shrinker",
@@ -204,7 +240,11 @@ let () =
       ( "triage",
         [ Alcotest.test_case "dedup" `Quick test_triage_dedup ] );
       ( "corpus",
-        [ Alcotest.test_case "roundtrip" `Quick test_corpus_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_corpus_roundtrip;
+          Alcotest.test_case "headerless seeds" `Quick
+            test_corpus_headerless_seeds;
+        ] );
       ( "diag",
         [ Alcotest.test_case "codes stable" `Quick test_diag_codes_stable ] );
     ]

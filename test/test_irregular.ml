@@ -254,6 +254,32 @@ let test_gather_fail_later () =
   check_int "3 retries" 3 rt.Rt.gather_retries;
   check_int "1 fallback" 1 rt.Rt.gather_fallbacks
 
+let test_gather_fail_dump () =
+  (* a run that fails after its gathers fell back reports them in its
+     failure dump: the same faulty run under a cycle budget one short of
+     its total *)
+  let fault = Fault.make ~gather_fail:1 () in
+  let o, _ = run ~fault (sweep_src ()) in
+  let rt =
+    Rt.create (Config.scaled ~nprocs:4 ()) ~policy:Pagetable.First_touch
+      ~heap_words:(1 lsl 20) ~fault ()
+  in
+  match
+    Engine.run (build (sweep_src ())) ~rt ~max_cycles:(o.Engine.cycles - 1) ()
+  with
+  | Ok _ -> Alcotest.fail "run finished within a budget one cycle short"
+  | Error d ->
+      let words =
+        Ddsm_check.Diag.to_string d
+        |> String.split_on_char '\n'
+        |> List.concat_map (String.split_on_char ' ')
+      in
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) (field ^ " in the dump") true
+            (List.mem field words))
+        [ "gather_retries=6"; "gather_fallbacks=2" ]
+
 (* A cache hit allocates no key: a serial sweep re-runs a one-slot,
    three-dimensional gather [sweeps] times, so the key (two versions and
    six bounds) would weigh more than the executor's one scratch load.
@@ -328,6 +354,8 @@ let () =
         [
           Alcotest.test_case "all fetches fail" `Quick test_gather_fail_all;
           Alcotest.test_case "later fetches fail" `Quick test_gather_fail_later;
+          Alcotest.test_case "counts in the failure dump" `Quick
+            test_gather_fail_dump;
           Alcotest.test_case "spec round-trip" `Quick test_fault_spec_roundtrip;
         ] );
     ]

@@ -1,19 +1,16 @@
 (* Randomized differential testing of the full pipeline: generate random
-   directive-annotated stencil programs and check that every optimization
-   level, processor count and placement policy computes the same result as
-   the unoptimized single-processor run. This is the strongest correctness
-   net over the §4/§7 transformations. *)
+   directive-annotated stencil programs and run each through the fuzzing
+   differential driver ([Ddsm_fuzz.Differ]), which checks it against the
+   reference interpreter and checks every processor count, placement
+   policy, fault plan and §7 flag set it runs the program under against
+   the base run. *)
 
-open Ddsm_frontend
-open Ddsm_sema
-open Ddsm_transform
-open Ddsm_exec
 module K = Ddsm_dist.Kind
-module Config = Ddsm_machine.Config
-module Pagetable = Ddsm_machine.Pagetable
 module Rt = Ddsm_runtime.Rt
-module Objfile = Ddsm_linker.Objfile
 module Fault = Ddsm_check.Fault
+module Diag = Ddsm_check.Diag
+module Differ = Ddsm_fuzz.Differ
+module Ddsm = Ddsm_core.Ddsm
 
 (* ------------------------------------------------------------------ *)
 (* program generator *)
@@ -153,69 +150,25 @@ c$doacross local(i, j)%s
 
 (* ------------------------------------------------------------------ *)
 
-let build ~flags src =
-  match Parser.parse_file ~fname:"r.pf" src with
-  | Error e -> Error ("parse: " ^ e)
-  | Ok f -> (
-      match Sema.analyse_file f with
-      | Error es -> Error ("sema: " ^ String.concat "; " es)
-      | Ok envs ->
-          let routines =
-            List.map
-              (fun (env : Sema.env) ->
-                (env.Sema.routine.Ddsm_ir.Decl.rname, Objfile.lower flags env))
-              envs
-          in
-          Ok
-            (Prog.create routines
-               ~main:
-                 (List.hd envs).Sema.routine.Ddsm_ir.Decl.rname))
-
-let run ?(fault = Fault.none) ~flags ~nprocs ~policy src =
-  match build ~flags src with
-  | Error e -> Error e
-  | Ok prog -> (
-      let cfg = Config.scaled ~nprocs:(max nprocs 8) () in
-      let rt =
-        Rt.create cfg ~policy ~heap_words:(1 lsl 18) ~job_procs:nprocs ~fault ()
-      in
-      match Engine.run prog ~rt ~bounds:true () with
-      | Ok o -> Ok (String.concat "|" o.Engine.prints, rt)
-      | Error m -> Error ("run: " ^ Ddsm_check.Diag.to_string m))
-
-let differential gen count () =
+(* Each round's program must pass every leg of the differential driver,
+   with fault plans, the chaos leg and the race sanitizer on; the round
+   number is the case seed, which picks the flags leg. *)
+let stencils gen count () =
   let rng = Random.State.make [| 0xd15c0; count |] in
   for round = 1 to count do
     let { src; label } = gen rng in
-    match run ~flags:Flags.all_off ~nprocs:1 ~policy:Pagetable.First_touch src with
-    | Error e -> Alcotest.failf "%s: reference failed: %s\n%s" label e src
-    | Ok (reference, _) ->
-        List.iter
-          (fun (flags, nprocs, policy, fault) ->
-            match run ~fault ~flags ~nprocs ~policy src with
-            | Error e -> Alcotest.failf "%s [np=%d]: %s\n%s" label nprocs e src
-            | Ok (got, _) ->
-                if got <> reference then
-                  Alcotest.failf "%s [np=%d]: got %s, want %s\n%s" label nprocs
-                    got reference src)
-          [
-            (Flags.all_on, 1, Pagetable.First_touch, Fault.none);
-            (Flags.all_on, 4, Pagetable.First_touch, Fault.none);
-            (Flags.all_on, 7, Pagetable.Round_robin, Fault.none);
-            (Flags.all_on, 8, Pagetable.First_touch, Fault.none);
-            (Flags.tile_peel, 5, Pagetable.First_touch, Fault.none);
-            ({ Flags.all_on with Flags.peel = false }, 4, Pagetable.First_touch,
-             Fault.none);
-            (Flags.all_off, 6, Pagetable.Round_robin, Fault.none);
-            (* seeded fault plans: perturb timing, must not perturb output *)
-            (Flags.all_on, 4, Pagetable.First_touch,
-             Fault.random ~seed:round ~nnodes:2);
-            (Flags.all_on, 8, Pagetable.Round_robin,
-             Fault.random ~seed:(round + 1000) ~nnodes:4);
-            (Flags.all_off, 6, Pagetable.First_touch,
-             Fault.make ~slow_nodes:[ (0, 120) ] ~tlb_flush_period:64
-               ~redist_fail:2 ());
-          ]
+    let opts =
+      { (Differ.default ~seed:round) with fault = true; race = true }
+    in
+    match Differ.run opts [ ("r.pf", src) ] with
+    | Differ.Pass -> ()
+    | v ->
+        Alcotest.failf "%s [seed %d]: %s%s\n%s" label round (Differ.kind_of v)
+          (match v with
+          | Differ.Diverged { detail; _ } -> " (" ^ detail ^ ")"
+          | Differ.Reject m | Differ.Fail m -> " (" ^ m ^ ")"
+          | _ -> "")
+          src
   done
 
 (* ------------------------------------------------------------------ *)
@@ -251,12 +204,22 @@ c$doacross local(i) affinity(i) = data(a(i))
 |}
 
 let redist_failures () =
-  let go fault =
-    match run ~fault ~flags:Flags.all_on ~nprocs:4 ~policy:Pagetable.First_touch
-            redist_src
+  let prog =
+    match
+      Result.bind (Ddsm.compile_source ~fname:"rd.pf" redist_src) (fun o ->
+          Ddsm.link [ o ])
     with
-    | Error e -> Alcotest.failf "redist run failed: %s" e
-    | Ok (out, rt) -> (out, rt)
+    | Ok (prog, _) -> prog
+    | Error es ->
+        Alcotest.failf "redist program refused: %s" (String.concat "; " es)
+  in
+  let go fault =
+    let rt =
+      Ddsm.make_rt ~heap_words:(1 lsl 18) ~machine_procs:8 ~fault ~nprocs:4 ()
+    in
+    match Ddsm.run prog ~rt ~bounds:true () with
+    | Error d -> Alcotest.failf "redist run failed: %s" (Diag.to_string d)
+    | Ok o -> (String.concat "|" o.Ddsm.Engine.prints, rt)
   in
   let clean_out, clean_rt = go Fault.none in
   Alcotest.(check int) "clean run retries nothing" 0 clean_rt.Rt.redist_retries;
@@ -279,8 +242,8 @@ let () =
     [
       ( "stencils",
         [
-          Alcotest.test_case "1-D programs" `Slow (differential gen_1d 40);
-          Alcotest.test_case "2-D programs" `Slow (differential gen_2d 25);
+          Alcotest.test_case "1-D programs" `Slow (stencils gen_1d 40);
+          Alcotest.test_case "2-D programs" `Slow (stencils gen_2d 25);
         ] );
       ( "faults",
         [
